@@ -1,12 +1,11 @@
 """fmlab: Monte Carlo laboratory for strong-disorder localisation experiments
 on random block and alloy lattice operators.
 
-Hot kernels (eigensolver, complex LU, Jacobi norms) run under numba by
-default; set FMLAB_NUMBA=0 for the pure-numpy fallback path.
+Dense linear algebra (eigendecompositions, resolvent solves, block norms)
+runs through numpy's LAPACK bindings; see :mod:`fmlab.numerics`.
 """
 
 from .errors import ConfigurationError, DegenerateFitError, NumericalError, ResampleSignal
-from .kernels import backend
 
 __version__ = "0.1.0"
 
@@ -15,6 +14,5 @@ __all__ = [
     "DegenerateFitError",
     "NumericalError",
     "ResampleSignal",
-    "backend",
     "__version__",
 ]

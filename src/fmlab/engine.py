@@ -89,13 +89,7 @@ def run_indexed(task_fn, ctx, n_samples, workers=1, checkpoint_path=None):
                 payloads[i] = task_fn(ctx, i)
                 flush_ready()
         else:
-            # compute the first pending sample inline so numba kernels are
-            # compiled (and disk-cached) before the pool forks
-            first = todo[0]
-            payloads[first] = task_fn(ctx, first)
-            flush_ready()
-            rest = todo[1:]
-            chunks = [rest[j:j + _CHUNK] for j in range(0, len(rest), _CHUNK)]
+            chunks = [todo[j:j + _CHUNK] for j in range(0, len(todo), _CHUNK)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_chunk, task_fn, ctx, idx) for idx in chunks]
                 for fut in futures:

@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical kernel failed to converge or violated its residual contract.
+    """A LAPACK routine failed to converge or a result violated its residual contract.
 
     Carries the digest of the offending Hamiltonian instance when available.
     """
@@ -23,7 +23,7 @@ class DegenerateFitError(RuntimeError):
 
 
 class ResampleSignal(Exception):
-    """A factorization hit an (almost surely measure-zero) singular pivot.
+    """A shifted solve hit an (almost surely measure-zero) exactly singular matrix.
 
     Estimators catch this and redraw the disorder; it never escapes to users.
     """

@@ -19,12 +19,14 @@ import numpy as np
 from .disorder import DisorderSpec, sample_vector
 from .engine import run_indexed
 from .errors import ConfigurationError, DegenerateFitError, NumericalError, ResampleSignal
-from .kernels import opnorm, opnorm_batch
 from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window
 from .numerics import (
     SpectralDecomposition,
     cluster_indices,
     hermitian_eig,
+    hermitian_eigvals,
+    opnorm,
+    opnorm_batch,
     projector_blocks,
     resolvent_profile,
 )
@@ -77,6 +79,11 @@ def _draw_instance(ctx: _SampleCtx, stream: Stream):
 def _eig_sample(ctx: _SampleCtx, idx: int) -> SpectralDecomposition:
     stream = Stream(derive_sample_seed(ctx.master_seed, idx))
     return hermitian_eig(_draw_instance(ctx, stream))
+
+
+def _eigvals_sample(ctx: _SampleCtx, idx: int) -> np.ndarray:
+    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
+    return hermitian_eigvals(_draw_instance(ctx, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +268,9 @@ def default_eps(model, topo, disorder, master_seed) -> float:
     limit itself is not computable.
     """
     ctx = _SampleCtx(model, topo, disorder, int(master_seed), {}, assembly_plan(model, topo))
-    sd = _eig_sample(ctx, 0)
-    dim = sd.eigenvalues.size
-    width = max(sd.spectral_width, 1e-12)
-    return 1e-3 * width / dim
+    vals = _eigvals_sample(ctx, 0)
+    width = max(float(vals[-1] - vals[0]), 1e-12)
+    return 1e-3 * width / vals.size
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +296,11 @@ class IdsEstimate:
 
 
 def _ids_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = _eig_sample(ctx, idx)
+    vals = _eigvals_sample(ctx, idx)
     edges = ctx.params["edges"]
-    counts, _ = np.histogram(sd.eigenvalues, edges)
-    counts[0] += int(np.sum(sd.eigenvalues < edges[0]))
-    counts[-1] += int(np.sum(sd.eigenvalues > edges[-1]))
+    counts, _ = np.histogram(vals, edges)
+    counts[0] += int(np.sum(vals < edges[0]))
+    counts[-1] += int(np.sum(vals > edges[-1]))
     return {"c": [int(c) for c in counts]}
 
 
@@ -354,9 +360,8 @@ def fit_power_law(eps_values, masses) -> float:
 
 
 def _window_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = _eig_sample(ctx, idx)
+    vals = _eigvals_sample(ctx, idx)  # ascending
     lam0 = ctx.params["lambda0"]
-    vals = sd.eigenvalues  # ascending
     counts = []
     for eps in ctx.params["eps_list"]:
         lo = np.searchsorted(vals, lam0 - eps, side="left")

@@ -21,9 +21,8 @@ import numpy as np
 from .disorder import DisorderSpec, density, sample_vector, support
 from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
-from .kernels import jacobi_eigvals, opnorm
 from .model import ModelSpec, assemble, assembly_plan, potential_block, decay_exponent_window
-from .numerics import resolvent_block, resolvent_profile
+from .numerics import opnorm, resolvent_block, resolvent_profile
 from .quadrature import integrate
 from .rng import Stream, derive_sample_seed
 from .estimators import _group_stats
@@ -264,24 +263,19 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
 
         disorder = make_spec("uniform", (-1.0, 1.0))
     stream = Stream(derive_sample_seed(master_seed, 0))
-    k = model.k
-    eye = np.eye(k, dtype=np.complex128)
+    shift = model.B - lam * np.eye(model.k, dtype=np.complex128)
     values = np.empty(samples)
     resamples = 0
     filled = 0
     while filled < samples:
         draws = sample_vector(disorder, stream, samples - filled)
-        for v in draws:
-            mat = v * model.A + model.B - lam * eye
-            gram = mat.conj().T @ mat
-            smin2 = float(np.min(jacobi_eigvals(gram)))
-            if smin2 <= 0.0:
-                resamples += 1
-                if resamples > 1000:
-                    raise NumericalError("vinv_moment: persistent singular potential")
-                continue
-            values[filled] = smin2 ** (-0.5 * s)  # ||V^-1|| = 1/sigma_min
-            filled += 1
+        smin = np.linalg.svd(draws[:, None, None] * model.A + shift, compute_uv=False)[:, -1]
+        regular = smin[smin > 0.0]
+        resamples += draws.size - regular.size
+        if resamples > 1000:
+            raise NumericalError("vinv_moment: persistent singular potential")
+        values[filled:filled + regular.size] = regular ** -s  # ||V^-1|| = 1/sigma_min
+        filled += regular.size
     mean, _, err = _group_stats(values[:, None])
     return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import opnorm
 from .topology import GraphTopology
 
 _MAX_BLOCK = 16
@@ -99,6 +98,11 @@ def _normalize_hopping(hopping, k: int) -> dict | None:
     return out
 
 
+def _norm2(m) -> float:
+    """Spectral norm (largest singular value) of a block."""
+    return float(np.linalg.norm(m, 2))
+
+
 def block_model(A, B, g: float, hopping=None) -> ModelSpec:
     """Generic block model V(x) = v(x) A + B with optional hopping kernel."""
     if not g > 0:
@@ -111,16 +115,16 @@ def block_model(A, B, g: float, hopping=None) -> ModelSpec:
         raise ConfigurationError("A and B must have the same block size")
     k = A.shape[0]
     hop = _normalize_hopping(hopping, k)
-    norm_a = opnorm(A)
+    norm_a = _norm2(A)
     try:
-        inv_norm = opnorm(np.linalg.inv(A)) if abs(np.linalg.det(A)) > 1e-12 else None
+        inv_norm = _norm2(np.linalg.inv(A)) if abs(np.linalg.det(A)) > 1e-12 else None
     except np.linalg.LinAlgError:
         inv_norm = None
     constants = {
         "C_B1": max(norm_a, inv_norm) if inv_norm is not None else None,
         "norm_A": norm_a,
-        "C_B2": opnorm(B),
-        "C_B3": max((opnorm(m) for m in hop.values()), default=1.0) if hop else 1.0,
+        "C_B2": _norm2(B),
+        "C_B3": max((_norm2(m) for m in hop.values()), default=1.0) if hop else 1.0,
     }
     return ModelSpec(
         variant="block", k=k, g=float(g), A=A, B=B, hopping=hop, constants=constants

@@ -1,8 +1,11 @@
 """Spectral and resolvent computations on assembled instances.
 
-All operations are pure functions of their inputs; scratch arrays are local.
-Residual tolerances here are contracts checked at runtime, with violations
-raised as NumericalError carrying the instance digest.
+All dense linear algebra goes through numpy's LAPACK bindings: ``eigh`` where
+eigenvectors are used, ``eigvalsh`` where only eigenvalues are, ``solve`` for
+resolvent columns and a batched ``svd`` for block norms with k > 2.  All
+operations are pure functions of their inputs.  Residual tolerances here are
+contracts checked at runtime, with violations raised as NumericalError
+carrying the instance digest.
 """
 
 from __future__ import annotations
@@ -11,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericalError, ResampleSignal
 from .model import HamiltonianInstance, hermiticity_residual
 
 RECON_TOL = 1e-10  # eigendecomposition reconstruction, relative to 1 + max|H|
 SOLVE_TOL = 1e-10  # resolvent solve residual, relative to 1 + |z|
 CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
-
-block_opnorm = kernels.opnorm
 
 
 @dataclass(eq=False)
@@ -51,59 +51,67 @@ class GreenBlock:
         return complex(self.lam, self.eps)
 
 
-def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
-    """Dense Hermitian eigendecomposition via Householder + implicit-shift QL."""
+def _require_hermitian(h: HamiltonianInstance) -> None:
     if hermiticity_residual(h) != 0.0:
         raise NumericalError("instance is not exactly Hermitian", h.digest)
-    a = h.matrix.astype(np.complex128, copy=True)
-    d, e, q = kernels.tridiag_reduce(a)
-    fail = kernels.tql2(d, e, q)
-    if fail:
-        raise NumericalError(
-            f"QL iteration cap {kernels.QL_ITMAX} hit at eigenvalue {fail - 1}", h.digest
-        )
-    order = np.argsort(d, kind="stable")
+
+
+def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
+    """Dense Hermitian eigendecomposition by LAPACK (``np.linalg.eigh``).
+
+    Eigenvalues ascend; eigenvector phases are LAPACK's, so callers use only
+    phase-invariant products such as psi psi*.
+    """
+    _require_hermitian(h)
+    try:
+        vals, vecs = np.linalg.eigh(h.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}", h.digest) from None
     return SpectralDecomposition(
-        eigenvalues=d[order],
-        eigenvectors=np.ascontiguousarray(q[:, order]),
-        origin=h.digest,
-        k=h.k,
-        n_sites=h.n_sites,
+        eigenvalues=vals, eigenvectors=vecs, origin=h.digest, k=h.k, n_sites=h.n_sites
     )
 
 
-def _shifted_factor(h: HamiltonianInstance, z: complex):
-    """LU of (H - z); raises ResampleSignal on a singular pivot."""
-    a = h.matrix.astype(np.complex128, copy=True)
-    idx = np.arange(a.shape[0])
-    a[idx, idx] -= z
-    piv, ok = kernels.lu_factor(a)
-    if not ok:
-        raise ResampleSignal
-    return a, piv
+def hermitian_eigvals(h: HamiltonianInstance) -> np.ndarray:
+    """Ascending eigenvalues only (``np.linalg.eigvalsh``), for counting estimators."""
+    _require_hermitian(h)
+    try:
+        return np.linalg.eigvalsh(h.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}", h.digest) from None
+
+
+def _shifted_solve(h: HamiltonianInstance, z: complex, site: int) -> np.ndarray:
+    """The k columns of (H - z)^(-1) at one site, shape (n, k).
+
+    An exactly singular (H - z) raises ResampleSignal.
+    """
+    n, k = h.matrix.shape[0], h.k
+    a = h.matrix.astype(np.complex128)
+    a.flat[:: n + 1] -= z
+    rhs = np.zeros((n, k), dtype=np.complex128)
+    rhs[h.block_slice(site), :] = np.eye(k)
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise ResampleSignal from None
 
 
 def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: int) -> GreenBlock:
     """The k x k block of (H - lam - i eps)^(-1) at (x, y) by direct solve.
 
     eps = 0 is allowed at finite volume (continuous disorder makes real
-    energies almost surely regular); an exactly singular factorization
-    raises ResampleSignal for the caller to handle.
+    energies almost surely regular); an exactly singular matrix raises
+    ResampleSignal for the caller to handle.
     """
     if eps < 0:
         raise NumericalError("resolvent_block needs eps >= 0", h.digest)
     z = complex(lam, eps)
-    lu, piv = _shifted_factor(h, z)
-    n = h.matrix.shape[0]
-    k = h.k
-    rhs = np.zeros((n, k), dtype=np.complex128)
-    ys = h.block_slice(y)
-    rhs[ys, :] = np.eye(k)
-    sol = kernels.lu_solve(lu, piv, rhs)
+    sol = _shifted_solve(h, z, y)
     resid = h.matrix @ sol - z * sol
-    resid[ys, :] -= np.eye(k)
+    resid[h.block_slice(y), :] -= np.eye(h.k)
     worst = float(np.max(np.abs(resid)))
-    if worst > SOLVE_TOL * (1.0 + abs(z)):
+    if not worst <= SOLVE_TOL * (1.0 + abs(z)):  # also catches a NaN residual
         raise NumericalError(f"resolvent solve residual {worst:.3e} too large", h.digest)
     return GreenBlock(block=sol[h.block_slice(x), :].copy(), lam=lam, eps=eps, x=x, y=y)
 
@@ -111,18 +119,40 @@ def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: i
 def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
     """Blocks G_z(x0, y) for every site y, shape (n_sites, k, k).
 
-    One factorization of (H - conj(z)) suffices: for Hermitian H,
+    One solve with (H - conj(z)) suffices: for Hermitian H,
     G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.
     """
-    z = complex(lam, eps)
-    lu, piv = _shifted_factor(h, np.conj(z))
-    n = h.matrix.shape[0]
-    k = h.k
-    rhs = np.zeros((n, k), dtype=np.complex128)
-    rhs[h.block_slice(x0), :] = np.eye(k)
-    sol = kernels.lu_solve(lu, piv, rhs)
-    cols = sol.reshape(h.n_sites, k, k)
+    sol = _shifted_solve(h, np.conj(complex(lam, eps)), x0)
+    cols = sol.reshape(h.n_sites, h.k, h.k)
     return np.conj(np.swapaxes(cols, 1, 2))
+
+
+def opnorm_batch(blocks) -> np.ndarray:
+    """Largest singular values of a stack of blocks, shape (m, k, k).
+
+    1 x 1 blocks take abs and 2 x 2 blocks a closed form (the estimator hot
+    path, much cheaper than a batched SVD); anything else a batched LAPACK
+    SVD.
+    """
+    blocks = np.asarray(blocks, dtype=np.complex128)
+    shape = blocks.shape[-2:]
+    if shape == (1, 1):
+        return np.abs(blocks[:, 0, 0])
+    if shape == (2, 2):
+        # sqrt of the top eigenvalue of the Gram matrix G = M* M, written as
+        # a sum of nonnegative terms so it stays accurate when the two
+        # singular values nearly coincide
+        c0, c1 = blocks[:, :, 0], blocks[:, :, 1]
+        g11 = np.sum(np.abs(c0) ** 2, axis=1)
+        g22 = np.sum(np.abs(c1) ** 2, axis=1)
+        g12 = np.abs(np.sum(np.conj(c0) * c1, axis=1))
+        return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
+    return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+
+
+def opnorm(m) -> float:
+    """Largest singular value of one block."""
+    return float(opnorm_batch(np.asarray(m)[None])[0])
 
 
 def spectral_resolvent_block(sd: SpectralDecomposition, z: complex, x: int, y: int) -> np.ndarray:

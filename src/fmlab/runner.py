@@ -25,7 +25,6 @@ import numpy as np
 from . import disorder as disorder_mod
 from . import estimators as est
 from . import inequalities as ineq
-from . import kernels
 from .errors import ConfigurationError
 from .model import alloy_model, singular_covering_model, block_model, spencer_model
 from .rng import Stream, derive_sample_seed
@@ -456,6 +455,19 @@ _DISPATCH = {
 }
 
 
+def _linalg_build() -> dict:
+    """Name and version of the BLAS and LAPACK numpy was built against."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.26 has no mode argument
+        return {}
+    return {
+        lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
+        for lib in ("blas", "lapack")
+        if lib in deps
+    }
+
+
 def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     """Dispatch a config to its estimator suite and return the ResultRecord.
 
@@ -494,10 +506,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         columns=columns,
         rows=rows,
         timing={"elapsed_seconds": elapsed, "finished_unix": time.time()},
-        environment={
-            "numpy": np.__version__,
-            "kernel_backend": kernels.backend(),
-        },
+        environment={"numpy": np.__version__, **_linalg_build()},
     )
     if outdir:
         _atomic_write(os.path.join(outdir, "results.json"), record.to_json())

@@ -31,7 +31,6 @@ from fmlab.inequalities import (
     ratio_integral,
     reverse_holder_check,
 )
-from fmlab.kernels import opnorm
 from fmlab.model import alloy_model, assemble, block_model, spencer_model
 from fmlab.numerics import (
     hermitian_eig,

@@ -123,8 +123,7 @@ def test_pointwise_power_monotonicity():
     topo = make_lattice_box(1, (5,))
     v = sample_vector(UNIFORM, Stream(11), 5)
     h = assemble(SCALAR, topo, v)
-    from fmlab.numerics import resolvent_profile
-    from fmlab.kernels import opnorm_batch
+    from fmlab.numerics import opnorm_batch, resolvent_profile
 
     norms = opnorm_batch(resolvent_profile(h, 0.0, 1e-2, 0))
     lo, hi = norms**0.2, norms**0.4

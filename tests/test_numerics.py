@@ -7,12 +7,14 @@ import pytest
 
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
-from fmlab.model import assemble, block_model, spencer_model
+from fmlab.model import HamiltonianInstance, assemble, block_model, spencer_model
 from fmlab.numerics import (
     RECON_TOL,
-    block_opnorm,
     evolve_block,
     hermitian_eig,
+    hermitian_eigvals,
+    opnorm,
+    opnorm_batch,
     projector_blocks,
     resolvent_block,
     resolvent_profile,
@@ -22,6 +24,24 @@ from fmlab.rng import Stream, derive_sample_seed
 from fmlab.topology import make_lattice_box
 
 UNIFORM = make_spec("uniform", (-1, 1))
+
+rng = np.random.default_rng(1234)
+
+
+def rand_hermitian(n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return ((a + a.conj().T) / 2).astype(np.complex128)
+
+
+def dense_instance(matrix):
+    """An instance wrapping an arbitrary Hermitian matrix as a scalar chain."""
+    n = matrix.shape[0]
+    return HamiltonianInstance(
+        topology=make_lattice_box(1, (n,)),
+        model=block_model([[1.0]], [[0.0]], 1.0),
+        v=np.zeros(n),
+        matrix=matrix,
+    )
 
 
 def random_instance(n_sites, seed, model=None, g=4.0):
@@ -48,6 +68,18 @@ def test_eig_requires_exact_hermiticity():
     h.matrix[0, 1] += 1e-13
     with pytest.raises(NumericalError):
         hermitian_eig(h)
+
+
+@pytest.mark.parametrize("fn,routine", [(hermitian_eig, "eigh"), (hermitian_eigvals, "eigvalsh")])
+def test_eig_failure_raises_numerical_error_with_digest(monkeypatch, fn, routine):
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, no_convergence)
+    h = random_instance(4, 1)
+    with pytest.raises(NumericalError) as info:
+        fn(h)
+    assert info.value.digest == h.digest
 
 
 def test_resolvent_one_site():
@@ -111,11 +143,37 @@ def test_resolvent_eps_zero_allowed():
     assert np.all(np.isfinite(gb.block.view(np.float64)))
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (17, 3), (40, 5)])
+def test_solve_residual(n, m):
+    # n sites of a random k = m block model: the k-column solve behind
+    # resolvent_profile satisfies (H - z) G = 1 on the x0 column
+    a, b = rand_hermitian(m), rand_hermitian(m)
+    h = random_instance(n, 29, block_model(a, b, 3.0))
+    z = 0.2 + 1e-3j
+    x0 = n // 2
+    prof = resolvent_profile(h, z.real, z.imag, x0)
+    cols = np.conj(np.swapaxes(prof, 1, 2)).reshape(n * m, m)  # (H - conj z)^(-1)(., x0)
+    rhs = np.zeros((n * m, m), dtype=np.complex128)
+    rhs[x0 * m:(x0 + 1) * m] = np.eye(m)
+    resid = (h.matrix - np.conj(z) * np.eye(n * m)) @ cols - rhs
+    assert np.max(np.abs(resid)) <= 1e-11 * (1.0 + np.abs(h.matrix).max()) * n
+
+
 def test_singular_factorization_raises_resample():
     topo = make_lattice_box(1, (1,))
     h = assemble(block_model([[1.0]], [[0.0]], math.inf), topo, [0.25])
     with pytest.raises(ResampleSignal):
         resolvent_block(h, 0.25, 0.0, 0, 0)
+
+
+def test_singular_solve_flags_resample():
+    # an exactly singular H - z at eps = 0 stops the LAPACK factorisation
+    # behind the resolvent solves; the sample is flagged for resampling
+    m = np.zeros((3, 3), dtype=np.complex128)
+    m[0, 1] = m[1, 0] = 1.0
+    h = dense_instance(m)
+    with pytest.raises(ResampleSignal):
+        resolvent_profile(h, 0.0, 0.0, 0)
 
 
 def test_projector_blocks_completeness_and_orthogonality():
@@ -166,6 +224,100 @@ def test_evolution_unitary_on_full_window():
     assert np.max(np.abs(e.conj().T @ e - np.eye(n * sd.k))) <= 1e-8
 
 
-def test_block_opnorm_is_kernels_opnorm():
-    m = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=np.complex128)
-    assert block_opnorm(m) == pytest.approx(2.0, rel=1e-10)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 40])
+def test_eig_reconstruction_and_orthonormality(n):
+    h = rand_hermitian(n)
+    sd = hermitian_eig(dense_instance(h))
+    d, q = sd.eigenvalues, sd.eigenvectors
+    scale = 1.0 + np.abs(h).max()
+    assert np.max(np.abs(q @ np.diag(d) @ q.conj().T - h)) <= 1e-12 * scale * max(n, 4)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= 1e-12 * max(n, 4)
+    assert np.all(np.diff(d) >= 0)
+
+
+def test_eig_small_oracles():
+    sd = hermitian_eig(dense_instance(np.array([[0, 1], [1, 0]], dtype=np.complex128)))
+    assert np.allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    sd = hermitian_eig(dense_instance(np.diag([3.0, 1.0, 2.0]).astype(np.complex128)))
+    assert np.allclose(sd.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+    # permutation eigenvectors up to phase
+    assert np.allclose(np.abs(sd.eigenvectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+
+
+def test_eigvals_match_full_decomposition():
+    # the counting estimators' eigenvalue-only path agrees with the full one
+    for n in (6, 13, 30):
+        h = dense_instance(rand_hermitian(n))
+        d = hermitian_eig(h).eigenvalues
+        vals = hermitian_eigvals(h)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.max(np.abs(d - vals)) <= 1e-11 * (1.0 + np.abs(d).max())
+
+
+def test_eigvals_require_exact_hermiticity():
+    h = random_instance(4, 1)
+    h.matrix[0, 1] += 1e-13
+    with pytest.raises(NumericalError):
+        hermitian_eigvals(h)
+
+
+def test_eig_degenerate_spectrum():
+    # doubly degenerate eigenvalues via a block construction
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    lam = np.array([-2.0, -2.0, 0.5, 0.5, 0.5, 3.0])
+    h = (u * lam) @ u.conj().T
+    h = (h + h.conj().T) / 2
+    sd = hermitian_eig(dense_instance(h))
+    d, q = sd.eigenvalues, sd.eigenvectors
+    assert np.max(np.abs(d - lam)) <= 1e-10
+    assert np.max(np.abs(q @ np.diag(d) @ q.conj().T - h)) <= 1e-10
+
+
+def test_opnorm_oracles():
+    assert opnorm(np.eye(5, dtype=np.complex128)) == pytest.approx(1.0, abs=1e-12)
+    assert opnorm(np.diag([3.0, -4.0]).astype(np.complex128)) == pytest.approx(4.0, rel=1e-10)
+    nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=np.complex128)
+    assert opnorm(nilpotent) == pytest.approx(2.0, rel=1e-10)
+
+
+def test_opnorm_nilpotent_blocks():
+    # a single off-diagonal entry c has norm |c| on both the 2 x 2 closed
+    # form and the batched SVD path (k > 2)
+    for k in (2, 3, 5):
+        m = np.zeros((k, k), dtype=np.complex128)
+        m[0, k - 1] = 2.0
+        assert opnorm(m) == pytest.approx(2.0, rel=1e-10)
+        assert opnorm_batch(np.stack([m, 0.5j * m]))[1] == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+def test_opnorm_matches_svd(k):
+    m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    ref = np.linalg.svd(m, compute_uv=False)[0]
+    assert opnorm(m) == pytest.approx(ref, rel=1e-8)
+    # adjoint invariance and unitary invariance
+    assert opnorm(m.conj().T) == pytest.approx(ref, rel=1e-8)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    assert opnorm(u @ m @ v) == pytest.approx(ref, rel=1e-8)
+
+
+def test_opnorm_batch_agrees_with_scalar():
+    for k in (1, 2, 3):
+        blocks = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
+        batch = opnorm_batch(blocks)
+        singles = np.array([opnorm(b) for b in blocks])
+        assert np.max(np.abs(batch - singles)) <= 1e-10 * (1.0 + singles.max())
+
+
+def test_opnorm_2x2_near_equal_singular_values():
+    # sigma_2 / sigma_1 = 1 - 1e-8: the closed form must not cancel
+    blocks = []
+    for _ in range(50):
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        sigma = rng.uniform(0.1, 10.0)
+        blocks.append((u * [sigma, sigma * (1.0 - 1e-8)]) @ v)
+    blocks = np.array(blocks)
+    ref = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    assert np.max(np.abs(opnorm_batch(blocks) - ref) / ref) <= 1e-14

@@ -254,8 +254,12 @@ def test_cli_end_to_end(tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert "elapsed_seconds" in meta["timing"]
+    env = meta["environment"]  # numpy and the BLAS/LAPACK build it links
+    assert env["numpy"] == np.__version__ and env["blas"] and env["lapack"]
     results = json.load(open(os.path.join(out, "results.json")))
     assert "timing" not in results  # deterministic artifact carries no timestamps
+    assert "environment" not in results
+    assert env["blas"] not in open(os.path.join(out, "results.json")).read()
 
 
 def test_cli_exit_codes(tmp_path):
