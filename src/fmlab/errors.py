@@ -25,5 +25,6 @@ class DegenerateFitError(RuntimeError):
 class ResampleSignal(Exception):
     """A shifted solve hit an (almost surely measure-zero) exactly singular matrix.
 
-    Estimators catch this and redraw the disorder; it never escapes to users.
+    estimators.solve_resampled catches this and redraws the disorder, at most
+    MAX_RETRIES times before raising NumericalError; it never escapes to users.
     """

@@ -12,7 +12,7 @@ sample groups, which stays usable when resolvent norms have heavy tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .numerics import (
     cluster_indices,
     hermitian_eig,
     hermitian_eigvals,
-    opnorm,
     opnorm_batch,
-    projector_blocks,
     resolvent_profile,
 )
 from .rng import Stream, derive_sample_seed
@@ -41,9 +39,27 @@ T_GRID_POINTS = 512
 T_GRID_CYCLES = 64.0
 
 
-def _json_real(x: float):
-    """inf-safe JSON scalar (strict JSON has no Infinity literal)."""
-    return x if math.isfinite(x) else repr(x)
+def _jsonable(x):
+    """Arrays and tuples as lists, non-finite reals as strings (strict JSON
+    has no Infinity literal), numpy scalars as Python numbers."""
+    if isinstance(x, (np.ndarray, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+        return repr(float(x))
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def to_payload(estimate) -> dict:
+    """JSON payload of an estimate dataclass: every field, lam written as
+    "lambda", extras merged in."""
+    out = {}
+    for f in fields(estimate):
+        value = getattr(estimate, f.name)
+        if f.name == "extras":
+            out.update(value)
+        else:
+            out["lambda" if f.name == "lam" else f.name] = _jsonable(value)
+    return out
 
 
 def _group_stats(values: np.ndarray):
@@ -61,6 +77,10 @@ def _group_stats(values: np.ndarray):
     return mean, mom, err
 
 
+# ---------------------------------------------------------------------------
+# the sample path shared by every operator estimator
+
+
 @dataclass(eq=False)
 class _SampleCtx:
     model: ModelSpec
@@ -68,22 +88,43 @@ class _SampleCtx:
     disorder: DisorderSpec
     master_seed: int
     params: dict
-    plan: object = None
+    plan: object
 
 
-def _draw_instance(ctx: _SampleCtx, stream: Stream):
-    v = sample_vector(ctx.disorder, stream, ctx.topo.n_vertices)
-    return assemble(ctx.model, ctx.topo, v, ctx.plan)
+def run_samples(
+    sample_fn, model, topo, disorder, master_seed, params, samples, workers=1, checkpoint_path=None
+) -> list:
+    """Payloads of sample_fn(ctx, i) for i in 0..samples-1 (see run_indexed).
+
+    ctx carries the operator family, its assembly plan and the per-kind
+    params; sample_fn gets sample i's operator from solve_resampled.
+    """
+    plan = assembly_plan(model, topo)
+    ctx = _SampleCtx(model, topo, disorder, int(master_seed), params, plan)
+    return run_indexed(sample_fn, ctx, samples, workers, checkpoint_path)
 
 
-def _eig_sample(ctx: _SampleCtx, idx: int) -> SpectralDecomposition:
+def solve_resampled(ctx: _SampleCtx, idx: int, solve):
+    """(solve(h), retries) for sample idx's operator h, drawn and assembled
+    from the sample's own (master_seed, idx) stream.
+
+    An exactly singular solve (ResampleSignal, measure zero for continuous
+    disorder) redraws the disorder from the same stream; after MAX_RETRIES
+    redraws the sample fails with NumericalError.
+    """
     stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    return hermitian_eig(_draw_instance(ctx, stream))
+    for retries in range(MAX_RETRIES + 1):
+        v = sample_vector(ctx.disorder, stream, ctx.topo.n_vertices)
+        h = assemble(ctx.model, ctx.topo, v, ctx.plan)
+        try:
+            return solve(h), retries
+        except ResampleSignal:
+            continue
+    raise NumericalError("persistent singular factorization", h.digest)
 
 
 def _eigvals_sample(ctx: _SampleCtx, idx: int) -> np.ndarray:
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    return hermitian_eigvals(_draw_instance(ctx, stream))
+    return solve_resampled(ctx, idx, hermitian_eigvals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,38 +150,12 @@ class MomentEstimate:
     config_digest: str = ""
     flags: tuple = ()
 
-    def to_payload(self) -> dict:
-        return {
-            "s": self.s,
-            "lambda": self.lam,
-            "eps": self.eps,
-            "g": _json_real(self.g),
-            "x0": self.x0,
-            "distances": [int(d) for d in self.distances],
-            "means": [float(x) for x in self.means],
-            "moms": [float(x) for x in self.moms],
-            "errs": [float(x) for x in self.errs],
-            "n_samples": self.n_samples,
-            "resamples": self.resamples,
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-            "flags": list(self.flags),
-        }
-
 
 def _moment_sample(ctx: _SampleCtx, idx: int) -> dict:
     p = ctx.params
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    retries = 0
-    while True:
-        h = _draw_instance(ctx, stream)
-        try:
-            blocks = resolvent_profile(h, p["lam"], p["eps"], p["x0"])
-            break
-        except ResampleSignal:
-            retries += 1
-            if retries > MAX_RETRIES:
-                raise NumericalError("persistent singular factorization", h.digest)
+    blocks, retries = solve_resampled(
+        ctx, idx, lambda h: resolvent_profile(h, p["lam"], p["eps"], p["x0"])
+    )
     norms = opnorm_batch(blocks)
     return {"m": (norms ** p["s"]).tolist(), "r": retries}
 
@@ -168,15 +183,11 @@ def fractional_moment_profile(
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above the decay-bound window {s_bound:g}")
-    ctx = _SampleCtx(
-        model=model,
-        topo=topo,
-        disorder=disorder,
-        master_seed=int(master_seed),
-        params={"x0": int(x0), "s": float(s), "lam": float(lam), "eps": float(eps)},
-        plan=assembly_plan(model, topo),
+    params = {"x0": int(x0), "s": float(s), "lam": float(lam), "eps": float(eps)}
+    payloads = run_samples(
+        _moment_sample, model, topo, disorder, master_seed, params, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_moment_sample, ctx, samples, workers, checkpoint_path)
     values = np.asarray([p["m"] for p in payloads], dtype=np.float64)
     resamples = int(sum(p["r"] for p in payloads))
     if resamples > RESAMPLE_FLAG_FRACTION * samples:
@@ -267,8 +278,7 @@ def default_eps(model, topo, disorder, master_seed) -> float:
     Uses the spectrum of sample 0; recorded per experiment, since the i0
     limit itself is not computable.
     """
-    ctx = _SampleCtx(model, topo, disorder, int(master_seed), {}, assembly_plan(model, topo))
-    vals = _eigvals_sample(ctx, 0)
+    vals = run_samples(_eigvals_sample, model, topo, disorder, master_seed, {}, 1)[0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 
@@ -284,15 +294,6 @@ class IdsEstimate:
     errs: np.ndarray
     n_samples: int
     master_seed: int
-
-    def to_payload(self) -> dict:
-        return {
-            "edges": [float(e) for e in self.edges],
-            "masses": [float(m) for m in self.masses],
-            "errs": [float(e) for e in self.errs],
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-        }
 
 
 def _ids_sample(ctx: _SampleCtx, idx: int) -> dict:
@@ -315,10 +316,10 @@ def ids_histogram(
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigurationError("histogram edges must be strictly increasing")
-    ctx = _SampleCtx(
-        model, topo, disorder, int(master_seed), {"edges": edges}, assembly_plan(model, topo)
+    payloads = run_samples(
+        _ids_sample, model, topo, disorder, master_seed, {"edges": edges}, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_ids_sample, ctx, samples, workers, checkpoint_path)
     dim = topo.n_vertices * model.k_ambient
     counts = np.asarray([p["c"] for p in payloads], dtype=np.float64) / dim
     mean, _, err = _group_stats(counts)
@@ -337,18 +338,6 @@ class WegnerEstimate:
     n_samples: int
     master_seed: int
     flags: tuple = ()
-
-    def to_payload(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "eps_list": [float(e) for e in self.eps_list],
-            "masses": [float(m) for m in self.masses],
-            "errs": [float(e) for e in self.errs],
-            "exponent": self.exponent,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "flags": list(self.flags),
-        }
 
 
 def fit_power_law(eps_values, masses) -> float:
@@ -389,21 +378,16 @@ def wegner_exponent(
     flags = []
     if eps_arr[0] / eps_arr[-1] < 10.0 - 1e-9:
         flags.append(f"eps grid spans only {eps_arr[0] / eps_arr[-1]:.1f}x (< one decade)")
-    ctx = _SampleCtx(
-        model,
-        topo,
-        disorder,
-        int(master_seed),
-        {"lambda0": float(lambda0), "eps_list": eps_arr},
-        assembly_plan(model, topo),
+    params = {"lambda0": float(lambda0), "eps_list": eps_arr}
+    payloads = run_samples(
+        _window_sample, model, topo, disorder, master_seed, params, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_window_sample, ctx, samples, workers, checkpoint_path)
-    dim = topo.n_vertices * model.k_ambient
-    expected = np.mean(np.asarray([p["c"] for p in payloads], dtype=np.float64)[:, 0])
+    counts = np.asarray([p["c"] for p in payloads], dtype=np.float64)
+    expected = np.mean(counts[:, 0])
     if expected < 50.0:
         flags.append(f"largest window holds {expected:.1f} eigenvalues on average (< 50)")
-    counts = np.asarray([p["c"] for p in payloads], dtype=np.float64) / dim
-    masses, _, errs = _group_stats(counts)
+    masses, _, errs = _group_stats(counts / (topo.n_vertices * model.k_ambient))
     nonempty = int(np.argmax(masses <= 0.0)) if np.any(masses <= 0.0) else masses.size
     if nonempty < masses.size:
         flags.append(f"empty windows below eps={eps_arr[nonempty]:g}; fitted on prefix")
@@ -440,24 +424,21 @@ class DistanceProfile:
     master_seed: int
     extras: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        out = {
-            "x0": self.x0,
-            "interval": [float(self.interval[0]), float(self.interval[1])],
-            "g": _json_real(self.g),
-            "distances": [int(d) for d in self.distances],
-            "means": [float(x) for x in self.means],
-            "errs": [float(x) for x in self.errs],
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-        }
-        out.update(self.extras)
-        return out
 
-
-def eigenfunction_correlator(sd: SpectralDecomposition, interval, m: int, n: int) -> float:
-    """Q_hat(m, n): sum over clusters in the window of ||M_nu||; at most k."""
-    return float(sum(opnorm(block) for _, block in projector_blocks(sd, interval, m, n)))
+def _distance_profile(model, topo, interval, x0, values, master_seed, extras) -> DistanceProfile:
+    """Profile of per-sample target values, shape (samples, n_sites), from x0."""
+    mean, _, err = _group_stats(values)
+    return DistanceProfile(
+        x0=int(x0),
+        interval=interval,
+        g=model.g,
+        distances=distances_from(topo, x0),
+        means=mean,
+        errs=err,
+        n_samples=len(values),
+        master_seed=int(master_seed),
+        extras=extras,
+    )
 
 
 def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
@@ -475,7 +456,8 @@ def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
 
 
 def correlator_targets(sd: SpectralDecomposition, interval, x0: int) -> np.ndarray:
-    """Q_hat(x0, y) for every site y, sharing one clustering pass."""
+    """Q_hat(x0, y), the sum over window clusters of ||M_nu(x0, y)|| (at most
+    k), for every site y, sharing one clustering pass."""
     q = np.zeros(sd.n_sites)
     for _, blocks in _cluster_blocks_all_targets(sd, interval, x0):
         q += opnorm_batch(blocks)
@@ -507,23 +489,8 @@ def dynamical_targets(sd: SpectralDecomposition, interval, x0: int, t_grid) -> n
     return norms.max(axis=0)
 
 
-def dynamical_sup(sd: SpectralDecomposition, interval, m: int, n: int, t_grid) -> float:
-    """max over the grid of ||e^{i t H_I}(m, n)||."""
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    blocks = projector_blocks(sd, interval, m, n)
-    k = sd.k
-    base = np.eye(k, dtype=np.complex128) if m == n else np.zeros((k, k), dtype=np.complex128)
-    if not blocks:
-        return float(opnorm(base))
-    nus = np.array([nu for nu, _ in blocks])
-    stack = np.stack([b for _, b in blocks])
-    w = np.exp(1j * np.outer(t_grid, nus)) - 1.0
-    ev = np.einsum("tc,cab->tab", w, stack) + base[None, :, :]
-    return float(np.max(opnorm_batch(ev)))
-
-
 def _correlator_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = _eig_sample(ctx, idx)
+    sd = solve_resampled(ctx, idx, hermitian_eig)[0]
     q = correlator_targets(sd, ctx.params["interval"], ctx.params["x0"])
     return {"q": q.tolist()}
 
@@ -541,33 +508,18 @@ def correlator_decay_profile(
 ) -> DistanceProfile:
     """Disorder-averaged eigenfunction correlator against graph distance."""
     interval = (float(interval[0]), float(interval[1]))
-    ctx = _SampleCtx(
-        model,
-        topo,
-        disorder,
-        int(master_seed),
-        {"interval": interval, "x0": int(x0)},
-        assembly_plan(model, topo),
+    payloads = run_samples(
+        _correlator_sample, model, topo, disorder, master_seed,
+        {"interval": interval, "x0": int(x0)}, samples, workers, checkpoint_path,
     )
-    payloads = run_indexed(_correlator_sample, ctx, samples, workers, checkpoint_path)
     values = np.asarray([p["q"] for p in payloads], dtype=np.float64)
-    mean, _, err = _group_stats(values)
     qmax = float(np.max(values)) if values.size else 0.0
-    return DistanceProfile(
-        x0=int(x0),
-        interval=interval,
-        g=model.g,
-        distances=distances_from(topo, x0),
-        means=mean,
-        errs=err,
-        n_samples=samples,
-        master_seed=int(master_seed),
-        extras={"max_correlator": qmax, "k": model.k_ambient},
-    )
+    extras = {"max_correlator": qmax, "k": model.k_ambient}
+    return _distance_profile(model, topo, interval, x0, values, master_seed, extras)
 
 
 def _dynamical_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = _eig_sample(ctx, idx)
+    sd = solve_resampled(ctx, idx, hermitian_eig)[0]
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
     t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
     sup = dynamical_targets(sd, interval, x0, t_grid)
@@ -593,35 +545,21 @@ def dynamical_profile(
     stay <= ~1e-8) and how often the unproven factor-1 bound also held.
     """
     interval = (float(interval[0]), float(interval[1]))
-    ctx = _SampleCtx(
-        model,
-        topo,
-        disorder,
-        int(master_seed),
-        {"interval": interval, "x0": int(x0), "t_points": int(t_points)},
-        assembly_plan(model, topo),
+    params = {"interval": interval, "x0": int(x0), "t_points": int(t_points)}
+    payloads = run_samples(
+        _dynamical_sample, model, topo, disorder, master_seed, params, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_dynamical_sample, ctx, samples, workers, checkpoint_path)
     sups = np.asarray([p["u"] for p in payloads], dtype=np.float64)
     qs = np.asarray([p["q"] for p in payloads], dtype=np.float64)
-    mean, _, err = _group_stats(sups)
     off = np.ones(topo.n_vertices, dtype=bool)
     off[int(x0)] = False
     excess = float(np.max(sups[:, off] - 2.0 * qs[:, off])) if np.any(off) else 0.0
     factor1 = float(np.mean(sups[:, off] <= qs[:, off] + 1e-8)) if np.any(off) else 1.0
-    return DistanceProfile(
-        x0=int(x0),
-        interval=interval,
-        g=model.g,
-        distances=distances_from(topo, x0),
-        means=mean,
-        errs=err,
-        n_samples=samples,
-        master_seed=int(master_seed),
-        extras={
-            "max_excess_over_2q": excess,
-            "factor1_hold_fraction": factor1,
-            "t_points": int(t_points),
-            "k": model.k_ambient,
-        },
-    )
+    extras = {
+        "max_excess_over_2q": excess,
+        "factor1_hold_fraction": factor1,
+        "t_points": int(t_points),
+        "k": model.k_ambient,
+    }
+    return _distance_profile(model, topo, interval, x0, sups, master_seed, extras)

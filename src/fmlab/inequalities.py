@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, density, sample_vector, support
+from .disorder import DisorderSpec, density, make_spec, sample_vector, support
 from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
-from .model import ModelSpec, assemble, assembly_plan, potential_block, decay_exponent_window
+from .model import ModelSpec, potential_block, decay_exponent_window
 from .numerics import opnorm, resolvent_block, resolvent_profile
 from .quadrature import integrate
 from .rng import Stream, derive_sample_seed
-from .estimators import _group_stats
+from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
 
 _TAIL_REL = 1e-8  # target tail contribution relative to the comparability target
 
@@ -259,8 +259,6 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
     if not 0.0 < s < 1.0:
         raise ConfigurationError("vinv_moment needs 0 < s < 1")
     if disorder is None:
-        from .disorder import make_spec
-
         disorder = make_spec("uniform", (-1.0, 1.0))
     stream = Stream(derive_sample_seed(master_seed, 0))
     shift = model.B - lam * np.eye(model.k, dtype=np.complex128)
@@ -280,31 +278,20 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
     return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
 
 
-@dataclass(eq=False)
-class _PairCtx:
-    model: ModelSpec
-    topo: object
-    disorder: DisorderSpec
-    master_seed: int
-    params: dict
-    plan: object
-
-
-def _one_step_sample(ctx: _PairCtx, idx: int) -> dict:
+def _one_step_sample(ctx: _SampleCtx, idx: int) -> dict:
     p = ctx.params
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    v = sample_vector(ctx.disorder, stream, ctx.topo.n_vertices)
-    h = assemble(ctx.model, ctx.topo, v, ctx.plan)
     x, y, s = p["x"], p["y"], p["s"]
-    z = complex(p["lam"], p["eps"])
-    prof = resolvent_profile(h, p["lam"], p["eps"], x)
-    k = h.k
-    vy = potential_block(h, y) - z * np.eye(k, dtype=np.complex128)
-    lhs = opnorm(prof[y] @ vy) ** s
     cb3 = ctx.model.constants.get("C_B3", 1.0)
-    gsum = sum(opnorm(prof[zn]) ** s for zn in ctx.topo.adjacency[y])
-    rhs = (cb3 * ctx.model.coupling) ** s * gsum + (1.0 if x == y else 0.0)
-    return {"lhs": lhs, "rhs": rhs}
+
+    def sides(h):
+        prof = resolvent_profile(h, p["lam"], p["eps"], x)
+        vy = potential_block(h, y) - complex(p["lam"], p["eps"]) * np.eye(h.k, dtype=np.complex128)
+        lhs = opnorm(prof[y] @ vy) ** s
+        gsum = sum(opnorm(prof[zn]) ** s for zn in ctx.topo.adjacency[y])
+        rhs = (cb3 * ctx.model.coupling) ** s * gsum + (1.0 if x == y else 0.0)
+        return {"lhs": lhs, "rhs": rhs}
+
+    return solve_resampled(ctx, idx, sides)[0]
 
 
 def one_step_bound_check(
@@ -318,12 +305,11 @@ def one_step_bound_check(
     """
     if not 0 < s <= 1:
         raise ConfigurationError("one_step_bound_check needs 0 < s <= 1")
-    ctx = _PairCtx(
-        model, topo, disorder, int(master_seed),
-        {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)},
-        assembly_plan(model, topo),
+    params = {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)}
+    payloads = run_samples(
+        _one_step_sample, model, topo, disorder, master_seed, params, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_one_step_sample, ctx, samples, workers, checkpoint_path)
     lhs = np.array([p["lhs"] for p in payloads])
     rhs = np.array([p["rhs"] for p in payloads])
     lm, _, le = _group_stats(lhs[:, None])
@@ -340,22 +326,21 @@ def one_step_bound_check(
     }
 
 
-def _decoupling_sample(ctx: _PairCtx, idx: int) -> dict:
+def _decoupling_sample(ctx: _SampleCtx, idx: int) -> dict:
     p = ctx.params
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    v = sample_vector(ctx.disorder, stream, ctx.topo.n_vertices)
-    h = assemble(ctx.model, ctx.topo, v, ctx.plan)
     x, y, s, eps = p["x"], p["y"], p["s"], p["eps"]
-    k = h.k
-    eye = np.eye(k, dtype=np.complex128)
-    nums, dens = [], []
-    for lam in p["grid"]:
-        z = complex(lam, eps)
-        gxy = resolvent_block(h, lam, eps, x, y).block
-        vy = potential_block(h, y) - z * eye
-        nums.append(opnorm(gxy @ vy) ** s)
-        dens.append(opnorm(gxy) ** s)
-    return {"num": nums, "den": dens}
+
+    def terms(h):
+        eye = np.eye(h.k, dtype=np.complex128)
+        nums, dens = [], []
+        for lam in p["grid"]:
+            gxy = resolvent_block(h, lam, eps, x, y).block
+            vy = potential_block(h, y) - complex(lam, eps) * eye
+            nums.append(opnorm(gxy @ vy) ** s)
+            dens.append(opnorm(gxy) ** s)
+        return {"num": nums, "den": dens}
+
+    return solve_resampled(ctx, idx, terms)[0]
 
 
 def decoupling_ratio(
@@ -372,12 +357,11 @@ def decoupling_ratio(
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
-    ctx = _PairCtx(
-        model, topo, disorder, int(master_seed),
-        {"x": int(x), "y": int(y), "s": float(s), "eps": float(eps), "grid": grid},
-        assembly_plan(model, topo),
+    params = {"x": int(x), "y": int(y), "s": float(s), "eps": float(eps), "grid": grid}
+    payloads = run_samples(
+        _decoupling_sample, model, topo, disorder, master_seed, params, samples, workers,
+        checkpoint_path,
     )
-    payloads = run_indexed(_decoupling_sample, ctx, samples, workers, checkpoint_path)
     nums = np.array([p["num"] for p in payloads])
     dens = np.array([p["den"] for p in payloads])
     out = []
@@ -385,21 +369,16 @@ def decoupling_ratio(
         nmean, _, nerr = _group_stats(nums[:, j:j + 1])
         dmean, _, derr = _group_stats(dens[:, j:j + 1])
         scaled = float(dmean[0]) * (1.0 + abs(lam)) ** s
-        entry = {
+        out.append({
             "lambda": lam,
             "num": float(nmean[0]),
             "num_err": float(nerr[0]),
             "den": scaled,
             "den_err": float(derr[0]) * (1.0 + abs(lam)) ** s,
             "flags": list(flags),
-        }
-        if scaled == 0.0:
-            entry["skipped"] = True
-            entry["ratio"] = math.nan
-        else:
-            entry["skipped"] = False
-            entry["ratio"] = float(nmean[0]) / scaled
-        out.append(entry)
+            "skipped": scaled == 0.0,
+            "ratio": math.nan if scaled == 0.0 else float(nmean[0]) / scaled,
+        })
     return out
 
 

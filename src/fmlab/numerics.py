@@ -26,7 +26,6 @@ CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
 class SpectralDecomposition:
     eigenvalues: np.ndarray  # ascending, length N*k
     eigenvectors: np.ndarray  # orthonormal columns, complex128
-    origin: str  # digest of the source instance
     k: int  # block size of the source
     n_sites: int
 
@@ -67,9 +66,7 @@ def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
         vals, vecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}", h.digest) from None
-    return SpectralDecomposition(
-        eigenvalues=vals, eigenvectors=vecs, origin=h.digest, k=h.k, n_sites=h.n_sites
-    )
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, k=h.k, n_sites=h.n_sites)
 
 
 def hermitian_eigvals(h: HamiltonianInstance) -> np.ndarray:

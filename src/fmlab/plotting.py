@@ -4,11 +4,11 @@ timestamps, so emitted bytes are a pure function of the data."""
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .estimators import bin_by_distance
+from .runner import _atomic_write
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 55
@@ -148,36 +148,21 @@ def emit_plot(record, path: str) -> bool:
     density of states on linear axes.
     """
     kind = record.kind
+    col = {c: [row[i] for row in record.rows] for i, c in enumerate(record.columns)}
     if kind in ("decay", "correlator", "dynamical"):
-        cols = {c: i for i, c in enumerate(record.columns)}
-        dist = [row[cols["distance"]] for row in record.rows]
-        mean = [row[cols["mean"]] for row in record.rows]
-        ds, bm, _, _ = bin_by_distance(dist, mean)
-        svg = render_series_svg(
-            ds, bm, "graph distance", "mean", f"{kind}: mean vs distance",
-            record.config_digest, xlog=False, ylog=True,
-        )
+        xs, ys, _, _ = bin_by_distance(col["distance"], col["mean"])
+        axes = ("graph distance", "mean", f"{kind}: mean vs distance", False, True)
     elif kind == "wegner":
-        cols = {c: i for i, c in enumerate(record.columns)}
-        eps = [row[cols["eps"]] for row in record.rows]
-        mass = [row[cols["mass"]] for row in record.rows]
-        svg = render_series_svg(
-            eps, mass, "window half-width", "mass", "spectral window mass",
-            record.config_digest, xlog=True, ylog=True,
-        )
+        xs, ys = col["eps"], col["mass"]
+        axes = ("window half-width", "mass", "spectral window mass", True, True)
     elif kind == "ids":
-        cols = {c: i for i, c in enumerate(record.columns)}
-        centers = [(row[cols["bin_lo"]] + row[cols["bin_hi"]]) / 2.0 for row in record.rows]
-        mass = [row[cols["mass"]] for row in record.rows]
-        svg = render_series_svg(
-            centers, mass, "energy", "mass per bin", "density of states",
-            record.config_digest,
-        )
+        xs = [(lo + hi) / 2.0 for lo, hi in zip(col["bin_lo"], col["bin_hi"])]
+        ys = col["mass"]
+        axes = ("energy", "mass per bin", "density of states", False, False)
     else:
         print(f"emit_plot: kind {kind!r} has no 1D series; skipping")
         return False
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    os.replace(tmp, path)
+    xlabel, ylabel, title, xlog, ylog = axes
+    svg = render_series_svg(xs, ys, xlabel, ylabel, title, record.config_digest, xlog, ylog)
+    _atomic_write(path, svg)
     return True

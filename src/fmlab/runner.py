@@ -30,8 +30,6 @@ from .model import alloy_model, singular_covering_model, block_model, spencer_mo
 from .rng import Stream, derive_sample_seed
 from .topology import make_lattice_box
 
-KINDS = ("decay", "wegner", "ids", "correlator", "dynamical", "inequalities")
-
 _VOLATILE_KEYS = ("workers", "out")
 
 
@@ -198,75 +196,73 @@ def _atomic_write(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# kind dispatch
+# kinds: each runs its estimators on the parsed estimator block and returns
+# (outputs, series rows); checkpoint(scan) is the path of one engine scan
 
 
-def _estimator_cfg(cfg: dict) -> dict:
-    return cfg.get("estimator", {})
+def _real(p: dict, key: str, default=None) -> float:
+    return parse_real(p.get(key, default), f"estimator.{key}")
 
 
-def _run_decay(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
-    eps_raw = p.get("eps", "auto")
-    if eps_raw == "auto":
+def _series(columns, *constants) -> list:
+    """Rows of the equal-length array columns, each followed by the constants."""
+    return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+def _fit(p: dict, prof) -> dict:
+    d_min = int(p.get("d_min", 1))
+    return {"fit": est.decay_rate_fit(prof, d_min=d_min), "d_min": d_min}
+
+
+def _interval(p) -> tuple:
+    return tuple(parse_real(e, "estimator.interval") for e in p.get("interval") or ("-1", "1"))
+
+
+def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
+    if p.get("eps", "auto") == "auto":
         eps = est.default_eps(model, topo, dis, seed)
     else:
-        eps = parse_real(eps_raw, "estimator.eps")
-    checkpoint = os.path.join(outdir, "samples.jsonl") if outdir else None
+        eps = _real(p, "eps")
     profile = est.fractional_moment_profile(
         model, topo, dis,
         x0=int(p.get("x0", 0)),
-        s=parse_real(p.get("s", "1/3"), "estimator.s"),
-        lam=parse_real(p.get("lambda", 0), "estimator.lambda"),
+        s=_real(p, "s", "1/3"),
+        lam=_real(p, "lambda", 0),
         eps=eps,
         samples=int(p.get("samples", 1000)),
         master_seed=seed,
         workers=workers,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint(),
     )
-    d_min = int(p.get("d_min", 1))
-    fit = est.decay_rate_fit(profile, d_min=d_min)
     ok, margin = est.moment_max_check(profile)
     outputs = {
-        "fit": fit,
-        "d_min": d_min,
+        **_fit(p, profile),
         "eps_used": eps,
         "max_at_diagonal": ok,
         "max_margin": margin,
         "resamples": profile.resamples,
         "flags": list(profile.flags),
-        "estimate": profile.to_payload(),
+        "estimate": est.to_payload(profile),
     }
-    rows = [
-        [int(profile.distances[i]), float(profile.means[i]), float(profile.errs[i]),
-         profile.n_samples, profile.resamples]
-        for i in range(len(profile.means))
-    ]
-    return outputs, ["distance", "mean", "mom_err", "n", "resamples"], rows
+    columns = (profile.distances, profile.means, profile.errs)
+    return outputs, _series(columns, profile.n_samples, profile.resamples)
 
 
-def _run_wegner(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
-    checkpoint = os.path.join(outdir, "samples.jsonl") if outdir else None
+def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
     we = est.wegner_exponent(
         model, topo, dis,
-        lambda0=parse_real(p.get("lambda0", 0), "estimator.lambda0"),
+        lambda0=_real(p, "lambda0", 0),
         eps_list=[parse_real(e, "estimator.eps_list") for e in p["eps_list"]],
         samples=int(p.get("samples", 1000)),
         master_seed=seed,
         workers=workers,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint(),
     )
-    outputs = {"exponent": we.exponent, "flags": list(we.flags), "estimate": we.to_payload()}
-    rows = [
-        [float(we.eps_list[i]), float(we.masses[i]), float(we.errs[i]), we.n_samples]
-        for i in range(len(we.masses))
-    ]
-    return outputs, ["eps", "mass", "err", "n"], rows
+    outputs = {"exponent": we.exponent, "flags": list(we.flags), "estimate": est.to_payload(we)}
+    return outputs, _series((we.eps_list, we.masses, we.errs), we.n_samples)
 
 
-def _run_ids(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
+def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
     bins = p.get("bins", {})
     if "edges" in bins:
         edges = np.array([parse_real(e, "estimator.bins.edges") for e in bins["edges"]])
@@ -276,33 +272,19 @@ def _run_ids(cfg, model, topo, dis, seed, workers, outdir):
             parse_real(bins.get("hi", 3), "estimator.bins.hi"),
             int(bins.get("n", 64)) + 1,
         )
-    checkpoint = os.path.join(outdir, "samples.jsonl") if outdir else None
     ids = est.ids_histogram(
         model, topo, dis,
         samples=int(p.get("samples", 200)),
         edges=edges,
         master_seed=seed,
         workers=workers,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint(),
     )
-    outputs = {"total_mass": float(np.sum(ids.masses)), "estimate": ids.to_payload()}
-    rows = [
-        [float(ids.edges[i]), float(ids.edges[i + 1]), float(ids.masses[i]), float(ids.errs[i])]
-        for i in range(len(ids.masses))
-    ]
-    return outputs, ["bin_lo", "bin_hi", "mass", "err"], rows
+    outputs = {"total_mass": float(np.sum(ids.masses)), "estimate": est.to_payload(ids)}
+    return outputs, _series((ids.edges[:-1], ids.edges[1:], ids.masses, ids.errs))
 
 
-def _interval(p, default=(-1.0, 1.0)):
-    iv = p.get("interval")
-    if iv is None:
-        return default
-    return (parse_real(iv[0], "estimator.interval"), parse_real(iv[1], "estimator.interval"))
-
-
-def _run_correlator(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
-    checkpoint = os.path.join(outdir, "samples.jsonl") if outdir else None
+def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
     prof = est.correlator_decay_profile(
         model, topo, dis,
         interval=_interval(p),
@@ -310,28 +292,19 @@ def _run_correlator(cfg, model, topo, dis, seed, workers, outdir):
         master_seed=seed,
         x0=int(p.get("x0", 0)),
         workers=workers,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint(),
     )
-    d_min = int(p.get("d_min", 1))
-    fit = est.decay_rate_fit(prof, d_min=d_min)
     k_bound = prof.extras["k"] + 1e-8
     outputs = {
-        "fit": fit,
-        "d_min": d_min,
+        **_fit(p, prof),
         "max_correlator": prof.extras["max_correlator"],
         "k_bound_ok": bool(prof.extras["max_correlator"] <= k_bound),
-        "estimate": prof.to_payload(),
+        "estimate": est.to_payload(prof),
     }
-    rows = [
-        [int(prof.distances[i]), float(prof.means[i]), float(prof.errs[i]), prof.n_samples]
-        for i in range(len(prof.means))
-    ]
-    return outputs, ["distance", "mean", "err", "n"], rows
+    return outputs, _series((prof.distances, prof.means, prof.errs), prof.n_samples)
 
 
-def _run_dynamical(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
-    checkpoint = os.path.join(outdir, "samples.jsonl") if outdir else None
+def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
     prof = est.dynamical_profile(
         model, topo, dis,
         interval=_interval(p),
@@ -340,28 +313,23 @@ def _run_dynamical(cfg, model, topo, dis, seed, workers, outdir):
         x0=int(p.get("x0", 0)),
         t_points=int(p.get("t_points", est.T_GRID_POINTS)),
         workers=workers,
-        checkpoint_path=checkpoint,
+        checkpoint_path=checkpoint(),
     )
     outputs = {
         "max_excess_over_2q": prof.extras["max_excess_over_2q"],
         "factor1_hold_fraction": prof.extras["factor1_hold_fraction"],
         "bound_ok": bool(prof.extras["max_excess_over_2q"] <= 1e-8),
-        "estimate": prof.to_payload(),
+        "estimate": est.to_payload(prof),
     }
-    rows = [
-        [int(prof.distances[i]), float(prof.means[i]), float(prof.errs[i]), prof.n_samples]
-        for i in range(len(prof.means))
-    ]
-    return outputs, ["distance", "mean", "err", "n"], rows
+    return outputs, _series((prof.distances, prof.means, prof.errs), prof.n_samples)
 
 
-def _run_inequalities(cfg, model, topo, dis, seed, workers, outdir):
-    p = _estimator_cfg(cfg)
+def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     samples = int(p.get("samples", 300))
-    eps = parse_real(p.get("eps", "1e-3"), "estimator.eps")
-    s_step = parse_real(p.get("one_step_s", "1/3"), "estimator.one_step_s")
+    eps = _real(p, "eps", "1e-3")
+    lam = _real(p, "lambda", 0)
+    s_step = _real(p, "one_step_s", "1/3")
     pairs = int(p.get("pairs", 6))
-    ck = lambda name: os.path.join(outdir, f"samples.{name}.jsonl") if outdir else None
 
     # random (x, y) pairs from a dedicated stream
     pair_stream = Stream(derive_sample_seed(seed, 0xA11))
@@ -372,19 +340,17 @@ def _run_inequalities(cfg, model, topo, dis, seed, workers, outdir):
         x, y = int(w[0] * n), int(w[1] * n)
         one_step.append(
             ineq.one_step_bound_check(
-                model, topo, dis, x, y, s_step,
-                parse_real(p.get("lambda", 0), "estimator.lambda"), eps,
+                model, topo, dis, x, y, s_step, lam, eps,
                 samples, derive_sample_seed(seed, 1000 + j), workers,
-                checkpoint_path=ck(f"one_step_{j}"),
+                checkpoint_path=checkpoint(f"one_step_{j}"),
             )
         )
     lam_grid = [parse_real(v, "estimator.lambda_grid") for v in p.get(
         "lambda_grid", ["0", "0.5", "1", "2"])]
     lem = ineq.decoupling_ratio(
-        model, topo, dis, 0, min(2, n - 1),
-        parse_real(p.get("decoupling_s", "0.2"), "estimator.decoupling_s"),
+        model, topo, dis, 0, min(2, n - 1), _real(p, "decoupling_s", "0.2"),
         lam_grid, eps, samples, derive_sample_seed(seed, 2000), workers,
-        checkpoint_path=ck("decoupling"),
+        checkpoint_path=checkpoint("decoupling"),
     )
     scan_results = {}
     scan_records = []
@@ -393,13 +359,13 @@ def _run_inequalities(cfg, model, topo, dis, seed, workers, outdir):
             dis,
             int(p.get("l", 3)),
             int(p.get("m", 3)),
-            parse_real(p.get("s", "0.15"), "estimator.s"),
-            parse_real(p.get("r", "0.15"), "estimator.r"),
+            _real(p, "s", "0.15"),
+            _real(p, "r", "0.15"),
             int(p.get("draws", 200)),
             parse_real(scale, "estimator.scales"),
             derive_sample_seed(seed, 3000),
             workers=workers,
-            checkpoint_path=ck(f"scan_{scale}"),
+            checkpoint_path=checkpoint(f"scan_{scale}"),
         )
         scan_results[str(scale)] = {
             "ratio_min": scan["ratio_min"],
@@ -409,18 +375,17 @@ def _run_inequalities(cfg, model, topo, dis, seed, workers, outdir):
         scan_records = scan["records"]
     rh = ineq.reverse_holder_check(
         dis,
-        parse_real(p.get("rh_s", "0.2"), "estimator.rh_s"),
+        _real(p, "rh_s", "0.2"),
         int(p.get("rh_j", 2)),
         int(p.get("rh_trials", 100)),
         derive_sample_seed(seed, 4000),
         workers=workers,
-        checkpoint_path=ck("rh"),
+        checkpoint_path=checkpoint("rh"),
     )
     vinv = None
     if model.variant != "alloy":
         vinv = ineq.vinv_moment(
-            model, parse_real(p.get("lambda", 0), "estimator.lambda"),
-            parse_real(p.get("vinv_s", "0.5"), "estimator.vinv_s"),
+            model, lam, _real(p, "vinv_s", "0.5"),
             max(samples, 2000), derive_sample_seed(seed, 5000), dis,
         )
     outputs = {
@@ -442,17 +407,19 @@ def _run_inequalities(cfg, model, topo, dis, seed, workers, outdir):
          float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
         for i, r in enumerate(scan_records)
     ]
-    return outputs, ["draw", "parameters", "lhs", "rhs", "ratio"], rows
+    return outputs, rows
 
 
-_DISPATCH = {
-    "decay": _run_decay,
-    "wegner": _run_wegner,
-    "ids": _run_ids,
-    "correlator": _run_correlator,
-    "dynamical": _run_dynamical,
-    "inequalities": _run_inequalities,
+# kind -> (run function, series columns)
+_KINDS = {
+    "decay": (_run_decay, ["distance", "mean", "mom_err", "n", "resamples"]),
+    "wegner": (_run_wegner, ["eps", "mass", "err", "n"]),
+    "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"]),
+    "correlator": (_run_correlator, ["distance", "mean", "err", "n"]),
+    "dynamical": (_run_dynamical, ["distance", "mean", "err", "n"]),
+    "inequalities": (_run_inequalities, ["draw", "parameters", "lhs", "rhs", "ratio"]),
 }
+KINDS = tuple(_KINDS)
 
 
 def _linalg_build() -> dict:
@@ -473,6 +440,8 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     When outdir is given, artifacts (canonical config copy, checkpoint,
     results.json, run_meta.json) are written there and runs are resumable.
+    An outdir whose config.json has another config digest is refused, since
+    its checkpoints belong to that run.
     """
     kind = cfg.get("kind")
     if kind not in KINDS:
@@ -489,13 +458,23 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        _atomic_write(
-            os.path.join(outdir, "config.json"),
-            json.dumps(cfg, sort_keys=True, indent=1) + "\n",
-        )
+        # the checkpoints in an outdir belong to the run whose config.json they sit beside
+        config_path = os.path.join(outdir, "config.json")
+        if os.path.exists(config_path) and config_digest(load_config(config_path)) != digest:
+            raise ConfigurationError(
+                f"{outdir} belongs to another run; a different config, seed or sample count "
+                "needs a new output directory"
+            )
+        _atomic_write(config_path, json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
+    def checkpoint(scan=None):
+        if not outdir:
+            return None
+        return os.path.join(outdir, "samples.jsonl" if scan is None else f"samples.{scan}.jsonl")
+
+    run_kind, columns = _KINDS[kind]
     started = time.time()
-    outputs, columns, rows = _DISPATCH[kind](cfg, model, topo, dis, seed, workers, outdir)
+    outputs, rows = run_kind(cfg.get("estimator", {}), model, topo, dis, seed, workers, checkpoint)
     elapsed = time.time() - started
 
     record = ResultRecord(
@@ -503,7 +482,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         config_digest=digest,
         master_seed=seed,
         outputs=outputs,
-        columns=columns,
+        columns=list(columns),
         rows=rows,
         timing={"elapsed_seconds": elapsed, "finished_unix": time.time()},
         environment={"numpy": np.__version__, **_linalg_build()},

@@ -17,8 +17,7 @@ from fmlab.estimators import (
     default_eps,
     default_t_grid,
     dynamical_profile,
-    dynamical_sup,
-    eigenfunction_correlator,
+    dynamical_targets,
     fit_power_law,
     fractional_moment_profile,
     ids_histogram,
@@ -265,13 +264,13 @@ def test_correlator_scalar_diagonal_is_one():
     v = sample_vector(UNIFORM, Stream(23), 6)
     sd = hermitian_eig(assemble(SCALAR, topo, v))
     full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
-    assert eigenfunction_correlator(sd, full, 3, 3) == pytest.approx(1.0, abs=1e-10)
+    assert correlator_targets(sd, full, 3)[3] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlator_two_site_offdiagonal():
     topo = make_lattice_box(1, (2,))
     sd = hermitian_eig(assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0]))
-    assert eigenfunction_correlator(sd, (-2, 2), 0, 1) == pytest.approx(1.0, abs=1e-10)
+    assert correlator_targets(sd, (-2, 2), 0)[1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlator_bounded_by_k():
@@ -282,18 +281,15 @@ def test_correlator_bounded_by_k():
         full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
         k = model.k_ambient
         for m in range(5):
-            for n in range(5):
-                assert eigenfunction_correlator(sd, full, m, n) <= k + 1e-8
-        q = correlator_targets(sd, full, 0)
-        assert np.all(q <= k + 1e-8)
+            assert np.all(correlator_targets(sd, full, m) <= k + 1e-8)
 
 
 def test_dynamical_sup_examples():
     topo = make_lattice_box(1, (2,))
     sd = hermitian_eig(assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0]))
-    assert dynamical_sup(sd, (-2, 2), 0, 1, [0.0]) == 0.0
+    assert dynamical_targets(sd, (-2, 2), 0, [0.0])[1] == 0.0
     dense = np.linspace(0.0, 20.0, 4001)
-    assert dynamical_sup(sd, (-2, 2), 0, 1, dense) == pytest.approx(1.0, abs=1e-5)
+    assert dynamical_targets(sd, (-2, 2), 0, dense)[1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_dynamical_bounded_by_twice_correlator():
@@ -304,8 +300,8 @@ def test_dynamical_bounded_by_twice_correlator():
         sd = hermitian_eig(assemble(spencer_model(1.0, 3.0), topo, v))
         window = (-0.8, 0.8)
         for n in range(1, 6):
-            assert dynamical_sup(sd, window, 0, n, grid) <= (
-                2.0 * eigenfunction_correlator(sd, window, 0, n) + 1e-8
+            assert dynamical_targets(sd, window, 0, grid)[n] <= (
+                2.0 * correlator_targets(sd, window, 0)[n] + 1e-8
             )
 
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fmlab.disorder import make_spec
-from fmlab.errors import ConfigurationError
+from fmlab import estimators
+from fmlab.disorder import make_spec, sample_vector
+from fmlab.errors import ConfigurationError, NumericalError
+from fmlab.estimators import MAX_RETRIES, fractional_moment_profile
 from fmlab.inequalities import (
     RatioIntegralSpec,
     comparability_scan,
@@ -217,3 +219,28 @@ def test_reverse_holder_cramer_scan_finite():
 def test_reverse_holder_poly_sampler():
     res = reverse_holder_check(UNIFORM, 0.2, 1, 30, 103, draws=20_000, sampler="poly")
     assert math.isfinite(res["worst_constant"]) and res["worst_constant"] >= 1.0
+
+
+SINGULAR = block_model([[0.0]], [[0.0]], math.inf)  # H = 0: every solve at z = 0 is singular
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda topo: fractional_moment_profile(SINGULAR, topo, UNIFORM, 0, 0.3, 0.0, 0.0, 100, 1),
+        lambda topo: one_step_bound_check(SINGULAR, topo, UNIFORM, 0, 1, 0.3, 0.0, 0.0, 100, 1),
+        lambda topo: decoupling_ratio(SINGULAR, topo, UNIFORM, 0, 1, 0.2, [0.0], 0.0, 100, 1),
+    ],
+    ids=["fractional_moment_profile", "one_step_bound_check", "decoupling_ratio"],
+)
+def test_singular_instance_fails_after_retry_cap(estimate, monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(1)
+        return sample_vector(*args)
+
+    monkeypatch.setattr(estimators, "sample_vector", counted)
+    with pytest.raises(NumericalError, match="persistent singular factorization"):
+        estimate(make_lattice_box(1, (3,)))
+    assert len(draws) == MAX_RETRIES + 1  # the first draw and MAX_RETRIES redraws

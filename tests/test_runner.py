@@ -295,6 +295,20 @@ def test_cli_seed_override_changes_results(tmp_path):
     assert outs[0]["outputs"]["fit"] != outs[1]["outputs"]["fit"]
 
 
+def test_rerun_with_another_seed_refuses_the_outdir(tmp_path):
+    from fmlab.cli import main
+
+    cfg_path = write_cfg(tmp_path, BASE_CFG)
+    out = str(tmp_path / "run")
+    argv = ["decay", "--config", cfg_path, "--out", out, "--samples", "100"]
+    assert main(argv + ["--seed", "1"]) == 0
+    first = open(os.path.join(out, "results.json"), "rb").read()
+    assert main(argv + ["--seed", "2"]) == 2
+    assert open(os.path.join(out, "results.json"), "rb").read() == first
+    assert main(argv + ["--seed", "1", "--workers", "2"]) == 0  # the same run resumes
+    assert open(os.path.join(out, "results.json"), "rb").read() == first
+
+
 def test_shipped_configs_validate():
     import glob
 
