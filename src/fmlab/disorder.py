@@ -74,15 +74,16 @@ def words_per_draw(spec: DisorderSpec) -> int:
 
 
 def sample_vector(spec: DisorderSpec, stream: Stream, n: int) -> np.ndarray:
-    """n i.i.d. draws from the spec, consuming exactly n * words_per_draw words."""
+    """n i.i.d. draws from the spec, consuming exactly n * words_per_draw words
+    of each stream: shape (n,), or (B, n) for a stream of B states."""
     if spec.family == "uniform":
         a, b = spec.params
         return a + (b - a) * stream.uniforms(n)
     if spec.family == "gaussian":
         mean, sigma = spec.params
         w = stream.uniforms(2 * n)
-        u1 = w[0::2]
-        u2 = w[1::2]
+        u1 = w[..., 0::2]
+        u2 = w[..., 1::2]
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         return mean + sigma * z
     if spec.family == "power_regular":

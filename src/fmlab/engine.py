@@ -3,6 +3,9 @@
 Samples are pure functions of (context, sample index): the index derives the
 random stream, so any subset can be computed anywhere, in any order, by any
 number of workers, and the aggregate is reduced in index order afterwards.
+Work is handed out in chunks of _CHUNK indices, and one call of the batch
+function computes a whole chunk; since every sample depends only on its own
+index, the payloads do not depend on how the indices are chunked.
 Completed samples are checkpointed as JSON lines (written in index order) and
 skipped on resume.
 """
@@ -13,11 +16,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-_CHUNK = 32  # samples per worker task
+_CHUNK = 32  # samples per batch_fn call
 
 
-def _run_chunk(task_fn, ctx, indices):
-    return [(i, task_fn(ctx, i)) for i in indices]
+def _run_chunk(batch_fn, ctx, indices):
+    return list(zip(indices, batch_fn(ctx, indices), strict=True))
 
 
 def load_checkpoint(path):
@@ -47,12 +50,15 @@ def _scan_checkpoint(path):
     return done, good_end
 
 
-def run_indexed(task_fn, ctx, n_samples, workers=1, checkpoint_path=None):
-    """Evaluate task_fn(ctx, i) for i in 0..n_samples-1; returns payloads in order.
+def run_indexed(batch_fn, ctx, n_samples, workers=1, checkpoint_path=None):
+    """Payloads of samples 0..n_samples-1, in order.
 
-    task_fn must be a module-level function (it crosses process boundaries)
-    and must depend only on (ctx, i).  Checkpoint lines are flushed in index
-    order so the file is reproducible byte for byte across worker counts.
+    batch_fn(ctx, indices) returns the payloads of a list of sample indices,
+    one per index; payload i must depend only on (ctx, i).  batch_fn must be
+    a module-level function (it crosses process boundaries).  Checkpoint
+    lines are flushed in index order after each chunk, so the file is
+    reproducible byte for byte across worker counts, and a failing chunk
+    leaves every earlier chunk checkpointed.
     """
     done, good_end = _scan_checkpoint(checkpoint_path)
     payloads = dict(done)
@@ -83,15 +89,15 @@ def run_indexed(task_fn, ctx, n_samples, workers=1, checkpoint_path=None):
             written_upto += 1
         writer.flush()
 
+    chunks = [todo[j:j + _CHUNK] for j in range(0, len(todo), _CHUNK)]
     try:
-        if workers <= 1 or len(todo) <= 1:
-            for i in todo:
-                payloads[i] = task_fn(ctx, i)
+        if workers <= 1 or len(chunks) <= 1:
+            for idx in chunks:
+                payloads.update(_run_chunk(batch_fn, ctx, idx))
                 flush_ready()
         else:
-            chunks = [todo[j:j + _CHUNK] for j in range(0, len(todo), _CHUNK)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_chunk, task_fn, ctx, idx) for idx in chunks]
+                futures = [pool.submit(_run_chunk, batch_fn, ctx, idx) for idx in chunks]
                 for fut in futures:
                     for i, payload in fut.result():
                         payloads[i] = payload

@@ -25,6 +25,12 @@ class DegenerateFitError(RuntimeError):
 class ResampleSignal(Exception):
     """A shifted solve hit an (almost surely measure-zero) exactly singular matrix.
 
-    estimators.solve_resampled catches this and redraws the disorder, at most
-    MAX_RETRIES times before raising NumericalError; it never escapes to users.
+    members is a boolean mask over the stack that was solved, True where the
+    member is singular.  estimators.solve_resampled catches this and redraws
+    those members' disorder, at most MAX_RETRIES times before raising
+    NumericalError; it never escapes to users.
     """
+
+    def __init__(self, members):
+        super().__init__("exactly singular shifted matrix")
+        self.members = members

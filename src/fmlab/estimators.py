@@ -80,6 +80,8 @@ def _group_stats(values: np.ndarray):
 # ---------------------------------------------------------------------------
 # the sample path shared by every operator estimator
 
+STACK_BYTES = 512 * 1024  # matrices assembled and factored as one stack, at least one
+
 
 @dataclass(eq=False)
 class _SampleCtx:
@@ -92,39 +94,66 @@ class _SampleCtx:
 
 
 def run_samples(
-    sample_fn, model, topo, disorder, master_seed, params, samples, workers=1, checkpoint_path=None
+    batch_fn, model, topo, disorder, master_seed, params, samples, workers=1, checkpoint_path=None
 ) -> list:
-    """Payloads of sample_fn(ctx, i) for i in 0..samples-1 (see run_indexed).
+    """Payloads of samples 0..samples-1 from batch_fn(ctx, indices) (see run_indexed).
 
     ctx carries the operator family, its assembly plan and the per-kind
-    params; sample_fn gets sample i's operator from solve_resampled.
+    params; batch_fn gets its samples' operators from solve_resampled.
     """
     plan = assembly_plan(model, topo)
     ctx = _SampleCtx(model, topo, disorder, int(master_seed), params, plan)
-    return run_indexed(sample_fn, ctx, samples, workers, checkpoint_path)
+    return run_indexed(batch_fn, ctx, samples, workers, checkpoint_path)
 
 
-def solve_resampled(ctx: _SampleCtx, idx: int, solve):
-    """(solve(h), retries) for sample idx's operator h, drawn and assembled
-    from the sample's own (master_seed, idx) stream.
+def solve_resampled(ctx: _SampleCtx, indices, solve):
+    """(results, retries) for a list of sample indices.
 
-    An exactly singular solve (ResampleSignal, measure zero for continuous
-    disorder) redraws the disorder from the same stream; after MAX_RETRIES
-    redraws the sample fails with NumericalError.
+    Sample i's operator is drawn and assembled from its own (master_seed, i)
+    stream.  solve(h) gets a stack h of operators, at most STACK_BYTES of
+    matrices but at least one, and returns one result per member (anything
+    indexable by member); results[j] is indices[j]'s.  A ResampleSignal (an
+    exactly singular solve, measure zero for continuous disorder) redraws
+    only the singular members, each from the next words of its own stream,
+    and retries[j] counts indices[j]'s redraws; after MAX_RETRIES redraws a
+    sample fails with NumericalError.
     """
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    for retries in range(MAX_RETRIES + 1):
-        v = sample_vector(ctx.disorder, stream, ctx.topo.n_vertices)
-        h = assemble(ctx.model, ctx.topo, v, ctx.plan)
-        try:
-            return solve(h), retries
-        except ResampleSignal:
-            continue
-    raise NumericalError("persistent singular factorization", h.digest)
+    n = ctx.topo.n_vertices
+    dim = n * ctx.model.k_ambient
+    per_stack = max(1, STACK_BYTES // (16 * dim * dim))  # complex128 matrices
+    results = [None] * len(indices)
+    retries = [0] * len(indices)
+    pending = np.arange(len(indices))  # positions in indices still without a result
+    stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices, dtype=np.uint64)))
+    for attempt in range(MAX_RETRIES + 1):
+        v = sample_vector(ctx.disorder, stream, n)
+        singular = np.zeros(pending.size, dtype=bool)
+        for lo in range(0, pending.size, per_stack):
+            rows = np.arange(lo, min(lo + per_stack, pending.size))
+            while rows.size:
+                try:
+                    out = solve(assemble(ctx.model, ctx.topo, v[rows], ctx.plan))
+                except ResampleSignal as sig:
+                    # each member gets the LAPACK call it would get alone, so some member
+                    # fails alone; should none, redraw the whole stack rather than loop
+                    bad = sig.members | ~np.any(sig.members)
+                    singular[rows[bad]] = True
+                    rows = rows[~bad]
+                    continue
+                for j, row in enumerate(rows):
+                    results[pending[row]] = out[j]
+                    retries[pending[row]] = attempt
+                break
+        if not np.any(singular):
+            return results, retries
+        pending = pending[singular]
+        stream = Stream(stream.state[singular], stream.pos)
+    failed = assemble(ctx.model, ctx.topo, v[int(np.argmax(singular))], ctx.plan)
+    raise NumericalError("persistent singular factorization", failed.digest)
 
 
-def _eigvals_sample(ctx: _SampleCtx, idx: int) -> np.ndarray:
-    return solve_resampled(ctx, idx, hermitian_eigvals)[0]
+def _eigvals_batch(ctx: _SampleCtx, indices) -> list:
+    return solve_resampled(ctx, indices, hermitian_eigvals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +176,17 @@ class MomentEstimate:
     n_samples: int
     resamples: int
     master_seed: int
-    config_digest: str = ""
     flags: tuple = ()
 
 
-def _moment_sample(ctx: _SampleCtx, idx: int) -> dict:
+def _moment_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
-    blocks, retries = solve_resampled(
-        ctx, idx, lambda h: resolvent_profile(h, p["lam"], p["eps"], p["x0"])
-    )
-    norms = opnorm_batch(blocks)
-    return {"m": (norms ** p["s"]).tolist(), "r": retries}
+
+    def moments(h):
+        return opnorm_batch(resolvent_profile(h, p["lam"], p["eps"], p["x0"])) ** p["s"]
+
+    rows, retries = solve_resampled(ctx, indices, moments)
+    return [{"m": m.tolist(), "r": r} for m, r in zip(rows, retries)]
 
 
 def fractional_moment_profile(
@@ -172,7 +201,6 @@ def fractional_moment_profile(
     master_seed: int,
     workers: int = 1,
     checkpoint_path=None,
-    config_digest: str = "",
 ) -> MomentEstimate:
     """Mean of ||G_{lam + i eps}(x0, y)||^s over disorder, for every site y."""
     if samples < 100:
@@ -185,7 +213,7 @@ def fractional_moment_profile(
         flags.append(f"s={s:g} above the decay-bound window {s_bound:g}")
     params = {"x0": int(x0), "s": float(s), "lam": float(lam), "eps": float(eps)}
     payloads = run_samples(
-        _moment_sample, model, topo, disorder, master_seed, params, samples, workers,
+        _moment_batch, model, topo, disorder, master_seed, params, samples, workers,
         checkpoint_path,
     )
     values = np.asarray([p["m"] for p in payloads], dtype=np.float64)
@@ -206,31 +234,26 @@ def fractional_moment_profile(
         n_samples=samples,
         resamples=resamples,
         master_seed=int(master_seed),
-        config_digest=config_digest,
         flags=tuple(flags),
     )
 
 
-def bin_by_distance(distances, means, errs=None, d_min: int = 0):
+def bin_by_distance(distances, means, d_min: int = 0):
     """Group targets by exact graph distance >= d_min.
 
-    Returns (d, bin_mean, bin_err, population); unreachable targets are
-    dropped, bins average their member targets.
+    Returns (d, bin_mean, population); unreachable targets are dropped,
+    bins average their member targets.
     """
     distances = np.asarray(distances)
     means = np.asarray(means, dtype=np.float64)
     keep = distances >= d_min
     ds = np.unique(distances[keep])
-    bm, be, pop = [], [], []
+    bm, pop = [], []
     for d in ds:
         sel = distances == d
         bm.append(float(np.mean(means[sel])))
-        if errs is not None:
-            be.append(float(np.sqrt(np.sum(np.asarray(errs)[sel] ** 2)) / np.sum(sel)))
-        else:
-            be.append(0.0)
         pop.append(int(np.sum(sel)))
-    return ds.astype(int), np.asarray(bm), np.asarray(be), np.asarray(pop, dtype=int)
+    return ds.astype(int), np.asarray(bm), np.asarray(pop, dtype=int)
 
 
 def decay_rate_fit(est, d_min: int = 1) -> dict:
@@ -239,7 +262,7 @@ def decay_rate_fit(est, d_min: int = 1) -> dict:
     rate is reported positive for decay; weights are bin populations.
     Accepts any estimate carrying .distances and .means.
     """
-    ds, bm, _, pop = bin_by_distance(est.distances, est.means, d_min=d_min)
+    ds, bm, pop = bin_by_distance(est.distances, est.means, d_min=d_min)
     if bm.size and np.all(bm == 0.0):
         raise DegenerateFitError("all distance-bin means are zero")
     good = bm > 0.0
@@ -278,7 +301,7 @@ def default_eps(model, topo, disorder, master_seed) -> float:
     Uses the spectrum of sample 0; recorded per experiment, since the i0
     limit itself is not computable.
     """
-    vals = run_samples(_eigvals_sample, model, topo, disorder, master_seed, {}, 1)[0]
+    vals = run_samples(_eigvals_batch, model, topo, disorder, master_seed, {}, 1)[0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 
@@ -296,13 +319,16 @@ class IdsEstimate:
     master_seed: int
 
 
-def _ids_sample(ctx: _SampleCtx, idx: int) -> dict:
-    vals = _eigvals_sample(ctx, idx)
+def _ids_batch(ctx: _SampleCtx, indices) -> list:
+    vals = np.asarray(_eigvals_batch(ctx, indices))
     edges = ctx.params["edges"]
-    counts, _ = np.histogram(vals, edges)
-    counts[0] += int(np.sum(vals < edges[0]))
-    counts[-1] += int(np.sum(vals > edges[-1]))
-    return {"c": [int(c) for c in counts]}
+    nbins = edges.size - 1
+    # np.histogram's bins (the last one closed), eigenvalues beyond the edges
+    # clipped into the boundary bins
+    bins = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, nbins - 1)
+    bins += nbins * np.arange(len(indices))[:, None]
+    counts = np.bincount(bins.ravel(), minlength=len(indices) * nbins).reshape(-1, nbins)
+    return [{"c": c.tolist()} for c in counts]
 
 
 def ids_histogram(
@@ -317,7 +343,7 @@ def ids_histogram(
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ConfigurationError("histogram edges must be strictly increasing")
     payloads = run_samples(
-        _ids_sample, model, topo, disorder, master_seed, {"edges": edges}, samples, workers,
+        _ids_batch, model, topo, disorder, master_seed, {"edges": edges}, samples, workers,
         checkpoint_path,
     )
     dim = topo.n_vertices * model.k_ambient
@@ -348,15 +374,11 @@ def fit_power_law(eps_values, masses) -> float:
     return float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
 
 
-def _window_sample(ctx: _SampleCtx, idx: int) -> dict:
-    vals = _eigvals_sample(ctx, idx)  # ascending
-    lam0 = ctx.params["lambda0"]
-    counts = []
-    for eps in ctx.params["eps_list"]:
-        lo = np.searchsorted(vals, lam0 - eps, side="left")
-        hi = np.searchsorted(vals, lam0 + eps, side="right")
-        counts.append(int(hi - lo))
-    return {"c": counts}
+def _window_batch(ctx: _SampleCtx, indices) -> list:
+    vals = np.asarray(_eigvals_batch(ctx, indices))[:, None, :]
+    lam0, eps = ctx.params["lambda0"], ctx.params["eps_list"][:, None]
+    counts = np.sum((vals >= lam0 - eps) & (vals <= lam0 + eps), axis=-1)
+    return [{"c": c.tolist()} for c in counts]
 
 
 def wegner_exponent(
@@ -380,7 +402,7 @@ def wegner_exponent(
         flags.append(f"eps grid spans only {eps_arr[0] / eps_arr[-1]:.1f}x (< one decade)")
     params = {"lambda0": float(lambda0), "eps_list": eps_arr}
     payloads = run_samples(
-        _window_sample, model, topo, disorder, master_seed, params, samples, workers,
+        _window_batch, model, topo, disorder, master_seed, params, samples, workers,
         checkpoint_path,
     )
     counts = np.asarray([p["c"] for p in payloads], dtype=np.float64)
@@ -489,10 +511,13 @@ def dynamical_targets(sd: SpectralDecomposition, interval, x0: int, t_grid) -> n
     return norms.max(axis=0)
 
 
-def _correlator_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = solve_resampled(ctx, idx, hermitian_eig)[0]
-    q = correlator_targets(sd, ctx.params["interval"], ctx.params["x0"])
-    return {"q": q.tolist()}
+def _correlator_batch(ctx: _SampleCtx, indices) -> list:
+    interval, x0 = ctx.params["interval"], ctx.params["x0"]
+
+    def targets(h):
+        return [{"q": correlator_targets(sd, interval, x0).tolist()} for sd in hermitian_eig(h)]
+
+    return solve_resampled(ctx, indices, targets)[0]
 
 
 def correlator_decay_profile(
@@ -509,7 +534,7 @@ def correlator_decay_profile(
     """Disorder-averaged eigenfunction correlator against graph distance."""
     interval = (float(interval[0]), float(interval[1]))
     payloads = run_samples(
-        _correlator_sample, model, topo, disorder, master_seed,
+        _correlator_batch, model, topo, disorder, master_seed,
         {"interval": interval, "x0": int(x0)}, samples, workers, checkpoint_path,
     )
     values = np.asarray([p["q"] for p in payloads], dtype=np.float64)
@@ -518,13 +543,19 @@ def correlator_decay_profile(
     return _distance_profile(model, topo, interval, x0, values, master_seed, extras)
 
 
-def _dynamical_sample(ctx: _SampleCtx, idx: int) -> dict:
-    sd = solve_resampled(ctx, idx, hermitian_eig)[0]
+def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
-    t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
-    sup = dynamical_targets(sd, interval, x0, t_grid)
-    q = correlator_targets(sd, interval, x0)
-    return {"u": sup.tolist(), "q": q.tolist()}
+
+    def targets(h):
+        out = []
+        for sd in hermitian_eig(h):
+            t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
+            sup = dynamical_targets(sd, interval, x0, t_grid)
+            q = correlator_targets(sd, interval, x0)
+            out.append({"u": sup.tolist(), "q": q.tolist()})
+        return out
+
+    return solve_resampled(ctx, indices, targets)[0]
 
 
 def dynamical_profile(
@@ -547,7 +578,7 @@ def dynamical_profile(
     interval = (float(interval[0]), float(interval[1]))
     params = {"interval": interval, "x0": int(x0), "t_points": int(t_points)}
     payloads = run_samples(
-        _dynamical_sample, model, topo, disorder, master_seed, params, samples, workers,
+        _dynamical_batch, model, topo, disorder, master_seed, params, samples, workers,
         checkpoint_path,
     )
     sups = np.asarray([p["u"] for p in payloads], dtype=np.float64)

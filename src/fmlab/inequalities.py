@@ -22,7 +22,7 @@ from .disorder import DisorderSpec, density, make_spec, sample_vector, support
 from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
-from .numerics import opnorm, resolvent_block, resolvent_profile
+from .numerics import opnorm_batch, resolvent_block, resolvent_profile
 from .quadrature import integrate
 from .rng import Stream, derive_sample_seed
 from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
@@ -204,6 +204,10 @@ def _comparability_draw(ctx: _ScanCtx, idx: int) -> dict:
     }
 
 
+def _comparability_batch(ctx: _ScanCtx, indices) -> list:
+    return [_comparability_draw(ctx, i) for i in indices]
+
+
 def comparability_scan(
     measure: DisorderSpec,
     l: int,
@@ -229,7 +233,7 @@ def comparability_scan(
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
     ctx = _ScanCtx(measure, int(l), int(m), float(s), float(r), float(param_scale),
                    int(master_seed), float(rel_tol))
-    records = run_indexed(_comparability_draw, ctx, draws, workers, checkpoint_path)
+    records = run_indexed(_comparability_batch, ctx, draws, workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     failures = [
         {"draw": i, **rec}
@@ -278,20 +282,24 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
     return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
 
 
-def _one_step_sample(ctx: _SampleCtx, idx: int) -> dict:
+def _one_step_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
     x, y, s = p["x"], p["y"], p["s"]
-    cb3 = ctx.model.constants.get("C_B3", 1.0)
+    scale = (ctx.model.constants.get("C_B3", 1.0) * ctx.model.coupling) ** s
+    neighbors = list(ctx.topo.adjacency[y])
 
     def sides(h):
         prof = resolvent_profile(h, p["lam"], p["eps"], x)
         vy = potential_block(h, y) - complex(p["lam"], p["eps"]) * np.eye(h.k, dtype=np.complex128)
-        lhs = opnorm(prof[y] @ vy) ** s
-        gsum = sum(opnorm(prof[zn]) ** s for zn in ctx.topo.adjacency[y])
-        rhs = (cb3 * ctx.model.coupling) ** s * gsum + (1.0 if x == y else 0.0)
-        return {"lhs": lhs, "rhs": rhs}
+        lhs = opnorm_batch(prof[:, y] @ vy).tolist()
+        gnorms = opnorm_batch(prof[:, neighbors]).tolist()
+        # Python float powers and sums, one element at a time
+        return [
+            {"lhs": lg ** s, "rhs": scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0)}
+            for lg, gs in zip(lhs, gnorms)
+        ]
 
-    return solve_resampled(ctx, idx, sides)[0]
+    return solve_resampled(ctx, indices, sides)[0]
 
 
 def one_step_bound_check(
@@ -307,7 +315,7 @@ def one_step_bound_check(
         raise ConfigurationError("one_step_bound_check needs 0 < s <= 1")
     params = {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)}
     payloads = run_samples(
-        _one_step_sample, model, topo, disorder, master_seed, params, samples, workers,
+        _one_step_batch, model, topo, disorder, master_seed, params, samples, workers,
         checkpoint_path,
     )
     lhs = np.array([p["lhs"] for p in payloads])
@@ -326,7 +334,7 @@ def one_step_bound_check(
     }
 
 
-def _decoupling_sample(ctx: _SampleCtx, idx: int) -> dict:
+def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
     x, y, s, eps = p["x"], p["y"], p["s"], p["eps"]
 
@@ -336,11 +344,15 @@ def _decoupling_sample(ctx: _SampleCtx, idx: int) -> dict:
         for lam in p["grid"]:
             gxy = resolvent_block(h, lam, eps, x, y).block
             vy = potential_block(h, y) - complex(lam, eps) * eye
-            nums.append(opnorm(gxy @ vy) ** s)
-            dens.append(opnorm(gxy) ** s)
-        return {"num": nums, "den": dens}
+            nums.append(opnorm_batch(gxy @ vy).tolist())
+            dens.append(opnorm_batch(gxy).tolist())
+        # Python float powers, one element at a time
+        return [
+            {"num": [t ** s for t in num], "den": [t ** s for t in den]}
+            for num, den in zip(zip(*nums), zip(*dens))
+        ]
 
-    return solve_resampled(ctx, idx, terms)[0]
+    return solve_resampled(ctx, indices, terms)[0]
 
 
 def decoupling_ratio(
@@ -359,7 +371,7 @@ def decoupling_ratio(
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
     params = {"x": int(x), "y": int(y), "s": float(s), "eps": float(eps), "grid": grid}
     payloads = run_samples(
-        _decoupling_sample, model, topo, disorder, master_seed, params, samples, workers,
+        _decoupling_batch, model, topo, disorder, master_seed, params, samples, workers,
         checkpoint_path,
     )
     nums = np.array([p["num"] for p in payloads])
@@ -444,6 +456,10 @@ def _rh_trial(ctx: _RhCtx, idx: int) -> dict:
     return {"ratio": ratio, "m_s": m_full, "m_s2": m_half, **params}
 
 
+def _rh_batch(ctx: _RhCtx, indices) -> list:
+    return [_rh_trial(ctx, i) for i in indices]
+
+
 def reverse_holder_check(
     measure: DisorderSpec,
     s: float,
@@ -468,7 +484,7 @@ def reverse_holder_check(
         raise ConfigurationError("the poly sampler is univariate")
     ctx = _RhCtx(measure, float(s), int(j_vars), int(draws), int(master_seed),
                  sampler, float(param_scale))
-    records = run_indexed(_rh_trial, ctx, trials, workers, checkpoint_path)
+    records = run_indexed(_rh_batch, ctx, trials, workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     failures = [
         {"trial": i, **rec} for i, rec in enumerate(records) if not np.isfinite(rec["ratio"])

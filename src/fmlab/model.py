@@ -193,10 +193,12 @@ def decay_exponent_window(k: int, alpha: float, q: float) -> float:
 
 @dataclass(eq=False)
 class HamiltonianInstance:
+    """One realization, or a stack of B realizations on the same operator family."""
+
     topology: GraphTopology
     model: ModelSpec
-    v: np.ndarray  # one disorder value per vertex
-    matrix: np.ndarray  # (N*ka, N*ka) complex128
+    v: np.ndarray  # one disorder value per vertex: (N,), or (B, N) for a stack
+    matrix: np.ndarray  # (N*ka, N*ka) complex128, or (B, N*ka, N*ka)
     _digest: str | None = None
 
     @property
@@ -210,6 +212,12 @@ class HamiltonianInstance:
     def block_slice(self, site: int) -> slice:
         ka = self.k
         return slice(site * ka, (site + 1) * ka)
+
+    def member(self, b: int) -> "HamiltonianInstance":
+        """Realization b of a stack; a single realization is its own member 0."""
+        if self.matrix.ndim == 2:
+            return self
+        return HamiltonianInstance(self.topology, self.model, self.v[b], self.matrix[b])
 
     @property
     def digest(self) -> str:
@@ -228,6 +236,7 @@ class AssemblyPlan:
     """Disorder-independent part of assembly, reusable across Monte Carlo samples."""
 
     hop: np.ndarray  # hopping-only matrix (zero diagonal blocks)
+    diag: np.ndarray  # flat matrix indices of the diagonal blocks, (N, ka, ka)
     alloy_gather: list | None  # [(coeff, target_idx, source_idx)] per offset
 
 
@@ -299,7 +308,9 @@ def assembly_plan(model: ModelSpec, topo: GraphTopology) -> AssemblyPlan:
                     tgt.append(x)
                     src.append(sx)
             gather.append((c, np.asarray(tgt, dtype=np.int64), np.asarray(src, dtype=np.int64)))
-    return AssemblyPlan(hop=hop, alloy_gather=gather)
+    rows = np.arange(n * ka).reshape(n, ka)
+    diag = rows[:, :, None] * (n * ka) + rows[:, None, :]
+    return AssemblyPlan(hop=hop, diag=diag, alloy_gather=gather)
 
 
 def assemble(
@@ -308,26 +319,25 @@ def assemble(
     v,
     plan: AssemblyPlan | None = None,
 ) -> HamiltonianInstance:
-    """Assemble the Hermitian matrix for one disorder realization v."""
+    """Assemble the Hermitian matrix of one disorder realization v, shape (N,),
+    or the (B, N*ka, N*ka) stack of B realizations, shape (B, N)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (topo.n_vertices,):
+    if v.ndim not in (1, 2) or v.shape[-1] != topo.n_vertices:
         raise ConfigurationError(
-            f"disorder vector length {v.shape} != site count {topo.n_vertices}"
+            f"disorder vector shape {v.shape} does not end in the site count {topo.n_vertices}"
         )
     if plan is None:
         plan = assembly_plan(model, topo)
-    n = topo.n_vertices
-    ka = model.k_ambient
-    mat = plan.hop.copy()
+    lead = v.shape[:-1]
+    mat = np.broadcast_to(plan.hop, lead + plan.hop.shape).copy()
     if model.variant == "alloy":
-        diag = np.zeros(n)
+        pot = np.zeros(v.shape)
         for c, tgt, src in plan.alloy_gather:
-            diag[tgt] += c * v[src]
-        mat[np.arange(n), np.arange(n)] += diag
+            pot[..., tgt] += c * v[..., src]
     else:
-        for x in range(n):
-            sl = slice(x * ka, (x + 1) * ka)
-            mat[sl, sl] += v[x] * model.A + model.B
+        pot = v[..., None, None] * model.A + model.B  # (..., N, ka, ka) diagonal blocks
+    flat = mat.reshape(lead + (-1,))
+    flat[..., plan.diag.ravel()] += pot.reshape(lead + (-1,))
     return HamiltonianInstance(topology=topo, model=model, v=v.copy(), matrix=mat)
 
 
@@ -347,9 +357,10 @@ def restrict(h: HamiltonianInstance, sub) -> HamiltonianInstance:
 
 
 def potential_block(h: HamiltonianInstance, site: int) -> np.ndarray:
-    """The assembled diagonal block at a site (the realized potential V(site))."""
+    """The assembled diagonal block at a site (the realized potential V(site)),
+    one per member of a stack."""
     sl = h.block_slice(site)
-    return h.matrix[sl, sl].copy()
+    return h.matrix[..., sl, sl].copy()
 
 
 def hermiticity_residual(h: HamiltonianInstance) -> float:

@@ -6,6 +6,13 @@ resolvent columns and a batched ``svd`` for block norms with k > 2.  All
 operations are pure functions of their inputs.  Residual tolerances here are
 contracts checked at runtime, with violations raised as NumericalError
 carrying the instance digest.
+
+Every entry point taking a HamiltonianInstance also takes a stack of them
+(matrix shape (B, n, n)) and returns results with a leading axis of length
+B.  numpy hands each member of a stack to the same LAPACK routine a single
+matrix goes to, so member b's result is bit-identical to what the member
+alone would give; the checks run over the whole stack and name the first
+failing member's digest.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResampleSignal
-from .model import HamiltonianInstance, hermiticity_residual
+from .model import HamiltonianInstance
 
 RECON_TOL = 1e-10  # eigendecomposition reconstruction, relative to 1 + max|H|
 SOLVE_TOL = 1e-10  # resolvent solve residual, relative to 1 + |z|
@@ -24,10 +31,14 @@ CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    eigenvalues: np.ndarray  # ascending, length N*k
+    eigenvalues: np.ndarray  # ascending, length N*k; (B, N*k) for a stack
     eigenvectors: np.ndarray  # orthonormal columns, complex128
     k: int  # block size of the source
     n_sites: int
+
+    def __getitem__(self, b: int) -> "SpectralDecomposition":
+        """Member b of a stacked decomposition."""
+        return SpectralDecomposition(self.eigenvalues[b], self.eigenvectors[b], self.k, self.n_sites)
 
     @property
     def spectral_width(self) -> float:
@@ -50,9 +61,28 @@ class GreenBlock:
         return complex(self.lam, self.eps)
 
 
+def _failing(mats: np.ndarray, routine) -> np.ndarray:
+    """Mask of the members of a matrix or stack on which routine raises LinAlgError."""
+    mats = mats.reshape((-1,) + mats.shape[-2:])
+    bad = np.zeros(len(mats), dtype=bool)
+    for b, m in enumerate(mats):
+        try:
+            routine(m)
+        except np.linalg.LinAlgError:
+            bad[b] = True
+    return bad
+
+
+def _first_digest(h: HamiltonianInstance, bad: np.ndarray) -> str:
+    """Digest of the first member flagged in bad (member 0 if none is)."""
+    return h.member(int(np.argmax(bad))).digest
+
+
 def _require_hermitian(h: HamiltonianInstance) -> None:
-    if hermiticity_residual(h) != 0.0:
-        raise NumericalError("instance is not exactly Hermitian", h.digest)
+    mats = h.matrix
+    bad = np.atleast_1d(np.any(mats != np.swapaxes(mats, -1, -2).conj(), axis=(-2, -1)))
+    if np.any(bad):
+        raise NumericalError("instance is not exactly Hermitian", _first_digest(h, bad))
 
 
 def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
@@ -65,7 +95,8 @@ def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
     try:
         vals, vecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}", h.digest) from None
+        digest = _first_digest(h, _failing(h.matrix, np.linalg.eigh))
+        raise NumericalError(f"eigendecomposition failed: {exc}", digest) from None
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, k=h.k, n_sites=h.n_sites)
 
 
@@ -75,27 +106,31 @@ def hermitian_eigvals(h: HamiltonianInstance) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(h.matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}", h.digest) from None
+        digest = _first_digest(h, _failing(h.matrix, np.linalg.eigvalsh))
+        raise NumericalError(f"eigenvalue computation failed: {exc}", digest) from None
 
 
 def _shifted_solve(h: HamiltonianInstance, z: complex, site: int) -> np.ndarray:
-    """The k columns of (H - z)^(-1) at one site, shape (n, k).
+    """The k columns of (H - z)^(-1) at one site, shape (n, k) per member.
 
-    An exactly singular (H - z) raises ResampleSignal.
+    An exactly singular (H - z) raises ResampleSignal with the mask of the
+    singular members.
     """
-    n, k = h.matrix.shape[0], h.k
+    n, k = h.matrix.shape[-1], h.k
     a = h.matrix.astype(np.complex128)
-    a.flat[:: n + 1] -= z
+    diag = np.arange(n)
+    a[..., diag, diag] -= z
     rhs = np.zeros((n, k), dtype=np.complex128)
     rhs[h.block_slice(site), :] = np.eye(k)
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        raise ResampleSignal from None
+        raise ResampleSignal(_failing(a, lambda m: np.linalg.solve(m, rhs))) from None
 
 
 def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: int) -> GreenBlock:
-    """The k x k block of (H - lam - i eps)^(-1) at (x, y) by direct solve.
+    """The k x k block of (H - lam - i eps)^(-1) at (x, y) by direct solve
+    ((B, k, k) for a stack).
 
     eps = 0 is allowed at finite volume (continuous disorder makes real
     energies almost surely regular); an exactly singular matrix raises
@@ -106,26 +141,29 @@ def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: i
     z = complex(lam, eps)
     sol = _shifted_solve(h, z, y)
     resid = h.matrix @ sol - z * sol
-    resid[h.block_slice(y), :] -= np.eye(h.k)
-    worst = float(np.max(np.abs(resid)))
-    if not worst <= SOLVE_TOL * (1.0 + abs(z)):  # also catches a NaN residual
-        raise NumericalError(f"resolvent solve residual {worst:.3e} too large", h.digest)
-    return GreenBlock(block=sol[h.block_slice(x), :].copy(), lam=lam, eps=eps, x=x, y=y)
+    resid[..., h.block_slice(y), :] -= np.eye(h.k)
+    worst = np.atleast_1d(np.max(np.abs(resid), axis=(-2, -1)))
+    bad = ~(worst <= SOLVE_TOL * (1.0 + abs(z)))  # also catches a NaN residual
+    if np.any(bad):
+        raise NumericalError(
+            f"resolvent solve residual {worst[np.argmax(bad)]:.3e} too large", _first_digest(h, bad)
+        )
+    return GreenBlock(block=sol[..., h.block_slice(x), :].copy(), lam=lam, eps=eps, x=x, y=y)
 
 
 def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
-    """Blocks G_z(x0, y) for every site y, shape (n_sites, k, k).
+    """Blocks G_z(x0, y) for every site y, shape (n_sites, k, k) per member.
 
     One solve with (H - conj(z)) suffices: for Hermitian H,
     G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.
     """
     sol = _shifted_solve(h, np.conj(complex(lam, eps)), x0)
-    cols = sol.reshape(h.n_sites, h.k, h.k)
-    return np.conj(np.swapaxes(cols, 1, 2))
+    cols = sol.reshape(sol.shape[:-2] + (h.n_sites, h.k, h.k))
+    return np.conj(np.swapaxes(cols, -1, -2))
 
 
 def opnorm_batch(blocks) -> np.ndarray:
-    """Largest singular values of a stack of blocks, shape (m, k, k).
+    """Largest singular values of a stack of blocks, shape (..., k, k).
 
     1 x 1 blocks take abs and 2 x 2 blocks a closed form (the estimator hot
     path, much cheaper than a batched SVD); anything else a batched LAPACK
@@ -134,17 +172,17 @@ def opnorm_batch(blocks) -> np.ndarray:
     blocks = np.asarray(blocks, dtype=np.complex128)
     shape = blocks.shape[-2:]
     if shape == (1, 1):
-        return np.abs(blocks[:, 0, 0])
+        return np.abs(blocks[..., 0, 0])
     if shape == (2, 2):
         # sqrt of the top eigenvalue of the Gram matrix G = M* M, written as
         # a sum of nonnegative terms so it stays accurate when the two
         # singular values nearly coincide
-        c0, c1 = blocks[:, :, 0], blocks[:, :, 1]
-        g11 = np.sum(np.abs(c0) ** 2, axis=1)
-        g22 = np.sum(np.abs(c1) ** 2, axis=1)
-        g12 = np.abs(np.sum(np.conj(c0) * c1, axis=1))
+        c0, c1 = blocks[..., :, 0], blocks[..., :, 1]
+        g11 = np.sum(np.abs(c0) ** 2, axis=-1)
+        g22 = np.sum(np.abs(c1) ** 2, axis=-1)
+        g12 = np.abs(np.sum(np.conj(c0) * c1, axis=-1))
         return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
-    return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
 def opnorm(m) -> float:

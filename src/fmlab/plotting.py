@@ -150,7 +150,7 @@ def emit_plot(record, path: str) -> bool:
     kind = record.kind
     col = {c: [row[i] for row in record.rows] for i, c in enumerate(record.columns)}
     if kind in ("decay", "correlator", "dynamical"):
-        xs, ys, _, _ = bin_by_distance(col["distance"], col["mean"])
+        xs, ys, _ = bin_by_distance(col["distance"], col["mean"])
         axes = ("graph distance", "mean", f"{kind}: mean vs distance", False, True)
     elif kind == "wegner":
         xs, ys = col["eps"], col["mass"]

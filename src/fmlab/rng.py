@@ -47,19 +47,27 @@ def derive_sample_seed(master_seed: int, sample_index) -> np.uint64:
 
 
 class Stream:
-    """Sequential view of a SplitMix64 stream; one uint64 word per call unit."""
+    """Sequential view of SplitMix64 streams; one uint64 word per call unit.
+
+    state is one stream state, or a 1-D array of B states read in lockstep:
+    then every call returns a leading axis of length B, whose row b is what
+    a Stream of state[b] alone would return.
+    """
 
     __slots__ = ("state", "pos")
 
-    def __init__(self, state):
-        self.state = np.uint64(int(state) & 0xFFFFFFFFFFFFFFFF)
-        self.pos = 0
+    def __init__(self, state, pos: int = 0):
+        if np.ndim(state) == 0:
+            self.state = np.asarray(np.uint64(int(state) & 0xFFFFFFFFFFFFFFFF))
+        else:
+            self.state = np.asarray(state, dtype=np.uint64)
+        self.pos = pos
 
     def words(self, n: int) -> np.ndarray:
-        """Next n raw uint64 words."""
+        """Next n raw uint64 words, shape (n,) or (B, n)."""
         idx = np.arange(self.pos + 1, self.pos + n + 1, dtype=np.uint64)
         self.pos += n
-        return mix64(self.state + idx * GOLDEN)
+        return mix64(self.state[..., None] + idx * GOLDEN)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n doubles, uniform on the open interval (0, 1).

@@ -353,7 +353,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
         checkpoint_path=checkpoint("decoupling"),
     )
     scan_results = {}
-    scan_records = []
+    rows = []
     for scale in p.get("scales", ["5", "10"]):
         scan = ineq.comparability_scan(
             dis,
@@ -372,7 +372,12 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
             "ratio_max": scan["ratio_max"],
             "failures": len(scan["failures"]),
         }
-        scan_records = scan["records"]
+        rows += [
+            [scan["param_scale"], i,
+             json.dumps({"a": r["a"], "b": r["b"]}, sort_keys=True, separators=(",", ":")),
+             float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
+            for i, r in enumerate(scan["records"])
+        ]
     rh = ineq.reverse_holder_check(
         dis,
         _real(p, "rh_s", "0.2"),
@@ -402,11 +407,6 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
         },
         "vinv": vinv,
     }
-    rows = [
-        [i, json.dumps({"a": r["a"], "b": r["b"]}, sort_keys=True, separators=(",", ":")),
-         float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
-        for i, r in enumerate(scan_records)
-    ]
     return outputs, rows
 
 
@@ -417,7 +417,7 @@ _KINDS = {
     "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"]),
     "correlator": (_run_correlator, ["distance", "mean", "err", "n"]),
     "dynamical": (_run_dynamical, ["distance", "mean", "err", "n"]),
-    "inequalities": (_run_inequalities, ["draw", "parameters", "lhs", "rhs", "ratio"]),
+    "inequalities": (_run_inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"]),
 }
 KINDS = tuple(_KINDS)
 

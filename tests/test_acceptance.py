@@ -131,7 +131,7 @@ def test_criterion_2_decay_in_coupling(chain40_decay):
     all_monotone = True
     min_r2 = 1.0
     for g, est in chain40_decay.items():
-        _, bm, _, _ = bin_by_distance(est.distances, est.means, d_min=4)
+        _, bm, _ = bin_by_distance(est.distances, est.means, d_min=4)
         all_monotone &= bool(np.all(np.diff(np.log(bm)) < 0))
         fit = decay_rate_fit(est, d_min=4)
         min_r2 = min(min_r2, fit["r2"])

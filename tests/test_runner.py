@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fmlab import engine
 from fmlab.engine import load_checkpoint, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.plotting import emit_plot
@@ -133,15 +134,16 @@ def test_checkpoint_resume_equals_straight_run(tmp_path):
     )
 
 
-def test_engine_failure_keeps_checkpoint_prefix(tmp_path):
-    def task(ctx, i):
-        if i == 3:
+def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
+    def batch(ctx, indices):
+        if 3 in indices:
             raise RuntimeError("worker blew up")
-        return {"v": i}
+        return [{"v": i} for i in indices]
 
+    monkeypatch.setattr(engine, "_CHUNK", 3)
     path = str(tmp_path / "ck.jsonl")
     with pytest.raises(RuntimeError):
-        run_indexed(task, None, 6, workers=1, checkpoint_path=path)
+        run_indexed(batch, None, 6, workers=1, checkpoint_path=path)
     done = load_checkpoint(path)
     assert sorted(done) == [0, 1, 2]  # completed prefix survives the abort
 
@@ -149,13 +151,13 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path):
 def test_engine_payload_roundtrip(tmp_path):
     calls = []
 
-    def task(ctx, i):
-        calls.append(i)
-        return {"v": [float(i) * 0.1], "i2": i * i}
+    def batch(ctx, indices):
+        calls.extend(indices)
+        return [{"v": [float(i) * 0.1], "i2": i * i} for i in indices]
 
     path = str(tmp_path / "ck.jsonl")
-    first = run_indexed(task, None, 5, workers=1, checkpoint_path=path)
-    again = run_indexed(task, None, 5, workers=1, checkpoint_path=path)
+    first = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
+    again = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
     assert first == again
     assert len(calls) == 5  # second pass is checkpoint-only
     done = load_checkpoint(path)
@@ -375,5 +377,70 @@ def test_run_inequalities_kind(tmp_path):
     assert rec.outputs["one_step_all_pass"]
     assert rec.outputs["decoupling_min_ratio"] > 0
     assert rec.outputs["comparability"]["5"]["failures"] == 0
-    assert rec.columns == ["draw", "parameters", "lhs", "rhs", "ratio"]
+    assert rec.columns == ["scale", "draw", "parameters", "lhs", "rhs", "ratio"]
     assert len(rec.rows) == 20
+
+
+def test_inequalities_series_keeps_every_scale(tmp_path):
+    cfg = {
+        **BASE_CFG,
+        "kind": "inequalities",
+        "topology": {"d": 1, "sides": [4], "periodic": False},
+        "estimator": {"samples": 100, "draws": 12, "pairs": 1, "rh_trials": 4,
+                      "scales": ["5", "10", "20"], "s": "0.15", "r": "0.15"},
+    }
+    rec = run(cfg, outdir=str(tmp_path / "iq"))
+    assert len(rec.rows) == 3 * 12  # len(scales) x draws
+    assert [row[0] for row in rec.rows] == [5.0] * 12 + [10.0] * 12 + [20.0] * 12
+    assert [row[1] for row in rec.rows] == list(range(12)) * 3
+    emit_csv(rec, str(tmp_path / "series.csv"))
+    csv = (tmp_path / "series.csv").read_text().splitlines()
+    assert csv[0] == "scale,draw,parameters,lhs,rhs,ratio" and len(csv) == 1 + 3 * 12
+
+
+# one small config per kind, each with more samples than one engine chunk
+TINY_CFGS = {
+    "decay": BASE_CFG,
+    "wegner": {
+        **BASE_CFG, "kind": "wegner",
+        "topology": {"d": 1, "sides": [6], "periodic": True},
+        "model": {"variant": "spencer", "a": "1", "g": "10"},
+        "estimator": {"lambda0": "0.5", "eps_list": ["0.8", "0.4", "0.2"], "samples": 70},
+    },
+    "ids": {
+        **BASE_CFG, "kind": "ids",
+        "topology": {"d": 2, "sides": [3, 3], "periodic": True},
+        "disorder": {"family": "gaussian", "params": [0, 1]},
+        "model": {"variant": "alloy", "coeffs": {"0,0": "1", "1,0": "-1"}, "g": "8"},
+        "estimator": {"samples": 70, "bins": {"n": 16, "lo": "-4", "hi": "4"}},
+    },
+    "correlator": {
+        **BASE_CFG, "kind": "correlator",
+        "estimator": {"interval": ["-0.5", "0.5"], "samples": 70, "x0": 0, "d_min": 1},
+    },
+    "dynamical": {
+        **BASE_CFG, "kind": "dynamical",
+        "topology": {"d": 1, "sides": [5], "periodic": False},
+        "model": {"variant": "spencer", "a": "1", "g": "8"},
+        "estimator": {"interval": ["-1", "1"], "samples": 70, "x0": 0, "t_points": 32},
+    },
+    "inequalities": {
+        **BASE_CFG, "kind": "inequalities",
+        "topology": {"d": 1, "sides": [5], "periodic": False},
+        "model": {"variant": "spencer", "a": "1", "g": "20"},
+        "estimator": {"samples": 100, "draws": 40, "pairs": 1, "rh_trials": 40,
+                      "scales": ["5"], "s": "0.15", "r": "0.15"},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_CFGS))
+def test_every_kind_is_identical_across_worker_counts(kind, tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        run({**TINY_CFGS[kind], "workers": workers}, outdir=out)
+        names = sorted(n for n in os.listdir(out) if n.startswith("samples") or n == "results.json")
+        outputs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
+    assert "results.json" in outputs[0] and len(outputs[0]) >= 2
+    assert outputs[0] == outputs[1]
