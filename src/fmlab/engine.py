@@ -18,6 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 _CHUNK = 32  # samples per batch_fn call
 
+# compact, key-sorted JSON of checkpoint lines and series cells, from one encoder
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _run_chunk(batch_fn, ctx, indices):
     return list(zip(indices, batch_fn(ctx, indices), strict=True))
@@ -79,11 +82,7 @@ def run_indexed(batch_fn, ctx, n_samples, workers=1, checkpoint_path=None):
         if writer is None:
             return
         while written_upto in payloads:
-            line = json.dumps(
-                {"i": written_upto, "p": payloads[written_upto]},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            line = canonical_json({"i": written_upto, "p": payloads[written_upto]})
             if written_upto not in done:
                 writer.write(line + "\n")
             written_upto += 1

@@ -62,6 +62,23 @@ def to_payload(estimate) -> dict:
     return out
 
 
+def _median(values: np.ndarray) -> np.ndarray:
+    """np.median along axis 0, bit for bit, from np.sort (np.median imports numpy.ma)."""
+    srt = np.sort(values, axis=0)
+    h = srt.shape[0] // 2
+    # np.median means the middle one or two, summing from 0.0 (so -0.0 gives 0.0)
+    mid = 0.0 + srt[h] if srt.shape[0] % 2 else (0.0 + srt[h - 1] + srt[h]) / 2
+    return np.where(np.isnan(srt[-1]), np.nan, mid)  # NaN sorts last
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as np.unique of a NaN-free array (which imports numpy.ma)."""
+    srt = np.sort(values, axis=None)
+    first = np.ones(srt.shape, dtype=bool)
+    first[1:] = srt[1:] != srt[:-1]
+    return srt[first]
+
+
 def _group_stats(values: np.ndarray):
     """(mean, median-of-means, group-based standard error) along axis 0."""
     n = values.shape[0]
@@ -72,7 +89,7 @@ def _group_stats(values: np.ndarray):
         return mean, mean.copy(), zero
     bounds = np.linspace(0, n, groups + 1).astype(int)
     gmeans = np.stack([np.mean(values[bounds[j]:bounds[j + 1]], axis=0) for j in range(groups)])
-    mom = np.median(gmeans, axis=0)
+    mom = _median(gmeans)
     err = np.std(gmeans, axis=0, ddof=1) / math.sqrt(groups)
     return mean, mom, err
 
@@ -247,7 +264,7 @@ def bin_by_distance(distances, means, d_min: int = 0):
     distances = np.asarray(distances)
     means = np.asarray(means, dtype=np.float64)
     keep = distances >= d_min
-    ds = np.unique(distances[keep])
+    ds = _distinct(distances[keep])
     bm, pop = [], []
     for d in ds:
         sel = distances == d

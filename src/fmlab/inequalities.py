@@ -23,7 +23,7 @@ from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
 from .numerics import opnorm_batch, resolvent_block, resolvent_profile
-from .quadrature import integrate
+from .quadrature import integrate_batch
 from .rng import Stream, derive_sample_seed
 from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
 
@@ -65,16 +65,15 @@ class RatioIntegralSpec:
         return num / den
 
 
-def _integrand(spec: RatioIntegralSpec):
-    a = np.asarray(spec.a, dtype=np.complex128)
-    b = np.asarray(spec.b, dtype=np.complex128)
+def _ratio_integrand(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: float, r: float):
+    """f(rows, v) = density(v) prod_j |v - a[row, j]|^s / prod_i |v - b[row, i]|^r."""
 
-    def f(v):
-        out = density(spec.measure, v)
-        for aj in a:
-            out = out * np.abs(v - aj) ** spec.s
-        for bi in b:
-            out = out / np.abs(v - bi) ** spec.r
+    def f(rows, v):
+        out = density(measure, v)
+        for j in range(a.shape[1]):
+            out = out * np.abs(v - a[rows, j]) ** s
+        for i in range(b.shape[1]):
+            out = out / np.abs(v - b[rows, i]) ** r
         return out
 
     return f
@@ -129,6 +128,26 @@ def _integration_domain(spec: RatioIntegralSpec):
     raise NumericalError("could not truncate the measure tail (check moment assumptions)")
 
 
+def _ratio_integrals(specs, rel_tol: float) -> list:
+    """[(value, error_bound)] of ratio_integral for specs sharing s, r, the
+    measure and the point counts, integrated in one batch."""
+    first = specs[0]
+    a = np.array([spec.a for spec in specs], dtype=np.complex128)
+    b = np.array([spec.b for spec in specs], dtype=np.complex128)
+    items, tails = [], []
+    for spec in specs:
+        lo, hi, tail = _integration_domain(spec)
+        sing = {pt.real for pt in (*spec.a, *spec.b) if pt.imag == 0.0 and lo < pt.real < hi}
+        if spec.measure.family == "power_regular":
+            sing.add(0.0)
+        items.append((lo, hi, (), sorted(sing)))
+        tails.append(tail)
+    f = _ratio_integrand(first.measure, a, b, first.s, first.r)
+    with np.errstate(divide="ignore", over="ignore"):
+        results = integrate_batch(f, items, rel_tol=rel_tol)
+    return [(float(value), float(err + tail)) for (value, err), tail in zip(results, tails)]
+
+
 def ratio_integral(
     spec: RatioIntegralSpec,
     rel_tol: float = 1e-8,
@@ -142,19 +161,8 @@ def ratio_integral(
     ~1e-8 of the comparability target (added to error_bound).  With
     mc_draws > 0 a Monte Carlo cross-check runs on the same integrand.
     """
-    lo, hi, tail = _integration_domain(spec)
-    sing = set()
-    for pt in (*spec.a, *spec.b):
-        if pt.imag == 0.0 and lo < pt.real < hi:
-            sing.add(pt.real)
-    if spec.measure.family == "power_regular":
-        sing.add(0.0)
-    f = _integrand(spec)
-    with np.errstate(divide="ignore", over="ignore"):
-        value, err = integrate(
-            f, lo, hi, singular_points=sorted(sing), rel_tol=rel_tol
-        )
-    out = {"value": float(value), "error_bound": float(err + tail)}
+    value, err = _ratio_integrals([spec], rel_tol)[0]
+    out = {"value": value, "error_bound": err}
     if mc_draws > 0:
         stream = Stream(derive_sample_seed(mc_seed, 0x51AD))
         v = sample_vector(spec.measure, stream, int(mc_draws))
@@ -180,32 +188,35 @@ class _ScanCtx:
     rel_tol: float
 
 
-def _complex_points(stream: Stream, count: int, scale: float) -> list:
-    w = stream.uniforms(2 * count)
+def _complex_points(w: np.ndarray, scale: float) -> list:
+    """Points scale * w[2k] * exp(2 pi i w[2k+1]) from a row of uniforms."""
     radius = scale * w[0::2]
     angle = 2.0 * math.pi * w[1::2]
     return [complex(rad * math.cos(th), rad * math.sin(th)) for rad, th in zip(radius, angle)]
 
 
-def _comparability_draw(ctx: _ScanCtx, idx: int) -> dict:
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    a = _complex_points(stream, ctx.l, ctx.param_scale)
-    b = _complex_points(stream, ctx.m, ctx.param_scale)
-    spec = RatioIntegralSpec(a=tuple(a), b=tuple(b), s=ctx.s, r=ctx.r, measure=ctx.measure)
-    res = ratio_integral(spec, rel_tol=ctx.rel_tol)
-    target = spec.target()
-    return {
-        "a": [[p.real, p.imag] for p in a],
-        "b": [[p.real, p.imag] for p in b],
-        "lhs": res["value"],
-        "rhs": target,
-        "ratio": res["value"] / target,
-        "error_bound": res["error_bound"],
-    }
-
-
 def _comparability_batch(ctx: _ScanCtx, indices) -> list:
-    return [_comparability_draw(ctx, i) for i in indices]
+    stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices)))
+    wa = stream.uniforms(2 * ctx.l)
+    wb = stream.uniforms(2 * ctx.m)
+    specs = [
+        RatioIntegralSpec(a=tuple(_complex_points(ra, ctx.param_scale)),
+                          b=tuple(_complex_points(rb, ctx.param_scale)),
+                          s=ctx.s, r=ctx.r, measure=ctx.measure)
+        for ra, rb in zip(wa, wb)
+    ]
+    out = []
+    for spec, (value, err) in zip(specs, _ratio_integrals(specs, ctx.rel_tol)):
+        target = spec.target()
+        out.append({
+            "a": [[p.real, p.imag] for p in spec.a],
+            "b": [[p.real, p.imag] for p in spec.b],
+            "lhs": value,
+            "rhs": target,
+            "ratio": value / target,
+            "error_bound": err,
+        })
+    return out
 
 
 def comparability_scan(
@@ -430,8 +441,8 @@ def _rh_trial(ctx: _RhCtx, idx: int) -> dict:
     j_vars = ctx.j_vars
     if ctx.sampler == "poly":
         deg = 1 + int(stream.uniform() * 2)  # numerator/denominator degree 1..2
-        roots_num = _complex_points(stream, deg, ctx.param_scale)
-        roots_den = _complex_points(stream, deg, ctx.param_scale)
+        roots_num = _complex_points(stream.uniforms(2 * deg), ctx.param_scale)
+        roots_den = _complex_points(stream.uniforms(2 * deg), ctx.param_scale)
         v = sample_vector(ctx.measure, stream, ctx.draws)
 
         q = np.ones(ctx.draws)

@@ -1,4 +1,4 @@
-"""Adaptive panel quadrature on 15-point Gauss-Kronrod rules.
+"""Adaptive panel quadrature on 15-point Gauss-Kronrod rules, batched in lockstep.
 
 Plain panels are bisected worst-error-first.  Segments touching a declared
 singular point are integrated under the graded substitution x = s +- u^4,
@@ -7,6 +7,14 @@ continuous integrand; the Kronrod nodes are interior, so the singular point
 itself is never evaluated.  Error estimates are the raw |K15 - G7|
 differences summed over panels: crude but honest, and the refinement loop
 drives them well below the requested tolerance.
+
+There is one path, integrate_batch: many independent integrals advance in
+lockstep.  Every segment between cuts is a lane with its own heap, sums and
+stopping test; each round bisects one panel per unfinished lane and
+evaluates all new panels in one integrand call.  A lane's float operations
+are those of a lone integral in the same order (np.vecdot sums each row as
+np.dot sums one panel), so a result does not depend on its batch.
+integrate is the batch of one.
 """
 
 from __future__ import annotations
@@ -39,46 +47,162 @@ _GRADING = 4  # substitution exponent at singular endpoints
 _WIDTH_FLOOR = 1e-13  # relative panel width below which refinement stops
 
 
+def _panel_rule(f, lanes, lo, hi):
+    """Per-panel (K15 values, |K15 - G7|) as lists, from one call of f.
+
+    Panel p spans [lo[p], hi[p]] of lanes[p]; a graded lane maps u to
+    x = origin + sign * u^4 with Jacobian 4 u^3.
+    """
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    jac = np.ones_like(x)
+    ok = np.ones(x.shape, dtype=bool)
+    graded = np.array([lane.graded for lane in lanes])
+    if graded.any():
+        u = x[graded]
+        o = np.array([lane.origin for lane in lanes])[graded, None]
+        xg = o + np.array([lane.sign for lane in lanes])[graded, None] * u**_GRADING
+        jac[graded] = _GRADING * u ** (_GRADING - 1)
+        ok[graded] = xg != o  # u^4 can underflow against |origin|; skip exact collisions
+        x[graded] = xg
+    rows = np.broadcast_to(np.array([lane.item for lane in lanes])[:, None], x.shape)
+    y = np.zeros_like(x)
+    y[ok] = f(rows[ok], x[ok]) * jac[ok]
+    k15 = half * np.vecdot(y, _WK)
+    err = np.abs(k15 - half * np.vecdot(y, _WGFULL))
+    return k15.tolist(), err.tolist()
+
+
+class _Lane:
+    """Adaptive refinement of one segment: a worst-error-first panel heap."""
+
+    __slots__ = ("item", "origin", "sign", "graded", "heap", "counter",
+                 "total", "toterr", "frozen_err", "panels")
+
+    def __init__(self, item, origin=0.0, sign=0.0, graded=False):
+        self.item, self.origin, self.sign, self.graded = item, origin, sign, graded
+
+    def start(self, lo, hi, val, err):
+        self.heap = [(-err, 0, lo, hi, val)]
+        self.counter = 1
+        self.total, self.toterr = val, err
+        self.frozen_err = 0.0
+        self.panels = 1
+
+    def next_split(self, rel_tol, abs_tol, max_panels):
+        """The next panel to bisect, as (lo, hi, val, -err), or None when done."""
+        heap = self.heap
+        while heap and self.toterr + self.frozen_err > max(abs_tol, rel_tol * abs(self.total)):
+            if self.panels >= max_panels:
+                return None
+            nerr, _, lo, hi, val = heapq.heappop(heap)
+            if hi - lo < _WIDTH_FLOOR * (1.0 + abs(lo) + abs(hi)):
+                self.frozen_err += -nerr  # too narrow to refine; keep its error
+                self.toterr += nerr
+                continue
+            return lo, hi, val, nerr
+        return None
+
+    def split(self, val, nerr, halves):
+        """Replace a popped panel (val, -err) by its evaluated halves (lo, hi, v, e)."""
+        self.total -= val
+        self.toterr += nerr
+        for lo, hi, v, e in halves:
+            heapq.heappush(self.heap, (-e, self.counter, lo, hi, v))
+            self.counter += 1
+            self.total += v
+            self.toterr += e
+        self.panels += 1
+
+
 def gk15(f, a: float, b: float):
     """(K15 value, |K15 - G7|) for a vectorized integrand on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=np.float64)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WGFULL, y))
-    return k15, abs(k15 - g7)
+    val, err = _panel_rule(lambda rows, x: f(x), [_Lane(0)], [a], [b])
+    return val[0], err[0]
 
 
-def _adaptive(f, a, b, rel_tol, abs_tol, max_panels):
-    val, err = gk15(f, a, b)
-    heap = [(-err, 0, a, b, val)]
-    counter = 1
-    total, toterr = val, err
-    frozen_err = 0.0
-    panels = 1
-    while heap and toterr + frozen_err > max(abs_tol, rel_tol * abs(total)):
-        if panels >= max_panels:
+def _lanes(item, a, b, split_points, singular_points):
+    """Lanes of one integral with their first panels: [(lane, lo, hi)]."""
+    sing = sorted({float(p) for p in singular_points if a <= p <= b})
+    cuts = sorted({a, b, *sing, *(float(p) for p in split_points if a < p < b)})
+    singular = set(sing)
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        lo_sing = lo in singular
+        hi_sing = hi in singular
+        segs = [(lo, hi, lo_sing, hi_sing)]
+        if lo_sing and hi_sing:
+            mid = 0.5 * (lo + hi)
+            segs = [(lo, mid, True, False), (mid, hi, False, True)]
+        for s_lo, s_hi, s_ls, s_hs in segs:
+            if s_ls or s_hs:
+                origin = s_lo if s_ls else s_hi
+                sign = 1.0 if s_ls else -1.0
+                umax = (s_hi - s_lo) ** (1.0 / _GRADING)
+                out.append((_Lane(item, origin, sign, True), 0.0, umax))
+            else:
+                out.append((_Lane(item), s_lo, s_hi))
+    return out
+
+
+def integrate_batch(
+    f,
+    items,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-14,
+    max_panels: int = 4000,
+):
+    """Adaptive integrals of many items in lockstep; returns [(value, error_bound)].
+
+    items is a sequence of (a, b, split_points, singular_points), one per
+    integral.  f(rows, x) evaluates the integrands: x is a float array and
+    rows an int array of the same shape naming the item of each x.  Each
+    result equals integrate of that item alone, bit for bit.
+    """
+    lanes, los, his = [], [], []
+    for k, (a, b, split_points, singular_points) in enumerate(items):
+        a, b = float(a), float(b)
+        if b > a:
+            for lane, lo, hi in _lanes(k, a, b, split_points, singular_points):
+                lanes.append(lane)
+                los.append(lo)
+                his.append(hi)
+    if lanes:
+        for lane, lo, hi, v, e in zip(lanes, los, his, *_panel_rule(f, lanes, los, his)):
+            lane.start(lo, hi, v, e)
+
+    active = lanes
+    while active:
+        splits = []
+        for lane in active:
+            panel = lane.next_split(rel_tol, abs_tol, max_panels)
+            if panel is not None:
+                splits.append((lane, *panel))
+        if not splits:
             break
-        nerr, _, lo, hi, val = heapq.heappop(heap)
-        if hi - lo < _WIDTH_FLOOR * (1.0 + abs(lo) + abs(hi)):
-            frozen_err += -nerr  # too narrow to refine; keep its error
-            toterr += nerr
-            continue
-        total -= val
-        toterr += nerr
-        mid = 0.5 * (lo + hi)
-        for seg_lo, seg_hi in ((lo, mid), (mid, hi)):
-            v, e = gk15(f, seg_lo, seg_hi)
-            heapq.heappush(heap, (-e, counter, seg_lo, seg_hi, v))
-            counter += 1
-            total += v
-            toterr += e
-        panels += 1
-    if not np.isfinite(total):
-        raise NumericalError("quadrature diverged (non-finite panel sums)")
-    # |K15 - G7| can underestimate the K15 error; report with a safety margin
-    return total, 4.0 * (toterr + frozen_err)
+        halves, los, his = [], [], []
+        for lane, lo, hi, _, _ in splits:
+            mid = 0.5 * (lo + hi)
+            halves += (lane, lane)
+            los += (lo, mid)
+            his += (mid, hi)
+        vals, errs = _panel_rule(f, halves, los, his)
+        for j, (lane, _, _, val, nerr) in enumerate(splits):
+            pair = slice(2 * j, 2 * j + 2)
+            lane.split(val, nerr, zip(los[pair], his[pair], vals[pair], errs[pair]))
+        active = [lane for lane, *_ in splits]
+
+    results = [[0.0, 0.0] for _ in items]
+    for lane in lanes:
+        if not np.isfinite(lane.total):
+            raise NumericalError("quadrature diverged (non-finite panel sums)")
+        res = results[lane.item]
+        res[0] += lane.total
+        # |K15 - G7| can underestimate the K15 error; report with a safety margin
+        res[1] += 4.0 * (lane.toterr + lane.frozen_err)
+    return [tuple(res) for res in results]
 
 
 def integrate(
@@ -96,40 +220,7 @@ def integrate(
     split_points become panel boundaries; singular_points additionally get
     the graded endpoint substitution on the segments they touch.
     """
-    a, b = float(a), float(b)
-    if not b > a:
-        return 0.0, 0.0
-    sing = sorted({float(p) for p in singular_points if a <= p <= b})
-    cuts = sorted({a, b, *sing, *(float(p) for p in split_points if a < p < b)})
-    singular = set(sing)
-
-    total, toterr = 0.0, 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        lo_sing = lo in singular
-        hi_sing = hi in singular
-        segs = [(lo, hi, lo_sing, hi_sing)]
-        if lo_sing and hi_sing:
-            mid = 0.5 * (lo + hi)
-            segs = [(lo, mid, True, False), (mid, hi, False, True)]
-        for s_lo, s_hi, s_ls, s_hs in segs:
-            if s_ls or s_hs:
-                origin = s_lo if s_ls else s_hi
-                sign = 1.0 if s_ls else -1.0
-                umax = (s_hi - s_lo) ** (1.0 / _GRADING)
-
-                def g(u, _origin=origin, _sign=sign):
-                    x = _origin + _sign * u**_GRADING
-                    jac = _GRADING * u ** (_GRADING - 1)
-                    out = np.zeros_like(u)
-                    # u^4 can underflow against |origin|; skip exact collisions
-                    ok = x != _origin
-                    if np.any(ok):
-                        out[ok] = f(x[ok]) * jac[ok]
-                    return out
-
-                v, e = _adaptive(g, 0.0, umax, rel_tol, abs_tol, max_panels)
-            else:
-                v, e = _adaptive(f, s_lo, s_hi, rel_tol, abs_tol, max_panels)
-            total += v
-            toterr += e
-    return total, toterr
+    return integrate_batch(
+        lambda rows, x: f(x), [(a, b, split_points, singular_points)],
+        rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels,
+    )[0]

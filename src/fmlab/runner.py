@@ -25,6 +25,7 @@ import numpy as np
 from . import disorder as disorder_mod
 from . import estimators as est
 from . import inequalities as ineq
+from .engine import canonical_json
 from .errors import ConfigurationError
 from .model import alloy_model, singular_covering_model, block_model, spencer_model
 from .rng import Stream, derive_sample_seed
@@ -374,7 +375,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
         }
         rows += [
             [scan["param_scale"], i,
-             json.dumps({"a": r["a"], "b": r["b"]}, sort_keys=True, separators=(",", ":")),
+             canonical_json({"a": r["a"], "b": r["b"]}),
              float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
             for i, r in enumerate(scan["records"])
         ]

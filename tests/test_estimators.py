@@ -11,6 +11,8 @@ from fmlab.errors import ConfigurationError, DegenerateFitError
 from fmlab.estimators import (
     DistanceProfile,
     MomentEstimate,
+    _distinct,
+    _median,
     correlator_decay_profile,
     correlator_targets,
     decay_rate_fit,
@@ -325,3 +327,18 @@ def test_default_eps_scales_with_width():
     topo = make_lattice_box(1, (8,))
     eps = default_eps(SCALAR, topo, UNIFORM, 1)
     assert 0.0 < eps < 1e-3  # width/dim < 1 at this size
+
+
+@pytest.mark.parametrize("rows", [1, 2, 15, 16])
+def test_sort_based_median_and_distinct_match_numpy(rows):
+    rng = np.random.default_rng(rows)
+    vals = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-3, 4, (rows, 5))
+    vals[:, 1] = 0.25  # ties
+    vals[:, 3] = -0.0
+    vals[rows // 2, 2] = -0.0
+    vals[0, 4] = np.nan  # a NaN anywhere in a column gives NaN
+    assert _median(vals).tobytes() == np.median(vals, axis=0).tobytes()
+    ints = rng.integers(-3, 9, 2 * rows + 1)
+    for x in (ints, ints[:-1], ints[:0]):
+        got, want = _distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,6 +1,8 @@
 """Inequality-lab oracles: analytic integrals, scan properties, paired bounds."""
 
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from fmlab.errors import ConfigurationError, NumericalError
 from fmlab.estimators import MAX_RETRIES, fractional_moment_profile
 from fmlab.inequalities import (
     RatioIntegralSpec,
+    _comparability_batch,
+    _integration_domain,
+    _ScanCtx,
     comparability_scan,
     decoupling_ratio,
     one_step_bound_check,
@@ -84,6 +89,50 @@ def test_comparability_lower_bound_positive_across_catalog():
     for measure in (UNIFORM, make_spec("gaussian", (0, 1)), make_spec("heavy_tail", (4.0,))):
         scan = comparability_scan(measure, 1, 1, 0.2, 0.2, 40, 4.0, 44)
         assert scan["ratio_min"] > 0.0 and not scan["failures"]
+
+
+SCAN_CASES = {
+    "uniform-3-3": (UNIFORM, 3, 3, 0.15, 0.15, 5.0),
+    "uniform-0-0": (UNIFORM, 0, 0, 0.2, 0.2, 5.0),
+    "gaussian": (make_spec("gaussian", (0.3, 1.5)), 2, 1, 0.2, 0.2, 4.0),
+    "heavy_tail": (make_spec("heavy_tail", (4.0,)), 1, 2, 0.2, 0.2, 4.0),
+    "power_regular": (make_spec("power_regular", (0.6,)), 2, 1, 0.2, 0.25, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_comparability_batch_matches_batch_of_one(case):
+    # a chunk shares its stream, its integrand call and its quadrature rounds
+    measure, l, m, s, r, scale = SCAN_CASES[case]
+    ctx = _ScanCtx(measure, l, m, s, r, scale, 4242, 1e-7)
+    batch = json.dumps(_comparability_batch(ctx, range(23)))
+    alone = json.dumps([_comparability_batch(ctx, [i])[0] for i in range(23)])
+    assert batch == alone
+
+
+def test_heavy_tail_comparability_at_the_moment_edge():
+    # heavy_tail(q0) has alpha = 1; with l = m = 1, s = r = 0.2 the regime
+    # needs q0 >= (s + r) / (1 - r) = 0.5
+    above = make_spec("heavy_tail", (0.55,))
+    scan = comparability_scan(above, 1, 1, 0.2, 0.2, 12, 4.0, 45)
+    assert not scan["failures"] and scan["ratio_min"] > 0.0 and math.isfinite(scan["ratio_max"])
+    for rec in scan["records"]:
+        a, b = (tuple(complex(*p) for p in rec[k]) for k in ("a", "b"))
+        tail = _integration_domain(RatioIntegralSpec(a, b, 0.2, 0.2, above))[2]
+        assert 0.0 < tail <= rec["error_bound"]
+    with pytest.raises(ConfigurationError, match="regime"):
+        comparability_scan(make_spec("heavy_tail", (0.45,)), 1, 1, 0.2, 0.2, 12, 4.0, 45)
+
+
+def test_heavy_tail_without_the_moment_fails_fast():
+    # q0 <= s*l: the numerator moment is infinite, the tail cannot be truncated
+    measure = make_spec("heavy_tail", (0.5,))
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="tail"):
+        ratio_integral(RatioIntegralSpec((1.0, 2.0j), (), 0.25, 0.0, measure))
+    with pytest.raises(NumericalError, match="tail"):
+        _comparability_batch(_ScanCtx(measure, 2, 1, 0.25, 0.2, 3.0, 7, 1e-7), range(23))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_vinv_scalar_analytic():

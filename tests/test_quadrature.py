@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fmlab.quadrature import gk15, integrate
+from fmlab.errors import NumericalError
+from fmlab.quadrature import _WIDTH_FLOOR, gk15, integrate, integrate_batch
 
 
 def test_gk15_polynomial_exactness():
@@ -63,3 +64,48 @@ def test_error_bound_is_honest_under_refinement():
     coarse, bound = integrate(f, -1.0, 1.0, singular_points=[0.3], rel_tol=1e-6)
     fine, _ = integrate(f, -1.0, 1.0, singular_points=[0.3], rel_tol=1e-11)
     assert abs(coarse - fine) <= bound
+
+
+def test_batch_items_match_their_batch_of_one():
+    # one item converges on its first panel, one is frozen at the width floor,
+    # one is capped by max_panels; a graded item and an empty one ride along
+    width = 0.5 * _WIDTH_FLOOR
+    funcs = [
+        lambda x: x**3,
+        lambda x: 1e4 * (x > 1.0 + 0.3 * width),
+        lambda x: np.abs(x - 1.0 / 3.0) ** -0.9,
+        lambda x: np.abs(x - 0.2) ** -0.45,
+        lambda x: x,
+    ]
+    items = [
+        (0.0, 1.0, (), ()),
+        (1.0, 1.0 + width, (), ()),
+        (0.0, 1.0, (), ()),
+        (-1.0, 1.0, (), (0.2,)),
+        (2.0, 1.0, (), ()),
+    ]
+
+    def f(rows, x):
+        out = np.empty_like(x)
+        for k, fk in enumerate(funcs):
+            sel = rows == k
+            out[sel] = fk(x[sel])
+        return out
+
+    kw = dict(rel_tol=1e-12, max_panels=40)
+    batch = integrate_batch(f, items, **kw)
+    alone = [integrate(fk, a, b, sp, sing, **kw) for fk, (a, b, sp, sing) in zip(funcs, items)]
+    assert batch == alone
+    assert alone[0][0] == pytest.approx(0.25, rel=1e-14)
+    first_err = gk15(funcs[1], *items[1][:2])[1]
+    assert first_err > 1e-14  # above abs_tol, so the lone panel is popped and frozen
+    assert alone[1][1] == pytest.approx(4.0 * first_err, rel=1e-12)
+    assert alone[2][1] > 4e-12 * alone[2][0]  # stopped by the panel cap, short of rel_tol
+    assert alone[4] == (0.0, 0.0)
+
+
+def test_diverging_item_fails_its_batch():
+    items = [(0.0, 1.0, (), ()), (-1.0, 1.0, (), ())]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="diverged"):
+            integrate_batch(lambda rows, x: np.where(rows == 1, np.inf * x, x), items)

@@ -444,3 +444,20 @@ def test_every_kind_is_identical_across_worker_counts(kind, tmp_path):
         outputs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
     assert "results.json" in outputs[0] and len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+def test_decay_run_does_not_import_numpy_ma(tmp_path):
+    # np.median and np.unique import numpy.ma on first use, ~10 ms of every run
+    cfg_path = write_cfg(tmp_path, BASE_CFG)
+    script = (
+        "import sys\n"
+        "from fmlab.cli import main\n"
+        f"assert main(['decay', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH="src"), cwd=os.path.dirname(os.path.dirname(__file__)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
