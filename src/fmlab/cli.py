@@ -11,7 +11,7 @@ import sys
 
 from .errors import ConfigurationError, DegenerateFitError, NumericalError
 from .plotting import emit_plot
-from .runner import KINDS, config_digest, emit_csv, load_config, run
+from .runner import KINDS, config_digest, emit_csv, load_config, run, section
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +46,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["master_seed"] = args.seed
         if args.samples is not None:
-            cfg.setdefault("estimator", {})["samples"] = args.samples
+            cfg.setdefault("estimator", {})
+            section(cfg, "estimator")["samples"] = args.samples
         if args.workers is not None:
             cfg["workers"] = args.workers
         outdir = args.out or cfg.get("out") or os.path.join("runs", config_digest(cfg)[:12])

@@ -1,4 +1,4 @@
-"""Single-site disorder catalog: sampling, density, and empirical probes.
+"""Single-site disorder catalog: parameters, sampling, density and support.
 
 Four families spanning the regularity/moment parameter space:
 
@@ -32,8 +32,6 @@ from .rng import Stream
 
 Q_UNBOUNDED = 1.0e12  # stands in for "every moment is finite"
 
-FAMILIES = ("uniform", "gaussian", "power_regular", "heavy_tail")
-
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -41,10 +39,6 @@ class DisorderSpec:
     params: tuple
     declared_alpha: float
     declared_q: float  # moments are finite for q < declared_q
-
-    def describe(self) -> str:
-        p = ",".join(repr(float(x)) for x in self.params)
-        return f"{self.family}({p})"
 
 
 def make_spec(family: str, params) -> DisorderSpec:
@@ -69,13 +63,9 @@ def make_spec(family: str, params) -> DisorderSpec:
     raise ConfigurationError(f"unknown disorder family {family!r}")
 
 
-def words_per_draw(spec: DisorderSpec) -> int:
-    return 2 if spec.family == "gaussian" else 1
-
-
 def sample_vector(spec: DisorderSpec, stream: Stream, n: int) -> np.ndarray:
-    """n i.i.d. draws from the spec, consuming exactly n * words_per_draw words
-    of each stream: shape (n,), or (B, n) for a stream of B states."""
+    """n i.i.d. draws from the spec, consuming exactly n words of each stream
+    (2n for gaussian): shape (n,), or (B, n) for a stream of B states."""
     if spec.family == "uniform":
         a, b = spec.params
         return a + (b - a) * stream.uniforms(n)
@@ -95,11 +85,6 @@ def sample_vector(spec: DisorderSpec, stream: Stream, n: int) -> np.ndarray:
         u = 2.0 * stream.uniforms(n) - 1.0
         return np.sign(u) * ((1.0 - np.abs(u)) ** (-1.0 / q0) - 1.0)
     raise ConfigurationError(f"unknown disorder family {spec.family!r}")
-
-
-def sample(spec: DisorderSpec, stream: Stream) -> float:
-    """One draw from the spec."""
-    return float(sample_vector(spec, stream, 1)[0])
 
 
 def density(spec: DisorderSpec, v) -> np.ndarray:
@@ -131,39 +116,3 @@ def support(spec: DisorderSpec):
     if spec.family == "power_regular":
         return (-1.0, 1.0)
     return (-math.inf, math.inf)
-
-
-def regularity_probe(spec, alpha, t_grid, eps_grid, n, stream) -> float:
-    """Empirical sup over the grids of mass([t-eps, t+eps]) / eps^alpha.
-
-    Estimates the regularity constant; stays bounded under eps refinement
-    iff the spec really is alpha-regular.
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if t_grid.size == 0 or eps_grid.size == 0:
-        raise ConfigurationError("regularity_probe needs non-empty grids")
-    if n < 10_000:
-        raise ConfigurationError("regularity_probe needs n >= 10^4")
-    draws = np.sort(sample_vector(spec, stream, n))
-    best = 0.0
-    for t in t_grid:
-        lo = np.searchsorted(draws, t - eps_grid, side="left")
-        hi = np.searchsorted(draws, t + eps_grid, side="right")
-        mass = (hi - lo) / n
-        best = max(best, float(np.max(mass / eps_grid**alpha)))
-    return best
-
-
-def moment_probe(spec: DisorderSpec, q: float, n: int, stream: Stream) -> float:
-    """Empirical q-th absolute moment from n draws.
-
-    For q >= declared_q the true moment is infinite and the estimate just
-    grows erratically with n; that is expected output, not an error.
-    """
-    if n < 10_000:
-        raise ConfigurationError("moment_probe needs n >= 10^4")
-    if q == 0:
-        return 1.0
-    draws = sample_vector(spec, stream, n)
-    return float(np.mean(np.abs(draws) ** q))

@@ -26,14 +26,9 @@ def _run_chunk(batch_fn, ctx, indices):
     return list(zip(indices, batch_fn(ctx, indices), strict=True))
 
 
-def load_checkpoint(path):
-    """Parse completed samples from a JSON-lines checkpoint, tolerating a torn tail."""
-    done, _ = _scan_checkpoint(path)
-    return done
-
-
 def _scan_checkpoint(path):
-    """(done samples, byte offset where valid content ends)."""
+    """(done samples, byte offset where valid content ends) of a JSON-lines
+    checkpoint, tolerating a torn tail."""
     done = {}
     good_end = 0
     if path is None or not os.path.exists(path):

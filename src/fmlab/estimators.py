@@ -258,8 +258,7 @@ def fractional_moment_profile(
 def bin_by_distance(distances, means, d_min: int = 0):
     """Group targets by exact graph distance >= d_min.
 
-    Returns (d, bin_mean, population); unreachable targets are dropped,
-    bins average their member targets.
+    Returns (d, bin_mean, population); bins average their member targets.
     """
     distances = np.asarray(distances)
     means = np.asarray(means, dtype=np.float64)

@@ -7,8 +7,7 @@ the multivariate reverse-Holder inequality for Cramer's-rule entries.
 
 All scans are driven by per-draw derived streams, so they are deterministic
 and parallelize like the Monte Carlo estimators.  Quadrature values carry
-explicit error bounds; Monte Carlo cross-checks are opt-in (they are the
-second, independent route and live mostly in the test suite).
+explicit error bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, density, make_spec, sample_vector, support
+from .disorder import DisorderSpec, density, sample_vector, support
 from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
@@ -28,6 +27,9 @@ from .rng import Stream, derive_sample_seed
 from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
 
 _TAIL_REL = 1e-8  # target tail contribution relative to the comparability target
+_SCAN_REL_TOL = 1e-7  # quadrature tolerance of comparability_scan
+_RH_DRAWS = 20000  # disorder draws per reverse-Holder trial
+_RH_PARAM_SCALE = 2.0  # reverse-Holder potential offsets lie in [-scale, scale]
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,13 @@ def _integration_domain(spec: RatioIntegralSpec):
 
 
 def _ratio_integrals(specs, rel_tol: float) -> list:
-    """[(value, error_bound)] of ratio_integral for specs sharing s, r, the
-    measure and the point counts, integrated in one batch."""
+    """[(value, error_bound)] of the ratio integrals of specs sharing s, r,
+    the measure and the point counts, integrated in one batch.
+
+    Panel boundaries are forced at every real singular point; unbounded
+    measures are truncated where the q-moment tail bound drops below
+    _TAIL_REL of the comparability target (added to error_bound).
+    """
     first = specs[0]
     a = np.array([spec.a for spec in specs], dtype=np.complex128)
     b = np.array([spec.b for spec in specs], dtype=np.complex128)
@@ -148,34 +155,6 @@ def _ratio_integrals(specs, rel_tol: float) -> list:
     return [(float(value), float(err + tail)) for (value, err), tail in zip(results, tails)]
 
 
-def ratio_integral(
-    spec: RatioIntegralSpec,
-    rel_tol: float = 1e-8,
-    mc_draws: int = 0,
-    mc_seed: int = 0,
-) -> dict:
-    """Adaptive quadrature of the polynomial-ratio integral.
-
-    Panel boundaries are forced at every real singular point; unbounded
-    measures are truncated where the q-moment tail bound drops below
-    ~1e-8 of the comparability target (added to error_bound).  With
-    mc_draws > 0 a Monte Carlo cross-check runs on the same integrand.
-    """
-    value, err = _ratio_integrals([spec], rel_tol)[0]
-    out = {"value": value, "error_bound": err}
-    if mc_draws > 0:
-        stream = Stream(derive_sample_seed(mc_seed, 0x51AD))
-        v = sample_vector(spec.measure, stream, int(mc_draws))
-        ratio = np.ones_like(v)
-        for aj in spec.a:
-            ratio *= np.abs(v - aj) ** spec.s
-        for bi in spec.b:
-            ratio /= np.abs(v - bi) ** spec.r
-        out["mc_value"] = float(np.mean(ratio))
-        out["mc_err"] = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
-    return out
-
-
 @dataclass(eq=False)
 class _ScanCtx:
     measure: DisorderSpec
@@ -185,7 +164,6 @@ class _ScanCtx:
     r: float
     param_scale: float
     master_seed: int
-    rel_tol: float
 
 
 def _complex_points(w: np.ndarray, scale: float) -> list:
@@ -206,7 +184,7 @@ def _comparability_batch(ctx: _ScanCtx, indices) -> list:
         for ra, rb in zip(wa, wb)
     ]
     out = []
-    for spec, (value, err) in zip(specs, _ratio_integrals(specs, ctx.rel_tol)):
+    for spec, (value, err) in zip(specs, _ratio_integrals(specs, _SCAN_REL_TOL)):
         target = spec.target()
         out.append({
             "a": [[p.real, p.imag] for p in spec.a],
@@ -228,11 +206,10 @@ def comparability_scan(
     draws: int,
     param_scale: float,
     master_seed: int,
-    rel_tol: float = 1e-7,
     workers: int = 1,
     checkpoint_path=None,
 ) -> dict:
-    """Extremes of ratio_integral / target over random points of bounded modulus.
+    """Extremes of the ratio integral / target over random points of bounded modulus.
 
     Both extremes must be positive and finite; their spread estimates how far
     the two-sided comparison constants are from each other.
@@ -243,7 +220,7 @@ def comparability_scan(
     if not probe.regime_ok:
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
     ctx = _ScanCtx(measure, int(l), int(m), float(s), float(r), float(param_scale),
-                   int(master_seed), float(rel_tol))
+                   int(master_seed))
     records = run_indexed(_comparability_batch, ctx, draws, workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     failures = [
@@ -262,7 +239,7 @@ def comparability_scan(
 
 
 def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_seed: int,
-                disorder: DisorderSpec | None = None) -> dict:
+                disorder: DisorderSpec) -> dict:
     """Monte Carlo estimate of < || (v A + B - lam)^(-1) ||^s > over v.
 
     Draws with an exactly singular potential are redrawn (measure zero);
@@ -273,8 +250,6 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
         raise ConfigurationError("vinv_moment applies to block-type models")
     if not 0.0 < s < 1.0:
         raise ConfigurationError("vinv_moment needs 0 < s < 1")
-    if disorder is None:
-        disorder = make_spec("uniform", (-1.0, 1.0))
     stream = Stream(derive_sample_seed(master_seed, 0))
     shift = model.B - lam * np.eye(model.k, dtype=np.complex128)
     values = np.empty(samples)
@@ -353,7 +328,7 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
         eye = np.eye(h.k, dtype=np.complex128)
         nums, dens = [], []
         for lam in p["grid"]:
-            gxy = resolvent_block(h, lam, eps, x, y).block
+            gxy = resolvent_block(h, lam, eps, x, y)
             vy = potential_block(h, y) - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy).tolist())
             dens.append(opnorm_batch(gxy).tolist())
@@ -414,10 +389,7 @@ class _RhCtx:
     measure: DisorderSpec
     s: float
     j_vars: int
-    draws: int
     master_seed: int
-    sampler: str
-    param_scale: float
 
 
 def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
@@ -439,32 +411,19 @@ def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
 def _rh_trial(ctx: _RhCtx, idx: int) -> dict:
     stream = Stream(derive_sample_seed(ctx.master_seed, idx))
     j_vars = ctx.j_vars
-    if ctx.sampler == "poly":
-        deg = 1 + int(stream.uniform() * 2)  # numerator/denominator degree 1..2
-        roots_num = _complex_points(stream.uniforms(2 * deg), ctx.param_scale)
-        roots_den = _complex_points(stream.uniforms(2 * deg), ctx.param_scale)
-        v = sample_vector(ctx.measure, stream, ctx.draws)
-
-        q = np.ones(ctx.draws)
-        for root in roots_num:
-            q = q * np.abs(v - root)
-        for root in roots_den:
-            q = q / np.abs(v - root)
-        params = {"kind": "poly", "deg": deg}
-    else:
-        w = stream.uniforms(2 * j_vars + 2)
-        coeff_c = 0.5 + w[:j_vars]
-        coeff_d = ctx.param_scale * (2.0 * w[j_vars:2 * j_vars] - 1.0)
-        hop = 0.2 + w[2 * j_vars]
-        lam = 4.0 * w[2 * j_vars + 1] - 2.0
-        v = sample_vector(ctx.measure, stream, ctx.draws * j_vars).reshape(ctx.draws, j_vars)
-        q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
-        params = {"kind": "cramer", "lambda": lam, "hop": float(hop)}
+    w = stream.uniforms(2 * j_vars + 2)
+    coeff_c = 0.5 + w[:j_vars]
+    coeff_d = _RH_PARAM_SCALE * (2.0 * w[j_vars:2 * j_vars] - 1.0)
+    hop = 0.2 + w[2 * j_vars]
+    lam = 4.0 * w[2 * j_vars + 1] - 2.0
+    v = sample_vector(ctx.measure, stream, _RH_DRAWS * j_vars).reshape(_RH_DRAWS, j_vars)
+    q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
     half = q ** (0.5 * ctx.s)
     m_half = float(np.mean(half))
     m_full = float(np.mean(half * half))
     ratio = m_full / (m_half * m_half) if m_half > 0 else math.inf
-    return {"ratio": ratio, "m_s": m_full, "m_s2": m_half, **params}
+    return {"ratio": ratio, "m_s": m_full, "m_s2": m_half,
+            "kind": "cramer", "lambda": lam, "hop": float(hop)}
 
 
 def _rh_batch(ctx: _RhCtx, indices) -> list:
@@ -477,24 +436,16 @@ def reverse_holder_check(
     j_vars: int,
     trials: int,
     master_seed: int,
-    draws: int = 20000,
-    sampler: str = "cramer",
-    param_scale: float = 2.0,
     workers: int = 1,
     checkpoint_path=None,
 ) -> dict:
     """Worst <|Q|^s> / <|Q|^{s/2}>^2 over sampled rational functions Q.
 
     Q is the corner Green entry of a random J-site chain (degree 1 in each
-    variable) or a random univariate polynomial ratio; the inequality says
-    the worst constant stays bounded.
+    variable), averaged over _RH_DRAWS disorder draws per trial; the
+    inequality says the worst constant stays bounded.
     """
-    if sampler not in ("cramer", "poly"):
-        raise ConfigurationError(f"unknown reverse-Holder sampler {sampler!r}")
-    if sampler == "poly" and j_vars != 1:
-        raise ConfigurationError("the poly sampler is univariate")
-    ctx = _RhCtx(measure, float(s), int(j_vars), int(draws), int(master_seed),
-                 sampler, float(param_scale))
+    ctx = _RhCtx(measure, float(s), int(j_vars), int(master_seed))
     records = run_indexed(_rh_batch, ctx, trials, workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     failures = [

@@ -280,10 +280,6 @@ def assembly_plan(model: ModelSpec, topo: GraphTopology) -> AssemblyPlan:
             if model.hopping is None:
                 kern = identity
             else:
-                if topo.coords is None:
-                    raise ConfigurationError(
-                        "offset-keyed hopping kernels need lattice coordinates"
-                    )
                 off = _lattice_offset(topo, x, y)
                 kern = model.hopping.get(off)
                 if kern is None:
@@ -292,8 +288,6 @@ def assembly_plan(model: ModelSpec, topo: GraphTopology) -> AssemblyPlan:
 
     gather = None
     if model.variant == "alloy":
-        if topo.coords is None:
-            raise ConfigurationError("alloy models need lattice coordinates")
         dim = topo.coords.shape[1]
         gather = []
         for off, c in sorted(model.alloy_coeffs.items()):
@@ -341,28 +335,8 @@ def assemble(
     return HamiltonianInstance(topology=topo, model=model, v=v.copy(), matrix=mat)
 
 
-def restrict(h: HamiltonianInstance, sub) -> HamiltonianInstance:
-    """Principal submatrix of h on a sub_box result (sub_topo, index_map)."""
-    sub_topo, index_map = sub
-    if np.any(index_map >= h.n_sites) or np.any(index_map < 0):
-        raise ConfigurationError("sub-box index map does not match the instance")
-    ka = h.k
-    rows = (index_map[:, None] * ka + np.arange(ka)[None, :]).ravel()
-    return HamiltonianInstance(
-        topology=sub_topo,
-        model=h.model,
-        v=h.v[index_map].copy(),
-        matrix=h.matrix[np.ix_(rows, rows)].copy(),
-    )
-
-
 def potential_block(h: HamiltonianInstance, site: int) -> np.ndarray:
     """The assembled diagonal block at a site (the realized potential V(site)),
     one per member of a stack."""
     sl = h.block_slice(site)
     return h.matrix[..., sl, sl].copy()
-
-
-def hermiticity_residual(h: HamiltonianInstance) -> float:
-    """max |H_ij - conj(H_ji)|; exactly 0 for assembled instances."""
-    return float(np.max(np.abs(h.matrix - h.matrix.conj().T)))

@@ -48,19 +48,6 @@ class SpectralDecomposition:
         return slice(site * self.k, (site + 1) * self.k)
 
 
-@dataclass(eq=False)
-class GreenBlock:
-    block: np.ndarray  # k x k complex
-    lam: float
-    eps: float
-    x: int
-    y: int
-
-    @property
-    def z(self) -> complex:
-        return complex(self.lam, self.eps)
-
-
 def _failing(mats: np.ndarray, routine) -> np.ndarray:
     """Mask of the members of a matrix or stack on which routine raises LinAlgError."""
     mats = mats.reshape((-1,) + mats.shape[-2:])
@@ -128,7 +115,7 @@ def _shifted_solve(h: HamiltonianInstance, z: complex, site: int) -> np.ndarray:
         raise ResampleSignal(_failing(a, lambda m: np.linalg.solve(m, rhs))) from None
 
 
-def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: int) -> GreenBlock:
+def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: int) -> np.ndarray:
     """The k x k block of (H - lam - i eps)^(-1) at (x, y) by direct solve
     ((B, k, k) for a stack).
 
@@ -148,7 +135,7 @@ def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: i
         raise NumericalError(
             f"resolvent solve residual {worst[np.argmax(bad)]:.3e} too large", _first_digest(h, bad)
         )
-    return GreenBlock(block=sol[..., h.block_slice(x), :].copy(), lam=lam, eps=eps, x=x, y=y)
+    return sol[..., h.block_slice(x), :].copy()
 
 
 def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
@@ -185,19 +172,6 @@ def opnorm_batch(blocks) -> np.ndarray:
     return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
-def opnorm(m) -> float:
-    """Largest singular value of one block."""
-    return float(opnorm_batch(np.asarray(m)[None])[0])
-
-
-def spectral_resolvent_block(sd: SpectralDecomposition, z: complex, x: int, y: int) -> np.ndarray:
-    """G_z(x, y) summed over the spectral representation (cross-check path)."""
-    um = sd.eigenvectors[sd.site_rows(x), :]
-    un = sd.eigenvectors[sd.site_rows(y), :]
-    weights = 1.0 / (sd.eigenvalues - z)
-    return (um * weights[None, :]) @ un.conj().T
-
-
 def cluster_indices(sd: SpectralDecomposition, interval):
     """Eigenvalue-index clusters inside the closed interval.
 
@@ -220,24 +194,4 @@ def cluster_indices(sd: SpectralDecomposition, interval):
             stop += 1
         out.append(sel[start:stop])
         start = stop
-    return out
-
-
-def projector_blocks(sd: SpectralDecomposition, interval, m: int, n: int):
-    """[(nu, M_nu)] per eigenvalue cluster in the interval; M_nu = sum psi(m) psi(n)*."""
-    um = sd.eigenvectors[sd.site_rows(m), :]
-    un = sd.eigenvectors[sd.site_rows(n), :]
-    out = []
-    for cols in cluster_indices(sd, interval):
-        nu = float(np.mean(sd.eigenvalues[cols]))
-        out.append((nu, um[:, cols] @ un[:, cols].conj().T))
-    return out
-
-
-def evolve_block(sd: SpectralDecomposition, interval, t: float, m: int, n: int) -> np.ndarray:
-    """e^{i t H_I}(m, n) where H_I is H compressed to the spectral window I."""
-    k = sd.k
-    out = np.eye(k, dtype=np.complex128) if m == n else np.zeros((k, k), dtype=np.complex128)
-    for nu, block in projector_blocks(sd, interval, m, n):
-        out = out + (np.exp(1j * t * nu) - 1.0) * block
     return out

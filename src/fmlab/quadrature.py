@@ -14,7 +14,6 @@ stopping test; each round bisects one panel per unfinished lane and
 evaluates all new panels in one integrand call.  A lane's float operations
 are those of a lone integral in the same order (np.vecdot sums each row as
 np.dot sums one panel), so a result does not depend on its batch.
-integrate is the batch of one.
 """
 
 from __future__ import annotations
@@ -117,12 +116,6 @@ class _Lane:
         self.panels += 1
 
 
-def gk15(f, a: float, b: float):
-    """(K15 value, |K15 - G7|) for a vectorized integrand on [a, b]."""
-    val, err = _panel_rule(lambda rows, x: f(x), [_Lane(0)], [a], [b])
-    return val[0], err[0]
-
-
 def _lanes(item, a, b, split_points, singular_points):
     """Lanes of one integral with their first panels: [(lane, lo, hi)]."""
     sing = sorted({float(p) for p in singular_points if a <= p <= b})
@@ -157,9 +150,11 @@ def integrate_batch(
     """Adaptive integrals of many items in lockstep; returns [(value, error_bound)].
 
     items is a sequence of (a, b, split_points, singular_points), one per
-    integral.  f(rows, x) evaluates the integrands: x is a float array and
-    rows an int array of the same shape naming the item of each x.  Each
-    result equals integrate of that item alone, bit for bit.
+    integral: split_points become panel boundaries, and singular_points
+    also get the graded endpoint substitution on the segments they touch.
+    f(rows, x) evaluates the integrands: x is a float array and rows an int
+    array of the same shape naming the item of each x.  Each result equals
+    that of the item alone in a batch of one, bit for bit.
     """
     lanes, los, his = [], [], []
     for k, (a, b, split_points, singular_points) in enumerate(items):
@@ -203,24 +198,3 @@ def integrate_batch(
         # |K15 - G7| can underestimate the K15 error; report with a safety margin
         res[1] += 4.0 * (lane.toterr + lane.frozen_err)
     return [tuple(res) for res in results]
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    split_points=(),
-    singular_points=(),
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-14,
-    max_panels: int = 4000,
-):
-    """Adaptive integral of a vectorized f over [a, b]; returns (value, error_bound).
-
-    split_points become panel boundaries; singular_points additionally get
-    the graded endpoint substitution on the segments they touch.
-    """
-    return integrate_batch(
-        lambda rows, x: f(x), [(a, b, split_points, singular_points)],
-        rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels,
-    )[0]

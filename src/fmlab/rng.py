@@ -77,6 +77,3 @@ class Stream:
         """
         w = self.words(n)
         return ((w >> _S11).astype(np.float64) + 0.5) / _TWO53
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])

@@ -60,9 +60,24 @@ def _reject_float(_s):
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=_reject_float)
+            cfg = json.load(fh, parse_float=_reject_float)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{path}: the config must be a JSON object")
+    return cfg
+
+
+def section(cfg: dict, name: str, required: bool = True) -> dict:
+    """The config section cfg[name], which must be a JSON object; an absent
+    optional section reads as {}."""
+    if name not in cfg:
+        if required:
+            raise ConfigurationError(f"{name}: section missing")
+        return {}
+    if not isinstance(cfg[name], dict):
+        raise ConfigurationError(f"{name}: expected a JSON object, got {cfg[name]!r}")
+    return cfg[name]
 
 
 def canonical_config_bytes(cfg: dict) -> bytes:
@@ -91,25 +106,19 @@ def _parse_offset(key: str):
 
 
 def build_topology(cfg: dict):
-    if "topology" not in cfg:
-        raise ConfigurationError("topology: section missing")
-    t = cfg["topology"]
+    t = section(cfg, "topology")
     d = int(t.get("d", len(t.get("sides", []))))
     return make_lattice_box(d, t["sides"], bool(t.get("periodic", False)))
 
 
 def build_disorder(cfg: dict):
-    if "disorder" not in cfg:
-        raise ConfigurationError("disorder: section missing")
-    d = cfg["disorder"]
+    d = section(cfg, "disorder")
     params = [parse_real(p, "disorder.params") for p in d.get("params", [])]
     return disorder_mod.make_spec(d.get("family", "uniform"), params)
 
 
 def build_model(cfg: dict):
-    if "model" not in cfg:
-        raise ConfigurationError("model: section missing")
-    m = cfg["model"]
+    m = section(cfg, "model")
     variant = m.get("variant", "block")
     g = parse_real(m.get("g", 1), "model.g")
     if variant == "spencer":
@@ -158,18 +167,6 @@ class ResultRecord:
     def to_json(self) -> str:
         return json.dumps(self.deterministic_dict(), sort_keys=True, indent=1) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultRecord":
-        raw = json.loads(text)
-        return cls(
-            kind=raw["kind"],
-            config_digest=raw["config_digest"],
-            master_seed=raw["master_seed"],
-            outputs=raw["outputs"],
-            columns=raw["series"]["columns"],
-            rows=raw["series"]["rows"],
-        )
-
 
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
@@ -205,6 +202,28 @@ def _real(p: dict, key: str, default=None) -> float:
     return parse_real(p.get(key, default), f"estimator.{key}")
 
 
+def _int(p: dict, key: str, default: int, lo: int, hi: float = math.inf) -> int:
+    """An integer field of the estimator block, required to lie in [lo, hi)."""
+    try:
+        value = int(p.get(key, default))
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not lo <= value < hi:
+        raise ConfigurationError(
+            f"estimator.{key}: expected an integer in [{lo}, {hi}), got {p.get(key)!r}"
+        )
+    return value
+
+
+def _count(p: dict, key: str, default: int) -> int:
+    return _int(p, key, default, 1)
+
+
+def _site(p: dict, topo) -> int:
+    """The estimator's x0, a vertex of the box."""
+    return _int(p, "x0", 0, 0, topo.n_vertices)
+
+
 def _series(columns, *constants) -> list:
     """Rows of the equal-length array columns, each followed by the constants."""
     return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
@@ -226,11 +245,11 @@ def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
         eps = _real(p, "eps")
     profile = est.fractional_moment_profile(
         model, topo, dis,
-        x0=int(p.get("x0", 0)),
+        x0=_site(p, topo),
         s=_real(p, "s", "1/3"),
         lam=_real(p, "lambda", 0),
         eps=eps,
-        samples=int(p.get("samples", 1000)),
+        samples=_count(p, "samples", 1000),
         master_seed=seed,
         workers=workers,
         checkpoint_path=checkpoint(),
@@ -254,7 +273,7 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
         model, topo, dis,
         lambda0=_real(p, "lambda0", 0),
         eps_list=[parse_real(e, "estimator.eps_list") for e in p["eps_list"]],
-        samples=int(p.get("samples", 1000)),
+        samples=_count(p, "samples", 1000),
         master_seed=seed,
         workers=workers,
         checkpoint_path=checkpoint(),
@@ -275,7 +294,7 @@ def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
         )
     ids = est.ids_histogram(
         model, topo, dis,
-        samples=int(p.get("samples", 200)),
+        samples=_count(p, "samples", 200),
         edges=edges,
         master_seed=seed,
         workers=workers,
@@ -289,9 +308,9 @@ def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
     prof = est.correlator_decay_profile(
         model, topo, dis,
         interval=_interval(p),
-        samples=int(p.get("samples", 500)),
+        samples=_count(p, "samples", 500),
         master_seed=seed,
-        x0=int(p.get("x0", 0)),
+        x0=_site(p, topo),
         workers=workers,
         checkpoint_path=checkpoint(),
     )
@@ -309,10 +328,10 @@ def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
     prof = est.dynamical_profile(
         model, topo, dis,
         interval=_interval(p),
-        samples=int(p.get("samples", 200)),
+        samples=_count(p, "samples", 200),
         master_seed=seed,
-        x0=int(p.get("x0", 0)),
-        t_points=int(p.get("t_points", est.T_GRID_POINTS)),
+        x0=_site(p, topo),
+        t_points=_count(p, "t_points", est.T_GRID_POINTS),
         workers=workers,
         checkpoint_path=checkpoint(),
     )
@@ -326,7 +345,11 @@ def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
-    samples = int(p.get("samples", 300))
+    samples = _count(p, "samples", 300)
+    draws = _count(p, "draws", 200)
+    l_points, m_points = _int(p, "l", 3, 0), _int(p, "m", 3, 0)
+    rh_j = _count(p, "rh_j", 2)
+    rh_trials = _count(p, "rh_trials", 100)
     eps = _real(p, "eps", "1e-3")
     lam = _real(p, "lambda", 0)
     s_step = _real(p, "one_step_s", "1/3")
@@ -358,11 +381,11 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     for scale in p.get("scales", ["5", "10"]):
         scan = ineq.comparability_scan(
             dis,
-            int(p.get("l", 3)),
-            int(p.get("m", 3)),
+            l_points,
+            m_points,
             _real(p, "s", "0.15"),
             _real(p, "r", "0.15"),
-            int(p.get("draws", 200)),
+            draws,
             parse_real(scale, "estimator.scales"),
             derive_sample_seed(seed, 3000),
             workers=workers,
@@ -382,8 +405,8 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     rh = ineq.reverse_holder_check(
         dis,
         _real(p, "rh_s", "0.2"),
-        int(p.get("rh_j", 2)),
-        int(p.get("rh_trials", 100)),
+        rh_j,
+        rh_trials,
         derive_sample_seed(seed, 4000),
         workers=workers,
         checkpoint_path=checkpoint("rh"),
@@ -453,6 +476,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     workers = int(cfg.get("workers", 1))
     digest = config_digest(cfg)
 
+    estimator = section(cfg, "estimator", required=False)
     model = build_model(cfg)
     topo = build_topology(cfg)
     dis = build_disorder(cfg)
@@ -475,7 +499,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     run_kind, columns = _KINDS[kind]
     started = time.time()
-    outputs, rows = run_kind(cfg.get("estimator", {}), model, topo, dis, seed, workers, checkpoint)
+    outputs, rows = run_kind(estimator, model, topo, dis, seed, workers, checkpoint)
     elapsed = time.time() - started
 
     record = ResultRecord(

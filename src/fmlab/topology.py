@@ -1,62 +1,37 @@
-"""Finite bounded-degree graphs, lattice boxes, graph distance, sub-boxes.
+"""Lattice boxes in Z^d and graph distance on them.
 
-Vertices are dense integers 0..n-1.  Lattice boxes carry their integer
-coordinates so sub-box extraction and hopping offsets are available; general
-graphs may omit them.  Topologies are immutable after construction and safe
-to share across workers.
+Vertices are dense integers 0..n-1 in row-major order.  A box carries the
+integer coordinates of its vertices, from which assembly reads hopping and
+alloy offsets.  Topologies are immutable after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-UNREACHABLE = -1  # distance sentinel for disconnected pairs
+_UNSEEN = -1  # breadth-first search marker
 
 
 @dataclass(frozen=True, eq=False)
 class GraphTopology:
     n_vertices: int
     adjacency: tuple  # per-vertex sorted tuple of neighbors
-    kappa: int  # realized maximum degree
-    coords: np.ndarray | None = None  # (n, d) int lattice embedding
-    sides: tuple = ()
-    periodic: tuple = field(default=())
+    coords: np.ndarray  # (n, d) int lattice coordinates
+    sides: tuple
+    periodic: tuple
 
     def __post_init__(self):
-        if self.coords is not None:
-            self.coords.setflags(write=False)
-
-    @property
-    def dim(self):
-        return None if self.coords is None else self.coords.shape[1]
+        self.coords.setflags(write=False)
 
     def signature(self) -> str:
         per = ",".join("1" if p else "0" for p in self.periodic)
-        if self.coords is None:
-            edges = sum(len(a) for a in self.adjacency)
-            return f"graph:n={self.n_vertices}:e={edges}:kappa={self.kappa}"
         return f"box:sides={'x'.join(str(s) for s in self.sides)}:periodic={per}"
-
-
-def from_adjacency(adjacency) -> GraphTopology:
-    """Build a general topology from neighbor lists, validating symmetry."""
-    adj = tuple(tuple(sorted(set(int(v) for v in nb))) for nb in adjacency)
-    n = len(adj)
-    for x, nb in enumerate(adj):
-        for y in nb:
-            if y == x:
-                raise ConfigurationError(f"self-loop at vertex {x}")
-            if not 0 <= y < n:
-                raise ConfigurationError(f"neighbor {y} of {x} out of range")
-            if x not in adj[y]:
-                raise ConfigurationError(f"asymmetric edge ({x},{y})")
-    kappa = max((len(nb) for nb in adj), default=0)
-    return GraphTopology(n_vertices=n, adjacency=adj, kappa=kappa)
 
 
 def make_lattice_box(d: int, sides, periodic: bool = False) -> GraphTopology:
@@ -92,76 +67,25 @@ def make_lattice_box(d: int, sides, periodic: bool = False) -> GraphTopology:
                 y = x + (t - c[ax]) * strides[ax]
                 adj[x].append(int(y))
     adj = tuple(tuple(sorted(set(nb))) for nb in adj)
-    kappa = max((len(nb) for nb in adj), default=0)
     return GraphTopology(
         n_vertices=n,
         adjacency=adj,
-        kappa=kappa,
         coords=grids.astype(np.int64),
         sides=sides,
         periodic=tuple(bool(periodic) for _ in range(d)),
     )
 
 
-def neighbors(g: GraphTopology, x: int):
-    """Sorted neighbor tuple of x; stable across runs."""
-    return g.adjacency[x]
-
-
 def distances_from(g: GraphTopology, x: int) -> np.ndarray:
-    """BFS distances from x to every vertex (UNREACHABLE where disconnected)."""
-    dist = np.full(g.n_vertices, UNREACHABLE, dtype=np.int64)
+    """Graph distances from x to every vertex, by breadth-first search."""
+    dist = np.full(g.n_vertices, _UNSEEN, dtype=np.int64)
     dist[x] = 0
     queue = deque([x])
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
         for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
+            if dist[v] == _UNSEEN:
                 dist[v] = du
                 queue.append(v)
     return dist
-
-
-def distance(g: GraphTopology, x: int, y: int) -> int:
-    """Shortest-path length between x and y; UNREACHABLE if disconnected."""
-    if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
-        raise ConfigurationError(f"vertex out of range: {x}, {y}")
-    if x == y:
-        return 0
-    return int(distances_from(g, x)[y])
-
-
-def sub_box(g: GraphTopology, center: int, radius: int):
-    """Induced subgraph on the sup-norm ball of given radius around center.
-
-    Returns (sub_topology, index_map) where index_map[i] is the ambient
-    vertex of sub vertex i.  On periodic boxes the coordinate difference
-    wraps before the sup-norm test.
-    """
-    if g.coords is None:
-        raise ConfigurationError("sub_box requires lattice coordinates")
-    if radius < 0:
-        raise ConfigurationError("radius must be >= 0")
-    delta = np.abs(g.coords - g.coords[center])
-    for ax, per in enumerate(g.periodic):
-        if per:
-            side = g.sides[ax]
-            delta[:, ax] = np.minimum(delta[:, ax], side - delta[:, ax])
-    keep = np.where(np.max(delta, axis=1) <= radius)[0]
-    index_map = keep.astype(np.int64)
-    new_id = {int(v): i for i, v in enumerate(index_map)}
-    adj = tuple(
-        tuple(sorted(new_id[w] for w in g.adjacency[int(v)] if int(w) in new_id))
-        for v in index_map
-    )
-    kappa = max((len(nb) for nb in adj), default=0)
-    sub = GraphTopology(
-        n_vertices=len(index_map),
-        adjacency=adj,
-        kappa=kappa,
-        coords=g.coords[index_map].copy(),
-        sides=g.sides,
-        periodic=g.periodic,
-    )
-    return sub, index_map

@@ -1,0 +1,106 @@
+"""Independent reference routes that the tests compare the library against.
+
+Each oracle computes a quantity the library also computes, by a second
+route that no run takes:
+
+* spectral_resolvent_block sums the spectral representation of the
+  resolvent; it checks numerics.resolvent_block and resolvent_profile,
+  which solve (H - z) x = e directly.
+* hermiticity_residual measures max |H - H*| entry by entry; it checks
+  that model.assemble writes both triangles from one source.
+* regularity_probe and moment_probe estimate a measure's regularity
+  constant and q-th moment from sorted draws; they check the declared
+  alpha and q that disorder.make_spec fills in, and sample_vector.
+* ratio_integral's mc_draws option averages the ratio over draws of the
+  measure; it checks the quadrature value that inequalities._ratio_integrals
+  (the comparability_scan path) returns.
+
+integrate is not independent: it is the library's quadrature, one item in
+a batch of one, for tests that need a closed-form-free integral.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from fmlab.disorder import sample_vector
+from fmlab.errors import ConfigurationError
+from fmlab.inequalities import _ratio_integrals
+from fmlab.quadrature import integrate_batch
+from fmlab.rng import Stream, derive_sample_seed
+
+
+def integrate(f, a, b, split_points=(), singular_points=(), **kw):
+    """(value, error_bound) of a vectorized f over [a, b] via integrate_batch."""
+    items = [(a, b, split_points, singular_points)]
+    return integrate_batch(lambda rows, x: f(x), items, **kw)[0]
+
+
+def spectral_resolvent_block(sd, z: complex, x: int, y: int) -> np.ndarray:
+    """G_z(x, y) summed over the spectral representation of a decomposition."""
+    um = sd.eigenvectors[sd.site_rows(x), :]
+    un = sd.eigenvectors[sd.site_rows(y), :]
+    weights = 1.0 / (sd.eigenvalues - z)
+    return (um * weights[None, :]) @ un.conj().T
+
+
+def hermiticity_residual(h) -> float:
+    """max |H_ij - conj(H_ji)|; exactly 0 for assembled instances."""
+    return float(np.max(np.abs(h.matrix - h.matrix.conj().T)))
+
+
+def regularity_probe(spec, alpha, t_grid, eps_grid, n, stream) -> float:
+    """Empirical sup over the grids of mass([t-eps, t+eps]) / eps^alpha.
+
+    Estimates the regularity constant; stays bounded under eps refinement
+    iff the spec really is alpha-regular.
+    """
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    eps_grid = np.asarray(eps_grid, dtype=np.float64)
+    if t_grid.size == 0 or eps_grid.size == 0:
+        raise ConfigurationError("regularity_probe needs non-empty grids")
+    if n < 10_000:
+        raise ConfigurationError("regularity_probe needs n >= 10^4")
+    draws = np.sort(sample_vector(spec, stream, n))
+    best = 0.0
+    for t in t_grid:
+        lo = np.searchsorted(draws, t - eps_grid, side="left")
+        hi = np.searchsorted(draws, t + eps_grid, side="right")
+        mass = (hi - lo) / n
+        best = max(best, float(np.max(mass / eps_grid**alpha)))
+    return best
+
+
+def moment_probe(spec, q: float, n: int, stream) -> float:
+    """Empirical q-th absolute moment from n draws.
+
+    For q >= declared_q the true moment is infinite and the estimate just
+    grows erratically with n; that is expected output, not an error.
+    """
+    if n < 10_000:
+        raise ConfigurationError("moment_probe needs n >= 10^4")
+    if q == 0:
+        return 1.0
+    draws = sample_vector(spec, stream, n)
+    return float(np.mean(np.abs(draws) ** q))
+
+
+def ratio_integral(spec, rel_tol: float = 1e-8, mc_draws: int = 0, mc_seed: int = 0) -> dict:
+    """The comparability quadrature of one RatioIntegralSpec, as
+    {"value", "error_bound"}; with mc_draws > 0 also "mc_value" and
+    "mc_err", a Monte Carlo average of the same ratio."""
+    value, err = _ratio_integrals([spec], rel_tol)[0]
+    out = {"value": value, "error_bound": err}
+    if mc_draws > 0:
+        stream = Stream(derive_sample_seed(mc_seed, 0x51AD))
+        v = sample_vector(spec.measure, stream, int(mc_draws))
+        ratio = np.ones_like(v)
+        for aj in spec.a:
+            ratio *= np.abs(v - aj) ** spec.s
+        for bi in spec.b:
+            ratio /= np.abs(v - bi) ** spec.r
+        out["mc_value"] = float(np.mean(ratio))
+        out["mc_err"] = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
+    return out

@@ -13,15 +13,14 @@ from fmlab.model import (
     assembly_plan,
     singular_covering_model,
     block_model,
-    hermiticity_residual,
     potential_block,
-    restrict,
     spencer_model,
     decay_exponent_window,
 )
 from fmlab.rng import Stream
 from fmlab.disorder import sample_vector
-from fmlab.topology import make_lattice_box, sub_box
+from fmlab.topology import make_lattice_box
+from oracles import hermiticity_residual
 
 rng = np.random.default_rng(7)
 CHAIN5 = make_lattice_box(1, (5,))
@@ -175,24 +174,11 @@ def test_decoupled_limit():
     assert np.all(h.matrix[~diag_mask] == 0.0)
 
 
-def test_restrict_examples():
-    v = rng.uniform(-1, 1, 9)
-    chain9 = make_lattice_box(1, (9,))
-    h = assemble(spencer_model(1.0, 3.0), chain9, v)
-    whole = restrict(h, sub_box(chain9, 4, 100))
-    assert np.array_equal(whole.matrix, h.matrix)
-
-    two = assemble(block_model([[1.0]], [[0.0]], 3.0), make_lattice_box(1, (2,)), [0.3, 0.4])
-    only0 = restrict(two, sub_box(make_lattice_box(1, (2,)), 0, 0))
-    assert only0.matrix.shape == (1, 1) and only0.matrix[0, 0] == 0.3
-
-
-def test_restrict_alloy_keeps_ambient_potential():
-    # middle-site restriction keeps v1 - v2 as assembled from ambient v
+def test_alloy_potential_block_gathers_neighbor_disorder():
+    # the middle site's potential is v1 - v2, gathered from the neighbor's v
     chain3 = make_lattice_box(1, (3,))
     h = assemble(alloy_model({0: 1.0, 1: -1.0}, 2.0), chain3, [1.0, 2.0, 4.0])
-    mid = restrict(h, sub_box(chain3, 1, 0))
-    assert mid.matrix[0, 0] == -2.0  # v1 - v2, not re-truncated
+    assert potential_block(h, 1)[0, 0] == -2.0
 
 
 def test_potential_block():

@@ -7,21 +7,19 @@ import pytest
 
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
+from fmlab.estimators import _cluster_blocks_all_targets, dynamical_targets
 from fmlab.model import HamiltonianInstance, assemble, block_model, spencer_model
 from fmlab.numerics import (
     RECON_TOL,
-    evolve_block,
     hermitian_eig,
     hermitian_eigvals,
-    opnorm,
     opnorm_batch,
-    projector_blocks,
     resolvent_block,
     resolvent_profile,
-    spectral_resolvent_block,
 )
 from fmlab.rng import Stream, derive_sample_seed
 from fmlab.topology import make_lattice_box
+from oracles import spectral_resolvent_block
 
 UNIFORM = make_spec("uniform", (-1, 1))
 
@@ -86,7 +84,7 @@ def test_resolvent_one_site():
     v = float(h.v[0])
     z = 0.3 + 0.05j
     gb = resolvent_block(h, 0.3, 0.05, 0, 0)
-    assert gb.block[0, 0] == pytest.approx(1.0 / (v - z), rel=1e-12)
+    assert gb[0, 0] == pytest.approx(1.0 / (v - z), rel=1e-12)
 
 
 def test_resolvent_two_site_formula():
@@ -97,13 +95,13 @@ def test_resolvent_two_site_formula():
     det = (0.4 - z) * (-0.7 - z) - 1.0 / g**2
     expect = -(1.0 / g) / det
     gb = resolvent_block(h, 0.1, 1e-3, 0, 1)
-    assert gb.block[0, 0] == pytest.approx(expect, rel=1e-12)
+    assert gb[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_resolvent_decoupled_offdiagonal_zero():
     h = random_instance(4, 5, block_model([[1.0]], [[0.0]], math.inf))
     gb = resolvent_block(h, 0.0, 1e-2, 0, 3)
-    assert np.all(gb.block == 0.0)
+    assert np.all(gb == 0.0)
 
 
 def test_resolvent_profile_matches_blockwise_solves():
@@ -111,7 +109,7 @@ def test_resolvent_profile_matches_blockwise_solves():
     prof = resolvent_profile(h, 0.2, 1e-3, 2)
     for y in range(6):
         gb = resolvent_block(h, 0.2, 1e-3, 2, y)
-        assert np.max(np.abs(prof[y] - gb.block)) < 1e-11
+        assert np.max(np.abs(prof[y] - gb)) < 1e-11
 
 
 def test_eigen_vs_solve_cross_check():
@@ -121,7 +119,7 @@ def test_eigen_vs_solve_cross_check():
         sd = hermitian_eig(h)
         z = 0.3 + 1e-2j
         for x, y in ((0, 0), (1, 4), (5, 2)):
-            via_solve = resolvent_block(h, z.real, z.imag, x, y).block
+            via_solve = resolvent_block(h, z.real, z.imag, x, y)
             via_eig = spectral_resolvent_block(sd, z, x, y)
             denom = max(np.max(np.abs(via_solve)), 1e-30)
             assert np.max(np.abs(via_solve - via_eig)) / denom < 1e-8
@@ -131,15 +129,15 @@ def test_green_symmetry_real_instances():
     h = random_instance(6, 11, block_model([[1.0]], [[0.0]], 3.0))
     z = 0.1 + 1e-2j
     for x, y in ((0, 3), (2, 5)):
-        gxy = resolvent_block(h, z.real, z.imag, x, y).block
-        gyx = resolvent_block(h, z.real, z.imag, y, x).block
+        gxy = resolvent_block(h, z.real, z.imag, x, y)
+        gyx = resolvent_block(h, z.real, z.imag, y, x)
         assert np.max(np.abs(gxy - gyx.T)) < 1e-10
 
 
 def test_resolvent_eps_zero_allowed():
     h = random_instance(5, 13)
     gb = resolvent_block(h, 0.05, 0.0, 0, 4)
-    assert np.all(np.isfinite(gb.block.view(np.float64)))
+    assert np.all(np.isfinite(gb.view(np.float64)))
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (17, 3), (40, 5)])
@@ -175,13 +173,23 @@ def test_singular_solve_flags_resample():
         resolvent_profile(h, 0.0, 0.0, 0)
 
 
+def evolve(sd, interval, t, x0):
+    """e^{i t H_I}(x0, y) for every y, from the cluster blocks the
+    correlator and dynamical estimators use."""
+    out = np.zeros((sd.n_sites, sd.k, sd.k), dtype=np.complex128)
+    out[x0] = np.eye(sd.k)
+    for nu, blocks in _cluster_blocks_all_targets(sd, interval, x0):
+        out += (np.exp(1j * t * nu) - 1.0) * blocks
+    return out
+
+
 def test_projector_blocks_completeness_and_orthogonality():
     h = random_instance(5, 17)
     sd = hermitian_eig(h)
     full = (sd.eigenvalues[0] - 1.0, sd.eigenvalues[-1] + 1.0)
-    total = sum(b for _, b in projector_blocks(sd, full, 2, 2))
+    total = sum(b[2] for _, b in _cluster_blocks_all_targets(sd, full, 2))
     assert total[0, 0] == pytest.approx(1.0, abs=1e-12)
-    cross = sum(b for _, b in projector_blocks(sd, full, 2, 3))
+    cross = sum(b[3] for _, b in _cluster_blocks_all_targets(sd, full, 2))
     assert abs(cross[0, 0]) < 1e-12
 
 
@@ -189,25 +197,28 @@ def test_projector_blocks_symmetric_two_site():
     topo = make_lattice_box(1, (2,))
     h = assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0])
     sd = hermitian_eig(h)
-    blocks = projector_blocks(sd, (-2, 2), 0, 0)
+    blocks = _cluster_blocks_all_targets(sd, (-2, 2), 0)
     assert len(blocks) == 2
     for nu, b in blocks:
         assert abs(nu) == pytest.approx(1.0, abs=1e-12)
-        assert b[0, 0].real == pytest.approx(0.5, abs=1e-12)
+        assert b[0][0, 0].real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_evolve_block_examples():
     topo = make_lattice_box(1, (2,))
     h = assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0])
     sd = hermitian_eig(h)
-    assert evolve_block(sd, (-2, 2), 0.0, 0, 0)[0, 0] == pytest.approx(1.0)
-    assert evolve_block(sd, (-2, 2), 0.0, 0, 1)[0, 0] == pytest.approx(0.0)
+    assert evolve(sd, (-2, 2), 0.0, 0)[0][0, 0] == pytest.approx(1.0)
+    assert evolve(sd, (-2, 2), 0.0, 0)[1][0, 0] == pytest.approx(0.0)
     # empty window: identity for all t
-    assert evolve_block(sd, (5, 6), 3.7, 0, 0)[0, 0] == pytest.approx(1.0)
-    assert evolve_block(sd, (5, 6), 3.7, 0, 1)[0, 0] == pytest.approx(0.0)
+    assert evolve(sd, (5, 6), 3.7, 0)[0][0, 0] == pytest.approx(1.0)
+    assert evolve(sd, (5, 6), 3.7, 0)[1][0, 0] == pytest.approx(0.0)
     for t in (0.3, 1.9):
-        got = evolve_block(sd, (-2, 2), t, 0, 1)[0, 0]
+        got = evolve(sd, (-2, 2), t, 0)[1][0, 0]
         assert got == pytest.approx(1j * math.sin(t), abs=1e-12)
+        # the dynamical estimator's norms on a one-point time grid
+        sup = dynamical_targets(sd, (-2, 2), 0, [t])
+        assert sup == pytest.approx(np.abs(evolve(sd, (-2, 2), t, 0)[:, 0, 0]), abs=1e-12)
 
 
 def test_evolution_unitary_on_full_window():
@@ -219,7 +230,7 @@ def test_evolution_unitary_on_full_window():
     e = np.zeros((n * sd.k, n * sd.k), dtype=np.complex128)
     for m in range(n):
         for nn in range(n):
-            e[sd.site_rows(m), sd.site_rows(nn)] = evolve_block(sd, full, t, m, nn)
+            e[sd.site_rows(m), sd.site_rows(nn)] = evolve(sd, full, t, m)[nn]
     assert np.max(np.abs(e.conj().T @ e - np.eye(n * sd.k))) <= 1e-8
 
 
@@ -270,6 +281,11 @@ def test_eig_degenerate_spectrum():
     d, q = sd.eigenvalues, sd.eigenvectors
     assert np.max(np.abs(d - lam)) <= 1e-10
     assert np.max(np.abs(q @ np.diag(d) @ q.conj().T - h)) <= 1e-10
+
+
+def opnorm(m) -> float:
+    """Largest singular value of one block, as a stack of one."""
+    return float(opnorm_batch(np.asarray(m)[None])[0])
 
 
 def test_opnorm_oracles():

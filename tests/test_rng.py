@@ -33,7 +33,7 @@ def test_stream_replay_and_offsets():
     assert np.array_equal(w1, w2)
     # a block continues the stream exactly where scalar calls left off
     c = Stream(123)
-    head = [c.uniform() for _ in range(3)]
+    head = [c.uniforms(1)[0] for _ in range(3)]
     tail = c.uniforms(7)
     assert np.array_equal(np.concatenate([head, tail]), w1)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fmlab import engine
-from fmlab.engine import load_checkpoint, run_indexed
+from fmlab.engine import _scan_checkpoint, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.plotting import emit_plot
 from fmlab.runner import (
@@ -144,7 +144,7 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     path = str(tmp_path / "ck.jsonl")
     with pytest.raises(RuntimeError):
         run_indexed(batch, None, 6, workers=1, checkpoint_path=path)
-    done = load_checkpoint(path)
+    done, _ = _scan_checkpoint(path)
     assert sorted(done) == [0, 1, 2]  # completed prefix survives the abort
 
 
@@ -160,18 +160,8 @@ def test_engine_payload_roundtrip(tmp_path):
     again = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
     assert first == again
     assert len(calls) == 5  # second pass is checkpoint-only
-    done = load_checkpoint(path)
+    done, _ = _scan_checkpoint(path)
     assert sorted(done) == list(range(5))
-
-
-def test_result_record_roundtrip():
-    rec = ResultRecord(
-        kind="decay", config_digest="ff" * 32, master_seed=7,
-        outputs={"fit": {"rate": 0.5}}, columns=["distance", "mean"],
-        rows=[[0, 1.0], [1, 0.5]],
-    )
-    back = ResultRecord.from_json(rec.to_json())
-    assert back.to_json() == rec.to_json()
 
 
 def test_emit_csv_lossless_roundtrip(tmp_path):
@@ -278,6 +268,38 @@ def test_cli_exit_codes(tmp_path):
         capture_output=True, text=True, env=env, cwd=root,
     )
     assert missing.returncode == 4
+
+
+def _with_estimator(kind, **fields):
+    return {**BASE_CFG, "kind": kind, "estimator": {**BASE_CFG["estimator"], **fields}}
+
+
+@pytest.mark.parametrize(
+    "cfg,extra",
+    [
+        pytest.param(_with_estimator("decay", x0=-1), [], id="decay-x0-negative"),
+        pytest.param(_with_estimator("decay", x0=999), [], id="decay-x0-beyond-box"),
+        pytest.param(_with_estimator("correlator", x0=8), [], id="correlator-x0-beyond-box"),
+        pytest.param(_with_estimator("dynamical", t_points=0), [], id="dynamical-t-points-0"),
+        pytest.param(_with_estimator("inequalities", draws=0), [], id="inequalities-draws-0"),
+        pytest.param(_with_estimator("inequalities", rh_trials=0), [], id="inequalities-rh-trials-0"),
+        pytest.param(_with_estimator("inequalities", rh_j=0), [], id="inequalities-rh-j-0"),
+        pytest.param(_with_estimator("inequalities", l=-1), [], id="inequalities-l-negative"),
+        pytest.param(_with_estimator("ids", samples=0), [], id="ids-samples-0"),
+        pytest.param([1, 2], [], id="config-not-an-object"),
+        pytest.param({**BASE_CFG, "estimator": "oops"}, [], id="estimator-not-an-object"),
+        pytest.param({**BASE_CFG, "estimator": "oops"}, ["--samples", "100"],
+                     id="estimator-not-an-object-with-samples-override"),
+        pytest.param({**BASE_CFG, "model": "oops"}, [], id="model-not-an-object"),
+    ],
+)
+def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, extra):
+    from fmlab.cli import main
+
+    kind = cfg["kind"] if isinstance(cfg, dict) else "decay"
+    argv = [kind, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_seed_override_changes_results(tmp_path):

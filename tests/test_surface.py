@@ -1,0 +1,54 @@
+"""The library keeps only what its own code reaches.
+
+A public module-level function or class, or a public method, that no code
+in src/fmlab references outside its own definition is reached only from
+tests: it belongs in tests/oracles.py, or nowhere.  A reference is any
+name, attribute or import of the same identifier, so the check is by name.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmlab"
+
+ALLOWED = set()  # "module.name" entries a run does not reach but that stay
+
+
+def _identifiers(node):
+    """(node, identifier) for every name, attribute and imported name under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub, sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub, sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub, sub.name
+
+
+def _public_definitions(module, tree):
+    """(qualified name, identifier, definition node) of the public surface."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub
+
+
+def unreferenced():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = [(ref, ident) for tree in trees.values() for ref, ident in _identifiers(tree)]
+    out = []
+    for module, tree in trees.items():
+        for qualname, ident, node in _public_definitions(module, tree):
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(name == ident and id(ref) not in inside for ref, name in uses):
+                out.append(qualname)
+    return out
+
+
+def test_every_public_name_is_reached_from_the_library():
+    assert SRC.is_dir()
+    assert sorted(set(unreferenced()) - ALLOWED) == []
