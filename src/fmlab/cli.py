@@ -27,10 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None, help="override sample count")
         p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--format", choices=("csv", "json", "both"), default="both",
-            help="which series artifacts to emit",
-        )
         p.add_argument("--plot", action="store_true", help="also emit plot.svg")
     return parser
 
@@ -52,8 +48,7 @@ def main(argv=None) -> int:
             cfg["workers"] = args.workers
         outdir = args.out or cfg.get("out") or os.path.join("runs", config_digest(cfg)[:12])
         record = run(cfg, outdir=outdir)
-        if args.format in ("csv", "both"):
-            emit_csv(record, os.path.join(outdir, "series.csv"))
+        emit_csv(record, os.path.join(outdir, "series.csv"))
         if args.plot:
             emit_plot(record, os.path.join(outdir, "plot.svg"))
         print(f"{args.kind}: wrote {outdir} (digest {record.config_digest[:12]})")

@@ -29,7 +29,7 @@ from .numerics import (
     resolvent_profile,
 )
 from .rng import Stream, derive_sample_seed
-from .topology import GraphTopology, distances_from
+from .topology import LatticeBox, distances_from
 
 MOM_GROUPS = 16  # sample groups feeding the median-of-means error bar
 MAX_RETRIES = 100  # per-sample singular-factorization retries before giving up
@@ -103,7 +103,7 @@ STACK_BYTES = 512 * 1024  # matrices assembled and factored as one stack, at lea
 @dataclass(eq=False)
 class _SampleCtx:
     model: ModelSpec
-    topo: GraphTopology
+    topo: LatticeBox
     disorder: DisorderSpec
     master_seed: int
     params: dict
@@ -208,7 +208,7 @@ def _moment_batch(ctx: _SampleCtx, indices) -> list:
 
 def fractional_moment_profile(
     model: ModelSpec,
-    topo: GraphTopology,
+    topo: LatticeBox,
     disorder: DisorderSpec,
     x0: int,
     s: float,

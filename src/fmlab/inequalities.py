@@ -271,8 +271,8 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
 def _one_step_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
     x, y, s = p["x"], p["y"], p["s"]
-    scale = (ctx.model.constants.get("C_B3", 1.0) * ctx.model.coupling) ** s
-    neighbors = list(ctx.topo.adjacency[y])
+    scale = (ctx.model.c_b3 * ctx.model.coupling) ** s
+    neighbors = list(ctx.topo.neighbors(y))
 
     def sides(h):
         prof = resolvent_profile(h, p["lam"], p["eps"], x)

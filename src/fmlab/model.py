@@ -3,27 +3,31 @@
 Three variants share one assembly path:
 
 * ``block``: single-site potential V(x) = v(x) A + B with k x k Hermitian
-  blocks and translation-invariant hopping kernel K, scaled by 1/g.
+  blocks and a translation-invariant nearest-neighbour hopping kernel K,
+  scaled by 1/g.
 * ``spencer``: the k=2 block model with A = diag(1, -1), B = antidiag(a, a).
 * ``alloy``: scalar ambient space; the potential at site n is the finite
   convolution sum_off coeffs[off] * v(n + off), terms reaching outside an
   open box are dropped, periodic boxes wrap.
 
-Matrices are stored complex128 throughout (one numeric path).  Assembly
-writes both triangles from the same kernel/potential source, so assembled
-instances are Hermitian exactly, not after symmetrization.
+Every offset, hopping or alloy, is applied to the whole box at once through
+``LatticeBox.shift``, so the numbering and boundary rule live in
+``topology`` alone.  Matrices are stored complex128 throughout (one numeric
+path).  Assembly writes both triangles from the same kernel/potential
+source, so assembled instances are Hermitian exactly, not after
+symmetrization.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .topology import GraphTopology
+from .topology import LatticeBox, unit_offsets
 
 _MAX_BLOCK = 16
 
@@ -55,9 +59,7 @@ class ModelSpec:
     B: np.ndarray | None = None
     hopping: dict | None = None  # offset tuple -> k x k kernel; None = identity
     alloy_coeffs: dict | None = None  # offset tuple -> float
-    spencer_a: float | None = None
-    sum_zero: bool = False
-    constants: dict = field(default_factory=dict)
+    c_b3: float = 1.0  # C_B3, the largest hopping-kernel norm; scales the one-step majorant
 
     @property
     def k_ambient(self) -> int:
@@ -74,14 +76,17 @@ class ModelSpec:
 
 
 def _normalize_hopping(hopping, k: int) -> dict | None:
-    """Validate K(-off) = K(off)* and fill missing mirror offsets."""
+    """Validate nearest-neighbour offsets and K(-off) = K(off)*, and fill
+    missing mirror offsets."""
     if hopping is None:
         return None
     out = {}
     for off, mat in hopping.items():
         off = tuple(int(o) for o in (off if np.iterable(off) else (off,)))
-        if all(o == 0 for o in off):
-            raise ConfigurationError("hopping kernel offset 0 collides with the potential")
+        if sum(abs(o) for o in off) != 1:
+            raise ConfigurationError(
+                f"hopping offset {off} is not a nearest-neighbour offset (one entry +-1, the rest 0)"
+            )
         mat = _as_block(mat, f"K{off}")
         if mat.shape[0] != k:
             raise ConfigurationError(f"K{off} block size {mat.shape[0]} != k={k}")
@@ -115,36 +120,15 @@ def block_model(A, B, g: float, hopping=None) -> ModelSpec:
         raise ConfigurationError("A and B must have the same block size")
     k = A.shape[0]
     hop = _normalize_hopping(hopping, k)
-    norm_a = _norm2(A)
-    try:
-        inv_norm = _norm2(np.linalg.inv(A)) if abs(np.linalg.det(A)) > 1e-12 else None
-    except np.linalg.LinAlgError:
-        inv_norm = None
-    constants = {
-        "C_B1": max(norm_a, inv_norm) if inv_norm is not None else None,
-        "norm_A": norm_a,
-        "C_B2": _norm2(B),
-        "C_B3": max((_norm2(m) for m in hop.values()), default=1.0) if hop else 1.0,
-    }
-    return ModelSpec(
-        variant="block", k=k, g=float(g), A=A, B=B, hopping=hop, constants=constants
-    )
+    c_b3 = max(_norm2(m) for m in hop.values()) if hop else 1.0
+    return ModelSpec(variant="block", k=k, g=float(g), A=A, B=B, hopping=hop, c_b3=c_b3)
 
 
 def spencer_model(a: float, g: float) -> ModelSpec:
     """2x2 model with V(n) = [[v, a], [a, -v]] and identity hopping."""
     a = float(a)
-    spec = block_model([[1.0, 0.0], [0.0, -1.0]], [[0.0, a], [a, 0.0]], g)
-    return ModelSpec(
-        variant="spencer",
-        k=2,
-        g=float(g),
-        A=spec.A,
-        B=spec.B,
-        hopping=None,
-        spencer_a=a,
-        constants=spec.constants,
-    )
+    return replace(block_model([[1.0, 0.0], [0.0, -1.0]], [[0.0, a], [a, 0.0]], g),
+                   variant="spencer")
 
 
 def singular_covering_model(g: float) -> ModelSpec:
@@ -156,10 +140,7 @@ def singular_covering_model(g: float) -> ModelSpec:
     """
     A = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
     B = [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
-    spec = block_model(A, B, g)
-    return ModelSpec(
-        variant="block", k=3, g=float(g), A=spec.A, B=spec.B, constants=spec.constants
-    )
+    return block_model(A, B, g)
 
 
 def alloy_model(coeffs: dict, g: float) -> ModelSpec:
@@ -175,15 +156,7 @@ def alloy_model(coeffs: dict, g: float) -> ModelSpec:
     dims = {len(off) for off in norm}
     if len(dims) != 1:
         raise ConfigurationError(f"alloy offsets mix dimensions: {sorted(norm)}")
-    total = math.fsum(norm.values())
-    return ModelSpec(
-        variant="alloy",
-        k=len(norm),
-        g=float(g),
-        alloy_coeffs=norm,
-        sum_zero=(total == 0.0),
-        constants={"C_B3": 1.0, "coeff_sum": total},
-    )
+    return ModelSpec(variant="alloy", k=len(norm), g=float(g), alloy_coeffs=norm)
 
 
 def decay_exponent_window(k: int, alpha: float, q: float) -> float:
@@ -195,7 +168,7 @@ def decay_exponent_window(k: int, alpha: float, q: float) -> float:
 class HamiltonianInstance:
     """One realization, or a stack of B realizations on the same operator family."""
 
-    topology: GraphTopology
+    topology: LatticeBox
     model: ModelSpec
     v: np.ndarray  # one disorder value per vertex: (N,), or (B, N) for a stack
     matrix: np.ndarray  # (N*ka, N*ka) complex128, or (B, N*ka, N*ka)
@@ -240,68 +213,32 @@ class AssemblyPlan:
     alloy_gather: list | None  # [(coeff, target_idx, source_idx)] per offset
 
 
-def _lattice_offset(topo: GraphTopology, x: int, y: int):
-    delta = topo.coords[y] - topo.coords[x]
-    out = []
-    for ax, d in enumerate(delta):
-        d = int(d)
-        if topo.periodic and topo.periodic[ax]:
-            side = topo.sides[ax]
-            if d == side - 1:
-                d = -1
-            elif d == -(side - 1):
-                d = 1
-        out.append(d)
-    return tuple(out)
-
-
-def _vertex_at(topo: GraphTopology, coord) -> int | None:
-    sides = topo.sides
-    idx = 0
-    for ax, c in enumerate(coord):
-        c = int(c)
-        if topo.periodic and topo.periodic[ax]:
-            c %= sides[ax]
-        elif not 0 <= c < sides[ax]:
-            return None
-        idx = idx * sides[ax] + c
-    return idx
-
-
-def assembly_plan(model: ModelSpec, topo: GraphTopology) -> AssemblyPlan:
+def assembly_plan(model: ModelSpec, topo: LatticeBox) -> AssemblyPlan:
     """Precompute hopping matrix and alloy gather maps for a (model, topology) pair."""
     n = topo.n_vertices
     ka = model.k_ambient
+    dim = len(topo.sides)
     hop = np.zeros((n * ka, n * ka), dtype=np.complex128)
-    coupling = model.coupling
+    blocks = hop.reshape(n, ka, n, ka)
     identity = np.eye(ka, dtype=np.complex128)
-    for x in range(n):
-        for y in topo.adjacency[x]:
-            if model.hopping is None:
-                kern = identity
-            else:
-                off = _lattice_offset(topo, x, y)
-                kern = model.hopping.get(off)
-                if kern is None:
-                    raise ConfigurationError(f"no hopping kernel for offset {off}")
-            hop[x * ka:(x + 1) * ka, y * ka:(y + 1) * ka] = coupling * kern
+    for off in map(tuple, unit_offsets(dim).tolist()):
+        x, y = topo.shift(off)
+        if x.size == 0:
+            continue  # no pair of sites in the box realizes this offset
+        kern = identity if model.hopping is None else model.hopping.get(off)
+        if kern is None:
+            raise ConfigurationError(f"no hopping kernel for offset {off}")
+        blocks[x, :, y, :] = model.coupling * kern
 
     gather = None
     if model.variant == "alloy":
-        dim = topo.coords.shape[1]
         gather = []
         for off, c in sorted(model.alloy_coeffs.items()):
             if len(off) != dim:
                 raise ConfigurationError(
                     f"alloy offset {off} does not match lattice dimension {dim}"
                 )
-            tgt, src = [], []
-            for x in range(n):
-                sx = _vertex_at(topo, topo.coords[x] + np.asarray(off, dtype=np.int64))
-                if sx is not None:
-                    tgt.append(x)
-                    src.append(sx)
-            gather.append((c, np.asarray(tgt, dtype=np.int64), np.asarray(src, dtype=np.int64)))
+            gather.append((c, *topo.shift(off)))
     rows = np.arange(n * ka).reshape(n, ka)
     diag = rows[:, :, None] * (n * ka) + rows[:, None, :]
     return AssemblyPlan(hop=hop, diag=diag, alloy_gather=gather)
@@ -309,7 +246,7 @@ def assembly_plan(model: ModelSpec, topo: GraphTopology) -> AssemblyPlan:
 
 def assemble(
     model: ModelSpec,
-    topo: GraphTopology,
+    topo: LatticeBox,
     v,
     plan: AssemblyPlan | None = None,
 ) -> HamiltonianInstance:

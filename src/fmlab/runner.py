@@ -105,10 +105,24 @@ def _parse_offset(key: str):
     return tuple(int(part) for part in str(key).split(","))
 
 
+def _required(p: dict, key: str, where: str):
+    """The value of a field that has no default."""
+    if key not in p:
+        raise ConfigurationError(f"{where}{key}: required field missing")
+    return p[key]
+
+
 def build_topology(cfg: dict):
     t = section(cfg, "topology")
-    d = int(t.get("d", len(t.get("sides", []))))
-    return make_lattice_box(d, t["sides"], bool(t.get("periodic", False)))
+    sides = _required(t, "sides", "topology.")
+    sides = [
+        _int({"sides": s}, "sides", None, 1, where="topology.")
+        for s in (sides if isinstance(sides, list) else [sides])
+    ]
+    periodic = t.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise ConfigurationError(f"topology.periodic: expected true or false, got {periodic!r}")
+    return make_lattice_box(_int(t, "d", len(sides), 1, where="topology."), sides, periodic)
 
 
 def build_disorder(cfg: dict):
@@ -128,17 +142,17 @@ def build_model(cfg: dict):
     if variant == "alloy":
         coeffs = {
             _parse_offset(k): parse_real(v, f"model.coeffs[{k}]")
-            for k, v in m.get("coeffs", {}).items()
+            for k, v in section(m, "coeffs", required=False).items()
         }
         return alloy_model(coeffs, g)
     if variant == "block":
-        a = _parse_complex_matrix(m["A"], "model.A")
-        b = _parse_complex_matrix(m["B"], "model.B")
+        a = _parse_complex_matrix(_required(m, "A", "model."), "model.A")
+        b = _parse_complex_matrix(_required(m, "B", "model."), "model.B")
         hopping = None
         if "hopping" in m:
             hopping = {
                 _parse_offset(k): _parse_complex_matrix(v, f"model.hopping[{k}]")
-                for k, v in m["hopping"].items()
+                for k, v in section(m, "hopping").items()
             }
         return block_model(a, b, g, hopping)
     raise ConfigurationError(f"model.variant: unknown variant {variant!r}")
@@ -202,15 +216,17 @@ def _real(p: dict, key: str, default=None) -> float:
     return parse_real(p.get(key, default), f"estimator.{key}")
 
 
-def _int(p: dict, key: str, default: int, lo: int, hi: float = math.inf) -> int:
-    """An integer field of the estimator block, required to lie in [lo, hi)."""
+def _int(p: dict, key: str, default, lo: int, hi: float = math.inf,
+         where: str = "estimator.") -> int:
+    """An integer field of a config section (the estimator block unless
+    `where` names another), required to lie in [lo, hi)."""
     try:
         value = int(p.get(key, default))
     except (TypeError, ValueError):
         value = None
     if value is None or not lo <= value < hi:
         raise ConfigurationError(
-            f"estimator.{key}: expected an integer in [{lo}, {hi}), got {p.get(key)!r}"
+            f"{where}{key}: expected an integer in [{lo}, {hi}), got {p.get(key)!r}"
         )
     return value
 
@@ -229,8 +245,7 @@ def _series(columns, *constants) -> list:
     return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
-def _fit(p: dict, prof) -> dict:
-    d_min = int(p.get("d_min", 1))
+def _fit(prof, d_min: int) -> dict:
     return {"fit": est.decay_rate_fit(prof, d_min=d_min), "d_min": d_min}
 
 
@@ -239,6 +254,7 @@ def _interval(p) -> tuple:
 
 
 def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
+    d_min = _int(p, "d_min", 1, 0)
     if p.get("eps", "auto") == "auto":
         eps = est.default_eps(model, topo, dis, seed)
     else:
@@ -256,7 +272,7 @@ def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
     )
     ok, margin = est.moment_max_check(profile)
     outputs = {
-        **_fit(p, profile),
+        **_fit(profile, d_min),
         "eps_used": eps,
         "max_at_diagonal": ok,
         "max_margin": margin,
@@ -272,7 +288,9 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
     we = est.wegner_exponent(
         model, topo, dis,
         lambda0=_real(p, "lambda0", 0),
-        eps_list=[parse_real(e, "estimator.eps_list") for e in p["eps_list"]],
+        eps_list=[
+            parse_real(e, "estimator.eps_list") for e in _required(p, "eps_list", "estimator.")
+        ],
         samples=_count(p, "samples", 1000),
         master_seed=seed,
         workers=workers,
@@ -283,14 +301,14 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
-    bins = p.get("bins", {})
+    bins = section(p, "bins", required=False)
     if "edges" in bins:
         edges = np.array([parse_real(e, "estimator.bins.edges") for e in bins["edges"]])
     else:
         edges = np.linspace(
             parse_real(bins.get("lo", -3), "estimator.bins.lo"),
             parse_real(bins.get("hi", 3), "estimator.bins.hi"),
-            int(bins.get("n", 64)) + 1,
+            _int(bins, "n", 64, 1, where="estimator.bins.") + 1,
         )
     ids = est.ids_histogram(
         model, topo, dis,
@@ -305,6 +323,7 @@ def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
+    d_min = _int(p, "d_min", 1, 0)
     prof = est.correlator_decay_profile(
         model, topo, dis,
         interval=_interval(p),
@@ -316,7 +335,7 @@ def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
     )
     k_bound = prof.extras["k"] + 1e-8
     outputs = {
-        **_fit(p, prof),
+        **_fit(prof, d_min),
         "max_correlator": prof.extras["max_correlator"],
         "k_bound_ok": bool(prof.extras["max_correlator"] <= k_bound),
         "estimate": est.to_payload(prof),
@@ -353,7 +372,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     eps = _real(p, "eps", "1e-3")
     lam = _real(p, "lambda", 0)
     s_step = _real(p, "one_step_s", "1/3")
-    pairs = int(p.get("pairs", 6))
+    pairs = _int(p, "pairs", 6, 0)
 
     # random (x, y) pairs from a dedicated stream
     pair_stream = Stream(derive_sample_seed(seed, 0xA11))
@@ -473,7 +492,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     seed = cfg.get("master_seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigurationError("master_seed: must be an integer")
-    workers = int(cfg.get("workers", 1))
+    workers = _int(cfg, "workers", 1, 1, where="")
     digest = config_digest(cfg)
 
     estimator = section(cfg, "estimator", required=False)

@@ -1,40 +1,69 @@
-"""Lattice boxes in Z^d and graph distance on them.
+"""Lattice boxes in Z^d: vertex numbering, boundary rule and distance.
 
-Vertices are dense integers 0..n-1 in row-major order.  A box carries the
-integer coordinates of its vertices, from which assembly reads hopping and
-alloy offsets.  Topologies are immutable after construction and safe to
-share across workers.
+Vertices are dense integers 0..n-1 in row-major order of their integer
+coordinates.  A box is open, or periodic on every axis (a torus).  This
+module is the only place that knows the numbering and what happens at the
+boundary: assembly reads hopping and alloy offsets through
+`LatticeBox.shift`, which translates the whole box by one offset at once.
+Boxes are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-_UNSEEN = -1  # breadth-first search marker
+
+def unit_offsets(d: int) -> np.ndarray:
+    """The 2d nearest-neighbour offsets of Z^d: +e_0, ..., +e_{d-1}, -e_0, ..."""
+    eye = np.eye(d, dtype=np.int64)
+    return np.concatenate([eye, -eye])
 
 
 @dataclass(frozen=True, eq=False)
-class GraphTopology:
-    n_vertices: int
-    adjacency: tuple  # per-vertex sorted tuple of neighbors
-    coords: np.ndarray  # (n, d) int lattice coordinates
+class LatticeBox:
     sides: tuple
-    periodic: tuple
+    periodic: bool
 
-    def __post_init__(self):
-        self.coords.setflags(write=False)
+    @property
+    def n_vertices(self) -> int:
+        return math.prod(self.sides)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(n, d) integer lattice coordinates, in vertex order."""
+        return np.indices(self.sides).reshape(len(self.sides), -1).T
 
     def signature(self) -> str:
-        per = ",".join("1" if p else "0" for p in self.periodic)
+        per = ",".join("1" if self.periodic else "0" for _ in self.sides)
         return f"box:sides={'x'.join(str(s) for s in self.sides)}:periodic={per}"
 
+    def _place(self, points: np.ndarray):
+        """(rows, vertices): the rows of the (m, d) coordinate array that name a
+        vertex of the box (all of them on a torus, which wraps), and those
+        vertices' numbers."""
+        if self.periodic:
+            rows = np.arange(len(points))
+        else:
+            rows = np.flatnonzero(np.all((points >= 0) & (points < self.sides), axis=1))
+        return rows, np.ravel_multi_index(points[rows].T, self.sides, mode="wrap")
 
-def make_lattice_box(d: int, sides, periodic: bool = False) -> GraphTopology:
+    def shift(self, offset):
+        """(x, y): every vertex x whose translate y = x + offset lies in the box,
+        wrapped on a periodic box and dropped on an open one, ascending in x."""
+        return self._place(self.coords + np.asarray(offset, dtype=np.int64))
+
+    def neighbors(self, x: int) -> tuple:
+        """The nearest neighbours of vertex x, in ascending order."""
+        _, ys = self._place(self.coords[x] + unit_offsets(len(self.sides)))
+        return tuple(sorted(ys.tolist()))
+
+
+def make_lattice_box(d: int, sides, periodic: bool = False) -> LatticeBox:
     """Axis-aligned box {0..side_i - 1}^d with nearest-neighbor edges.
 
     Periodic boxes wrap every axis and require all sides >= 3 so that wrap
@@ -47,45 +76,14 @@ def make_lattice_box(d: int, sides, periodic: bool = False) -> GraphTopology:
         raise ConfigurationError(f"sides must be >= 1, got {sides}")
     if periodic and any(s < 3 for s in sides):
         raise ConfigurationError("periodic boxes require all sides >= 3")
-
-    n = int(np.prod(sides))
-    grids = np.indices(sides).reshape(d, n).T  # row-major vertex order
-    strides = np.ones(d, dtype=np.int64)
-    for ax in range(d - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * sides[ax + 1]
-
-    adj = [[] for _ in range(n)]
-    for x in range(n):
-        c = grids[x]
-        for ax in range(d):
-            for step in (-1, 1):
-                t = c[ax] + step
-                if periodic:
-                    t %= sides[ax]
-                elif not 0 <= t < sides[ax]:
-                    continue
-                y = x + (t - c[ax]) * strides[ax]
-                adj[x].append(int(y))
-    adj = tuple(tuple(sorted(set(nb))) for nb in adj)
-    return GraphTopology(
-        n_vertices=n,
-        adjacency=adj,
-        coords=grids.astype(np.int64),
-        sides=sides,
-        periodic=tuple(bool(periodic) for _ in range(d)),
-    )
+    return LatticeBox(sides=sides, periodic=bool(periodic))
 
 
-def distances_from(g: GraphTopology, x: int) -> np.ndarray:
-    """Graph distances from x to every vertex, by breadth-first search."""
-    dist = np.full(g.n_vertices, _UNSEEN, dtype=np.int64)
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in g.adjacency[u]:
-            if dist[v] == _UNSEEN:
-                dist[v] = du
-                queue.append(v)
-    return dist
+def distances_from(box: LatticeBox, x: int) -> np.ndarray:
+    """Graph distances from x to every vertex: the l1 distance, each axis
+    taken the short way round on a periodic box."""
+    coords = box.coords
+    delta = np.abs(coords - coords[x])
+    if box.periodic:
+        delta = np.minimum(delta, np.asarray(box.sides) - delta)
+    return delta.sum(axis=1)

@@ -14,6 +14,14 @@ route that no run takes:
 * ratio_integral's mc_draws option averages the ratio over draws of the
   measure; it checks the quadrature value that inequalities._ratio_integrals
   (the comparability_scan path) returns.
+* pair_neighbors and bfs_distances find a box's edges pair by pair, from
+  the per-pair offset rule lattice_offset, and its distances by
+  breadth-first search; they check LatticeBox.neighbors and the closed-form
+  topology.distances_from.
+* pairwise_hopping and pairwise_assembly build an operator one pair of
+  sites and one site at a time (lattice_offset for hopping, vertex_at for
+  alloy terms); they check model.assembly_plan and assemble, which apply
+  each offset to the whole box through LatticeBox.shift.
 
 integrate is not independent: it is the library's quadrature, one item in
 a batch of one, for tests that need a closed-form-free integral.
@@ -22,6 +30,7 @@ a batch of one, for tests that need a closed-form-free integral.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -103,4 +112,85 @@ def ratio_integral(spec, rel_tol: float = 1e-8, mc_draws: int = 0, mc_seed: int 
             ratio /= np.abs(v - bi) ** spec.r
         out["mc_value"] = float(np.mean(ratio))
         out["mc_err"] = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
+    return out
+
+
+def lattice_offset(box, x: int, y: int) -> tuple:
+    """The offset y - x of two sites; on a torus an axis difference of
+    +-(side - 1) is the wrap step -+1."""
+    out = []
+    for ax, delta in enumerate((box.coords[y] - box.coords[x]).tolist()):
+        side = box.sides[ax]
+        if box.periodic and delta == side - 1:
+            delta = -1
+        elif box.periodic and delta == -(side - 1):
+            delta = 1
+        out.append(delta)
+    return tuple(out)
+
+
+def vertex_at(box, coord):
+    """The vertex at integer coordinates coord, wrapped on a torus; None
+    outside an open box."""
+    idx = 0
+    for side, c in zip(box.sides, coord):
+        c = int(c) % side if box.periodic else int(c)
+        if not 0 <= c < side:
+            return None
+        idx = idx * side + c
+    return idx
+
+
+def pair_neighbors(box) -> list:
+    """Per vertex, the ascending tuple of sites one unit step away."""
+    n = box.n_vertices
+    return [
+        tuple(y for y in range(n) if sum(map(abs, lattice_offset(box, x, y))) == 1)
+        for x in range(n)
+    ]
+
+
+def bfs_distances(box, x: int) -> np.ndarray:
+    """Graph distances from x, by breadth-first search over pair_neighbors."""
+    adjacency = pair_neighbors(box)
+    dist = np.full(box.n_vertices, -1, dtype=np.int64)
+    dist[x] = 0
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def pairwise_hopping(model, box) -> np.ndarray:
+    """The hopping-only matrix, one block per ordered pair of neighbours."""
+    n, ka = box.n_vertices, model.k_ambient
+    hop = np.zeros((n * ka, n * ka), dtype=np.complex128)
+    for x in range(n):
+        for y in range(n):
+            off = lattice_offset(box, x, y)
+            if sum(map(abs, off)) != 1:
+                continue
+            kern = np.eye(ka) if model.hopping is None else model.hopping[off]
+            hop[x * ka:(x + 1) * ka, y * ka:(y + 1) * ka] = model.coupling * kern
+    return hop
+
+
+def pairwise_assembly(model, box, v) -> np.ndarray:
+    """pairwise_hopping plus each site's potential block, summed site by site."""
+    out = pairwise_hopping(model, box)
+    ka = model.k_ambient
+    for x in range(box.n_vertices):
+        if model.variant == "alloy":
+            pot = 0.0
+            for off, c in sorted(model.alloy_coeffs.items()):
+                src = vertex_at(box, box.coords[x] + np.asarray(off))
+                if src is not None:
+                    pot += c * v[src]
+            out[x, x] += pot
+        else:
+            out[x * ka:(x + 1) * ka, x * ka:(x + 1) * ka] += v[x] * model.A + model.B
     return out

@@ -20,7 +20,7 @@ from fmlab.model import (
 from fmlab.rng import Stream
 from fmlab.disorder import sample_vector
 from fmlab.topology import make_lattice_box
-from oracles import hermiticity_residual
+from oracles import hermiticity_residual, pairwise_assembly, pairwise_hopping
 
 rng = np.random.default_rng(7)
 CHAIN5 = make_lattice_box(1, (5,))
@@ -32,7 +32,7 @@ def scalar_anderson(topo, v, g):
     out = np.zeros((n, n), dtype=np.complex128)
     for x in range(n):
         out[x, x] = v[x]
-        for y in topo.adjacency[x]:
+        for y in topo.neighbors(x):
             out[x, y] = 1.0 / g
     return out
 
@@ -69,8 +69,6 @@ def test_singular_covering_model_matrices():
     a = np.real(np.asarray(m.A))
     assert np.array_equal(a, np.diag([1.0, 0.0, -1.0]))
     assert abs(np.linalg.det(np.asarray(m.A))) == 0.0  # singular covering matrix
-    assert m.constants["C_B1"] is None
-    assert m.constants["norm_A"] == pytest.approx(1.0, abs=1e-12)
     # det(vA + B) = -3v: invertible exactly when v != 0
     for v in (-1.0, -0.25, 0.1, 2.0):
         det = np.linalg.det(v * np.asarray(m.A) + np.asarray(m.B))
@@ -80,12 +78,12 @@ def test_singular_covering_model_matrices():
 
 def test_alloy_reductions():
     plain = alloy_model({0: 1.0}, 2.0)
-    assert plain.k == 1 and not plain.sum_zero
+    assert plain.k == 1
     h = assemble(plain, CHAIN5, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.allclose(np.diag(h.matrix).real, [1, 2, 3, 4, 5])
 
     diff = alloy_model({0: 1.0, 1: -1.0}, 2.0)
-    assert diff.k == 2 and diff.sum_zero
+    assert diff.k == 2
     hc = assemble(diff, make_lattice_box(1, (3,)), [7.0, 7.0, 7.0])
     # constants are annihilated except at the truncated boundary
     assert np.allclose(np.diag(hc.matrix).real, [0.0, 0.0, 7.0])
@@ -148,7 +146,7 @@ def test_hermiticity_and_sparsity_invariants():
         for x in range(9):
             for y in range(9):
                 blk = h.matrix[x * ka:(x + 1) * ka, y * ka:(y + 1) * ka]
-                if x != y and y not in box.adjacency[x]:
+                if x != y and y not in box.neighbors(x):
                     assert np.all(blk == 0.0)
 
 
@@ -194,6 +192,43 @@ def test_kernel_symmetry_enforced():
     assert np.array_equal(m.hopping[(-1,)], np.array([[-1.0j]]))
     h = assemble(m, make_lattice_box(1, (3,)), np.zeros(3))
     assert hermiticity_residual(h) == 0.0
+
+
+def test_hopping_offsets_must_be_nearest_neighbour():
+    # a kernel at (2,) never reached assembly but scaled the one-step majorant
+    for off in ((2,), (0,), (1, 1), (-1, 1), (0, 2)):
+        with pytest.raises(ConfigurationError, match="nearest-neighbour"):
+            block_model([[1.0]], [[0.0]], 1.0, hopping={(1,): [[1.0]], off: [[2.0]]})
+    assert block_model([[1.0]], [[0.0]], 1.0, hopping={(1,): [[1.0]]}).c_b3 == 1.0
+
+
+def test_missing_kernel_only_for_realized_offsets():
+    m = block_model([[1.0]], [[0.0]], 1.0, hopping={(1, 0): [[1.0]]})
+    with pytest.raises(ConfigurationError, match="no hopping kernel"):
+        assembly_plan(m, make_lattice_box(2, (2, 2)))
+    # a 2x1 box realizes only the (+-1, 0) offsets, a single site none at all
+    assert np.array_equal(assembly_plan(m, make_lattice_box(2, (2, 1))).hop, [[0, 1], [1, 0]])
+    assert not assembly_plan(m, make_lattice_box(2, (1, 1))).hop.any()
+
+
+PAIRWISE_MODELS = {
+    "block_distinct_kernels": block_model(
+        [[1.0, 0.5j], [-0.5j, 2.0]], [[0.0, 1.0], [1.0, 0.0]], 3.0,
+        {(1, 0): [[1.0, 0.2], [0.0, 1.0]], (0, 1): [[0.5, 0.0], [0.3j, 0.5]]},
+    ),
+    "spencer": spencer_model(1.0, 3.0),
+    "alloy": alloy_model({(0, 0): 1.0, (1, 0): -1.0, (0, 2): 0.5}, 3.0),
+}
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+@pytest.mark.parametrize("name", sorted(PAIRWISE_MODELS))
+def test_assembly_matches_pair_by_pair_build(name, periodic):
+    model = PAIRWISE_MODELS[name]
+    box = make_lattice_box(2, (3, 4), periodic)
+    assert np.array_equal(assembly_plan(model, box).hop, pairwise_hopping(model, box))
+    v = rng.uniform(-1, 1, box.n_vertices)
+    assert np.array_equal(assemble(model, box, v).matrix, pairwise_assembly(model, box, v))
 
 
 def test_non_hermitian_blocks_rejected():

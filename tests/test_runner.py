@@ -80,9 +80,9 @@ def test_builders():
     model = build_model(BASE_CFG)
     assert model.variant == "block" and model.g == 10.0
     spencer = build_model({"model": {"variant": "spencer", "a": "1", "g": "30"}})
-    assert spencer.spencer_a == 1.0
+    assert np.array_equal(spencer.B, [[0.0, 1.0], [1.0, 0.0]])  # B = antidiag(a, a)
     alloy = build_model({"model": {"variant": "alloy", "coeffs": {"0": "1", "1": "-1"}, "g": "5"}})
-    assert alloy.sum_zero
+    assert alloy.alloy_coeffs == {(0,): 1.0, (1,): -1.0}
     with pytest.raises(ConfigurationError):
         build_model({"model": {"variant": "nope"}})
 
@@ -291,6 +291,33 @@ def _with_estimator(kind, **fields):
         pytest.param({**BASE_CFG, "estimator": "oops"}, ["--samples", "100"],
                      id="estimator-not-an-object-with-samples-override"),
         pytest.param({**BASE_CFG, "model": "oops"}, [], id="model-not-an-object"),
+        pytest.param({**BASE_CFG, "topology": {"d": 1, "sides": [8], "periodic": "false"}}, [],
+                     id="topology-periodic-not-a-boolean"),
+        pytest.param({**BASE_CFG, "topology": {"d": 1}}, [], id="topology-sides-missing"),
+        pytest.param({**BASE_CFG, "topology": {"d": 1, "sides": ["a"]}}, [],
+                     id="topology-sides-not-an-integer"),
+        pytest.param({**BASE_CFG, "topology": {"d": "one", "sides": [8]}}, [],
+                     id="topology-d-not-an-integer"),
+        pytest.param({**BASE_CFG, "model": {"variant": "block", "g": "10", "B": [[["0", "0"]]]}},
+                     [], id="block-A-missing"),
+        pytest.param({**BASE_CFG, "model": {**BASE_CFG["model"], "hopping": ["1"]}}, [],
+                     id="block-hopping-not-an-object"),
+        pytest.param({**BASE_CFG, "model": {**BASE_CFG["model"],
+                                            "hopping": {"1": [[["1", "0"]]], "2": [[["1", "0"]]]}}},
+                     [], id="block-hopping-beyond-nearest-neighbours"),
+        pytest.param({**BASE_CFG, "model": {"variant": "alloy", "coeffs": ["1"], "g": "5"}}, [],
+                     id="alloy-coeffs-not-an-object"),
+        pytest.param({**BASE_CFG, "workers": "two"}, [], id="workers-not-an-integer"),
+        pytest.param({**BASE_CFG, "workers": 0}, [], id="workers-0"),
+        pytest.param(_with_estimator("decay", d_min="x"), [], id="decay-d-min-not-an-integer"),
+        pytest.param(_with_estimator("decay", d_min=-1), [], id="decay-d-min-negative"),
+        pytest.param({**BASE_CFG, "kind": "wegner", "estimator": {"samples": 10}}, [],
+                     id="wegner-eps-list-missing"),
+        pytest.param(_with_estimator("ids", bins=[16]), [], id="ids-bins-not-an-object"),
+        pytest.param(_with_estimator("ids", bins={"n": "x"}), [], id="ids-bins-n-not-an-integer"),
+        pytest.param(_with_estimator("inequalities", pairs=-1), [], id="inequalities-pairs-negative"),
+        pytest.param(_with_estimator("inequalities", pairs="x"), [],
+                     id="inequalities-pairs-not-an-integer"),
     ],
 )
 def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, extra):
