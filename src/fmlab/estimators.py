@@ -224,6 +224,8 @@ def fractional_moment_profile(
         raise ConfigurationError("fractional_moment_profile needs samples >= 100")
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"fractional power s must be in (0, 1), got {s}")
+    if not eps >= 0:
+        raise ConfigurationError(f"fractional_moment_profile needs eps >= 0, got {eps}")
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if s > s_bound + 1e-12:

@@ -21,7 +21,7 @@ from .disorder import DisorderSpec, density, sample_vector, support
 from .engine import run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
-from .numerics import opnorm_batch, resolvent_block, resolvent_profile
+from .numerics import opnorm_batch, resolvent_profile
 from .quadrature import integrate_batch
 from .rng import Stream, derive_sample_seed
 from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
@@ -299,6 +299,8 @@ def one_step_bound_check(
     """
     if not 0 < s <= 1:
         raise ConfigurationError("one_step_bound_check needs 0 < s <= 1")
+    if not eps >= 0:
+        raise ConfigurationError(f"one_step_bound_check needs eps >= 0, got {eps}")
     params = {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)}
     payloads = run_samples(
         _one_step_batch, model, topo, disorder, master_seed, params, samples, workers,
@@ -328,7 +330,7 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
         eye = np.eye(h.k, dtype=np.complex128)
         nums, dens = [], []
         for lam in p["grid"]:
-            gxy = resolvent_block(h, lam, eps, x, y)
+            gxy = resolvent_profile(h, lam, eps, x)[:, y]
             vy = potential_block(h, y) - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy).tolist())
             dens.append(opnorm_batch(gxy).tolist())
@@ -350,6 +352,8 @@ def decoupling_ratio(
     The decoupling bound guarantees a positive floor for the ratio, not a
     specific constant; callers assert positivity and stability.
     """
+    if not eps >= 0:
+        raise ConfigurationError(f"decoupling_ratio needs eps >= 0, got {eps}")
     grid = [float(lam) for lam in lambda_grid]
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)

@@ -3,9 +3,11 @@
 All dense linear algebra goes through numpy's LAPACK bindings: ``eigh`` where
 eigenvectors are used, ``eigvalsh`` where only eigenvalues are, ``solve`` for
 resolvent columns and a batched ``svd`` for block norms with k > 2.  All
-operations are pure functions of their inputs.  Residual tolerances here are
-contracts checked at runtime, with violations raised as NumericalError
-carrying the instance digest.
+operations are pure functions of their inputs.  A run checks two contracts,
+raising NumericalError with the instance digest when one fails: every
+resolvent solve (resolvent_profile) checks its residual against SOLVE_TOL,
+and every eigensolver call first checks that the matrix is exactly
+Hermitian.
 
 Every entry point taking a HamiltonianInstance also takes a stack of them
 (matrix shape (B, n, n)) and returns results with a leading axis of length
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import NumericalError, ResampleSignal
 from .model import HamiltonianInstance
 
-RECON_TOL = 1e-10  # eigendecomposition reconstruction, relative to 1 + max|H|
 SOLVE_TOL = 1e-10  # resolvent solve residual, relative to 1 + |z|
 CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
 
@@ -97,55 +98,36 @@ def hermitian_eigvals(h: HamiltonianInstance) -> np.ndarray:
         raise NumericalError(f"eigenvalue computation failed: {exc}", digest) from None
 
 
-def _shifted_solve(h: HamiltonianInstance, z: complex, site: int) -> np.ndarray:
-    """The k columns of (H - z)^(-1) at one site, shape (n, k) per member.
+def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
+    """Blocks G_z(x0, y) of (H - lam - i eps)^(-1) for every site y, shape
+    (n_sites, k, k) per member: the library's only resolvent solve.
 
-    An exactly singular (H - z) raises ResampleSignal with the mask of the
-    singular members.
+    One solve with (H - conj(z)) suffices: for Hermitian H,
+    G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.  eps = 0 is allowed at
+    finite volume (continuous disorder makes real energies almost surely
+    regular); an exactly singular (H - conj(z)) raises ResampleSignal with
+    the mask of the singular members.
     """
+    if not eps >= 0:
+        raise NumericalError("resolvent_profile needs eps >= 0", h.digest)
+    zbar = complex(lam, -eps)
     n, k = h.matrix.shape[-1], h.k
     a = h.matrix.astype(np.complex128)
     diag = np.arange(n)
-    a[..., diag, diag] -= z
+    a[..., diag, diag] -= zbar
     rhs = np.zeros((n, k), dtype=np.complex128)
-    rhs[h.block_slice(site), :] = np.eye(k)
+    rhs[h.block_slice(x0), :] = np.eye(k)
     try:
-        return np.linalg.solve(a, rhs)
+        sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         raise ResampleSignal(_failing(a, lambda m: np.linalg.solve(m, rhs))) from None
-
-
-def resolvent_block(h: HamiltonianInstance, lam: float, eps: float, x: int, y: int) -> np.ndarray:
-    """The k x k block of (H - lam - i eps)^(-1) at (x, y) by direct solve
-    ((B, k, k) for a stack).
-
-    eps = 0 is allowed at finite volume (continuous disorder makes real
-    energies almost surely regular); an exactly singular matrix raises
-    ResampleSignal for the caller to handle.
-    """
-    if eps < 0:
-        raise NumericalError("resolvent_block needs eps >= 0", h.digest)
-    z = complex(lam, eps)
-    sol = _shifted_solve(h, z, y)
-    resid = h.matrix @ sol - z * sol
-    resid[..., h.block_slice(y), :] -= np.eye(h.k)
-    worst = np.atleast_1d(np.max(np.abs(resid), axis=(-2, -1)))
-    bad = ~(worst <= SOLVE_TOL * (1.0 + abs(z)))  # also catches a NaN residual
+    worst = np.atleast_1d(np.max(np.abs(a @ sol - rhs), axis=(-2, -1)))
+    bad = ~(worst <= SOLVE_TOL * (1.0 + abs(zbar)))  # also catches a NaN residual
     if np.any(bad):
         raise NumericalError(
             f"resolvent solve residual {worst[np.argmax(bad)]:.3e} too large", _first_digest(h, bad)
         )
-    return sol[..., h.block_slice(x), :].copy()
-
-
-def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
-    """Blocks G_z(x0, y) for every site y, shape (n_sites, k, k) per member.
-
-    One solve with (H - conj(z)) suffices: for Hermitian H,
-    G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.
-    """
-    sol = _shifted_solve(h, np.conj(complex(lam, eps)), x0)
-    cols = sol.reshape(sol.shape[:-2] + (h.n_sites, h.k, h.k))
+    cols = sol.reshape(sol.shape[:-2] + (h.n_sites, k, k))
     return np.conj(np.swapaxes(cols, -1, -2))
 
 

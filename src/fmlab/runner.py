@@ -3,8 +3,10 @@
 Config files are JSON with a twist: real-valued fields are written as
 strings ("1e-3", "1/3", "inf") or integers, never as JSON floats, so the
 canonical form (sorted keys, compact separators) hashes identically on every
-platform.  The digest excludes the volatile fields "workers" and "out",
-which cannot influence results.
+platform.  Integer fields are JSON integers and lists of reals are JSON
+arrays; a boolean or a string in their place is a config error.  The digest
+excludes the volatile fields "workers" and "out", which cannot influence
+results.
 
 Timing and environment stamps go to run_meta.json; results.json and
 series.csv are byte-deterministic functions of (config, master_seed).
@@ -80,13 +82,16 @@ def section(cfg: dict, name: str, required: bool = True) -> dict:
     return cfg[name]
 
 
-def canonical_config_bytes(cfg: dict) -> bytes:
-    trimmed = {k: v for k, v in cfg.items() if k not in _VOLATILE_KEYS}
-    return json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def config_digest(cfg: dict) -> str:
-    return sha256(canonical_config_bytes(cfg)).hexdigest()
+    trimmed = {k: v for k, v in cfg.items() if k not in _VOLATILE_KEYS}
+    return sha256(canonical_json(trimmed).encode("utf-8")).hexdigest()
+
+
+def _reals(values, path: str) -> list:
+    """A config list of reals, which must be a JSON array."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{path}: expected a JSON array of reals, got {values!r}")
+    return [parse_real(v, path) for v in values]
 
 
 def _parse_complex_matrix(rows, path: str) -> np.ndarray:
@@ -127,7 +132,7 @@ def build_topology(cfg: dict):
 
 def build_disorder(cfg: dict):
     d = section(cfg, "disorder")
-    params = [parse_real(p, "disorder.params") for p in d.get("params", [])]
+    params = _reals(d.get("params", []), "disorder.params")
     return disorder_mod.make_spec(d.get("family", "uniform"), params)
 
 
@@ -219,12 +224,10 @@ def _real(p: dict, key: str, default=None) -> float:
 def _int(p: dict, key: str, default, lo: int, hi: float = math.inf,
          where: str = "estimator.") -> int:
     """An integer field of a config section (the estimator block unless
-    `where` names another), required to lie in [lo, hi)."""
-    try:
-        value = int(p.get(key, default))
-    except (TypeError, ValueError):
-        value = None
-    if value is None or not lo <= value < hi:
+    `where` names another): a JSON integer, not a boolean or a string,
+    in [lo, hi)."""
+    value = p.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value < hi:
         raise ConfigurationError(
             f"{where}{key}: expected an integer in [{lo}, {hi}), got {p.get(key)!r}"
         )
@@ -250,7 +253,13 @@ def _fit(prof, d_min: int) -> dict:
 
 
 def _interval(p) -> tuple:
-    return tuple(parse_real(e, "estimator.interval") for e in p.get("interval") or ("-1", "1"))
+    """The closed energy window [lo, hi], lo < hi."""
+    lo_hi = tuple(_reals(p.get("interval", ["-1", "1"]), "estimator.interval"))
+    if len(lo_hi) != 2 or not lo_hi[0] < lo_hi[1]:
+        raise ConfigurationError(
+            f"estimator.interval: expected [lo, hi] with lo < hi, got {p.get('interval')!r}"
+        )
+    return lo_hi
 
 
 def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
@@ -288,9 +297,7 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
     we = est.wegner_exponent(
         model, topo, dis,
         lambda0=_real(p, "lambda0", 0),
-        eps_list=[
-            parse_real(e, "estimator.eps_list") for e in _required(p, "eps_list", "estimator.")
-        ],
+        eps_list=_reals(_required(p, "eps_list", "estimator."), "estimator.eps_list"),
         samples=_count(p, "samples", 1000),
         master_seed=seed,
         workers=workers,
@@ -303,7 +310,7 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
 def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
     bins = section(p, "bins", required=False)
     if "edges" in bins:
-        edges = np.array([parse_real(e, "estimator.bins.edges") for e in bins["edges"]])
+        edges = np.array(_reals(bins["edges"], "estimator.bins.edges"))
     else:
         edges = np.linspace(
             parse_real(bins.get("lo", -3), "estimator.bins.lo"),
@@ -373,6 +380,12 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     lam = _real(p, "lambda", 0)
     s_step = _real(p, "one_step_s", "1/3")
     pairs = _int(p, "pairs", 6, 0)
+    lam_grid = _reals(p.get("lambda_grid", ["0", "0.5", "1", "2"]), "estimator.lambda_grid")
+    scale_keys = p.get("scales", ["5", "10"])
+    scales = list(zip(scale_keys, _reals(scale_keys, "estimator.scales")))
+    s_dec = _real(p, "decoupling_s", "0.2")
+    s_scan, r_scan = _real(p, "s", "0.15"), _real(p, "r", "0.15")
+    rh_s, vinv_s = _real(p, "rh_s", "0.2"), _real(p, "vinv_s", "0.5")
 
     # random (x, y) pairs from a dedicated stream
     pair_stream = Stream(derive_sample_seed(seed, 0xA11))
@@ -388,24 +401,22 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
                 checkpoint_path=checkpoint(f"one_step_{j}"),
             )
         )
-    lam_grid = [parse_real(v, "estimator.lambda_grid") for v in p.get(
-        "lambda_grid", ["0", "0.5", "1", "2"])]
     lem = ineq.decoupling_ratio(
-        model, topo, dis, 0, min(2, n - 1), _real(p, "decoupling_s", "0.2"),
+        model, topo, dis, 0, min(2, n - 1), s_dec,
         lam_grid, eps, samples, derive_sample_seed(seed, 2000), workers,
         checkpoint_path=checkpoint("decoupling"),
     )
     scan_results = {}
     rows = []
-    for scale in p.get("scales", ["5", "10"]):
+    for scale, param_scale in scales:
         scan = ineq.comparability_scan(
             dis,
             l_points,
             m_points,
-            _real(p, "s", "0.15"),
-            _real(p, "r", "0.15"),
+            s_scan,
+            r_scan,
             draws,
-            parse_real(scale, "estimator.scales"),
+            param_scale,
             derive_sample_seed(seed, 3000),
             workers=workers,
             checkpoint_path=checkpoint(f"scan_{scale}"),
@@ -423,7 +434,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
         ]
     rh = ineq.reverse_holder_check(
         dis,
-        _real(p, "rh_s", "0.2"),
+        rh_s,
         rh_j,
         rh_trials,
         derive_sample_seed(seed, 4000),
@@ -433,7 +444,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     vinv = None
     if model.variant != "alloy":
         vinv = ineq.vinv_moment(
-            model, lam, _real(p, "vinv_s", "0.5"),
+            model, lam, vinv_s,
             max(samples, 2000), derive_sample_seed(seed, 5000), dis,
         )
     outputs = {

@@ -4,8 +4,9 @@ Each oracle computes a quantity the library also computes, by a second
 route that no run takes:
 
 * spectral_resolvent_block sums the spectral representation of the
-  resolvent; it checks numerics.resolvent_block and resolvent_profile,
-  which solve (H - z) x = e directly.
+  resolvent, and column_resolvent_block solves (H - z) X = E_y at the
+  column y itself; they check numerics.resolvent_profile, which solves
+  with (H - conj(z)) at the column x and conjugates.
 * hermiticity_residual measures max |H - H*| entry by entry; it checks
   that model.assemble writes both triangles from one source.
 * regularity_probe and moment_probe estimate a measure's regularity
@@ -53,6 +54,14 @@ def spectral_resolvent_block(sd, z: complex, x: int, y: int) -> np.ndarray:
     un = sd.eigenvectors[sd.site_rows(y), :]
     weights = 1.0 / (sd.eigenvalues - z)
     return (um * weights[None, :]) @ un.conj().T
+
+
+def column_resolvent_block(h, z: complex, x: int, y: int) -> np.ndarray:
+    """G_z(x, y) of a single instance from the direct solve (H - z) X = E_y."""
+    n, k = h.matrix.shape[-1], h.k
+    rhs = np.zeros((n, k), dtype=np.complex128)
+    rhs[h.block_slice(y), :] = np.eye(k)
+    return np.linalg.solve(h.matrix - z * np.eye(n), rhs)[h.block_slice(x), :]
 
 
 def hermiticity_residual(h) -> float:

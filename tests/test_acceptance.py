@@ -31,7 +31,7 @@ from fmlab.inequalities import (
     reverse_holder_check,
 )
 from fmlab.model import alloy_model, assemble, block_model, spencer_model
-from fmlab.numerics import hermitian_eig, resolvent_block
+from fmlab.numerics import hermitian_eig, resolvent_profile
 from fmlab.rng import Stream, derive_sample_seed
 from fmlab.runner import run
 from fmlab.disorder import sample_vector
@@ -304,7 +304,7 @@ def test_criterion_10_numerics_kernels():
             float(np.max(np.abs(u @ np.diag(lam) @ u.conj().T - h.matrix))) / scale,
         )
         z = 0.2 + 1e-2j
-        gb = resolvent_block(h, z.real, z.imag, 1, 6)
+        gb = resolvent_profile(h, z.real, z.imag, 1)[6]
         rhs = np.zeros((16, 2), dtype=np.complex128)
         rhs[12:14] = np.eye(2)
         # solve residual, recomputed directly from the returned block route

@@ -27,7 +27,6 @@ from fmlab.numerics import (
     hermitian_eig,
     hermitian_eigvals,
     opnorm_batch,
-    resolvent_block,
     resolvent_profile,
 )
 from fmlab.rng import Stream, derive_sample_seed
@@ -178,9 +177,6 @@ def test_stacked_solve_names_the_singular_members():
     with pytest.raises(ResampleSignal) as info:
         resolvent_profile(h, 0.0, 0.0, 0)
     assert info.value.members.tolist() == [False, True, False]
-    with pytest.raises(ResampleSignal) as info:
-        resolvent_block(h, 0.0, 0.0, 0, 1)
-    assert info.value.members.tolist() == [False, True, False]
 
 
 def test_stacked_spectra_match_single_members():
@@ -205,4 +201,23 @@ def test_stacked_checks_name_the_failing_member():
         hermitian_eig(stack)
     stack.matrix[2, 0, 1] = np.nan  # a NaN residual fails the residual contract
     with pytest.raises(NumericalError, match="residual.*" + stack.member(2).digest[:16]):
-        resolvent_block(stack, 0.0, 1e-3, 0, 1)
+        resolvent_profile(stack, 0.0, 1e-3, 0)
+
+
+def test_perturbed_solve_in_a_decay_stack_names_its_member(monkeypatch):
+    # a solve off by 1e-6 on one row of member 5 fails the residual contract
+    batch_fn, params = KINDS["decay"]
+    ctx = context("spencer", params)
+    v = sample_vector(ctx.disorder, Stream(derive_sample_seed(SEED, 5)), ctx.topo.n_vertices)
+    digest = assemble(ctx.model, ctx.topo, v).digest
+    real = np.linalg.solve
+
+    def off_on_member_5(a, b):
+        sol = real(a, b)
+        sol[5, 0] += 1e-6
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", off_on_member_5)
+    with pytest.raises(NumericalError, match="residual") as info:
+        batch_fn(ctx, list(range(12)))
+    assert info.value.digest == digest

@@ -287,3 +287,22 @@ def test_singular_instance_fails_after_retry_cap(estimate, monkeypatch):
     with pytest.raises(NumericalError, match="persistent singular factorization"):
         estimate(make_lattice_box(1, (3,)))
     assert len(draws) == MAX_RETRIES + 1  # the first draw and MAX_RETRIES redraws
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda t, e: fractional_moment_profile(SINGULAR, t, UNIFORM, 0, 0.3, 0.0, e, 100, 1),
+        lambda t, e: one_step_bound_check(SINGULAR, t, UNIFORM, 0, 1, 0.3, 0.0, e, 100, 1),
+        lambda t, e: decoupling_ratio(SINGULAR, t, UNIFORM, 0, 1, 0.2, [0.0], e, 100, 1),
+    ],
+    ids=["fractional_moment_profile", "one_step_bound_check", "decoupling_ratio"],
+)
+@pytest.mark.parametrize("eps", [-1e-3, math.nan])
+def test_negative_or_nan_eps_is_refused_before_any_draw(estimate, eps, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(estimators, "sample_vector", no_draws)
+    with pytest.raises(ConfigurationError, match="eps >= 0"):
+        estimate(make_lattice_box(1, (3,)), eps)

@@ -10,18 +10,17 @@ from fmlab.errors import NumericalError, ResampleSignal
 from fmlab.estimators import _cluster_blocks_all_targets, dynamical_targets
 from fmlab.model import HamiltonianInstance, assemble, block_model, spencer_model
 from fmlab.numerics import (
-    RECON_TOL,
     hermitian_eig,
     hermitian_eigvals,
     opnorm_batch,
-    resolvent_block,
     resolvent_profile,
 )
 from fmlab.rng import Stream, derive_sample_seed
 from fmlab.topology import make_lattice_box
-from oracles import spectral_resolvent_block
+from oracles import column_resolvent_block, spectral_resolvent_block
 
 UNIFORM = make_spec("uniform", (-1, 1))
+RECON_TOL = 1e-10  # eigendecomposition reconstruction, relative to 1 + max|H|
 
 rng = np.random.default_rng(1234)
 
@@ -83,7 +82,7 @@ def test_resolvent_one_site():
     h = random_instance(1, 3)
     v = float(h.v[0])
     z = 0.3 + 0.05j
-    gb = resolvent_block(h, 0.3, 0.05, 0, 0)
+    gb = resolvent_profile(h, 0.3, 0.05, 0)[0]
     assert gb[0, 0] == pytest.approx(1.0 / (v - z), rel=1e-12)
 
 
@@ -94,13 +93,13 @@ def test_resolvent_two_site_formula():
     z = 0.1 + 1e-3j
     det = (0.4 - z) * (-0.7 - z) - 1.0 / g**2
     expect = -(1.0 / g) / det
-    gb = resolvent_block(h, 0.1, 1e-3, 0, 1)
+    gb = resolvent_profile(h, 0.1, 1e-3, 0)[1]
     assert gb[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_resolvent_decoupled_offdiagonal_zero():
     h = random_instance(4, 5, block_model([[1.0]], [[0.0]], math.inf))
-    gb = resolvent_block(h, 0.0, 1e-2, 0, 3)
+    gb = resolvent_profile(h, 0.0, 1e-2, 0)[3]
     assert np.all(gb == 0.0)
 
 
@@ -108,7 +107,7 @@ def test_resolvent_profile_matches_blockwise_solves():
     h = random_instance(6, 7, spencer_model(0.5, 3.0))
     prof = resolvent_profile(h, 0.2, 1e-3, 2)
     for y in range(6):
-        gb = resolvent_block(h, 0.2, 1e-3, 2, y)
+        gb = column_resolvent_block(h, 0.2 + 1e-3j, 2, y)
         assert np.max(np.abs(prof[y] - gb)) < 1e-11
 
 
@@ -119,7 +118,7 @@ def test_eigen_vs_solve_cross_check():
         sd = hermitian_eig(h)
         z = 0.3 + 1e-2j
         for x, y in ((0, 0), (1, 4), (5, 2)):
-            via_solve = resolvent_block(h, z.real, z.imag, x, y)
+            via_solve = resolvent_profile(h, z.real, z.imag, x)[y]
             via_eig = spectral_resolvent_block(sd, z, x, y)
             denom = max(np.max(np.abs(via_solve)), 1e-30)
             assert np.max(np.abs(via_solve - via_eig)) / denom < 1e-8
@@ -129,15 +128,22 @@ def test_green_symmetry_real_instances():
     h = random_instance(6, 11, block_model([[1.0]], [[0.0]], 3.0))
     z = 0.1 + 1e-2j
     for x, y in ((0, 3), (2, 5)):
-        gxy = resolvent_block(h, z.real, z.imag, x, y)
-        gyx = resolvent_block(h, z.real, z.imag, y, x)
+        gxy = resolvent_profile(h, z.real, z.imag, x)[y]
+        gyx = resolvent_profile(h, z.real, z.imag, y)[x]
         assert np.max(np.abs(gxy - gyx.T)) < 1e-10
 
 
 def test_resolvent_eps_zero_allowed():
     h = random_instance(5, 13)
-    gb = resolvent_block(h, 0.05, 0.0, 0, 4)
+    gb = resolvent_profile(h, 0.05, 0.0, 0)[4]
     assert np.all(np.isfinite(gb.view(np.float64)))
+
+
+@pytest.mark.parametrize("eps", [-1e-3, math.nan])
+def test_resolvent_rejects_negative_or_nan_eps(eps):
+    h = random_instance(5, 13)
+    with pytest.raises(NumericalError, match="eps >= 0"):
+        resolvent_profile(h, 0.05, eps, 0)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (17, 3), (40, 5)])
@@ -160,7 +166,7 @@ def test_singular_factorization_raises_resample():
     topo = make_lattice_box(1, (1,))
     h = assemble(block_model([[1.0]], [[0.0]], math.inf), topo, [0.25])
     with pytest.raises(ResampleSignal):
-        resolvent_block(h, 0.25, 0.0, 0, 0)
+        resolvent_profile(h, 0.25, 0.0, 0)
 
 
 def test_singular_solve_flags_resample():

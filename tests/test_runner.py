@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from fmlab import engine
+from fmlab.disorder import sample_vector
 from fmlab.engine import _scan_checkpoint, run_indexed
 from fmlab.errors import ConfigurationError
+from fmlab.model import assemble
 from fmlab.plotting import emit_plot
 from fmlab.runner import (
     ResultRecord,
@@ -23,6 +25,7 @@ from fmlab.runner import (
     parse_real,
     run,
 )
+from fmlab.rng import Stream, derive_sample_seed
 
 BASE_CFG = {
     "kind": "decay",
@@ -36,6 +39,42 @@ BASE_CFG = {
                   "x0": 0, "d_min": 2},
     "master_seed": 424242,
     "workers": 1,
+}
+
+
+# one small config per kind, each with more samples than one engine chunk
+TINY_CFGS = {
+    "decay": BASE_CFG,
+    "wegner": {
+        **BASE_CFG, "kind": "wegner",
+        "topology": {"d": 1, "sides": [6], "periodic": True},
+        "model": {"variant": "spencer", "a": "1", "g": "10"},
+        "estimator": {"lambda0": "0.5", "eps_list": ["0.8", "0.4", "0.2"], "samples": 70},
+    },
+    "ids": {
+        **BASE_CFG, "kind": "ids",
+        "topology": {"d": 2, "sides": [3, 3], "periodic": True},
+        "disorder": {"family": "gaussian", "params": [0, 1]},
+        "model": {"variant": "alloy", "coeffs": {"0,0": "1", "1,0": "-1"}, "g": "8"},
+        "estimator": {"samples": 70, "bins": {"n": 16, "lo": "-4", "hi": "4"}},
+    },
+    "correlator": {
+        **BASE_CFG, "kind": "correlator",
+        "estimator": {"interval": ["-0.5", "0.5"], "samples": 70, "x0": 0, "d_min": 1},
+    },
+    "dynamical": {
+        **BASE_CFG, "kind": "dynamical",
+        "topology": {"d": 1, "sides": [5], "periodic": False},
+        "model": {"variant": "spencer", "a": "1", "g": "8"},
+        "estimator": {"interval": ["-1", "1"], "samples": 70, "x0": 0, "t_points": 32},
+    },
+    "inequalities": {
+        **BASE_CFG, "kind": "inequalities",
+        "topology": {"d": 1, "sides": [5], "periodic": False},
+        "model": {"variant": "spencer", "a": "1", "g": "20"},
+        "estimator": {"samples": 100, "draws": 40, "pairs": 1, "rh_trials": 40,
+                      "scales": ["5"], "s": "0.15", "r": "0.15"},
+    },
 }
 
 
@@ -116,22 +155,29 @@ def test_run_decay_and_rerun_identical(tmp_path):
     assert s1 == s2
 
 
-def test_checkpoint_resume_equals_straight_run(tmp_path):
-    full = str(tmp_path / "full")
-    rec_full = run(dict(BASE_CFG), outdir=full)
+def _artifacts(outdir) -> dict:
+    """results.json and every checkpoint of a run directory, as bytes."""
+    names = sorted(n for n in os.listdir(outdir) if n.startswith("samples") or n == "results.json")
+    return {n: open(os.path.join(outdir, n), "rb").read() for n in names}
 
-    partial = str(tmp_path / "partial")
+
+@pytest.mark.parametrize("kind", sorted(TINY_CFGS))
+def test_checkpoint_resume_equals_straight_run(kind, tmp_path):
+    full, partial = str(tmp_path / "full"), str(tmp_path / "partial")
+    run(TINY_CFGS[kind], outdir=full)
+    straight = _artifacts(full)
+    checkpoints = [n for n in straight if n.startswith("samples")]
+    assert checkpoints
+
     os.makedirs(partial)
-    lines = open(os.path.join(full, "samples.jsonl")).readlines()
-    with open(os.path.join(partial, "samples.jsonl"), "w") as fh:
-        fh.writelines(lines[:60])
-        fh.write('{"i": 60, "p": {"trunc')  # torn final line from a kill
-    rec_resumed = run(dict(BASE_CFG), outdir=partial)
-    assert rec_resumed.to_json() == rec_full.to_json()
-    assert (
-        open(os.path.join(partial, "samples.jsonl")).read()
-        == open(os.path.join(full, "samples.jsonl")).read()
-    )
+    for name in checkpoints:
+        lines = straight[name].splitlines(keepends=True)
+        keep = len(lines) // 2
+        with open(os.path.join(partial, name), "wb") as fh:
+            fh.writelines(lines[:keep])
+            fh.write(lines[keep][: len(lines[keep]) // 2])  # torn final line from a kill
+    run(TINY_CFGS[kind], outdir=partial)
+    assert _artifacts(partial) == straight
 
 
 def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
@@ -318,15 +364,67 @@ def _with_estimator(kind, **fields):
         pytest.param(_with_estimator("inequalities", pairs=-1), [], id="inequalities-pairs-negative"),
         pytest.param(_with_estimator("inequalities", pairs="x"), [],
                      id="inequalities-pairs-not-an-integer"),
+        pytest.param({**BASE_CFG, "topology": {"sides": [True, 8]}}, [], id="topology-sides-true"),
+        pytest.param({**BASE_CFG, "topology": {"sides": ["8"]}}, [], id="topology-sides-string"),
+        pytest.param({**BASE_CFG, "topology": {"sides": [8], "d": True}}, [], id="topology-d-true"),
+        pytest.param(_with_estimator("ids", samples=True), [], id="ids-samples-true"),
+        pytest.param(_with_estimator("decay", samples="120"), [], id="decay-samples-string"),
+        pytest.param(_with_estimator("inequalities", draws="20"), [],
+                     id="inequalities-draws-string"),
+        pytest.param({**BASE_CFG, "disorder": {"family": "uniform", "params": "12"}}, [],
+                     id="disorder-params-string"),
+        pytest.param({**BASE_CFG, "kind": "wegner", "estimator": {"eps_list": "842"}}, [],
+                     id="wegner-eps-list-string"),
+        pytest.param(_with_estimator("correlator", interval="13"), [],
+                     id="correlator-interval-string"),
+        pytest.param(_with_estimator("correlator", interval=["0"]), [],
+                     id="correlator-interval-one-end"),
+        pytest.param(_with_estimator("dynamical", interval=["-1", "0", "1"]), [],
+                     id="dynamical-interval-three-ends"),
+        pytest.param(_with_estimator("correlator", interval=["0.5", "-0.5"]), [],
+                     id="correlator-interval-reversed"),
+        pytest.param(_with_estimator("inequalities", vinv_s="x"), [],
+                     id="inequalities-vinv-s-malformed"),
+        pytest.param(_with_estimator("inequalities", scales="10"), [],
+                     id="inequalities-scales-string"),
+        pytest.param(_with_estimator("inequalities", lambda_grid="0"), [],
+                     id="inequalities-lambda-grid-string"),
+        pytest.param(_with_estimator("ids", bins={"edges": "012"}), [], id="ids-bins-edges-string"),
+        pytest.param(_with_estimator("decay", eps="-1e-3"), [], id="decay-eps-negative"),
+        pytest.param(_with_estimator("inequalities", eps="-1e-3"), [],
+                     id="inequalities-eps-negative"),
     ],
 )
 def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, extra):
     from fmlab.cli import main
 
     kind = cfg["kind"] if isinstance(cfg, dict) else "decay"
-    argv = [kind, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    out = tmp_path / "run"
+    argv = [kind, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     assert main(argv + extra) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not list(out.glob("samples*.jsonl"))  # refused before any sample ran
+
+
+def test_cli_exits_3_when_a_solve_fails_its_residual(tmp_path, capsys, monkeypatch):
+    from fmlab.cli import main
+
+    # sample 1 is member 1 of the first stack; its solve is off by 1e-6 on one row
+    v = sample_vector(build_disorder(BASE_CFG), Stream(derive_sample_seed(424242, 1)), 8)
+    digest = assemble(build_model(BASE_CFG), build_topology(BASE_CFG), v).digest
+    real = np.linalg.solve
+
+    def off_on_member_1(a, b):
+        sol = real(a, b)
+        sol[1, 0] += 1e-6
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", off_on_member_1)
+    argv = ["decay", "--config", write_cfg(tmp_path, BASE_CFG), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: resolvent solve residual")
+    assert digest[:16] in err
 
 
 def test_cli_seed_override_changes_results(tmp_path):
@@ -372,6 +470,24 @@ def test_shipped_configs_validate():
         build_topology(cfg)
         build_disorder(cfg)
         assert cfg["kind"] in os.path.basename(path) or cfg["kind"] in ("ids",)
+
+
+# digests of the shipped configs; an encoder change must not move them
+SHIPPED_DIGESTS = {
+    "correlator_chain": "d5b7ab5a045fc249",
+    "decay_chain": "74a5e8e90ff34d49",
+    "dynamical_box": "ceaade92c29257cf",
+    "ids_alloy_2d": "75139d5a343add4e",
+    "inequalities_battery": "0f81fc5b36c87d63",
+    "wegner_spencer": "c89a204883dd2831",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_config_digests_are_stable(name):
+    root = os.path.dirname(os.path.dirname(__file__))
+    cfg = load_config(os.path.join(root, "configs", f"{name}.json"))
+    assert config_digest(cfg)[:16] == SHIPPED_DIGESTS[name]
 
 
 def test_run_wegner_kind(tmp_path):
@@ -447,50 +563,13 @@ def test_inequalities_series_keeps_every_scale(tmp_path):
     assert csv[0] == "scale,draw,parameters,lhs,rhs,ratio" and len(csv) == 1 + 3 * 12
 
 
-# one small config per kind, each with more samples than one engine chunk
-TINY_CFGS = {
-    "decay": BASE_CFG,
-    "wegner": {
-        **BASE_CFG, "kind": "wegner",
-        "topology": {"d": 1, "sides": [6], "periodic": True},
-        "model": {"variant": "spencer", "a": "1", "g": "10"},
-        "estimator": {"lambda0": "0.5", "eps_list": ["0.8", "0.4", "0.2"], "samples": 70},
-    },
-    "ids": {
-        **BASE_CFG, "kind": "ids",
-        "topology": {"d": 2, "sides": [3, 3], "periodic": True},
-        "disorder": {"family": "gaussian", "params": [0, 1]},
-        "model": {"variant": "alloy", "coeffs": {"0,0": "1", "1,0": "-1"}, "g": "8"},
-        "estimator": {"samples": 70, "bins": {"n": 16, "lo": "-4", "hi": "4"}},
-    },
-    "correlator": {
-        **BASE_CFG, "kind": "correlator",
-        "estimator": {"interval": ["-0.5", "0.5"], "samples": 70, "x0": 0, "d_min": 1},
-    },
-    "dynamical": {
-        **BASE_CFG, "kind": "dynamical",
-        "topology": {"d": 1, "sides": [5], "periodic": False},
-        "model": {"variant": "spencer", "a": "1", "g": "8"},
-        "estimator": {"interval": ["-1", "1"], "samples": 70, "x0": 0, "t_points": 32},
-    },
-    "inequalities": {
-        **BASE_CFG, "kind": "inequalities",
-        "topology": {"d": 1, "sides": [5], "periodic": False},
-        "model": {"variant": "spencer", "a": "1", "g": "20"},
-        "estimator": {"samples": 100, "draws": 40, "pairs": 1, "rh_trials": 40,
-                      "scales": ["5"], "s": "0.15", "r": "0.15"},
-    },
-}
-
-
 @pytest.mark.parametrize("kind", sorted(TINY_CFGS))
 def test_every_kind_is_identical_across_worker_counts(kind, tmp_path):
     outputs = []
     for workers in (1, 2):
         out = str(tmp_path / f"w{workers}")
         run({**TINY_CFGS[kind], "workers": workers}, outdir=out)
-        names = sorted(n for n in os.listdir(out) if n.startswith("samples") or n == "results.json")
-        outputs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
+        outputs.append(_artifacts(out))
     assert "results.json" in outputs[0] and len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
 
