@@ -1,13 +1,18 @@
 """Deterministic indexed Monte Carlo engine.
 
 Samples are pure functions of (context, sample index): the index derives the
-random stream, so any subset can be computed anywhere, in any order, by any
-number of workers, and the aggregate is reduced in index order afterwards.
-Work is handed out in chunks of _CHUNK indices, and one call of the batch
-function computes a whole chunk; since every sample depends only on its own
-index, the payloads do not depend on how the indices are chunked.
-Completed samples are checkpointed as JSON lines (written in index order) and
-skipped on resume.
+random stream, so a payload does not depend on which worker computes it or
+how the indices are chunked.  The indices are cut into consecutive ranges of
+_CHUNK, and one call of the batch function computes a whole range.  Chunks
+come back in index order (from the builtin map at one worker, from pool.map
+otherwise), and each chunk's payloads are appended to the checkpoint as JSON
+lines and flushed as it arrives; a failing chunk cancels the chunks still
+pending and leaves every earlier chunk on disk.
+
+So a checkpoint is a prefix of the straight run's: line j is {"i": j, ...}.
+A resume keeps the longest valid prefix, cuts the file there (a torn,
+unreadable, repeated or swapped line and everything after it is recomputed)
+and runs the rest.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from itertools import repeat
 
 _CHUNK = 32  # samples per batch_fn call
 
@@ -22,83 +29,54 @@ _CHUNK = 32  # samples per batch_fn call
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _run_chunk(batch_fn, ctx, indices):
-    return list(zip(indices, batch_fn(ctx, indices), strict=True))
-
-
-def _scan_checkpoint(path):
-    """(done samples, byte offset where valid content ends) of a JSON-lines
-    checkpoint, tolerating a torn tail."""
-    done = {}
-    good_end = 0
+def checkpoint_prefix(path):
+    """(payloads, byte length) of the longest valid prefix of a JSON-lines
+    checkpoint, where line j must be a complete JSON line with "i": j."""
+    payloads, end = [], 0
     if path is None or not os.path.exists(path):
-        return done, good_end
+        return payloads, end
     with open(path, "rb") as fh:
         for raw in fh:
-            if not raw.endswith(b"\n"):
-                break  # torn final line from an interrupted run
-            line = raw.strip()
-            if line:
-                try:
-                    rec = json.loads(line)
-                    done[int(rec["i"])] = rec["p"]
-                except (json.JSONDecodeError, KeyError, ValueError):
+            try:
+                rec = json.loads(raw)
+                if not raw.endswith(b"\n") or rec["i"] != len(payloads):
                     break
-            good_end += len(raw)
-    return done, good_end
+                payloads.append(rec["p"])
+            except (ValueError, KeyError, TypeError):
+                break
+            end += len(raw)
+    return payloads, end
 
 
 def run_indexed(batch_fn, ctx, n_samples, workers=1, checkpoint_path=None):
     """Payloads of samples 0..n_samples-1, in order.
 
-    batch_fn(ctx, indices) returns the payloads of a list of sample indices,
+    batch_fn(ctx, indices) returns the payloads of a range of sample indices,
     one per index; payload i must depend only on (ctx, i).  batch_fn must be
-    a module-level function (it crosses process boundaries).  Checkpoint
-    lines are flushed in index order after each chunk, so the file is
-    reproducible byte for byte across worker counts, and a failing chunk
-    leaves every earlier chunk checkpointed.
+    a module-level function (it crosses process boundaries).  The checkpoint
+    is the same file byte for byte at every worker count; a run whose
+    remaining samples fit one chunk starts no pool.
     """
-    done, good_end = _scan_checkpoint(checkpoint_path)
-    payloads = dict(done)
-    todo = [i for i in range(n_samples) if i not in payloads]
-
-    writer = None
-    written_upto = 0
-    if checkpoint_path is not None:
-        if os.path.exists(checkpoint_path) and os.path.getsize(checkpoint_path) > good_end:
-            with open(checkpoint_path, "r+b") as fh:
-                fh.truncate(good_end)  # drop the torn tail before appending
-        writer = open(checkpoint_path, "a", encoding="utf-8")
-        while written_upto in done:
-            written_upto += 1
-
-    def flush_ready():
-        nonlocal written_upto
-        if writer is None:
-            return
-        while written_upto in payloads:
-            line = canonical_json({"i": written_upto, "p": payloads[written_upto]})
-            if written_upto not in done:
-                writer.write(line + "\n")
-            written_upto += 1
-        writer.flush()
-
-    chunks = [todo[j:j + _CHUNK] for j in range(0, len(todo), _CHUNK)]
-    try:
-        if workers <= 1 or len(chunks) <= 1:
-            for idx in chunks:
-                payloads.update(_run_chunk(batch_fn, ctx, idx))
-                flush_ready()
+    payloads, end = checkpoint_prefix(checkpoint_path)
+    chunks = [range(j, min(j + _CHUNK, n_samples))
+              for j in range(len(payloads), n_samples, _CHUNK)]
+    with ExitStack() as stack:
+        writer = None
+        if checkpoint_path is not None:
+            writer = stack.enter_context(open(checkpoint_path, "a", encoding="utf-8"))
+            writer.truncate(end)  # drop everything after the valid prefix
+        if workers > 1 and len(chunks) > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            batches = pool.map(batch_fn, repeat(ctx), chunks)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_chunk, batch_fn, ctx, idx) for idx in chunks]
-                for fut in futures:
-                    for i, payload in fut.result():
-                        payloads[i] = payload
-                    flush_ready()
-    finally:
-        if writer is not None:
-            flush_ready()
-            writer.close()
-
-    return [payloads[i] for i in range(n_samples)]
+            batches = map(batch_fn, repeat(ctx), chunks)
+        for idx, batch in zip(chunks, batches):
+            if len(batch) != len(idx):
+                raise ValueError(f"batch_fn gave {len(batch)} payloads for {len(idx)} indices")
+            payloads += batch
+            if writer is not None:
+                writer.writelines(canonical_json({"i": i, "p": p}) + "\n"
+                                  for i, p in zip(idx, batch))
+                writer.flush()
+    return payloads[:n_samples]

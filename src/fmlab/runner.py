@@ -264,20 +264,15 @@ def _interval(p) -> tuple:
 
 def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
     d_min = _int(p, "d_min", 1, 0)
-    if p.get("eps", "auto") == "auto":
+    x0, s, lam = _site(p, topo), _real(p, "s", "1/3"), _real(p, "lambda", 0)
+    samples = _count(p, "samples", 1000)
+    if p.get("eps", "auto") == "auto":  # an eigensolve of sample 0, so after every parse
         eps = est.default_eps(model, topo, dis, seed)
     else:
         eps = _real(p, "eps")
     profile = est.fractional_moment_profile(
-        model, topo, dis,
-        x0=_site(p, topo),
-        s=_real(p, "s", "1/3"),
-        lam=_real(p, "lambda", 0),
-        eps=eps,
-        samples=_count(p, "samples", 1000),
-        master_seed=seed,
-        workers=workers,
-        checkpoint_path=checkpoint(),
+        model, topo, dis, x0=x0, s=s, lam=lam, eps=eps, samples=samples,
+        master_seed=seed, workers=workers, checkpoint_path=checkpoint(),
     )
     ok, margin = est.moment_max_check(profile)
     outputs = {
@@ -408,7 +403,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     )
     scan_results = {}
     rows = []
-    for scale, param_scale in scales:
+    for j, (scale, param_scale) in enumerate(scales):
         scan = ineq.comparability_scan(
             dis,
             l_points,
@@ -419,7 +414,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
             param_scale,
             derive_sample_seed(seed, 3000),
             workers=workers,
-            checkpoint_path=checkpoint(f"scan_{scale}"),
+            checkpoint_path=checkpoint(f"scan_{j}"),  # by position: no config string in a path
         )
         scan_results[str(scale)] = {
             "ratio_min": scan["ratio_min"],
@@ -494,8 +489,8 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     When outdir is given, artifacts (canonical config copy, checkpoint,
     results.json, run_meta.json) are written there and runs are resumable.
-    An outdir whose config.json has another config digest is refused, since
-    its checkpoints belong to that run.
+    An outdir holding checkpoints or results.json beside a config.json with
+    another config digest is refused, since they belong to that run.
     """
     kind = cfg.get("kind")
     if kind not in KINDS:
@@ -513,9 +508,15 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        # the checkpoints in an outdir belong to the run whose config.json they sit beside
+        # the checkpoints and results in an outdir belong to the run whose config.json
+        # they sit beside; a config.json alone (from a refused config) claims nothing
         config_path = os.path.join(outdir, "config.json")
-        if os.path.exists(config_path) and config_digest(load_config(config_path)) != digest:
+        claimed = any(
+            name == "results.json" or (name.startswith("samples") and name.endswith(".jsonl"))
+            for name in os.listdir(outdir)
+        )
+        if (claimed and os.path.exists(config_path)
+                and config_digest(load_config(config_path)) != digest):
             raise ConfigurationError(
                 f"{outdir} belongs to another run; a different config, seed or sample count "
                 "needs a new output directory"

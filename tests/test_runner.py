@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from fmlab import engine
 from fmlab.disorder import sample_vector
-from fmlab.engine import _scan_checkpoint, run_indexed
+from fmlab.engine import checkpoint_prefix, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.model import assemble
 from fmlab.plotting import emit_plot
@@ -180,6 +181,44 @@ def test_checkpoint_resume_equals_straight_run(kind, tmp_path):
     assert _artifacts(partial) == straight
 
 
+@pytest.mark.parametrize("fault", ["repeated", "swapped"])
+def test_resume_over_a_disordered_checkpoint_equals_straight_run(fault, tmp_path):
+    full, partial = str(tmp_path / "full"), str(tmp_path / "partial")
+    run(BASE_CFG, outdir=full)
+    straight = _artifacts(full)
+    lines = straight["samples.jsonl"].splitlines(keepends=True)
+    if fault == "repeated":
+        lines.insert(41, lines[40])
+    else:
+        lines[40], lines[41] = lines[41], lines[40]
+    os.makedirs(partial)
+    with open(os.path.join(partial, "samples.jsonl"), "wb") as fh:
+        fh.writelines(lines)  # every index is present, but not each on its own line
+    run(BASE_CFG, outdir=partial)
+    assert _artifacts(partial) == straight
+
+
+def _touch_and_fail_on_chunk_1(outdir, indices):
+    """A batch function that leaves one file per chunk it starts; chunk 1 fails."""
+    open(os.path.join(outdir, f"chunk_{indices[0]}"), "w").close()
+    if indices[0] == engine._CHUNK:
+        raise RuntimeError("chunk 1 blew up")
+    time.sleep(0.05)
+    return [{"v": i} for i in indices]
+
+
+def test_engine_failed_chunk_stops_the_pool(tmp_path):
+    started = tmp_path / "started"
+    started.mkdir()
+    path = str(tmp_path / "ck.jsonl")
+    with pytest.raises(RuntimeError, match="chunk 1"):
+        run_indexed(_touch_and_fail_on_chunk_1, str(started), 60 * engine._CHUNK,
+                    workers=2, checkpoint_path=path)
+    done, _ = checkpoint_prefix(path)
+    assert done == [{"v": i} for i in range(engine._CHUNK)]  # chunk 0 stays checkpointed
+    assert len(os.listdir(started)) < 10  # the pending chunks were cancelled, not run
+
+
 def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     def batch(ctx, indices):
         if 3 in indices:
@@ -190,8 +229,8 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     path = str(tmp_path / "ck.jsonl")
     with pytest.raises(RuntimeError):
         run_indexed(batch, None, 6, workers=1, checkpoint_path=path)
-    done, _ = _scan_checkpoint(path)
-    assert sorted(done) == [0, 1, 2]  # completed prefix survives the abort
+    done, _ = checkpoint_prefix(path)
+    assert done == [{"v": 0}, {"v": 1}, {"v": 2}]  # completed prefix survives the abort
 
 
 def test_engine_payload_roundtrip(tmp_path):
@@ -206,8 +245,8 @@ def test_engine_payload_roundtrip(tmp_path):
     again = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
     assert first == again
     assert len(calls) == 5  # second pass is checkpoint-only
-    done, _ = _scan_checkpoint(path)
-    assert sorted(done) == list(range(5))
+    done, _ = checkpoint_prefix(path)
+    assert done == first
 
 
 def test_emit_csv_lossless_roundtrip(tmp_path):
@@ -456,6 +495,39 @@ def test_rerun_with_another_seed_refuses_the_outdir(tmp_path):
     assert open(os.path.join(out, "results.json"), "rb").read() == first
     assert main(argv + ["--seed", "1", "--workers", "2"]) == 0  # the same run resumes
     assert open(os.path.join(out, "results.json"), "rb").read() == first
+
+
+def test_refused_config_leaves_the_outdir_free(tmp_path, capsys):
+    from fmlab.cli import main
+
+    out = str(tmp_path / "run")
+    bad = write_cfg(tmp_path, _with_estimator("decay", s="x"), "bad.json")
+    assert main(["decay", "--config", bad, "--out", out]) == 2
+    assert "estimator.s" in capsys.readouterr().err
+    good = write_cfg(tmp_path, BASE_CFG, "good.json")
+    assert main(["decay", "--config", good, "--out", out]) == 0
+    assert load_config(os.path.join(out, "config.json")) == BASE_CFG
+
+
+def test_decay_with_auto_eps_parses_every_field_before_sampling(tmp_path, monkeypatch):
+    from fmlab.cli import main
+
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+    cfg = write_cfg(tmp_path, _with_estimator("decay", eps="auto", s="x"))
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert calls == []
+
+
+def test_fractional_scale_names_its_checkpoint_by_position(tmp_path):
+    cfg = {**TINY_CFGS["inequalities"], "estimator": {
+        **TINY_CFGS["inequalities"]["estimator"], "scales": ["1/2", "10"]}}
+    out = tmp_path / "iq"
+    rec = run(cfg, outdir=str(out))
+    assert sorted(rec.outputs["comparability"]) == ["1/2", "10"]
+    scans = sorted(p.name for p in out.glob("samples.scan*"))
+    assert scans == ["samples.scan_0.jsonl", "samples.scan_1.jsonl"]
 
 
 def test_shipped_configs_validate():
