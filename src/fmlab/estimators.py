@@ -482,26 +482,36 @@ def _distance_profile(model, topo, interval, x0, values, master_seed, extras) ->
 
 
 def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
-    """Per cluster, the blocks M_nu(x0, y) for every y: list of (nu, (N,k,k))."""
+    """(nus, blocks) for the window clusters nu of one decomposition: nus[c] is
+    cluster c's mean eigenvalue, shape (C,), and blocks[c, y] is
+    M_nu(x0, y) = sum_{j in nu} psi_j(x0) psi_j(y)*, shape (C, N, k, k).
+
+    One reduceat over the outer products of the window columns, split at the
+    cluster starts.  blocks is C-contiguous: numpy then sums over its cluster
+    axis row by row, in the order of a loop over the clusters.
+    """
     k, n_sites = sd.k, sd.n_sites
-    u = sd.eigenvectors
-    um = u[sd.site_rows(x0), :]
-    out = []
-    for cols in cluster_indices(sd, interval):
-        nu = float(np.mean(sd.eigenvalues[cols]))
-        v = u[:, cols].reshape(n_sites, k, cols.size)
-        blocks = np.einsum("ac,nbc->nab", um[:, cols], v.conj())
-        out.append((nu, blocks))
-    return out
+    clusters = cluster_indices(sd, interval)
+    if not clusters:  # reduceat needs at least one start
+        return np.zeros(0), np.zeros((0, n_sites, k, k), dtype=np.complex128)
+    cols = np.concatenate(clusters)
+    sizes = np.array([c.size for c in clusters])
+    starts = np.cumsum(sizes) - sizes
+    u = sd.eigenvectors[:, cols]  # (N k, W)
+    v = u.reshape(n_sites, k, cols.size)
+    # einsum's products, not a broadcast multiply (which rounds some complex
+    # products differently): each block is then bit for bit an einsum over
+    # its own cluster's columns
+    outer = np.einsum("aj,nbj->jnab", u[sd.site_rows(x0)], v.conj())  # (W, N, k, k)
+    blocks = np.ascontiguousarray(np.add.reduceat(outer, starts, axis=0))
+    nus = np.add.reduceat(sd.eigenvalues[cols], starts) / sizes
+    return nus, blocks
 
 
 def correlator_targets(sd: SpectralDecomposition, interval, x0: int) -> np.ndarray:
     """Q_hat(x0, y), the sum over window clusters of ||M_nu(x0, y)|| (at most
-    k), for every site y, sharing one clustering pass."""
-    q = np.zeros(sd.n_sites)
-    for _, blocks in _cluster_blocks_all_targets(sd, interval, x0):
-        q += opnorm_batch(blocks)
-    return q
+    k), for every site y."""
+    return opnorm_batch(_cluster_blocks_all_targets(sd, interval, x0)[1]).sum(axis=0)
 
 
 def default_t_grid(spectral_width: float, points: int = T_GRID_POINTS) -> np.ndarray:
@@ -511,22 +521,17 @@ def default_t_grid(spectral_width: float, points: int = T_GRID_POINTS) -> np.nda
     return np.linspace(0.0, T_GRID_CYCLES * 2.0 * math.pi / width, points)
 
 
-def dynamical_targets(sd: SpectralDecomposition, interval, x0: int, t_grid) -> np.ndarray:
-    """sup over the time grid of ||e^{i t H_I}(x0, y)|| for every y."""
+def _dynamical_sup(nus, blocks, x0: int, t_grid) -> np.ndarray:
+    """sup over the time grid of ||e^{i t H_I}(x0, y)|| for every y, from the
+    cluster pass (nus, blocks): e^{i t H_I}(x0, y) is
+    delta_{x0 y} + sum_nu (e^{i t nu} - 1) M_nu(x0, y), one (T x C) . (C x N k k)
+    product for the whole grid."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    k, n_sites = sd.k, sd.n_sites
-    clusters = _cluster_blocks_all_targets(sd, interval, x0)
-    if not clusters:
-        out = np.zeros(n_sites)
-        out[x0] = 1.0
-        return out
-    nus = np.array([nu for nu, _ in clusters])
-    stack = np.stack([blocks for _, blocks in clusters])  # (C, N, k, k)
+    c, n_sites, k = blocks.shape[:3]
     w = np.exp(1j * np.outer(t_grid, nus)) - 1.0  # (T, C)
-    ev = np.einsum("tc,cnab->tnab", w, stack)
+    ev = (w @ blocks.reshape(c, n_sites * k * k)).reshape(t_grid.size, n_sites, k, k)
     ev[:, x0] += np.eye(k, dtype=np.complex128)
-    norms = opnorm_batch(ev.reshape(-1, k, k)).reshape(t_grid.size, n_sites)
-    return norms.max(axis=0)
+    return opnorm_batch(ev).max(axis=0)
 
 
 def _correlator_batch(ctx: _SampleCtx, indices) -> list:
@@ -568,8 +573,9 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
         out = []
         for sd in hermitian_eig(h):
             t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
-            sup = dynamical_targets(sd, interval, x0, t_grid)
-            q = correlator_targets(sd, interval, x0)
+            nus, blocks = _cluster_blocks_all_targets(sd, interval, x0)
+            sup = _dynamical_sup(nus, blocks, x0, t_grid)
+            q = opnorm_batch(blocks).sum(axis=0)
             out.append({"u": sup.tolist(), "q": q.tolist()})
         return out
 

@@ -136,7 +136,10 @@ def opnorm_batch(blocks) -> np.ndarray:
 
     1 x 1 blocks take abs and 2 x 2 blocks a closed form (the estimator hot
     path, much cheaper than a batched SVD); anything else a batched LAPACK
-    SVD.
+    SVD.  The result keeps the memory order of the stack's leading axes.  A
+    sum over a leading axis that is slow in memory adds row by row, in the
+    order of a loop; over a fast one numpy's pairwise sum reorders the adds,
+    and the last bits can move.
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
     shape = blocks.shape[-2:]
@@ -145,17 +148,19 @@ def opnorm_batch(blocks) -> np.ndarray:
     if shape == (2, 2):
         # sqrt of the top eigenvalue of the Gram matrix G = M* M, written as
         # a sum of nonnegative terms so it stays accurate when the two
-        # singular values nearly coincide
-        c0, c1 = blocks[..., :, 0], blocks[..., :, 1]
-        g11 = np.sum(np.abs(c0) ** 2, axis=-1)
-        g22 = np.sum(np.abs(c1) ** 2, axis=-1)
-        g12 = np.abs(np.sum(np.conj(c0) * c1, axis=-1))
+        # singular values nearly coincide; each length-2 sum is one explicit
+        # add, cheaper than np.sum over an axis of length 2 and bit for bit equal
+        sq = np.abs(blocks) ** 2
+        g11 = sq[..., 0, 0] + sq[..., 1, 0]
+        g22 = sq[..., 0, 1] + sq[..., 1, 1]
+        cross = np.conj(blocks[..., :, 0]) * blocks[..., :, 1]
+        g12 = np.abs(cross[..., 0] + cross[..., 1])
         return np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
     return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
 def cluster_indices(sd: SpectralDecomposition, interval):
-    """Eigenvalue-index clusters inside the closed interval.
+    """Eigenvalue-index clusters inside the closed interval, in ascending order.
 
     Consecutive eigenvalues within CLUSTER_TOL * (1 + spectral radius) merge
     into one cluster (continuous disorder makes exact degeneracy measure
@@ -163,17 +168,9 @@ def cluster_indices(sd: SpectralDecomposition, interval):
     """
     lo, hi = float(interval[0]), float(interval[1])
     vals = sd.eigenvalues
-    sel = np.where((vals >= lo) & (vals <= hi))[0]
+    sel = np.flatnonzero((vals >= lo) & (vals <= hi))
     if sel.size == 0:
         return []
     radius = max(abs(float(vals[0])), abs(float(vals[-1])))
     tol = CLUSTER_TOL * (1.0 + radius)
-    out = []
-    start = 0
-    while start < sel.size:
-        stop = start + 1
-        while stop < sel.size and vals[sel[stop]] - vals[sel[stop - 1]] <= tol:
-            stop += 1
-        out.append(sel[start:stop])
-        start = stop
-    return out
+    return np.split(sel, np.flatnonzero(np.diff(vals[sel]) > tol) + 1)

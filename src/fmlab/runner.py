@@ -31,7 +31,7 @@ from .engine import canonical_json
 from .errors import ConfigurationError
 from .model import alloy_model, singular_covering_model, block_model, spencer_model
 from .rng import Stream, derive_sample_seed
-from .topology import make_lattice_box
+from .topology import distances_from, make_lattice_box
 
 _VOLATILE_KEYS = ("workers", "out")
 
@@ -248,6 +248,19 @@ def _series(columns, *constants) -> list:
     return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
+def _d_min(p, topo, x0: int) -> int:
+    """The decay fit's smallest distance, refused before any sample is drawn
+    when fewer than the fit's 3 distinct distances from x0 reach it."""
+    d_min = _int(p, "d_min", 1, 0)
+    reached = {int(d) for d in distances_from(topo, x0) if d >= d_min}
+    if len(reached) < 3:
+        raise ConfigurationError(
+            f"estimator.d_min: {d_min} leaves {len(reached)} distinct distances from x0 = {x0}; "
+            "the decay fit needs >= 3"
+        )
+    return d_min
+
+
 def _fit(prof, d_min: int) -> dict:
     return {"fit": est.decay_rate_fit(prof, d_min=d_min), "d_min": d_min}
 
@@ -263,8 +276,8 @@ def _interval(p) -> tuple:
 
 
 def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
-    d_min = _int(p, "d_min", 1, 0)
     x0, s, lam = _site(p, topo), _real(p, "s", "1/3"), _real(p, "lambda", 0)
+    d_min = _d_min(p, topo, x0)
     samples = _count(p, "samples", 1000)
     if p.get("eps", "auto") == "auto":  # an eigensolve of sample 0, so after every parse
         eps = est.default_eps(model, topo, dis, seed)
@@ -325,13 +338,14 @@ def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
-    d_min = _int(p, "d_min", 1, 0)
+    x0 = _site(p, topo)
+    d_min = _d_min(p, topo, x0)
     prof = est.correlator_decay_profile(
         model, topo, dis,
         interval=_interval(p),
         samples=_count(p, "samples", 500),
         master_seed=seed,
-        x0=_site(p, topo),
+        x0=x0,
         workers=workers,
         checkpoint_path=checkpoint(),
     )

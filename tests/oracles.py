@@ -23,9 +23,18 @@ route that no run takes:
   sites and one site at a time (lattice_offset for hopping, vertex_at for
   alloy terms); they check model.assembly_plan and assemble, which apply
   each offset to the whole box through LatticeBox.shift.
+* cluster_indices_loop walks the window's eigenvalue gaps one at a time;
+  it checks numerics.cluster_indices, which splits at every gap at once.
+* cluster_blocks_loop builds each cluster's blocks M_nu(x0, y) with its own
+  einsum, and dynamical_sup_einsum sums them against the time phases with
+  one einsum; they check estimators._cluster_blocks_all_targets (one
+  reduceat over all clusters), estimators.correlator_targets and the
+  dynamical estimator's time sup.
 
 integrate is not independent: it is the library's quadrature, one item in
-a batch of one, for tests that need a closed-form-free integral.
+a batch of one, for tests that need a closed-form-free integral.  Nor is
+dynamical_targets: it is the dynamical estimator's time sup on one
+decomposition, for tests that check single instances.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ import numpy as np
 
 from fmlab.disorder import sample_vector
 from fmlab.errors import ConfigurationError
+from fmlab.estimators import _cluster_blocks_all_targets, _dynamical_sup
 from fmlab.inequalities import _ratio_integrals
+from fmlab.numerics import CLUSTER_TOL, opnorm_batch
 from fmlab.quadrature import integrate_batch
 from fmlab.rng import Stream, derive_sample_seed
 
@@ -46,6 +57,12 @@ def integrate(f, a, b, split_points=(), singular_points=(), **kw):
     """(value, error_bound) of a vectorized f over [a, b] via integrate_batch."""
     items = [(a, b, split_points, singular_points)]
     return integrate_batch(lambda rows, x: f(x), items, **kw)[0]
+
+
+def dynamical_targets(sd, interval, x0: int, t_grid) -> np.ndarray:
+    """sup over t_grid of ||e^{i t H_I}(x0, y)|| for every y, as a dynamical
+    run computes it for one sample."""
+    return _dynamical_sup(*_cluster_blocks_all_targets(sd, interval, x0), x0, t_grid)
 
 
 def spectral_resolvent_block(sd, z: complex, x: int, y: int) -> np.ndarray:
@@ -203,3 +220,65 @@ def pairwise_assembly(model, box, v) -> np.ndarray:
         else:
             out[x * ka:(x + 1) * ka, x * ka:(x + 1) * ka] += v[x] * model.A + model.B
     return out
+
+
+def cluster_indices_loop(sd, interval) -> list:
+    """Eigenvalue-index clusters inside the closed interval: a cluster grows
+    while the next gap is at most CLUSTER_TOL * (1 + spectral radius)."""
+    lo, hi = float(interval[0]), float(interval[1])
+    vals = sd.eigenvalues
+    sel = np.where((vals >= lo) & (vals <= hi))[0]
+    if sel.size == 0:
+        return []
+    radius = max(abs(float(vals[0])), abs(float(vals[-1])))
+    tol = CLUSTER_TOL * (1.0 + radius)
+    out = []
+    start = 0
+    while start < sel.size:
+        stop = start + 1
+        while stop < sel.size and vals[sel[stop]] - vals[sel[stop - 1]] <= tol:
+            stop += 1
+        out.append(sel[start:stop])
+        start = stop
+    return out
+
+
+def cluster_blocks_loop(sd, interval, x0: int) -> list:
+    """Per window cluster nu, (nu's mean eigenvalue, M_nu(x0, y) for every y,
+    shape (N, k, k)), one einsum per cluster."""
+    k, n_sites = sd.k, sd.n_sites
+    u = sd.eigenvectors
+    um = u[sd.site_rows(x0), :]
+    out = []
+    for cols in cluster_indices_loop(sd, interval):
+        nu = float(np.mean(sd.eigenvalues[cols]))
+        v = u[:, cols].reshape(n_sites, k, cols.size)
+        out.append((nu, np.einsum("ac,nbc->nab", um[:, cols], v.conj())))
+    return out
+
+
+def correlator_sum_loop(sd, interval, x0: int) -> np.ndarray:
+    """Q_hat(x0, y) for every y, summed cluster by cluster."""
+    q = np.zeros(sd.n_sites)
+    for _, blocks in cluster_blocks_loop(sd, interval, x0):
+        q += opnorm_batch(blocks)
+    return q
+
+
+def dynamical_sup_einsum(sd, interval, x0: int, t_grid) -> np.ndarray:
+    """sup over t_grid of ||e^{i t H_I}(x0, y)|| for every y, from one einsum
+    of the time phases against the stacked cluster blocks."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    k, n_sites = sd.k, sd.n_sites
+    clusters = cluster_blocks_loop(sd, interval, x0)
+    if not clusters:
+        out = np.zeros(n_sites)
+        out[x0] = 1.0
+        return out
+    nus = np.array([nu for nu, _ in clusters])
+    stack = np.stack([blocks for _, blocks in clusters])  # (C, N, k, k)
+    w = np.exp(1j * np.outer(t_grid, nus)) - 1.0  # (T, C)
+    ev = np.einsum("tc,cnab->tnab", w, stack)
+    ev[:, x0] += np.eye(k, dtype=np.complex128)
+    norms = opnorm_batch(ev.reshape(-1, k, k)).reshape(t_grid.size, n_sites)
+    return norms.max(axis=0)

@@ -19,7 +19,6 @@ from fmlab.estimators import (
     default_eps,
     default_t_grid,
     dynamical_profile,
-    dynamical_targets,
     fit_power_law,
     fractional_moment_profile,
     ids_histogram,
@@ -27,9 +26,10 @@ from fmlab.estimators import (
     wegner_exponent,
 )
 from fmlab.model import alloy_model, assemble, block_model, spencer_model
-from fmlab.numerics import hermitian_eig
+from fmlab.numerics import cluster_indices, hermitian_eig
 from fmlab.rng import Stream
 from fmlab.topology import make_lattice_box
+from oracles import correlator_sum_loop, dynamical_sup_einsum, dynamical_targets
 
 UNIFORM = make_spec("uniform", (-1, 1))
 SCALAR = block_model([[1.0]], [[0.0]], 5.0)
@@ -305,6 +305,68 @@ def test_dynamical_bounded_by_twice_correlator():
             assert dynamical_targets(sd, window, 0, grid)[n] <= (
                 2.0 * correlator_targets(sd, window, 0)[n] + 1e-8
             )
+
+
+def block_eig(k, n_sites, seed, A=None, B=None):
+    """Eigendecomposition of a k-block chain; random Hermitian A and B by default."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return (m + m.conj().T) / 2
+
+    model = block_model(herm() if A is None else A, herm() if B is None else B, 3.0)
+    topo = make_lattice_box(1, (n_sites,))
+    return hermitian_eig(assemble(model, topo, sample_vector(UNIFORM, Stream(seed), n_sites)))
+
+
+def full_window(sd):
+    return (sd.eigenvalues[0] - 1.0, sd.eigenvalues[-1] + 1.0)
+
+
+SPECTRAL_CASES = [
+    pytest.param(1, 20, None, None, id="k1"),
+    pytest.param(2, 10, None, None, id="k2"),
+    pytest.param(3, 8, None, None, id="k3"),
+    # A = I, B = 0: every eigenvalue of H = hopping x I + diag(v) x I is
+    # doubly degenerate, so every cluster merges two eigenvectors
+    pytest.param(2, 16, np.eye(2), np.zeros((2, 2)), id="k2-merged"),
+]
+
+
+@pytest.mark.parametrize("k,n_sites,A,B", SPECTRAL_CASES)
+def test_correlator_targets_match_cluster_loop_bit_for_bit(k, n_sites, A, B):
+    sd = block_eig(k, n_sites, 41 + k, A, B)
+    window = full_window(sd)
+    clusters = cluster_indices(sd, window)
+    assert len(clusters) >= 16
+    if A is not None:
+        assert all(c.size == 2 for c in clusters)
+    for x0 in (0, n_sites // 2):
+        got = correlator_targets(sd, window, x0)
+        assert got.tobytes() == correlator_sum_loop(sd, window, x0).tobytes()
+
+
+@pytest.mark.parametrize("k,n_sites,A,B", SPECTRAL_CASES)
+def test_dynamical_targets_match_cluster_einsum(k, n_sites, A, B):
+    sd = block_eig(k, n_sites, 43 + k, A, B)
+    window = full_window(sd)
+    assert len(cluster_indices(sd, window)) >= 16
+    grid = default_t_grid(sd.spectral_width, 64)
+    for x0 in (0, n_sites // 2):
+        got = dynamical_targets(sd, window, x0, grid)
+        want = dynamical_sup_einsum(sd, window, x0, grid)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_empty_window_gives_zero_correlator_and_delta_sup(k):
+    sd = block_eig(k, 6, 47)
+    empty = (sd.eigenvalues[-1] + 1.0, sd.eigenvalues[-1] + 2.0)
+    assert cluster_indices(sd, empty) == []
+    assert np.array_equal(correlator_targets(sd, empty, 2), np.zeros(6))
+    sup = dynamical_targets(sd, empty, 2, default_t_grid(sd.spectral_width, 16))
+    assert np.array_equal(sup, np.eye(6)[2])
 
 
 def test_correlator_profile_decoupled():

@@ -7,9 +7,11 @@ import pytest
 
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
-from fmlab.estimators import _cluster_blocks_all_targets, dynamical_targets
 from fmlab.model import HamiltonianInstance, assemble, block_model, spencer_model
 from fmlab.numerics import (
+    CLUSTER_TOL,
+    SpectralDecomposition,
+    cluster_indices,
     hermitian_eig,
     hermitian_eigvals,
     opnorm_batch,
@@ -17,7 +19,13 @@ from fmlab.numerics import (
 )
 from fmlab.rng import Stream, derive_sample_seed
 from fmlab.topology import make_lattice_box
-from oracles import column_resolvent_block, spectral_resolvent_block
+from oracles import (
+    cluster_blocks_loop,
+    cluster_indices_loop,
+    column_resolvent_block,
+    dynamical_targets,
+    spectral_resolvent_block,
+)
 
 UNIFORM = make_spec("uniform", (-1, 1))
 RECON_TOL = 1e-10  # eigendecomposition reconstruction, relative to 1 + max|H|
@@ -179,12 +187,48 @@ def test_singular_solve_flags_resample():
         resolvent_profile(h, 0.0, 0.0, 0)
 
 
+def spectrum_only(vals):
+    """A decomposition carrying just the given ascending eigenvalues."""
+    vals = np.asarray(vals, dtype=np.float64)
+    return SpectralDecomposition(vals, np.eye(vals.size, dtype=np.complex128), 1, vals.size)
+
+
+def assert_same_clusters(sd, window):
+    got, want = cluster_indices(sd, window), cluster_indices_loop(sd, window)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_cluster_indices_match_gap_walk_on_random_spectra():
+    gen = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(gen.integers(1, 40))
+        base = gen.uniform(-3.0, 3.0, n)
+        # near-degenerate pairs and triples, some gaps below and some above tol
+        near = base[gen.integers(0, n, n // 2)] + gen.uniform(0.0, 2e-7, n // 2)
+        sd = spectrum_only(np.sort(np.concatenate([base, near])))
+        for window in ((-4.0, 4.0), (-1.0, 1.0), (0.5, 0.6), tuple(np.sort(gen.uniform(-3, 3, 2)))):
+            assert_same_clusters(sd, window)
+
+
+def test_cluster_indices_gap_exactly_at_tol_merges():
+    tol = CLUSTER_TOL * (1.0 + 1.0)  # spectral radius 1
+    vals = np.array([-1.0, 0.0, tol, 2.0 * tol, np.nextafter(3.0 * tol, 1.0), 0.5, 1.0])
+    gaps = np.diff(vals)
+    assert gaps[1] == tol and gaps[2] == tol and gaps[3] > tol
+    sd = spectrum_only(vals)
+    assert [c.tolist() for c in cluster_indices(sd, (-2.0, 2.0))] == [[0], [1, 2, 3], [4], [5], [6]]
+    assert_same_clusters(sd, (-2.0, 2.0))
+    assert_same_clusters(sd, (tol, 0.5))
+
+
 def evolve(sd, interval, t, x0):
-    """e^{i t H_I}(x0, y) for every y, from the cluster blocks the
-    correlator and dynamical estimators use."""
+    """e^{i t H_I}(x0, y) for every y, from the cluster blocks of the
+    per-cluster oracle."""
     out = np.zeros((sd.n_sites, sd.k, sd.k), dtype=np.complex128)
     out[x0] = np.eye(sd.k)
-    for nu, blocks in _cluster_blocks_all_targets(sd, interval, x0):
+    for nu, blocks in cluster_blocks_loop(sd, interval, x0):
         out += (np.exp(1j * t * nu) - 1.0) * blocks
     return out
 
@@ -193,9 +237,9 @@ def test_projector_blocks_completeness_and_orthogonality():
     h = random_instance(5, 17)
     sd = hermitian_eig(h)
     full = (sd.eigenvalues[0] - 1.0, sd.eigenvalues[-1] + 1.0)
-    total = sum(b[2] for _, b in _cluster_blocks_all_targets(sd, full, 2))
+    total = sum(b[2] for _, b in cluster_blocks_loop(sd, full, 2))
     assert total[0, 0] == pytest.approx(1.0, abs=1e-12)
-    cross = sum(b[3] for _, b in _cluster_blocks_all_targets(sd, full, 2))
+    cross = sum(b[3] for _, b in cluster_blocks_loop(sd, full, 2))
     assert abs(cross[0, 0]) < 1e-12
 
 
@@ -203,7 +247,7 @@ def test_projector_blocks_symmetric_two_site():
     topo = make_lattice_box(1, (2,))
     h = assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0])
     sd = hermitian_eig(h)
-    blocks = _cluster_blocks_all_targets(sd, (-2, 2), 0)
+    blocks = cluster_blocks_loop(sd, (-2, 2), 0)
     assert len(blocks) == 2
     for nu, b in blocks:
         assert abs(nu) == pytest.approx(1.0, abs=1e-12)
@@ -342,3 +386,15 @@ def test_opnorm_2x2_near_equal_singular_values():
     blocks = np.array(blocks)
     ref = np.linalg.svd(blocks, compute_uv=False)[:, 0]
     assert np.max(np.abs(opnorm_batch(blocks) - ref) / ref) <= 1e-14
+
+
+def test_opnorm_2x2_adds_match_axis_sums():
+    # the closed form's explicit length-2 adds give what sums over the
+    # length-2 axes give, bit for bit
+    blocks = rng.standard_normal((64, 9, 2, 2)) + 1j * rng.standard_normal((64, 9, 2, 2))
+    c0, c1 = blocks[..., :, 0], blocks[..., :, 1]
+    g11 = np.sum(np.abs(c0) ** 2, axis=-1)
+    g22 = np.sum(np.abs(c1) ** 2, axis=-1)
+    g12 = np.abs(np.sum(np.conj(c0) * c1, axis=-1))
+    want = np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
+    assert opnorm_batch(blocks).tobytes() == want.tobytes()

@@ -509,6 +509,26 @@ def test_refused_config_leaves_the_outdir_free(tmp_path, capsys):
     assert load_config(os.path.join(out, "config.json")) == BASE_CFG
 
 
+@pytest.mark.parametrize("kind", ["decay", "correlator"])
+def test_d_min_beyond_the_box_is_refused_before_sampling(kind, tmp_path, capsys, monkeypatch):
+    from fmlab import estimators
+    from fmlab.cli import main
+
+    draws = []
+    real = estimators.sample_vector
+    monkeypatch.setattr(estimators, "sample_vector", lambda *a: draws.append(a) or real(*a))
+    out = str(tmp_path / "run")
+    # the 8-site chain's distances from x0 = 0 are 0..7: d_min 6 leaves two to fit
+    bad = write_cfg(tmp_path, _with_estimator(kind, d_min=6), "bad.json")
+    assert main([kind, "--config", bad, "--out", out]) == 2
+    assert "estimator.d_min" in capsys.readouterr().err
+    assert draws == [] and not any(n.startswith("samples") for n in os.listdir(out))
+    good = write_cfg(tmp_path, _with_estimator(kind, d_min=5), "good.json")
+    assert main([kind, "--config", good, "--out", out]) == 0
+    with open(os.path.join(out, "results.json")) as fh:
+        assert json.load(fh)["outputs"]["d_min"] == 5
+
+
 def test_decay_with_auto_eps_parses_every_field_before_sampling(tmp_path, monkeypatch):
     from fmlab.cli import main
 
