@@ -197,6 +197,14 @@ def _comparability_batch(ctx: _ScanCtx, indices) -> list:
     return out
 
 
+def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, r: float):
+    """Refuse exponents (s, r) and point counts (l, m) outside the regime where
+    the two-sided comparison holds for measure."""
+    probe = RatioIntegralSpec(a=(0.0,) * l, b=(0.0,) * m, s=s, r=r, measure=measure)
+    if not probe.regime_ok:
+        raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
+
+
 def comparability_scan(
     measure: DisorderSpec,
     l: int,
@@ -214,11 +222,7 @@ def comparability_scan(
     Both extremes must be positive and finite; their spread estimates how far
     the two-sided comparison constants are from each other.
     """
-    probe = RatioIntegralSpec(
-        a=(0.0,) * l, b=(0.0,) * m, s=s, r=r, measure=measure
-    )
-    if not probe.regime_ok:
-        raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
+    check_comparability_regime(measure, l, m, s, r)
     ctx = _ScanCtx(measure, int(l), int(m), float(s), float(r), float(param_scale),
                    int(master_seed))
     records = run_indexed(_comparability_batch, ctx, draws, workers, checkpoint_path)

@@ -8,6 +8,15 @@ arrays; a boolean or a string in their place is a config error.  The digest
 excludes the volatile fields "workers" and "out", which cannot influence
 results.
 
+Every key a config may hold is declared in a field table mapping key ->
+(parser, default): _TOP, _TOPOLOGY, _DISORDER, _MODELS[variant] and each
+kind's estimator table in _KINDS.  A parser returns the checked value, range
+included, or raises ConfigurationError naming the key's path; an absent key
+takes its default through the same parser, _REQUIRED keys must be present,
+and a key no table names is refused.  parse_config() parses the whole config
+and runs the kind's cross-section check; run() calls it before it touches
+the outdir, so each _run_* gets parsed values and only calls its estimators.
+
 Timing and environment stamps go to run_meta.json; results.json and
 series.csv are byte-deterministic functions of (config, master_seed).
 """
@@ -34,6 +43,7 @@ from .rng import Stream, derive_sample_seed
 from .topology import distances_from, make_lattice_box
 
 _VOLATILE_KEYS = ("workers", "out")
+_REQUIRED = object()  # the default of a key that must be present
 
 
 def parse_real(value, path: str = "value") -> float:
@@ -70,16 +80,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def section(cfg: dict, name: str, required: bool = True) -> dict:
-    """The config section cfg[name], which must be a JSON object; an absent
-    optional section reads as {}."""
+def section(cfg: dict, name: str) -> dict:
+    """The config section cfg[name], which must be present and a JSON object."""
     if name not in cfg:
-        if required:
-            raise ConfigurationError(f"{name}: section missing")
-        return {}
-    if not isinstance(cfg[name], dict):
-        raise ConfigurationError(f"{name}: expected a JSON object, got {cfg[name]!r}")
-    return cfg[name]
+        raise ConfigurationError(f"{name}: section missing")
+    return _object(cfg[name], name)
 
 
 def config_digest(cfg: dict) -> str:
@@ -87,80 +92,157 @@ def config_digest(cfg: dict) -> str:
     return sha256(canonical_json(trimmed).encode("utf-8")).hexdigest()
 
 
-def _reals(values, path: str) -> list:
-    """A config list of reals, which must be a JSON array."""
-    if not isinstance(values, list):
-        raise ConfigurationError(f"{path}: expected a JSON array of reals, got {values!r}")
-    return [parse_real(v, path) for v in values]
+# ---------------------------------------------------------------------------
+# field tables map key -> (parser, default); a parser maps (raw JSON value,
+# key path) to a checked value or raises ConfigurationError naming the path
 
 
-def _parse_complex_matrix(rows, path: str) -> np.ndarray:
+def _parse_table(raw, table: dict, path: str) -> dict:
+    """The JSON object raw, found at path, parsed against a field table."""
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(_object(raw, path or "config")) - set(table))
+    if unknown:
+        raise ConfigurationError(
+            f"{prefix}{unknown[0]}: unknown key; expected one of {', '.join(sorted(table))}"
+        )
+    parsed = {}
+    for key, (parse, default) in table.items():
+        if key in raw:
+            parsed[key] = parse(raw[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"{prefix}{key}: required field missing")
+        else:
+            parsed[key] = None if default is None else parse(default, prefix + key)
+    return parsed
+
+
+def _json(kind: type, what: str):
+    """A JSON value of exactly this type (so a boolean is never an integer)."""
+    def parse(value, path):
+        if type(value) is not kind:
+            raise ConfigurationError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return parse
+
+
+_object, _text = _json(dict, "a JSON object"), _json(str, "a string")
+_bool, _integer = _json(bool, "true or false"), _json(int, "an integer")
+_array = _json(list, "a JSON array of reals")
+
+
+def _in(window: str, parse=parse_real):
+    """A number read by parse that lies in window, e.g. "(0, 1)" or "[1, inf)"."""
+    lo, hi = (float(end) for end in window[1:-1].split(","))
+
+    def check(value, path):
+        x = parse(value, path)
+        if not ((lo <= x if window[0] == "[" else lo < x)
+                and (x <= hi if window[-1] == "]" else x < hi)):
+            raise ConfigurationError(f"{path}: expected a number in {window}, got {value!r}")
+        return x
+    return check
+
+
+def _choice(options: tuple):
+    def check(value, path):
+        if value not in options:  # a tuple compares, so an unhashable value is refused too
+            raise ConfigurationError(f"{path}: expected one of {options}, got {value!r}")
+        return value
+    return check
+
+
+def _reals(value, path: str) -> list:
+    return [parse_real(v, path) for v in _array(value, path)]
+
+
+def _interval(value, path: str) -> tuple:
+    """The closed energy window [lo, hi], lo < hi."""
+    lo_hi = tuple(_reals(value, path))
+    if len(lo_hi) != 2 or not lo_hi[0] < lo_hi[1]:
+        raise ConfigurationError(f"{path}: expected [lo, hi] with lo < hi, got {value!r}")
+    return lo_hi
+
+
+def _matrix(rows, path: str) -> np.ndarray:
+    """A complex matrix written as nested [re, im] pairs."""
     try:
-        mat = np.array(
+        return np.array(
             [[complex(parse_real(c[0], path), parse_real(c[1], path)) for c in row]
              for row in rows],
             dtype=np.complex128,
         )
     except (TypeError, IndexError):
         raise ConfigurationError(f"{path}: matrices are nested [re, im] pairs")
-    return mat
 
 
-def _parse_offset(key: str):
-    return tuple(int(part) for part in str(key).split(","))
+def _offset_map(parse_value):
+    """A JSON object from lattice offsets ("1", "0,-1", ...) to parsed values."""
+    def parse(value, path):
+        parsed = {}
+        for key, entry in _object(value, path).items():
+            try:
+                offset = tuple(int(part) for part in key.split(","))
+            except ValueError:
+                raise ConfigurationError(f"{path}[{key}]: offsets are comma-separated integers")
+            parsed[offset] = parse_value(entry, f"{path}[{key}]")
+        return parsed
+    return parse
 
 
-def _required(p: dict, key: str, where: str):
-    """The value of a field that has no default."""
-    if key not in p:
-        raise ConfigurationError(f"{where}{key}: required field missing")
-    return p[key]
+_COUNT, _NATURAL = _in("[1, inf)", _integer), _in("[0, inf)", _integer)
+_NONNEGATIVE = _in("[0, inf]")
+_BINS = {"n": (_COUNT, 64), "lo": (parse_real, -3), "hi": (parse_real, 3), "edges": (_reals, None)}
+
+
+def _edges(value, path: str) -> np.ndarray:
+    """The ids histogram edges: bins.edges, or bins.n equal bins on [bins.lo, bins.hi]."""
+    bins = _parse_table(value, _BINS, path)
+    if bins["edges"] is not None:
+        return np.array(bins["edges"])
+    return np.linspace(bins["lo"], bins["hi"], bins["n"] + 1)
+
+
+_TOPOLOGY = {
+    "d": (_COUNT, None),  # None: one dimension per side length
+    "sides": (lambda v, path: [_COUNT(s, path) for s in (v if type(v) is list else [v])],
+              _REQUIRED),
+    "periodic": (_bool, False),
+}
+_DISORDER = {"family": (_text, "uniform"), "params": (_reals, [])}
+_MODEL = {"variant": (_text, "block"), "g": (_in("(0, inf]"), 1)}
+_MODELS = {  # variant -> (builder, its keywords' field table plus variant)
+    "block": (block_model, {**_MODEL, "A": (_matrix, _REQUIRED), "B": (_matrix, _REQUIRED),
+                            "hopping": (_offset_map(_matrix), None)}),
+    "spencer": (spencer_model, {**_MODEL, "a": (parse_real, 1)}),
+    "singular_covering": (singular_covering_model, _MODEL),
+    "alloy": (alloy_model, {**_MODEL, "coeffs": (_offset_map(parse_real), {})}),
+}
+
+
+def _build(cfg: dict, name: str, make, table: dict):
+    """make(**fields) of the section cfg[name] parsed against table, with the
+    section name on make's ConfigurationError."""
+    fields = _parse_table(section(cfg, name), table, name)
+    try:
+        return make(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
 
 
 def build_topology(cfg: dict):
-    t = section(cfg, "topology")
-    sides = _required(t, "sides", "topology.")
-    sides = [
-        _int({"sides": s}, "sides", None, 1, where="topology.")
-        for s in (sides if isinstance(sides, list) else [sides])
-    ]
-    periodic = t.get("periodic", False)
-    if not isinstance(periodic, bool):
-        raise ConfigurationError(f"topology.periodic: expected true or false, got {periodic!r}")
-    return make_lattice_box(_int(t, "d", len(sides), 1, where="topology."), sides, periodic)
+    def box(d, sides, periodic):
+        return make_lattice_box(len(sides) if d is None else d, sides, periodic)
+    return _build(cfg, "topology", box, _TOPOLOGY)
 
 
 def build_disorder(cfg: dict):
-    d = section(cfg, "disorder")
-    params = _reals(d.get("params", []), "disorder.params")
-    return disorder_mod.make_spec(d.get("family", "uniform"), params)
+    return _build(cfg, "disorder", disorder_mod.make_spec, _DISORDER)
 
 
 def build_model(cfg: dict):
-    m = section(cfg, "model")
-    variant = m.get("variant", "block")
-    g = parse_real(m.get("g", 1), "model.g")
-    if variant == "spencer":
-        return spencer_model(parse_real(m.get("a", 1), "model.a"), g)
-    if variant == "singular_covering":
-        return singular_covering_model(g)
-    if variant == "alloy":
-        coeffs = {
-            _parse_offset(k): parse_real(v, f"model.coeffs[{k}]")
-            for k, v in section(m, "coeffs", required=False).items()
-        }
-        return alloy_model(coeffs, g)
-    if variant == "block":
-        a = _parse_complex_matrix(_required(m, "A", "model."), "model.A")
-        b = _parse_complex_matrix(_required(m, "B", "model."), "model.B")
-        hopping = None
-        if "hopping" in m:
-            hopping = {
-                _parse_offset(k): _parse_complex_matrix(v, f"model.hopping[{k}]")
-                for k, v in section(m, "hopping").items()
-            }
-        return block_model(a, b, g, hopping)
-    raise ConfigurationError(f"model.variant: unknown variant {variant!r}")
+    variant = section(cfg, "model").get("variant", "block")
+    make, table = _MODELS[_choice(tuple(_MODELS))(variant, "model.variant")]
+    return _build(cfg, "model", lambda variant, **fields: make(**fields), table)
 
 
 @dataclass(eq=False)
@@ -213,34 +295,8 @@ def _atomic_write(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# kinds: each runs its estimators on the parsed estimator block and returns
+# kinds: each runs its estimators on the parsed estimator fields p and returns
 # (outputs, series rows); checkpoint(scan) is the path of one engine scan
-
-
-def _real(p: dict, key: str, default=None) -> float:
-    return parse_real(p.get(key, default), f"estimator.{key}")
-
-
-def _int(p: dict, key: str, default, lo: int, hi: float = math.inf,
-         where: str = "estimator.") -> int:
-    """An integer field of a config section (the estimator block unless
-    `where` names another): a JSON integer, not a boolean or a string,
-    in [lo, hi)."""
-    value = p.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value < hi:
-        raise ConfigurationError(
-            f"{where}{key}: expected an integer in [{lo}, {hi}), got {p.get(key)!r}"
-        )
-    return value
-
-
-def _count(p: dict, key: str, default: int) -> int:
-    return _int(p, key, default, 1)
-
-
-def _site(p: dict, topo) -> int:
-    """The estimator's x0, a vertex of the box."""
-    return _int(p, "x0", 0, 0, topo.n_vertices)
 
 
 def _series(columns, *constants) -> list:
@@ -248,48 +304,19 @@ def _series(columns, *constants) -> list:
     return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
-def _d_min(p, topo, x0: int) -> int:
-    """The decay fit's smallest distance, refused before any sample is drawn
-    when fewer than the fit's 3 distinct distances from x0 reach it."""
-    d_min = _int(p, "d_min", 1, 0)
-    reached = {int(d) for d in distances_from(topo, x0) if d >= d_min}
-    if len(reached) < 3:
-        raise ConfigurationError(
-            f"estimator.d_min: {d_min} leaves {len(reached)} distinct distances from x0 = {x0}; "
-            "the decay fit needs >= 3"
-        )
-    return d_min
-
-
 def _fit(prof, d_min: int) -> dict:
     return {"fit": est.decay_rate_fit(prof, d_min=d_min), "d_min": d_min}
 
 
-def _interval(p) -> tuple:
-    """The closed energy window [lo, hi], lo < hi."""
-    lo_hi = tuple(_reals(p.get("interval", ["-1", "1"]), "estimator.interval"))
-    if len(lo_hi) != 2 or not lo_hi[0] < lo_hi[1]:
-        raise ConfigurationError(
-            f"estimator.interval: expected [lo, hi] with lo < hi, got {p.get('interval')!r}"
-        )
-    return lo_hi
-
-
 def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
-    x0, s, lam = _site(p, topo), _real(p, "s", "1/3"), _real(p, "lambda", 0)
-    d_min = _d_min(p, topo, x0)
-    samples = _count(p, "samples", 1000)
-    if p.get("eps", "auto") == "auto":  # an eigensolve of sample 0, so after every parse
-        eps = est.default_eps(model, topo, dis, seed)
-    else:
-        eps = _real(p, "eps")
+    eps = est.default_eps(model, topo, dis, seed) if p["eps"] == "auto" else p["eps"]
     profile = est.fractional_moment_profile(
-        model, topo, dis, x0=x0, s=s, lam=lam, eps=eps, samples=samples,
-        master_seed=seed, workers=workers, checkpoint_path=checkpoint(),
+        model, topo, dis, x0=p["x0"], s=p["s"], lam=p["lambda"], eps=eps,
+        samples=p["samples"], master_seed=seed, workers=workers, checkpoint_path=checkpoint(),
     )
     ok, margin = est.moment_max_check(profile)
     outputs = {
-        **_fit(profile, d_min),
+        **_fit(profile, p["d_min"]),
         "eps_used": eps,
         "max_at_diagonal": ok,
         "max_margin": margin,
@@ -304,9 +331,9 @@ def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
 def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
     we = est.wegner_exponent(
         model, topo, dis,
-        lambda0=_real(p, "lambda0", 0),
-        eps_list=_reals(_required(p, "eps_list", "estimator."), "estimator.eps_list"),
-        samples=_count(p, "samples", 1000),
+        lambda0=p["lambda0"],
+        eps_list=p["eps_list"],
+        samples=p["samples"],
         master_seed=seed,
         workers=workers,
         checkpoint_path=checkpoint(),
@@ -316,19 +343,10 @@ def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
-    bins = section(p, "bins", required=False)
-    if "edges" in bins:
-        edges = np.array(_reals(bins["edges"], "estimator.bins.edges"))
-    else:
-        edges = np.linspace(
-            parse_real(bins.get("lo", -3), "estimator.bins.lo"),
-            parse_real(bins.get("hi", 3), "estimator.bins.hi"),
-            _int(bins, "n", 64, 1, where="estimator.bins.") + 1,
-        )
     ids = est.ids_histogram(
         model, topo, dis,
-        samples=_count(p, "samples", 200),
-        edges=edges,
+        samples=p["samples"],
+        edges=p["bins"],
         master_seed=seed,
         workers=workers,
         checkpoint_path=checkpoint(),
@@ -338,20 +356,18 @@ def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
-    x0 = _site(p, topo)
-    d_min = _d_min(p, topo, x0)
     prof = est.correlator_decay_profile(
         model, topo, dis,
-        interval=_interval(p),
-        samples=_count(p, "samples", 500),
+        interval=p["interval"],
+        samples=p["samples"],
         master_seed=seed,
-        x0=x0,
+        x0=p["x0"],
         workers=workers,
         checkpoint_path=checkpoint(),
     )
     k_bound = prof.extras["k"] + 1e-8
     outputs = {
-        **_fit(prof, d_min),
+        **_fit(prof, p["d_min"]),
         "max_correlator": prof.extras["max_correlator"],
         "k_bound_ok": bool(prof.extras["max_correlator"] <= k_bound),
         "estimate": est.to_payload(prof),
@@ -362,11 +378,11 @@ def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
 def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
     prof = est.dynamical_profile(
         model, topo, dis,
-        interval=_interval(p),
-        samples=_count(p, "samples", 200),
+        interval=p["interval"],
+        samples=p["samples"],
         master_seed=seed,
-        x0=_site(p, topo),
-        t_points=_count(p, "t_points", est.T_GRID_POINTS),
+        x0=p["x0"],
+        t_points=p["t_points"],
         workers=workers,
         checkpoint_path=checkpoint(),
     )
@@ -380,51 +396,36 @@ def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
 
 
 def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
-    samples = _count(p, "samples", 300)
-    draws = _count(p, "draws", 200)
-    l_points, m_points = _int(p, "l", 3, 0), _int(p, "m", 3, 0)
-    rh_j = _count(p, "rh_j", 2)
-    rh_trials = _count(p, "rh_trials", 100)
-    eps = _real(p, "eps", "1e-3")
-    lam = _real(p, "lambda", 0)
-    s_step = _real(p, "one_step_s", "1/3")
-    pairs = _int(p, "pairs", 6, 0)
-    lam_grid = _reals(p.get("lambda_grid", ["0", "0.5", "1", "2"]), "estimator.lambda_grid")
-    scale_keys = p.get("scales", ["5", "10"])
-    scales = list(zip(scale_keys, _reals(scale_keys, "estimator.scales")))
-    s_dec = _real(p, "decoupling_s", "0.2")
-    s_scan, r_scan = _real(p, "s", "0.15"), _real(p, "r", "0.15")
-    rh_s, vinv_s = _real(p, "rh_s", "0.2"), _real(p, "vinv_s", "0.5")
-
+    samples, lam, eps = p["samples"], p["lambda"], p["eps"]
     # random (x, y) pairs from a dedicated stream
     pair_stream = Stream(derive_sample_seed(seed, 0xA11))
     n = topo.n_vertices
     one_step = []
-    for j in range(pairs):
+    for j in range(p["pairs"]):
         w = pair_stream.uniforms(2)
         x, y = int(w[0] * n), int(w[1] * n)
         one_step.append(
             ineq.one_step_bound_check(
-                model, topo, dis, x, y, s_step, lam, eps,
+                model, topo, dis, x, y, p["one_step_s"], lam, eps,
                 samples, derive_sample_seed(seed, 1000 + j), workers,
                 checkpoint_path=checkpoint(f"one_step_{j}"),
             )
         )
     lem = ineq.decoupling_ratio(
-        model, topo, dis, 0, min(2, n - 1), s_dec,
-        lam_grid, eps, samples, derive_sample_seed(seed, 2000), workers,
+        model, topo, dis, 0, min(2, n - 1), p["decoupling_s"],
+        p["lambda_grid"], eps, samples, derive_sample_seed(seed, 2000), workers,
         checkpoint_path=checkpoint("decoupling"),
     )
     scan_results = {}
     rows = []
-    for j, (scale, param_scale) in enumerate(scales):
+    for j, (scale, param_scale) in enumerate(p["scales"]):
         scan = ineq.comparability_scan(
             dis,
-            l_points,
-            m_points,
-            s_scan,
-            r_scan,
-            draws,
+            p["l"],
+            p["m"],
+            p["s"],
+            p["r"],
+            p["draws"],
             param_scale,
             derive_sample_seed(seed, 3000),
             workers=workers,
@@ -443,9 +444,9 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
         ]
     rh = ineq.reverse_holder_check(
         dis,
-        rh_s,
-        rh_j,
-        rh_trials,
+        p["rh_s"],
+        p["rh_j"],
+        p["rh_trials"],
         derive_sample_seed(seed, 4000),
         workers=workers,
         checkpoint_path=checkpoint("rh"),
@@ -453,7 +454,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     vinv = None
     if model.variant != "alloy":
         vinv = ineq.vinv_moment(
-            model, lam, vinv_s,
+            model, lam, p["vinv_s"],
             max(samples, 2000), derive_sample_seed(seed, 5000), dis,
         )
     outputs = {
@@ -473,16 +474,111 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
     return outputs, rows
 
 
-# kind -> (run function, series columns)
+# cross-section checks: (estimator fields, model, topology, disorder) -> None,
+# or ConfigurationError for a config its estimators would refuse after sampling
+
+
+def _check_site(p, model, topo, dis):
+    _in(f"[0, {topo.n_vertices})", _integer)(p["x0"], "estimator.x0")
+
+
+def _check_decay_fit(p, model, topo, dis):
+    """x0 is a site, the sites are coupled, and the fit's 3 distinct distances
+    from x0 reach d_min."""
+    _check_site(p, model, topo, dis)
+    if model.coupling == 0.0:
+        raise ConfigurationError("model.g: inf decouples the sites; every bin beyond x0 is zero")
+    reached = {int(d) for d in distances_from(topo, p["x0"]) if d >= p["d_min"]}
+    if len(reached) < 3:
+        raise ConfigurationError(
+            f"estimator.d_min: {p['d_min']} leaves {len(reached)} distinct distances from "
+            f"x0 = {p['x0']}; the decay fit needs >= 3"
+        )
+
+
+def _check_comparability(p, model, topo, dis):
+    try:
+        ineq.check_comparability_regime(dis, p["l"], p["m"], p["s"], p["r"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"estimator.{{s, l, r, m}}: {exc}")
+
+
+_SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
+# kind -> (run function, series columns, estimator field table, check or None)
 _KINDS = {
-    "decay": (_run_decay, ["distance", "mean", "mom_err", "n", "resamples"]),
-    "wegner": (_run_wegner, ["eps", "mass", "err", "n"]),
-    "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"]),
-    "correlator": (_run_correlator, ["distance", "mean", "err", "n"]),
-    "dynamical": (_run_dynamical, ["distance", "mean", "err", "n"]),
-    "inequalities": (_run_inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"]),
+    "decay": (_run_decay, ["distance", "mean", "mom_err", "n", "resamples"], {
+        "s": (_in("(0, 1)"), "1/3"),
+        "lambda": (parse_real, 0),
+        "eps": (lambda v, path: v if v == "auto" else _NONNEGATIVE(v, path), "auto"),
+        "samples": (_in("[100, inf)", _integer), 1000),
+        "x0": _SITE,
+        "d_min": (_NATURAL, 1),
+    }, _check_decay_fit),
+    "wegner": (_run_wegner, ["eps", "mass", "err", "n"], {
+        "lambda0": (parse_real, 0),
+        "eps_list": (_reals, _REQUIRED),
+        "samples": (_COUNT, 1000),
+    }, None),
+    "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"], {
+        "samples": (_COUNT, 200),
+        "bins": (_edges, {}),
+    }, None),
+    "correlator": (_run_correlator, ["distance", "mean", "err", "n"], {
+        "interval": (_interval, ["-1", "1"]),
+        "samples": (_COUNT, 500),
+        "x0": _SITE,
+        "d_min": (_NATURAL, 1),
+    }, _check_decay_fit),
+    "dynamical": (_run_dynamical, ["distance", "mean", "err", "n"], {
+        "interval": (_interval, ["-1", "1"]),
+        "samples": (_COUNT, 200),
+        "x0": _SITE,
+        "t_points": (_COUNT, est.T_GRID_POINTS),
+    }, _check_site),
+    "inequalities": (_run_inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"], {
+        "samples": (_COUNT, 300),
+        "draws": (_COUNT, 200),
+        "pairs": (_NATURAL, 6),
+        # (name, real) pairs: the names, as written, key the comparability outputs
+        "scales": (lambda v, path: list(zip(v, _reals(v, path))), ["5", "10"]),
+        "s": (_NONNEGATIVE, "0.15"),
+        "r": (_NONNEGATIVE, "0.15"),
+        "l": (_NATURAL, 3),
+        "m": (_NATURAL, 3),
+        "rh_trials": (_COUNT, 100),
+        "rh_s": (parse_real, "0.2"),
+        "rh_j": (_COUNT, 2),
+        "one_step_s": (_in("(0, 1]"), "1/3"),
+        "decoupling_s": (parse_real, "0.2"),
+        "lambda": (parse_real, 0),
+        "lambda_grid": (_reals, ["0", "0.5", "1", "2"]),
+        "vinv_s": (_in("(0, 1)"), "0.5"),
+        "eps": (_NONNEGATIVE, "1e-3"),
+    }, _check_comparability),
 }
 KINDS = tuple(_KINDS)
+_TOP = {
+    "kind": (_choice(KINDS), _REQUIRED),
+    "master_seed": (_integer, 0),
+    "workers": (_COUNT, 1),
+    "out": (_text, None),
+    "topology": (_object, _REQUIRED),
+    "disorder": (_object, _REQUIRED),
+    "model": (_object, _REQUIRED),
+    "estimator": (_object, {}),
+}
+
+
+def parse_config(cfg: dict) -> tuple:
+    """(top-level fields, estimator fields, model, topology, disorder) of cfg:
+    every key parsed against its table, and the kind's check passed."""
+    top = _parse_table(cfg, _TOP, "")
+    model, topo, dis = build_model(cfg), build_topology(cfg), build_disorder(cfg)
+    _, _, fields, check = _KINDS[top["kind"]]
+    p = _parse_table(top["estimator"], fields, "estimator")
+    if check:
+        check(p, model, topo, dis)
+    return top, p, model, topo, dis
 
 
 def _linalg_build() -> dict:
@@ -501,24 +597,15 @@ def _linalg_build() -> dict:
 def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     """Dispatch a config to its estimator suite and return the ResultRecord.
 
-    When outdir is given, artifacts (canonical config copy, checkpoint,
-    results.json, run_meta.json) are written there and runs are resumable.
-    An outdir holding checkpoints or results.json beside a config.json with
-    another config digest is refused, since they belong to that run.
+    The whole config is parsed first (parse_config), so a refused config
+    leaves the outdir untouched.  When outdir is given, artifacts (canonical
+    config copy, checkpoint, results.json, run_meta.json) are written there
+    and runs are resumable.  An outdir holding checkpoints or results.json
+    beside a config.json with another config digest is refused, since they
+    belong to that run.
     """
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise ConfigurationError(f"kind: expected one of {KINDS}, got {kind!r}")
-    seed = cfg.get("master_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError("master_seed: must be an integer")
-    workers = _int(cfg, "workers", 1, 1, where="")
+    top, p, model, topo, dis = parse_config(cfg)
     digest = config_digest(cfg)
-
-    estimator = section(cfg, "estimator", required=False)
-    model = build_model(cfg)
-    topo = build_topology(cfg)
-    dis = build_disorder(cfg)
 
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -542,15 +629,15 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
             return None
         return os.path.join(outdir, "samples.jsonl" if scan is None else f"samples.{scan}.jsonl")
 
-    run_kind, columns = _KINDS[kind]
+    run_kind, columns, _, _ = _KINDS[top["kind"]]
     started = time.time()
-    outputs, rows = run_kind(estimator, model, topo, dis, seed, workers, checkpoint)
+    outputs, rows = run_kind(p, model, topo, dis, top["master_seed"], top["workers"], checkpoint)
     elapsed = time.time() - started
 
     record = ResultRecord(
-        kind=kind,
+        kind=top["kind"],
         config_digest=digest,
-        master_seed=seed,
+        master_seed=top["master_seed"],
         outputs=outputs,
         columns=list(columns),
         rows=rows,

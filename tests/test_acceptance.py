@@ -331,7 +331,7 @@ def test_criterion_11_reproducibility(tmp_path):
         "kind": "decay",
         "topology": {"d": 1, "sides": [10], "periodic": False},
         "disorder": {"family": "uniform", "params": ["-1", "1"]},
-        "model": {"variant": "block", "k": 1, "g": "10",
+        "model": {"variant": "block", "g": "10",
                   "A": [[["1", "0"]]], "B": [[["0", "0"]]]},
         "estimator": {"s": "1/3", "lambda": "0", "eps": "1e-2",
                       "samples": 150, "x0": 0, "d_min": 2},

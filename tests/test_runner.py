@@ -1,5 +1,6 @@
 """Runner contracts: config handling, determinism, checkpointing, artifacts."""
 
+import glob
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from fmlab.runner import (
     config_digest,
     emit_csv,
     load_config,
+    parse_config,
     parse_real,
     run,
 )
@@ -33,7 +35,7 @@ BASE_CFG = {
     "topology": {"d": 1, "sides": [8], "periodic": False},
     "disorder": {"family": "uniform", "params": ["-1", "1"]},
     "model": {
-        "variant": "block", "k": 1, "g": "10",
+        "variant": "block", "g": "10",
         "A": [[["1", "0"]]], "B": [[["0", "0"]]],
     },
     "estimator": {"s": "1/3", "lambda": "0", "eps": "1e-2", "samples": 120,
@@ -356,92 +358,121 @@ def test_cli_exit_codes(tmp_path):
 
 
 def _with_estimator(kind, **fields):
-    return {**BASE_CFG, "kind": kind, "estimator": {**BASE_CFG["estimator"], **fields}}
+    cfg = TINY_CFGS[kind]
+    return {**cfg, "estimator": {**cfg["estimator"], **fields}}
 
 
 @pytest.mark.parametrize(
-    "cfg,extra",
+    "cfg,extra,field",
     [
-        pytest.param(_with_estimator("decay", x0=-1), [], id="decay-x0-negative"),
-        pytest.param(_with_estimator("decay", x0=999), [], id="decay-x0-beyond-box"),
-        pytest.param(_with_estimator("correlator", x0=8), [], id="correlator-x0-beyond-box"),
-        pytest.param(_with_estimator("dynamical", t_points=0), [], id="dynamical-t-points-0"),
-        pytest.param(_with_estimator("inequalities", draws=0), [], id="inequalities-draws-0"),
-        pytest.param(_with_estimator("inequalities", rh_trials=0), [], id="inequalities-rh-trials-0"),
-        pytest.param(_with_estimator("inequalities", rh_j=0), [], id="inequalities-rh-j-0"),
-        pytest.param(_with_estimator("inequalities", l=-1), [], id="inequalities-l-negative"),
-        pytest.param(_with_estimator("ids", samples=0), [], id="ids-samples-0"),
-        pytest.param([1, 2], [], id="config-not-an-object"),
-        pytest.param({**BASE_CFG, "estimator": "oops"}, [], id="estimator-not-an-object"),
+        pytest.param(_with_estimator("decay", x0=-1), [], "estimator.x0", id="decay-x0-negative"),
+        pytest.param(_with_estimator("decay", x0=999), [],
+                     "estimator.x0", id="decay-x0-beyond-box"),
+        pytest.param(_with_estimator("correlator", x0=8), [],
+                     "estimator.x0", id="correlator-x0-beyond-box"),
+        pytest.param(_with_estimator("dynamical", t_points=0), [],
+                     "estimator.t_points", id="dynamical-t-points-0"),
+        pytest.param(_with_estimator("inequalities", draws=0), [],
+                     "estimator.draws", id="inequalities-draws-0"),
+        pytest.param(_with_estimator("inequalities", rh_trials=0), [],
+                     "estimator.rh_trials", id="inequalities-rh-trials-0"),
+        pytest.param(_with_estimator("inequalities", rh_j=0), [],
+                     "estimator.rh_j", id="inequalities-rh-j-0"),
+        pytest.param(_with_estimator("inequalities", l=-1), [],
+                     "estimator.l", id="inequalities-l-negative"),
+        pytest.param(_with_estimator("ids", samples=0), [],
+                     "estimator.samples", id="ids-samples-0"),
+        pytest.param([1, 2], [], "config.json", id="config-not-an-object"),
+        pytest.param({**BASE_CFG, "estimator": "oops"}, [],
+                     "estimator", id="estimator-not-an-object"),
         pytest.param({**BASE_CFG, "estimator": "oops"}, ["--samples", "100"],
-                     id="estimator-not-an-object-with-samples-override"),
-        pytest.param({**BASE_CFG, "model": "oops"}, [], id="model-not-an-object"),
+                     "estimator", id="estimator-not-an-object-with-samples-override"),
+        pytest.param({**BASE_CFG, "model": "oops"}, [], "model", id="model-not-an-object"),
         pytest.param({**BASE_CFG, "topology": {"d": 1, "sides": [8], "periodic": "false"}}, [],
-                     id="topology-periodic-not-a-boolean"),
-        pytest.param({**BASE_CFG, "topology": {"d": 1}}, [], id="topology-sides-missing"),
+                     "topology.periodic", id="topology-periodic-not-a-boolean"),
+        pytest.param({**BASE_CFG, "topology": {"d": 1}}, [],
+                     "topology.sides", id="topology-sides-missing"),
         pytest.param({**BASE_CFG, "topology": {"d": 1, "sides": ["a"]}}, [],
-                     id="topology-sides-not-an-integer"),
+                     "topology.sides", id="topology-sides-not-an-integer"),
         pytest.param({**BASE_CFG, "topology": {"d": "one", "sides": [8]}}, [],
-                     id="topology-d-not-an-integer"),
+                     "topology.d", id="topology-d-not-an-integer"),
         pytest.param({**BASE_CFG, "model": {"variant": "block", "g": "10", "B": [[["0", "0"]]]}},
-                     [], id="block-A-missing"),
+                     [], "model.A", id="block-A-missing"),
         pytest.param({**BASE_CFG, "model": {**BASE_CFG["model"], "hopping": ["1"]}}, [],
-                     id="block-hopping-not-an-object"),
+                     "model.hopping", id="block-hopping-not-an-object"),
         pytest.param({**BASE_CFG, "model": {**BASE_CFG["model"],
                                             "hopping": {"1": [[["1", "0"]]], "2": [[["1", "0"]]]}}},
-                     [], id="block-hopping-beyond-nearest-neighbours"),
+                     [], "model", id="block-hopping-beyond-nearest-neighbours"),
         pytest.param({**BASE_CFG, "model": {"variant": "alloy", "coeffs": ["1"], "g": "5"}}, [],
-                     id="alloy-coeffs-not-an-object"),
-        pytest.param({**BASE_CFG, "workers": "two"}, [], id="workers-not-an-integer"),
-        pytest.param({**BASE_CFG, "workers": 0}, [], id="workers-0"),
-        pytest.param(_with_estimator("decay", d_min="x"), [], id="decay-d-min-not-an-integer"),
-        pytest.param(_with_estimator("decay", d_min=-1), [], id="decay-d-min-negative"),
+                     "model.coeffs", id="alloy-coeffs-not-an-object"),
+        pytest.param({**BASE_CFG, "workers": "two"}, [], "workers", id="workers-not-an-integer"),
+        pytest.param({**BASE_CFG, "workers": 0}, [], "workers", id="workers-0"),
+        pytest.param(_with_estimator("decay", d_min="x"), [],
+                     "estimator.d_min", id="decay-d-min-not-an-integer"),
+        pytest.param(_with_estimator("decay", d_min=-1), [],
+                     "estimator.d_min", id="decay-d-min-negative"),
         pytest.param({**BASE_CFG, "kind": "wegner", "estimator": {"samples": 10}}, [],
-                     id="wegner-eps-list-missing"),
-        pytest.param(_with_estimator("ids", bins=[16]), [], id="ids-bins-not-an-object"),
-        pytest.param(_with_estimator("ids", bins={"n": "x"}), [], id="ids-bins-n-not-an-integer"),
-        pytest.param(_with_estimator("inequalities", pairs=-1), [], id="inequalities-pairs-negative"),
+                     "estimator.eps_list", id="wegner-eps-list-missing"),
+        pytest.param(_with_estimator("ids", bins=[16]), [],
+                     "estimator.bins", id="ids-bins-not-an-object"),
+        pytest.param(_with_estimator("ids", bins={"n": "x"}), [],
+                     "estimator.bins.n", id="ids-bins-n-not-an-integer"),
+        pytest.param(_with_estimator("inequalities", pairs=-1), [],
+                     "estimator.pairs", id="inequalities-pairs-negative"),
         pytest.param(_with_estimator("inequalities", pairs="x"), [],
-                     id="inequalities-pairs-not-an-integer"),
-        pytest.param({**BASE_CFG, "topology": {"sides": [True, 8]}}, [], id="topology-sides-true"),
-        pytest.param({**BASE_CFG, "topology": {"sides": ["8"]}}, [], id="topology-sides-string"),
-        pytest.param({**BASE_CFG, "topology": {"sides": [8], "d": True}}, [], id="topology-d-true"),
-        pytest.param(_with_estimator("ids", samples=True), [], id="ids-samples-true"),
-        pytest.param(_with_estimator("decay", samples="120"), [], id="decay-samples-string"),
+                     "estimator.pairs", id="inequalities-pairs-not-an-integer"),
+        pytest.param({**BASE_CFG, "topology": {"sides": [True, 8]}}, [],
+                     "topology.sides", id="topology-sides-true"),
+        pytest.param({**BASE_CFG, "topology": {"sides": ["8"]}}, [],
+                     "topology.sides", id="topology-sides-string"),
+        pytest.param({**BASE_CFG, "topology": {"sides": [8], "d": True}}, [],
+                     "topology.d", id="topology-d-true"),
+        pytest.param(_with_estimator("ids", samples=True), [],
+                     "estimator.samples", id="ids-samples-true"),
+        pytest.param(_with_estimator("decay", samples="120"), [],
+                     "estimator.samples", id="decay-samples-string"),
         pytest.param(_with_estimator("inequalities", draws="20"), [],
-                     id="inequalities-draws-string"),
+                     "estimator.draws", id="inequalities-draws-string"),
         pytest.param({**BASE_CFG, "disorder": {"family": "uniform", "params": "12"}}, [],
-                     id="disorder-params-string"),
+                     "disorder.params", id="disorder-params-string"),
         pytest.param({**BASE_CFG, "kind": "wegner", "estimator": {"eps_list": "842"}}, [],
-                     id="wegner-eps-list-string"),
+                     "estimator.eps_list", id="wegner-eps-list-string"),
         pytest.param(_with_estimator("correlator", interval="13"), [],
-                     id="correlator-interval-string"),
+                     "estimator.interval", id="correlator-interval-string"),
         pytest.param(_with_estimator("correlator", interval=["0"]), [],
-                     id="correlator-interval-one-end"),
+                     "estimator.interval", id="correlator-interval-one-end"),
         pytest.param(_with_estimator("dynamical", interval=["-1", "0", "1"]), [],
-                     id="dynamical-interval-three-ends"),
+                     "estimator.interval", id="dynamical-interval-three-ends"),
         pytest.param(_with_estimator("correlator", interval=["0.5", "-0.5"]), [],
-                     id="correlator-interval-reversed"),
+                     "estimator.interval", id="correlator-interval-reversed"),
         pytest.param(_with_estimator("inequalities", vinv_s="x"), [],
-                     id="inequalities-vinv-s-malformed"),
+                     "estimator.vinv_s", id="inequalities-vinv-s-malformed"),
         pytest.param(_with_estimator("inequalities", scales="10"), [],
-                     id="inequalities-scales-string"),
+                     "estimator.scales", id="inequalities-scales-string"),
         pytest.param(_with_estimator("inequalities", lambda_grid="0"), [],
-                     id="inequalities-lambda-grid-string"),
-        pytest.param(_with_estimator("ids", bins={"edges": "012"}), [], id="ids-bins-edges-string"),
-        pytest.param(_with_estimator("decay", eps="-1e-3"), [], id="decay-eps-negative"),
+                     "estimator.lambda_grid", id="inequalities-lambda-grid-string"),
+        pytest.param(_with_estimator("ids", bins={"edges": "012"}), [],
+                     "estimator.bins.edges", id="ids-bins-edges-string"),
+        pytest.param(_with_estimator("decay", eps="-1e-3"), [],
+                     "estimator.eps", id="decay-eps-negative"),
         pytest.param(_with_estimator("inequalities", eps="-1e-3"), [],
-                     id="inequalities-eps-negative"),
+                     "estimator.eps", id="inequalities-eps-negative"),
+        pytest.param({**BASE_CFG, "model": {**BASE_CFG["model"],
+                                            "hopping": {"1,x": [[["1", "0"]]]}}},
+                     [], "model.hopping[1,x]", id="block-hopping-offset-malformed"),
+        pytest.param({**TINY_CFGS["ids"], "model": {"variant": "alloy", "coeffs": {"1,x": "-1"}}},
+                     [], "model.coeffs[1,x]", id="alloy-coeffs-offset-malformed"),
     ],
 )
-def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, extra):
+def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, extra, field):
     from fmlab.cli import main
 
     kind = cfg["kind"] if isinstance(cfg, dict) else "decay"
     out = tmp_path / "run"
     argv = [kind, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     assert main(argv + extra) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{field}:" in err, err
     assert not list(out.glob("samples*.jsonl"))  # refused before any sample ran
 
 
@@ -522,7 +553,7 @@ def test_d_min_beyond_the_box_is_refused_before_sampling(kind, tmp_path, capsys,
     bad = write_cfg(tmp_path, _with_estimator(kind, d_min=6), "bad.json")
     assert main([kind, "--config", bad, "--out", out]) == 2
     assert "estimator.d_min" in capsys.readouterr().err
-    assert draws == [] and not any(n.startswith("samples") for n in os.listdir(out))
+    assert draws == [] and not os.path.exists(out)  # refused before the outdir is made
     good = write_cfg(tmp_path, _with_estimator(kind, d_min=5), "good.json")
     assert main([kind, "--config", good, "--out", out]) == 0
     with open(os.path.join(out, "results.json")) as fh:
@@ -540,6 +571,104 @@ def test_decay_with_auto_eps_parses_every_field_before_sampling(tmp_path, monkey
     assert calls == []
 
 
+def _with_model(kind, **fields):
+    cfg = TINY_CFGS[kind]
+    return {**cfg, "model": {**cfg["model"], **fields}}
+
+
+def _heavy_tailed(cfg, q0):
+    return {**cfg, "disorder": {"family": "heavy_tail", "params": [q0]}}
+
+
+# (bad config, the field its error names, the corrected config): each bad config
+# is one the estimators refuse only after an earlier scan or eigensolve has run
+_REFUSED_BEFORE_THE_FIRST_DRAW = {
+    "inequalities-vinv-s-above-1": (
+        _with_estimator("inequalities", vinv_s="1.5"), "estimator.vinv_s",
+        _with_estimator("inequalities", vinv_s="0.5")),
+    "inequalities-r-m-above-alpha": (
+        _with_estimator("inequalities", r="0.6", m=3), "r*m",
+        _with_estimator("inequalities", r="0.15", m=3)),
+    "inequalities-q-too-small": (
+        _heavy_tailed(TINY_CFGS["inequalities"], "1"), "q too small",
+        _heavy_tailed(TINY_CFGS["inequalities"], "4")),
+    "decay-auto-eps-s-above-1": (
+        _with_estimator("decay", eps="auto", s="1.5"), "estimator.s",
+        _with_estimator("decay", eps="auto", s="1/3")),
+    "decay-auto-eps-samples-below-100": (
+        _with_estimator("decay", eps="auto", samples=50), "estimator.samples",
+        _with_estimator("decay", eps="auto", samples=100)),
+    "decay-g-inf": (_with_model("decay", g="inf"), "model.g", _with_model("decay", g="10")),
+    "correlator-g-inf": (
+        _with_model("correlator", g="inf"), "model.g", _with_model("correlator", g="10")),
+    "correlator-g-inf-d-min-0": (
+        {**_with_estimator("correlator", d_min=0),
+         "model": _with_model("correlator", g="inf")["model"]},
+        "model.g", _with_estimator("correlator", d_min=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_BEFORE_THE_FIRST_DRAW))
+def test_ranges_checked_during_sampling_are_refused_before_the_first_draw(
+    case, tmp_path, capsys, monkeypatch
+):
+    from fmlab import estimators, inequalities
+    from fmlab.cli import main
+
+    bad, field, good = _REFUSED_BEFORE_THE_FIRST_DRAW[case]
+    calls = []
+    for module, name in ((estimators, "sample_vector"), (inequalities, "sample_vector"),
+                         (np.linalg, "eigvalsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    out = tmp_path / "run"
+    kind = bad["kind"]
+    assert main([kind, "--config", write_cfg(tmp_path, bad, "bad.json"), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert calls == [] and not list(out.glob("samples*.jsonl"))
+    assert main([kind, "--config", write_cfg(tmp_path, good, "good.json"), "--out", str(out)]) == 0
+
+
+def test_dynamical_runs_with_decoupled_sites(tmp_path):
+    rec = run(_with_model("dynamical", g="inf"), outdir=str(tmp_path / "run"))
+    assert rec.outputs["bound_ok"]
+
+
+def _misspelled(key: str) -> str:
+    return key[0] + key[2] + key[1] + key[3:] if len(key) > 2 else key + key[-1]
+
+
+def _misspelled_cases():
+    """(config name, key path) of one misspelled key at every level of each shipped config."""
+    root = os.path.dirname(os.path.dirname(__file__))
+    for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
+        cfg = load_config(path)
+        levels = [(), ("topology",), ("disorder",), ("model",), ("estimator",)]
+        levels += [("estimator", "bins")] if "bins" in cfg["estimator"] else []
+        for level in levels:
+            name = f"{os.path.basename(path)}:{'.'.join(level) or 'top'}"
+            yield pytest.param(path, level, id=name)
+
+
+@pytest.mark.parametrize("path,level", _misspelled_cases())
+def test_a_misspelled_key_at_any_level_is_refused(path, level, tmp_path, capsys):
+    from fmlab.cli import main
+
+    cfg = load_config(path)
+    section = cfg
+    for name in level:
+        section = section[name]
+    key = sorted(section)[0]
+    wrong = _misspelled(key)
+    assert wrong not in section
+    section[wrong] = section.pop(key)
+    out = tmp_path / "run"
+    argv = [cfg["kind"], "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"config error: {'.'.join((*level, wrong))}: unknown key" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything ran or was written
+
+
 def test_fractional_scale_names_its_checkpoint_by_position(tmp_path):
     cfg = {**TINY_CFGS["inequalities"], "estimator": {
         **TINY_CFGS["inequalities"]["estimator"], "scales": ["1/2", "10"]}}
@@ -551,17 +680,15 @@ def test_fractional_scale_names_its_checkpoint_by_position(tmp_path):
 
 
 def test_shipped_configs_validate():
-    import glob
-
+    # the benchmark's configs too: one the parse refuses would fail every benchmark run
     root = os.path.dirname(os.path.dirname(__file__))
-    paths = sorted(glob.glob(os.path.join(root, "configs", "*.json")))
-    assert len(paths) >= 6
-    for path in paths:
+    shipped = sorted(glob.glob(os.path.join(root, "configs", "*.json")))
+    bench = sorted(glob.glob(os.path.join(root, "perfbench", "configs", "*.json")))
+    assert len(shipped) >= 6 and len(bench) >= 7
+    for path in shipped + bench:
         cfg = load_config(path)
-        build_model(cfg)
-        build_topology(cfg)
-        build_disorder(cfg)
-        assert cfg["kind"] in os.path.basename(path) or cfg["kind"] in ("ids",)
+        top, _, _, _, _ = parse_config(cfg)  # every key, every range, every check
+        assert top["kind"] in os.path.basename(path) or top["kind"] in ("ids",)
 
 
 # digests of the shipped configs; an encoder change must not move them
@@ -608,7 +735,7 @@ def test_run_ids_kind(tmp_path):
 def test_run_correlator_and_dynamical_kinds(tmp_path):
     base = {
         **BASE_CFG,
-        "model": {"variant": "block", "k": 1, "g": "15",
+        "model": {"variant": "block", "g": "15",
                   "A": [[["1", "0"]]], "B": [[["0", "0"]]]},
         "estimator": {"interval": ["-0.5", "0.5"], "samples": 80, "x0": 0, "d_min": 1},
     }
@@ -616,7 +743,7 @@ def test_run_correlator_and_dynamical_kinds(tmp_path):
     assert rec_c.outputs["k_bound_ok"]
     rec_d = run(
         {**base, "kind": "dynamical",
-         "estimator": {**base["estimator"], "t_points": 64}},
+         "estimator": {"interval": ["-0.5", "0.5"], "samples": 80, "x0": 0, "t_points": 64}},
         outdir=str(tmp_path / "d"),
     )
     assert rec_d.outputs["bound_ok"]
@@ -681,3 +808,24 @@ def test_decay_run_does_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_readme_lists_every_key_of_the_field_tables():
+    import re
+
+    from fmlab.runner import _BINS, _DISORDER, _KINDS, _MODELS, _TOP, _TOPOLOGY
+
+    tables = {"top level": _TOP, "`topology`": _TOPOLOGY, "`disorder`": _DISORDER,
+              "`estimator.bins`, kind `ids`": _BINS}
+    tables.update({f"`model`, variant `{v}`": table for v, (_, table) in _MODELS.items()})
+    tables.update({f"`estimator`, kind `{k}`": kind[2] for k, kind in _KINDS.items()})
+    root = os.path.dirname(os.path.dirname(__file__))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    listed = readme.split("| where | keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in listed.splitlines()]
+    keys = {where.strip(): re.findall(r"`([^`]+)`", cells) for where, cells in rows}
+    assert {where: sorted(k) for where, k in keys.items()} == {
+        where: sorted(table) for where, table in tables.items()
+    }
+    assert all(len(k) == len(set(k)) for k in keys.values())
