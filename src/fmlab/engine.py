@@ -4,7 +4,7 @@ Samples are pure functions of (context, sample index): the index derives the
 random stream, so a payload does not depend on which worker computes it or
 how the indices are chunked.  The indices are cut into consecutive ranges of
 _CHUNK, and one call of the batch function computes a whole range.  Chunks
-come back in index order (from the builtin map at one worker, from pool.map
+come back in index order (from the builtin map without a pool, from pool.map
 otherwise), and each chunk's payloads are appended to the checkpoint as JSON
 lines and flushed as it arrives; a failing chunk cancels the chunks still
 pending and leaves every earlier chunk on disk.
@@ -54,8 +54,9 @@ def run_indexed(batch_fn, ctx, n_samples, workers=1, checkpoint_path=None):
     batch_fn(ctx, indices) returns the payloads of a range of sample indices,
     one per index; payload i must depend only on (ctx, i).  batch_fn must be
     a module-level function (it crosses process boundaries).  The checkpoint
-    is the same file byte for byte at every worker count; a run whose
-    remaining samples fit one chunk starts no pool.
+    is the same file byte for byte at every worker count.  The pool has no
+    more processes than workers, chunks or CPUs, so a run whose remaining
+    samples fit one chunk starts none.
     """
     payloads, end = checkpoint_prefix(checkpoint_path)
     chunks = [range(j, min(j + _CHUNK, n_samples))
@@ -65,8 +66,9 @@ def run_indexed(batch_fn, ctx, n_samples, workers=1, checkpoint_path=None):
         if checkpoint_path is not None:
             writer = stack.enter_context(open(checkpoint_path, "a", encoding="utf-8"))
             writer.truncate(end)  # drop everything after the valid prefix
-        if workers > 1 and len(chunks) > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
+        processes = min(workers, len(chunks), os.cpu_count() or 1)
+        if processes > 1:
+            pool = ProcessPoolExecutor(max_workers=processes)
             stack.callback(pool.shutdown, cancel_futures=True)
             batches = pool.map(batch_fn, repeat(ctx), chunks)
         else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, sample_vector
 from .engine import run_indexed
-from .errors import ConfigurationError, DegenerateFitError, NumericalError, ResampleSignal
+from .errors import DegenerateFitError, NumericalError, ResampleSignal
 from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window
 from .numerics import (
     SpectralDecomposition,
@@ -40,9 +40,12 @@ T_GRID_CYCLES = 64.0
 
 
 def _jsonable(x):
-    """Arrays and tuples as lists, non-finite reals as strings (strict JSON
-    has no Infinity literal), numpy scalars as Python numbers."""
-    if isinstance(x, (np.ndarray, tuple)):
+    """Arrays, tuples and lists as lists and dicts as dicts, recursively;
+    non-finite reals as strings (strict JSON has no NaN or Infinity
+    literal), numpy scalars as Python numbers."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (np.ndarray, tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (float, np.floating)) and not math.isfinite(x):
         return repr(float(x))
@@ -220,12 +223,6 @@ def fractional_moment_profile(
     checkpoint_path=None,
 ) -> MomentEstimate:
     """Mean of ||G_{lam + i eps}(x0, y)||^s over disorder, for every site y."""
-    if samples < 100:
-        raise ConfigurationError("fractional_moment_profile needs samples >= 100")
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"fractional power s must be in (0, 1), got {s}")
-    if not eps >= 0:
-        raise ConfigurationError(f"fractional_moment_profile needs eps >= 0, got {eps}")
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if s > s_bound + 1e-12:
@@ -286,7 +283,7 @@ def decay_rate_fit(est, d_min: int = 1) -> dict:
     good = bm > 0.0
     ds, bm, pop = ds[good], bm[good], pop[good]
     if ds.size < 3:
-        raise ConfigurationError("decay fit needs >= 3 distinct distances with positive means")
+        raise DegenerateFitError("decay fit needs >= 3 distinct distances with positive means")
     x = ds.astype(np.float64)
     y = np.log(bm)
     w = pop.astype(np.float64)
@@ -358,8 +355,6 @@ def ids_histogram(
     bins, so the masses sum to one exactly (up to float summation).
     """
     edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ConfigurationError("histogram edges must be strictly increasing")
     payloads = run_samples(
         _ids_batch, model, topo, disorder, master_seed, {"edges": edges}, samples, workers,
         checkpoint_path,
@@ -413,8 +408,6 @@ def wegner_exponent(
     """Normalized counting-measure masses of [lambda0 - eps, lambda0 + eps]
     and the log-log slope across the eps grid (the local Holder exponent)."""
     eps_arr = np.sort(np.asarray(eps_list, dtype=np.float64))[::-1].copy()
-    if eps_arr.size < 3 or np.any(eps_arr <= 0):
-        raise ConfigurationError("wegner_exponent needs >= 3 positive eps values")
     flags = []
     if eps_arr[0] / eps_arr[-1] < 10.0 - 1e-9:
         flags.append(f"eps grid spans only {eps_arr[0] / eps_arr[-1]:.1f}x (< one decade)")
@@ -491,12 +484,9 @@ def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
     axis row by row, in the order of a loop over the clusters.
     """
     k, n_sites = sd.k, sd.n_sites
-    clusters = cluster_indices(sd, interval)
-    if not clusters:  # reduceat needs at least one start
+    cols, starts = cluster_indices(sd, interval)
+    if not starts.size:  # reduceat needs at least one start
         return np.zeros(0), np.zeros((0, n_sites, k, k), dtype=np.complex128)
-    cols = np.concatenate(clusters)
-    sizes = np.array([c.size for c in clusters])
-    starts = np.cumsum(sizes) - sizes
     u = sd.eigenvectors[:, cols]  # (N k, W)
     v = u.reshape(n_sites, k, cols.size)
     # einsum's products, not a broadcast multiply (which rounds some complex
@@ -504,7 +494,7 @@ def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
     # its own cluster's columns
     outer = np.einsum("aj,nbj->jnab", u[sd.site_rows(x0)], v.conj())  # (W, N, k, k)
     blocks = np.ascontiguousarray(np.add.reduceat(outer, starts, axis=0))
-    nus = np.add.reduceat(sd.eigenvalues[cols], starts) / sizes
+    nus = np.add.reduceat(sd.eigenvalues[cols], starts) / np.diff(starts, append=cols.size)
     return nus, blocks
 
 

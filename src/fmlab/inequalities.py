@@ -45,21 +45,6 @@ class RatioIntegralSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
         object.__setattr__(self, "b", tuple(complex(x) for x in self.b))
-        if self.s < 0 or self.r < 0:
-            raise ConfigurationError("exponents s, r must be >= 0")
-        alpha = self.measure.declared_alpha
-        if self.r * len(self.b) >= alpha:
-            raise ConfigurationError(
-                f"r*m = {self.r * len(self.b):g} must stay below alpha = {alpha:g}"
-            )
-
-    @property
-    def regime_ok(self) -> bool:
-        """q >= (sl + rm) * alpha / (alpha - rm), the two-sided comparison regime."""
-        alpha = self.measure.declared_alpha
-        sl = self.s * len(self.a)
-        rm = self.r * len(self.b)
-        return self.measure.declared_q >= (sl + rm) * alpha / (alpha - rm) - 1e-12
 
     def target(self) -> float:
         num = math.prod((1.0 + abs(aj)) ** self.s for aj in self.a)
@@ -198,10 +183,13 @@ def _comparability_batch(ctx: _ScanCtx, indices) -> list:
 
 
 def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, r: float):
-    """Refuse exponents (s, r) and point counts (l, m) outside the regime where
-    the two-sided comparison holds for measure."""
-    probe = RatioIntegralSpec(a=(0.0,) * l, b=(0.0,) * m, s=s, r=r, measure=measure)
-    if not probe.regime_ok:
+    """Refuse point counts (l, m) and exponents (s, r) >= 0 outside the
+    regime where the two-sided comparison holds for measure: r*m below alpha,
+    and q at least (s*l + r*m) * alpha / (alpha - r*m)."""
+    alpha, rm = measure.declared_alpha, r * m
+    if rm >= alpha:
+        raise ConfigurationError(f"r*m = {rm:g} must stay below alpha = {alpha:g}")
+    if not measure.declared_q >= (s * l + rm) * alpha / (alpha - rm) - 1e-12:
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
 
 
@@ -222,7 +210,6 @@ def comparability_scan(
     Both extremes must be positive and finite; their spread estimates how far
     the two-sided comparison constants are from each other.
     """
-    check_comparability_regime(measure, l, m, s, r)
     ctx = _ScanCtx(measure, int(l), int(m), float(s), float(r), float(param_scale),
                    int(master_seed))
     records = run_indexed(_comparability_batch, ctx, draws, workers, checkpoint_path)
@@ -244,16 +231,13 @@ def comparability_scan(
 
 def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_seed: int,
                 disorder: DisorderSpec) -> dict:
-    """Monte Carlo estimate of < || (v A + B - lam)^(-1) ||^s > over v.
+    """Monte Carlo estimate of < || (v A + B - lam)^(-1) ||^s > over v, for a
+    block-type model.
 
     Draws with an exactly singular potential are redrawn (measure zero);
     near-singular draws contribute their huge but finite norm, which is the
     whole point of taking fractional powers.
     """
-    if model.variant == "alloy":
-        raise ConfigurationError("vinv_moment applies to block-type models")
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError("vinv_moment needs 0 < s < 1")
     stream = Stream(derive_sample_seed(master_seed, 0))
     shift = model.B - lam * np.eye(model.k, dtype=np.complex128)
     values = np.empty(samples)
@@ -301,10 +285,6 @@ def one_step_bound_check(
     The inequality holds per realization when s <= 1 (subadditivity of
     t^s); a failure here indicates a numerics bug, not statistics.
     """
-    if not 0 < s <= 1:
-        raise ConfigurationError("one_step_bound_check needs 0 < s <= 1")
-    if not eps >= 0:
-        raise ConfigurationError(f"one_step_bound_check needs eps >= 0, got {eps}")
     params = {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)}
     payloads = run_samples(
         _one_step_batch, model, topo, disorder, master_seed, params, samples, workers,
@@ -356,8 +336,6 @@ def decoupling_ratio(
     The decoupling bound guarantees a positive floor for the ratio, not a
     specific constant; callers assert positivity and stability.
     """
-    if not eps >= 0:
-        raise ConfigurationError(f"decoupling_ratio needs eps >= 0, got {eps}")
     grid = [float(lam) for lam in lambda_grid]
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)

@@ -110,8 +110,6 @@ def _norm2(m) -> float:
 
 def block_model(A, B, g: float, hopping=None) -> ModelSpec:
     """Generic block model V(x) = v(x) A + B with optional hopping kernel."""
-    if not g > 0:
-        raise ConfigurationError(f"coupling g must be > 0, got {g}")
     A = _as_block(A, "A")
     B = _as_block(B, "B")
     _require_hermitian(A, "A")
@@ -145,8 +143,6 @@ def singular_covering_model(g: float) -> ModelSpec:
 
 def alloy_model(coeffs: dict, g: float) -> ModelSpec:
     """Scalar alloy potential; coeffs[off] multiplies v(site + off)."""
-    if not g > 0:
-        raise ConfigurationError(f"coupling g must be > 0, got {g}")
     if not coeffs:
         raise ConfigurationError("alloy model needs a non-empty coefficient support")
     norm = {}

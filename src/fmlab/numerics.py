@@ -160,7 +160,8 @@ def opnorm_batch(blocks) -> np.ndarray:
 
 
 def cluster_indices(sd: SpectralDecomposition, interval):
-    """Eigenvalue-index clusters inside the closed interval, in ascending order.
+    """(sel, starts): the ascending indices sel of the eigenvalues inside the
+    closed interval, and the positions in sel where each cluster starts.
 
     Consecutive eigenvalues within CLUSTER_TOL * (1 + spectral radius) merge
     into one cluster (continuous disorder makes exact degeneracy measure
@@ -169,8 +170,6 @@ def cluster_indices(sd: SpectralDecomposition, interval):
     lo, hi = float(interval[0]), float(interval[1])
     vals = sd.eigenvalues
     sel = np.flatnonzero((vals >= lo) & (vals <= hi))
-    if sel.size == 0:
-        return []
     radius = max(abs(float(vals[0])), abs(float(vals[-1])))
     tol = CLUSTER_TOL * (1.0 + radius)
-    return np.split(sel, np.flatnonzero(np.diff(vals[sel]) > tol) + 1)
+    return sel, np.flatnonzero(np.diff(vals[sel], prepend=-np.inf) > tol)

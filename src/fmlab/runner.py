@@ -13,9 +13,14 @@ Every key a config may hold is declared in a field table mapping key ->
 kind's estimator table in _KINDS.  A parser returns the checked value, range
 included, or raises ConfigurationError naming the key's path; an absent key
 takes its default through the same parser, _REQUIRED keys must be present,
-and a key no table names is refused.  parse_config() parses the whole config
-and runs the kind's cross-section check; run() calls it before it touches
-the outdir, so each _run_* gets parsed values and only calls its estimators.
+and a key no table names is refused.  A rule that spans fields stays with
+its owner (the model and box builders, assembly_plan for the offsets a box
+realizes, check_comparability_regime), called here with the section's path.
+The library checks none of these ranges again.
+
+parse_config() parses the whole config and runs every rule; run() calls it
+before it touches the outdir, so no config is refused once a run has begun,
+and each _run_* gets parsed values and only calls its estimators.
 
 Timing and environment stamps go to run_meta.json; results.json and
 series.csv are byte-deterministic functions of (config, master_seed).
@@ -38,7 +43,7 @@ from . import estimators as est
 from . import inequalities as ineq
 from .engine import canonical_json
 from .errors import ConfigurationError
-from .model import alloy_model, singular_covering_model, block_model, spencer_model
+from .model import alloy_model, assembly_plan, block_model, singular_covering_model, spencer_model
 from .rng import Stream, derive_sample_seed
 from .topology import distances_from, make_lattice_box
 
@@ -195,11 +200,24 @@ _BINS = {"n": (_COUNT, 64), "lo": (parse_real, -3), "hi": (parse_real, 3), "edge
 
 
 def _edges(value, path: str) -> np.ndarray:
-    """The ids histogram edges: bins.edges, or bins.n equal bins on [bins.lo, bins.hi]."""
+    """The ids histogram edges, strictly increasing: bins.edges, or bins.n
+    equal bins on [bins.lo, bins.hi]."""
     bins = _parse_table(value, _BINS, path)
     if bins["edges"] is not None:
-        return np.array(bins["edges"])
-    return np.linspace(bins["lo"], bins["hi"], bins["n"] + 1)
+        edges = np.array(bins["edges"])
+    else:
+        edges = np.linspace(bins["lo"], bins["hi"], bins["n"] + 1)
+    if edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ConfigurationError(f"{path}: expected strictly increasing edges, got {value!r}")
+    return edges
+
+
+def _eps_list(value, path: str) -> list:
+    """The wegner window half-widths: at least 3, all positive."""
+    eps = _reals(value, path)
+    if len(eps) < 3 or not all(e > 0 for e in eps):
+        raise ConfigurationError(f"{path}: expected >= 3 positive reals, got {value!r}")
+    return eps
 
 
 _TOPOLOGY = {
@@ -219,14 +237,18 @@ _MODELS = {  # variant -> (builder, its keywords' field table plus variant)
 }
 
 
-def _build(cfg: dict, name: str, make, table: dict):
-    """make(**fields) of the section cfg[name] parsed against table, with the
-    section name on make's ConfigurationError."""
-    fields = _parse_table(section(cfg, name), table, name)
+def _owned(path: str, rule, *args, **fields):
+    """rule(*args, **fields), a builder or cross-field check that owns its
+    rule, with the config path prefixed to its ConfigurationError."""
     try:
-        return make(**fields)
+        return rule(*args, **fields)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from None
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _build(cfg: dict, name: str, make, table: dict):
+    """make(**fields) of the section cfg[name] parsed against table."""
+    return _owned(name, make, **_parse_table(section(cfg, name), table, name))
 
 
 def build_topology(cfg: dict):
@@ -266,7 +288,9 @@ class ResultRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.deterministic_dict(), sort_keys=True, indent=1) + "\n"
+        """Strict JSON: non-finite reals are the strings "nan", "inf", "-inf"."""
+        return json.dumps(est._jsonable(self.deterministic_dict()), sort_keys=True, indent=1,
+                          allow_nan=False) + "\n"
 
 
 def _fmt_cell(x) -> str:
@@ -475,7 +499,7 @@ def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
 
 
 # cross-section checks: (estimator fields, model, topology, disorder) -> None,
-# or ConfigurationError for a config its estimators would refuse after sampling
+# or ConfigurationError for a config whose estimators could not give a result
 
 
 def _check_site(p, model, topo, dis):
@@ -497,10 +521,8 @@ def _check_decay_fit(p, model, topo, dis):
 
 
 def _check_comparability(p, model, topo, dis):
-    try:
-        ineq.check_comparability_regime(dis, p["l"], p["m"], p["s"], p["r"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"estimator.{{s, l, r, m}}: {exc}")
+    _owned("estimator.{s, l, r, m}", ineq.check_comparability_regime,
+           dis, p["l"], p["m"], p["s"], p["r"])
 
 
 _SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
@@ -516,7 +538,7 @@ _KINDS = {
     }, _check_decay_fit),
     "wegner": (_run_wegner, ["eps", "mass", "err", "n"], {
         "lambda0": (parse_real, 0),
-        "eps_list": (_reals, _REQUIRED),
+        "eps_list": (_eps_list, _REQUIRED),
         "samples": (_COUNT, 1000),
     }, None),
     "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"], {
@@ -571,9 +593,11 @@ _TOP = {
 
 def parse_config(cfg: dict) -> tuple:
     """(top-level fields, estimator fields, model, topology, disorder) of cfg:
-    every key parsed against its table, and the kind's check passed."""
+    every key parsed against its table, the model's offsets realizable on the
+    box, and the kind's check passed."""
     top = _parse_table(cfg, _TOP, "")
     model, topo, dis = build_model(cfg), build_topology(cfg), build_disorder(cfg)
+    _owned("model", assembly_plan, model, topo)
     _, _, fields, check = _KINDS[top["kind"]]
     p = _parse_table(top["estimator"], fields, "estimator")
     if check:
@@ -600,24 +624,16 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     The whole config is parsed first (parse_config), so a refused config
     leaves the outdir untouched.  When outdir is given, artifacts (canonical
     config copy, checkpoint, results.json, run_meta.json) are written there
-    and runs are resumable.  An outdir holding checkpoints or results.json
-    beside a config.json with another config digest is refused, since they
-    belong to that run.
+    and runs are resumable.  An outdir whose config.json has another config
+    digest is refused: it and everything beside it belong to that run.
     """
     top, p, model, topo, dis = parse_config(cfg)
     digest = config_digest(cfg)
 
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        # the checkpoints and results in an outdir belong to the run whose config.json
-        # they sit beside; a config.json alone (from a refused config) claims nothing
         config_path = os.path.join(outdir, "config.json")
-        claimed = any(
-            name == "results.json" or (name.startswith("samples") and name.endswith(".jsonl"))
-            for name in os.listdir(outdir)
-        )
-        if (claimed and os.path.exists(config_path)
-                and config_digest(load_config(config_path)) != digest):
+        if os.path.exists(config_path) and config_digest(load_config(config_path)) != digest:
             raise ConfigurationError(
                 f"{outdir} belongs to another run; a different config, seed or sample count "
                 "needs a new output directory"

@@ -70,10 +70,8 @@ def make_lattice_box(d: int, sides, periodic: bool = False) -> LatticeBox:
     edges never duplicate open ones.
     """
     sides = tuple(int(s) for s in (sides if np.iterable(sides) else (sides,)))
-    if d < 1 or len(sides) != d:
+    if len(sides) != d:
         raise ConfigurationError(f"need {d} side lengths, got {sides}")
-    if any(s < 1 for s in sides):
-        raise ConfigurationError(f"sides must be >= 1, got {sides}")
     if periodic and any(s < 3 for s in sides):
         raise ConfigurationError("periodic boxes require all sides >= 3")
     return LatticeBox(sides=sides, periodic=bool(periodic))

@@ -24,7 +24,8 @@ route that no run takes:
   alloy terms); they check model.assembly_plan and assemble, which apply
   each offset to the whole box through LatticeBox.shift.
 * cluster_indices_loop walks the window's eigenvalue gaps one at a time;
-  it checks numerics.cluster_indices, which splits at every gap at once.
+  it checks numerics.cluster_indices, which finds every cluster start from
+  one np.diff.
 * cluster_blocks_loop builds each cluster's blocks M_nu(x0, y) with its own
   einsum, and dynamical_sup_einsum sums them against the time phases with
   one einsum; they check estimators._cluster_blocks_all_targets (one
@@ -34,7 +35,9 @@ route that no run takes:
 integrate is not independent: it is the library's quadrature, one item in
 a batch of one, for tests that need a closed-form-free integral.  Nor is
 dynamical_targets: it is the dynamical estimator's time sup on one
-decomposition, for tests that check single instances.
+decomposition, for tests that check single instances.  Nor is
+cluster_split: it cuts numerics.cluster_indices into one index array per
+cluster, for tests that compare clusters one by one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from fmlab.disorder import sample_vector
 from fmlab.errors import ConfigurationError
 from fmlab.estimators import _cluster_blocks_all_targets, _dynamical_sup
 from fmlab.inequalities import _ratio_integrals
-from fmlab.numerics import CLUSTER_TOL, opnorm_batch
+from fmlab.numerics import CLUSTER_TOL, cluster_indices, opnorm_batch
 from fmlab.quadrature import integrate_batch
 from fmlab.rng import Stream, derive_sample_seed
 
@@ -220,6 +223,12 @@ def pairwise_assembly(model, box, v) -> np.ndarray:
         else:
             out[x * ka:(x + 1) * ka, x * ka:(x + 1) * ka] += v[x] * model.A + model.B
     return out
+
+
+def cluster_split(sd, interval) -> list:
+    """numerics.cluster_indices as a list of index arrays, one per cluster."""
+    sel, starts = cluster_indices(sd, interval)
+    return np.split(sel, starts[1:]) if starts.size else []
 
 
 def cluster_indices_loop(sd, interval) -> list:

@@ -16,6 +16,7 @@ from fmlab.inequalities import (
     _comparability_batch,
     _integration_domain,
     _ScanCtx,
+    check_comparability_regime,
     comparability_scan,
     decoupling_ratio,
     one_step_bound_check,
@@ -44,11 +45,6 @@ def test_single_numerator_analytic(s):
 def test_single_denominator_analytic(r):
     res = ratio_integral(RatioIntegralSpec((), (0.0,), 0.0, r, UNIFORM))
     assert res["value"] == pytest.approx(1.0 / (1.0 - r), rel=1e-8)
-
-
-def test_regularity_precondition():
-    with pytest.raises(ConfigurationError):
-        RatioIntegralSpec((), (0.0, 0.5), 0.0, 0.6, UNIFORM)  # r*m >= alpha
 
 
 def test_mc_cross_check_within_errors():
@@ -119,8 +115,9 @@ def test_heavy_tail_comparability_at_the_moment_edge():
         a, b = (tuple(complex(*p) for p in rec[k]) for k in ("a", "b"))
         tail = _integration_domain(RatioIntegralSpec(a, b, 0.2, 0.2, above))[2]
         assert 0.0 < tail <= rec["error_bound"]
+    check_comparability_regime(above, 1, 1, 0.2, 0.2)
     with pytest.raises(ConfigurationError, match="regime"):
-        comparability_scan(make_spec("heavy_tail", (0.45,)), 1, 1, 0.2, 0.2, 12, 4.0, 45)
+        check_comparability_regime(make_spec("heavy_tail", (0.45,)), 1, 1, 0.2, 0.2)
 
 
 def test_heavy_tail_without_the_moment_fails_fast():
@@ -288,21 +285,3 @@ def test_singular_instance_fails_after_retry_cap(estimate, monkeypatch):
         estimate(make_lattice_box(1, (3,)))
     assert len(draws) == MAX_RETRIES + 1  # the first draw and MAX_RETRIES redraws
 
-
-@pytest.mark.parametrize(
-    "estimate",
-    [
-        lambda t, e: fractional_moment_profile(SINGULAR, t, UNIFORM, 0, 0.3, 0.0, e, 100, 1),
-        lambda t, e: one_step_bound_check(SINGULAR, t, UNIFORM, 0, 1, 0.3, 0.0, e, 100, 1),
-        lambda t, e: decoupling_ratio(SINGULAR, t, UNIFORM, 0, 1, 0.2, [0.0], e, 100, 1),
-    ],
-    ids=["fractional_moment_profile", "one_step_bound_check", "decoupling_ratio"],
-)
-@pytest.mark.parametrize("eps", [-1e-3, math.nan])
-def test_negative_or_nan_eps_is_refused_before_any_draw(estimate, eps, monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(estimators, "sample_vector", no_draws)
-    with pytest.raises(ConfigurationError, match="eps >= 0"):
-        estimate(make_lattice_box(1, (3,)), eps)

@@ -234,8 +234,6 @@ def test_assembly_matches_pair_by_pair_build(name, periodic):
 def test_non_hermitian_blocks_rejected():
     with pytest.raises(ConfigurationError):
         block_model([[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0)
-    with pytest.raises(ConfigurationError):
-        block_model([[1.0]], [[0.0]], 0.0)
 
 
 def test_decay_exponent_window():

@@ -22,6 +22,7 @@ from fmlab.topology import make_lattice_box
 from oracles import (
     cluster_blocks_loop,
     cluster_indices_loop,
+    cluster_split,
     column_resolvent_block,
     dynamical_targets,
     spectral_resolvent_block,
@@ -194,7 +195,7 @@ def spectrum_only(vals):
 
 
 def assert_same_clusters(sd, window):
-    got, want = cluster_indices(sd, window), cluster_indices_loop(sd, window)
+    got, want = cluster_split(sd, window), cluster_indices_loop(sd, window)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -218,7 +219,8 @@ def test_cluster_indices_gap_exactly_at_tol_merges():
     gaps = np.diff(vals)
     assert gaps[1] == tol and gaps[2] == tol and gaps[3] > tol
     sd = spectrum_only(vals)
-    assert [c.tolist() for c in cluster_indices(sd, (-2.0, 2.0))] == [[0], [1, 2, 3], [4], [5], [6]]
+    sel, starts = cluster_indices(sd, (-2.0, 2.0))
+    assert sel.tolist() == list(range(7)) and starts.tolist() == [0, 1, 4, 5, 6]
     assert_same_clusters(sd, (-2.0, 2.0))
     assert_same_clusters(sd, (tol, 0.5))
 

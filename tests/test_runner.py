@@ -2,6 +2,7 @@
 
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,6 +236,33 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     assert done == [{"v": 0}, {"v": 1}, {"v": 2}]  # completed prefix survives the abort
 
 
+def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and maps in this process: no process is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    def batch(ctx, indices):
+        return [{"v": i} for i in indices]
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    straight = [{"v": i} for i in range(2 * engine._CHUNK)]
+    for cpus, want in ((64, [2]), (3, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        assert run_indexed(batch, None, 2 * engine._CHUNK, workers=5000) == straight
+        assert sizes == want, cpus
+
+
 def test_engine_payload_roundtrip(tmp_path):
     calls = []
 
@@ -302,6 +330,22 @@ def test_emit_plot_wegner_loglog(tmp_path):
     path = str(tmp_path / "w.svg")
     assert emit_plot(rec, path)
     assert "window half-width" in open(path).read()
+
+
+def test_results_json_is_strict_with_decoupled_sites(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    # g = inf decouples a 4-site Spencer chain: every decoupling denominator off
+    # the diagonal is 0, so those ratios are NaN and are written as "nan"
+    cfg = _with_estimator("inequalities", samples=40, draws=8, rh_trials=8)
+    cfg = {**cfg, "topology": {"d": 1, "sides": [4]}, "model": {**cfg["model"], "g": "inf"}}
+    rec = run(cfg, outdir=str(tmp_path / "run"))
+    assert math.isnan(rec.outputs["decoupling_min_ratio"])
+    with open(tmp_path / "run" / "results.json") as fh:
+        results = json.load(fh, parse_constant=refuse)
+    assert results["outputs"]["decoupling_min_ratio"] == "nan"
+    assert results["outputs"]["decoupling"][0]["ratio"] == "nan"
 
 
 def test_run_rejects_bad_kind_and_seed():
@@ -540,6 +584,19 @@ def test_refused_config_leaves_the_outdir_free(tmp_path, capsys):
     assert load_config(os.path.join(out, "config.json")) == BASE_CFG
 
 
+def test_a_config_json_alone_claims_its_outdir(tmp_path, capsys):
+    from fmlab.cli import main
+
+    out = tmp_path / "run"
+    out.mkdir()
+    # what a run leaves that was stopped before its first checkpoint line
+    (out / "config.json").write_text(json.dumps({**BASE_CFG, "master_seed": 1}))
+    argv = ["decay", "--config", write_cfg(tmp_path, BASE_CFG), "--out", str(out)]
+    assert main(argv) == 2
+    assert "belongs to another run" in capsys.readouterr().err
+    assert os.listdir(out) == ["config.json"]
+
+
 @pytest.mark.parametrize("kind", ["decay", "correlator"])
 def test_d_min_beyond_the_box_is_refused_before_sampling(kind, tmp_path, capsys, monkeypatch):
     from fmlab import estimators
@@ -580,18 +637,53 @@ def _heavy_tailed(cfg, q0):
     return {**cfg, "disorder": {"family": "heavy_tail", "params": [q0]}}
 
 
-# (bad config, the field its error names, the corrected config): each bad config
-# is one the estimators refuse only after an earlier scan or eigensolve has run
+def _with_topology(kind, **fields):
+    return {**TINY_CFGS[kind], "topology": fields}
+
+
+_HOP = [[["1", "0"]]]
+_COMPARABILITY = "estimator.{s, l, r, m}: "
+
+# the refusal matrix, (bad config, the field path its error names, the corrected
+# config): one case per config rule, each once checked only by the library, as
+# late as after an earlier scan or eigensolve had run or after config.json was
+# written; the field tables and the rules' owners now refuse each in the parse
 _REFUSED_BEFORE_THE_FIRST_DRAW = {
     "inequalities-vinv-s-above-1": (
         _with_estimator("inequalities", vinv_s="1.5"), "estimator.vinv_s",
         _with_estimator("inequalities", vinv_s="0.5")),
     "inequalities-r-m-above-alpha": (
-        _with_estimator("inequalities", r="0.6", m=3), "r*m",
+        _with_estimator("inequalities", r="0.6", m=3), _COMPARABILITY + "r*m",
         _with_estimator("inequalities", r="0.15", m=3)),
     "inequalities-q-too-small": (
-        _heavy_tailed(TINY_CFGS["inequalities"], "1"), "q too small",
+        _heavy_tailed(TINY_CFGS["inequalities"], "1"), _COMPARABILITY + "comparability regime",
         _heavy_tailed(TINY_CFGS["inequalities"], "4")),
+    "inequalities-r-negative": (
+        _with_estimator("inequalities", r="-0.1"), "estimator.r", TINY_CFGS["inequalities"]),
+    "inequalities-one-step-s-above-1": (
+        _with_estimator("inequalities", one_step_s="1.5"), "estimator.one_step_s",
+        TINY_CFGS["inequalities"]),
+    "inequalities-eps-nan": (
+        _with_estimator("inequalities", eps="nan"), "estimator.eps", TINY_CFGS["inequalities"]),
+    "decay-eps-nan": (_with_estimator("decay", eps="nan"), "estimator.eps", TINY_CFGS["decay"]),
+    "decay-g-0": (_with_model("decay", g="0"), "model.g", TINY_CFGS["decay"]),
+    "ids-alloy-g-0": (_with_model("ids", g="0"), "model.g", TINY_CFGS["ids"]),
+    "decay-sides-0": (_with_topology("decay", sides=[0]), "topology.sides", TINY_CFGS["decay"]),
+    "decay-d-0": (_with_topology("decay", d=0, sides=[]), "topology.d", TINY_CFGS["decay"]),
+    "wegner-eps-list-of-two": (
+        _with_estimator("wegner", eps_list=["0.8", "0.4"]), "estimator.eps_list",
+        TINY_CFGS["wegner"]),
+    "ids-bins-lo-above-hi": (
+        _with_estimator("ids", bins={"n": 16, "lo": "4", "hi": "-4"}), "estimator.bins",
+        TINY_CFGS["ids"]),
+    "block-2d-hopping-for-1-0-only": (
+        {**_with_topology("decay", sides=[3, 3]), "model": _with_model("decay", hopping={
+            "1,0": _HOP})["model"]},
+        "model: no hopping kernel for offset (0, 1)",
+        {**_with_topology("decay", sides=[3, 3]), "model": _with_model("decay", hopping={
+            "1,0": _HOP, "0,1": _HOP})["model"]}),
+    "alloy-offset-1-on-2d-box": (
+        _with_model("ids", coeffs={"1": "1"}), "model: alloy offset (1,)", TINY_CFGS["ids"]),
     "decay-auto-eps-s-above-1": (
         _with_estimator("decay", eps="auto", s="1.5"), "estimator.s",
         _with_estimator("decay", eps="auto", s="1/3")),
@@ -624,8 +716,8 @@ def test_ranges_checked_during_sampling_are_refused_before_the_first_draw(
     out = tmp_path / "run"
     kind = bad["kind"]
     assert main([kind, "--config", write_cfg(tmp_path, bad, "bad.json"), "--out", str(out)]) == 2
-    assert field in capsys.readouterr().err
-    assert calls == [] and not list(out.glob("samples*.jsonl"))
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
     assert main([kind, "--config", write_cfg(tmp_path, good, "good.json"), "--out", str(out)]) == 0
 
 

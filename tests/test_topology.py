@@ -101,6 +101,4 @@ def test_configuration_errors():
     with pytest.raises(ConfigurationError):
         make_lattice_box(2, (3,))
     with pytest.raises(ConfigurationError):
-        make_lattice_box(1, (0,))
-    with pytest.raises(ConfigurationError):
         make_lattice_box(1, (2,), periodic=True)
