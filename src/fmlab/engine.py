@@ -29,6 +29,14 @@ _CHUNK = 32  # samples per batch_fn call
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def checkpoint_path(outdir, scan=None):
+    """The checkpoint of a run's engine scan in outdir (None without one):
+    samples.jsonl, or samples.<scan>.jsonl for a run of several scans."""
+    if not outdir:
+        return None
+    return os.path.join(outdir, "samples.jsonl" if scan is None else f"samples.{scan}.jsonl")
+
+
 def checkpoint_prefix(path):
     """(payloads, byte length) of the longest valid prefix of a JSON-lines
     checkpoint, where line j must be a complete JSON line with "i": j."""

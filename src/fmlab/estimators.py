@@ -2,6 +2,15 @@
 states, spectral window masses, eigenfunction correlators, and time-evolution
 suprema.
 
+Each experiment kind but inequalities (see fmlab.inequalities) is one
+function here, kind(p, model, topo, disorder, master_seed, workers=1,
+outdir=None) -> (outputs, rows): p holds the kind's parsed estimator fields
+(runner's field tables) and is the context every sample reads, outputs is
+what results.json holds and rows are its series rows.  An estimate is a
+plain dict whose arrays stay numpy until the record is written.  decay and
+correlator fit their estimate in a separate step, so their estimates have
+functions of their own.
+
 Every estimator derives sample i's random stream from (master_seed, i), so
 results are bit-identical for any worker count.  Aggregation reports the
 plain mean (the quantity the decay bounds speak about) together with a
@@ -12,12 +21,12 @@ sample groups, which stays usable when resolvent norms have heavy tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .disorder import DisorderSpec, sample_vector
-from .engine import run_indexed
+from .engine import checkpoint_path, run_indexed
 from .errors import DegenerateFitError, NumericalError, ResampleSignal
 from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window
 from .numerics import (
@@ -52,17 +61,9 @@ def _jsonable(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def to_payload(estimate) -> dict:
-    """JSON payload of an estimate dataclass: every field, lam written as
-    "lambda", extras merged in."""
-    out = {}
-    for f in fields(estimate):
-        value = getattr(estimate, f.name)
-        if f.name == "extras":
-            out.update(value)
-        else:
-            out["lambda" if f.name == "lam" else f.name] = _jsonable(value)
-    return out
+def _series(columns, *constants) -> list:
+    """Series rows of the equal-length array columns, each followed by the constants."""
+    return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -118,8 +119,9 @@ def run_samples(
 ) -> list:
     """Payloads of samples 0..samples-1 from batch_fn(ctx, indices) (see run_indexed).
 
-    ctx carries the operator family, its assembly plan and the per-kind
-    params; batch_fn gets its samples' operators from solve_resampled.
+    ctx carries the operator family, its assembly plan and params (a kind's
+    parsed estimator fields p as they are, or an inequalities check's
+    arguments); batch_fn gets its samples' operators from solve_resampled.
     """
     plan = assembly_plan(model, topo)
     ctx = _SampleCtx(model, topo, disorder, int(master_seed), params, plan)
@@ -180,78 +182,71 @@ def _eigvals_batch(ctx: _SampleCtx, indices) -> list:
 # fractional moments and decay fits
 
 
-@dataclass(eq=False)
-class MomentEstimate:
-    """Distance-indexed fractional moments of Green's-function blocks."""
-
-    s: float
-    lam: float
-    eps: float
-    g: float
-    x0: int
-    distances: np.ndarray  # graph distance of each target from x0
-    means: np.ndarray
-    moms: np.ndarray  # median-of-means companion estimate
-    errs: np.ndarray  # group-based standard error of the mean
-    n_samples: int
-    resamples: int
-    master_seed: int
-    flags: tuple = ()
-
-
 def _moment_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
 
     def moments(h):
-        return opnorm_batch(resolvent_profile(h, p["lam"], p["eps"], p["x0"])) ** p["s"]
+        return opnorm_batch(resolvent_profile(h, p["lambda"], p["eps"], p["x0"])) ** p["s"]
 
     rows, retries = solve_resampled(ctx, indices, moments)
     return [{"m": m.tolist(), "r": r} for m, r in zip(rows, retries)]
 
 
 def fractional_moment_profile(
-    model: ModelSpec,
-    topo: LatticeBox,
-    disorder: DisorderSpec,
-    x0: int,
-    s: float,
-    lam: float,
-    eps: float,
-    samples: int,
-    master_seed: int,
-    workers: int = 1,
-    checkpoint_path=None,
-) -> MomentEstimate:
-    """Mean of ||G_{lam + i eps}(x0, y)||^s over disorder, for every site y."""
+    p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None
+) -> dict:
+    """The decay estimate: the mean of ||G_{lambda + i eps}(x0, y)||^s over
+    disorder for every site y, eps "auto" taken from default_eps."""
+    if p["eps"] == "auto":
+        p = {**p, "eps": default_eps(model, topo, disorder, master_seed)}
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
-    if s > s_bound + 1e-12:
-        flags.append(f"s={s:g} above the decay-bound window {s_bound:g}")
-    params = {"x0": int(x0), "s": float(s), "lam": float(lam), "eps": float(eps)}
+    if p["s"] > s_bound + 1e-12:
+        flags.append(f"s={p['s']:g} above the decay-bound window {s_bound:g}")
+    samples = p["samples"]
     payloads = run_samples(
-        _moment_batch, model, topo, disorder, master_seed, params, samples, workers,
-        checkpoint_path,
+        _moment_batch, model, topo, disorder, master_seed, p, samples, workers, checkpoint_path
     )
-    values = np.asarray([p["m"] for p in payloads], dtype=np.float64)
-    resamples = int(sum(p["r"] for p in payloads))
+    values = np.asarray([q["m"] for q in payloads], dtype=np.float64)
+    resamples = int(sum(q["r"] for q in payloads))
     if resamples > RESAMPLE_FLAG_FRACTION * samples:
         flags.append(f"excessive resamples: {resamples}")
     mean, mom, err = _group_stats(values)
-    return MomentEstimate(
-        s=float(s),
-        lam=float(lam),
-        eps=float(eps),
-        g=model.g,
-        x0=int(x0),
-        distances=distances_from(topo, x0),
-        means=mean,
-        moms=mom,
-        errs=err,
-        n_samples=samples,
-        resamples=resamples,
-        master_seed=int(master_seed),
-        flags=tuple(flags),
+    return {
+        "s": p["s"],
+        "lambda": p["lambda"],
+        "eps": p["eps"],
+        "g": model.g,
+        "x0": p["x0"],
+        "distances": distances_from(topo, p["x0"]),  # graph distance of each target from x0
+        "means": mean,
+        "moms": mom,  # median-of-means companion estimate
+        "errs": err,  # group-based standard error of the mean
+        "n_samples": samples,
+        "resamples": resamples,
+        "master_seed": master_seed,
+        "flags": flags,
+    }
+
+
+def decay(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The decay kind: the fractional-moment profile, its decay-rate fit over
+    the distances from d_min on, and the diagonal-maximum check."""
+    e = fractional_moment_profile(
+        p, model, topo, disorder, master_seed, workers, checkpoint_path(outdir)
     )
+    ok, margin = moment_max_check(e)
+    outputs = {
+        "fit": decay_rate_fit(e, p["d_min"]),
+        "d_min": p["d_min"],
+        "eps_used": e["eps"],
+        "max_at_diagonal": ok,
+        "max_margin": margin,
+        "resamples": e["resamples"],
+        "flags": e["flags"],
+        "estimate": e,
+    }
+    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"], e["resamples"])
 
 
 def bin_by_distance(distances, means, d_min: int = 0):
@@ -271,13 +266,13 @@ def bin_by_distance(distances, means, d_min: int = 0):
     return ds.astype(int), np.asarray(bm), np.asarray(pop, dtype=int)
 
 
-def decay_rate_fit(est, d_min: int = 1) -> dict:
+def decay_rate_fit(e: dict, d_min: int = 1) -> dict:
     """Weighted least squares of log(bin mean) against distance.
 
     rate is reported positive for decay; weights are bin populations.
-    Accepts any estimate carrying .distances and .means.
+    Accepts any estimate carrying "distances" and "means".
     """
-    ds, bm, pop = bin_by_distance(est.distances, est.means, d_min=d_min)
+    ds, bm, pop = bin_by_distance(e["distances"], e["means"], d_min=d_min)
     if bm.size and np.all(bm == 0.0):
         raise DegenerateFitError("all distance-bin means are zero")
     good = bm > 0.0
@@ -300,12 +295,13 @@ def decay_rate_fit(est, d_min: int = 1) -> dict:
     return {"rate": float(-slope), "intercept": float(intercept), "r2": r2}
 
 
-def moment_max_check(est: MomentEstimate):
+def moment_max_check(e: dict):
     """Is the per-target maximum attained on the diagonal, within 2 error bars?"""
-    i_max = int(np.argmax(est.means))
-    m_max = float(est.means[i_max])
-    m_diag = float(est.means[est.x0])
-    combined = 2.0 * math.sqrt(float(est.errs[i_max]) ** 2 + float(est.errs[est.x0]) ** 2)
+    means, errs, x0 = e["means"], e["errs"], e["x0"]
+    i_max = int(np.argmax(means))
+    m_max = float(means[i_max])
+    m_diag = float(means[x0])
+    combined = 2.0 * math.sqrt(float(errs[i_max]) ** 2 + float(errs[x0]) ** 2)
     margin = m_diag - m_max + combined
     return bool(m_diag >= m_max - combined), float(margin)
 
@@ -325,18 +321,9 @@ def default_eps(model, topo, disorder, master_seed) -> float:
 # density of states and spectral-window masses
 
 
-@dataclass(eq=False)
-class IdsEstimate:
-    edges: np.ndarray
-    masses: np.ndarray  # mean normalized counting measure per bin; sums to 1
-    errs: np.ndarray
-    n_samples: int
-    master_seed: int
-
-
 def _ids_batch(ctx: _SampleCtx, indices) -> list:
     vals = np.asarray(_eigvals_batch(ctx, indices))
-    edges = ctx.params["edges"]
+    edges = ctx.params["bins"]
     nbins = edges.size - 1
     # np.histogram's bins (the last one closed), eigenvalues beyond the edges
     # clipped into the boundary bins
@@ -346,37 +333,25 @@ def _ids_batch(ctx: _SampleCtx, indices) -> list:
     return [{"c": c.tolist()} for c in counts]
 
 
-def ids_histogram(
-    model, topo, disorder, samples, edges, master_seed, workers=1, checkpoint_path=None
-) -> IdsEstimate:
-    """Disorder-averaged normalized eigenvalue counting measure on bins.
+def ids(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The ids kind: the disorder-averaged normalized eigenvalue counting
+    measure on the bins whose edges are p["bins"].
 
     Eigenvalues falling outside the edge range are clipped into the boundary
     bins, so the masses sum to one exactly (up to float summation).
     """
-    edges = np.asarray(edges, dtype=np.float64)
+    edges = p["bins"]
     payloads = run_samples(
-        _ids_batch, model, topo, disorder, master_seed, {"edges": edges}, samples, workers,
-        checkpoint_path,
+        _ids_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
+        checkpoint_path(outdir),
     )
     dim = topo.n_vertices * model.k_ambient
-    counts = np.asarray([p["c"] for p in payloads], dtype=np.float64) / dim
-    mean, _, err = _group_stats(counts)
-    return IdsEstimate(
-        edges=edges, masses=mean, errs=err, n_samples=samples, master_seed=int(master_seed)
-    )
-
-
-@dataclass(eq=False)
-class WegnerEstimate:
-    lambda0: float
-    eps_list: np.ndarray  # descending
-    masses: np.ndarray
-    errs: np.ndarray
-    exponent: float
-    n_samples: int
-    master_seed: int
-    flags: tuple = ()
+    counts = np.asarray([q["c"] for q in payloads], dtype=np.float64) / dim
+    masses, _, errs = _group_stats(counts)
+    e = {"edges": edges, "masses": masses, "errs": errs, "n_samples": p["samples"],
+         "master_seed": master_seed}
+    outputs = {"total_mass": float(np.sum(masses)), "estimate": e}
+    return outputs, _series((edges[:-1], edges[1:], masses, errs))
 
 
 def fit_power_law(eps_values, masses) -> float:
@@ -394,84 +369,54 @@ def _window_batch(ctx: _SampleCtx, indices) -> list:
     return [{"c": c.tolist()} for c in counts]
 
 
-def wegner_exponent(
-    model,
-    topo,
-    disorder,
-    lambda0,
-    eps_list,
-    samples,
-    master_seed,
-    workers=1,
-    checkpoint_path=None,
-) -> WegnerEstimate:
-    """Normalized counting-measure masses of [lambda0 - eps, lambda0 + eps]
-    and the log-log slope across the eps grid (the local Holder exponent)."""
-    eps_arr = np.sort(np.asarray(eps_list, dtype=np.float64))[::-1].copy()
+def wegner(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The wegner kind: normalized counting-measure masses of [lambda0 - eps,
+    lambda0 + eps] for each eps of p["eps_list"] (an array, descending), and
+    the log-log slope across them (the local Holder exponent)."""
+    eps = p["eps_list"]
     flags = []
-    if eps_arr[0] / eps_arr[-1] < 10.0 - 1e-9:
-        flags.append(f"eps grid spans only {eps_arr[0] / eps_arr[-1]:.1f}x (< one decade)")
-    params = {"lambda0": float(lambda0), "eps_list": eps_arr}
+    if eps[0] / eps[-1] < 10.0 - 1e-9:
+        flags.append(f"eps grid spans only {eps[0] / eps[-1]:.1f}x (< one decade)")
     payloads = run_samples(
-        _window_batch, model, topo, disorder, master_seed, params, samples, workers,
-        checkpoint_path,
+        _window_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
+        checkpoint_path(outdir),
     )
-    counts = np.asarray([p["c"] for p in payloads], dtype=np.float64)
+    counts = np.asarray([q["c"] for q in payloads], dtype=np.float64)
     expected = np.mean(counts[:, 0])
     if expected < 50.0:
         flags.append(f"largest window holds {expected:.1f} eigenvalues on average (< 50)")
     masses, _, errs = _group_stats(counts / (topo.n_vertices * model.k_ambient))
     nonempty = int(np.argmax(masses <= 0.0)) if np.any(masses <= 0.0) else masses.size
     if nonempty < masses.size:
-        flags.append(f"empty windows below eps={eps_arr[nonempty]:g}; fitted on prefix")
+        flags.append(f"empty windows below eps={eps[nonempty]:g}; fitted on prefix")
     if nonempty < 2:
         raise DegenerateFitError("not enough nonempty spectral windows to fit")
-    exponent = fit_power_law(eps_arr[:nonempty], masses[:nonempty])
-    return WegnerEstimate(
-        lambda0=float(lambda0),
-        eps_list=eps_arr,
-        masses=masses,
-        errs=errs,
-        exponent=exponent,
-        n_samples=samples,
-        master_seed=int(master_seed),
-        flags=tuple(flags),
-    )
+    exponent = fit_power_law(eps[:nonempty], masses[:nonempty])
+    e = {"lambda0": p["lambda0"], "eps_list": eps, "masses": masses, "errs": errs,
+         "exponent": exponent, "n_samples": p["samples"], "master_seed": master_seed,
+         "flags": flags}
+    outputs = {"exponent": exponent, "flags": flags, "estimate": e}
+    return outputs, _series((eps, masses, errs), p["samples"])
 
 
 # ---------------------------------------------------------------------------
 # eigenfunction correlators and dynamics
 
 
-@dataclass(eq=False)
-class DistanceProfile:
-    """Generic distance-indexed means (correlator / dynamical suites)."""
-
-    x0: int
-    interval: tuple
-    g: float
-    distances: np.ndarray
-    means: np.ndarray
-    errs: np.ndarray
-    n_samples: int
-    master_seed: int
-    extras: dict = field(default_factory=dict)
-
-
-def _distance_profile(model, topo, interval, x0, values, master_seed, extras) -> DistanceProfile:
-    """Profile of per-sample target values, shape (samples, n_sites), from x0."""
+def _distance_profile(p, model, topo, values, master_seed) -> dict:
+    """The estimate of per-sample target values, shape (samples, n_sites),
+    against graph distance from x0."""
     mean, _, err = _group_stats(values)
-    return DistanceProfile(
-        x0=int(x0),
-        interval=interval,
-        g=model.g,
-        distances=distances_from(topo, x0),
-        means=mean,
-        errs=err,
-        n_samples=len(values),
-        master_seed=int(master_seed),
-        extras=extras,
-    )
+    return {
+        "x0": p["x0"],
+        "interval": p["interval"],
+        "g": model.g,
+        "distances": distances_from(topo, p["x0"]),
+        "means": mean,
+        "errs": err,
+        "n_samples": len(values),
+        "master_seed": master_seed,
+    }
 
 
 def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
@@ -534,26 +479,34 @@ def _correlator_batch(ctx: _SampleCtx, indices) -> list:
 
 
 def correlator_decay_profile(
-    model,
-    topo,
-    disorder,
-    interval,
-    samples,
-    master_seed,
-    x0: int = 0,
-    workers: int = 1,
-    checkpoint_path=None,
-) -> DistanceProfile:
-    """Disorder-averaged eigenfunction correlator against graph distance."""
-    interval = (float(interval[0]), float(interval[1]))
+    p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None
+) -> dict:
+    """The correlator estimate: the disorder-averaged eigenfunction correlator
+    against graph distance, and its largest sample value."""
     payloads = run_samples(
-        _correlator_batch, model, topo, disorder, master_seed,
-        {"interval": interval, "x0": int(x0)}, samples, workers, checkpoint_path,
+        _correlator_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
+        checkpoint_path,
     )
-    values = np.asarray([p["q"] for p in payloads], dtype=np.float64)
+    values = np.asarray([q["q"] for q in payloads], dtype=np.float64)
     qmax = float(np.max(values)) if values.size else 0.0
-    extras = {"max_correlator": qmax, "k": model.k_ambient}
-    return _distance_profile(model, topo, interval, x0, values, master_seed, extras)
+    return {**_distance_profile(p, model, topo, values, master_seed),
+            "max_correlator": qmax, "k": model.k_ambient}
+
+
+def correlator(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The correlator kind: the correlator profile, its decay-rate fit over
+    the distances from d_min on, and the bound Q <= k."""
+    e = correlator_decay_profile(
+        p, model, topo, disorder, master_seed, workers, checkpoint_path(outdir)
+    )
+    outputs = {
+        "fit": decay_rate_fit(e, p["d_min"]),
+        "d_min": p["d_min"],
+        "max_correlator": e["max_correlator"],
+        "k_bound_ok": bool(e["max_correlator"] <= e["k"] + 1e-8),
+        "estimate": e,
+    }
+    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"])
 
 
 def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
@@ -572,39 +525,34 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, targets)[0]
 
 
-def dynamical_profile(
-    model,
-    topo,
-    disorder,
-    interval,
-    samples,
-    master_seed,
-    x0: int = 0,
-    t_points: int = T_GRID_POINTS,
-    workers: int = 1,
-    checkpoint_path=None,
-) -> DistanceProfile:
-    """Disorder-averaged sup_t ||e^{i t H_I}(x0, y)|| with correlator bounds.
+def dynamical(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The dynamical kind: the disorder-averaged sup_t ||e^{i t H_I}(x0, y)||
+    with correlator bounds.
 
-    extras records the worst excess of the grid sup over 2 * Q_hat (should
-    stay <= ~1e-8) and how often the unproven factor-1 bound also held.
+    The estimate records the worst excess of the grid sup over 2 * Q_hat
+    (should stay <= ~1e-8) and how often the unproven factor-1 bound also held.
     """
-    interval = (float(interval[0]), float(interval[1]))
-    params = {"interval": interval, "x0": int(x0), "t_points": int(t_points)}
     payloads = run_samples(
-        _dynamical_batch, model, topo, disorder, master_seed, params, samples, workers,
-        checkpoint_path,
+        _dynamical_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
+        checkpoint_path(outdir),
     )
-    sups = np.asarray([p["u"] for p in payloads], dtype=np.float64)
-    qs = np.asarray([p["q"] for p in payloads], dtype=np.float64)
+    sups = np.asarray([q["u"] for q in payloads], dtype=np.float64)
+    qs = np.asarray([q["q"] for q in payloads], dtype=np.float64)
     off = np.ones(topo.n_vertices, dtype=bool)
-    off[int(x0)] = False
+    off[p["x0"]] = False
     excess = float(np.max(sups[:, off] - 2.0 * qs[:, off])) if np.any(off) else 0.0
     factor1 = float(np.mean(sups[:, off] <= qs[:, off] + 1e-8)) if np.any(off) else 1.0
-    extras = {
+    e = {
+        **_distance_profile(p, model, topo, sups, master_seed),
         "max_excess_over_2q": excess,
         "factor1_hold_fraction": factor1,
-        "t_points": int(t_points),
+        "t_points": p["t_points"],
         "k": model.k_ambient,
     }
-    return _distance_profile(model, topo, interval, x0, sups, master_seed, extras)
+    outputs = {
+        "max_excess_over_2q": excess,
+        "factor1_hold_fraction": factor1,
+        "bound_ok": bool(excess <= 1e-8),
+        "estimate": e,
+    }
+    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"])

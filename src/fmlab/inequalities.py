@@ -4,6 +4,8 @@ Covers the one-step resolvent bound, the decoupling ratio for block and
 alloy potentials, the inverse-potential fractional moment, the two-sided
 polynomial-ratio comparison against prod(1+|a_j|)^s / prod(1+|b_i|)^r, and
 the multivariate reverse-Holder inequality for Cramer's-rule entries.
+inequalities() is the experiment kind that runs them all, with the
+signature of the kinds in fmlab.estimators.
 
 All scans are driven by per-draw derived streams, so they are deterministic
 and parallelize like the Monte Carlo estimators.  Quadrature values carry
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec, density, sample_vector, support
-from .engine import run_indexed
+from .engine import canonical_json, checkpoint_path, run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
 from .numerics import opnorm_batch, resolvent_profile
@@ -443,3 +445,89 @@ def reverse_holder_check(
         "failures": failures,
         "records": records,
     }
+
+
+# ---------------------------------------------------------------------------
+# the inequalities kind
+
+
+def inequalities(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+    """The inequalities kind: every check above on the parsed estimator
+    fields p; one series row per comparability draw, at every scale."""
+    samples, lam, eps = p["samples"], p["lambda"], p["eps"]
+    # random (x, y) pairs from a dedicated stream
+    pair_stream = Stream(derive_sample_seed(master_seed, 0xA11))
+    n = topo.n_vertices
+    one_step = []
+    for j in range(p["pairs"]):
+        w = pair_stream.uniforms(2)
+        x, y = int(w[0] * n), int(w[1] * n)
+        one_step.append(
+            one_step_bound_check(
+                model, topo, disorder, x, y, p["one_step_s"], lam, eps,
+                samples, derive_sample_seed(master_seed, 1000 + j), workers,
+                checkpoint_path=checkpoint_path(outdir, f"one_step_{j}"),
+            )
+        )
+    lem = decoupling_ratio(
+        model, topo, disorder, 0, min(2, n - 1), p["decoupling_s"],
+        p["lambda_grid"], eps, samples, derive_sample_seed(master_seed, 2000), workers,
+        checkpoint_path=checkpoint_path(outdir, "decoupling"),
+    )
+    scan_results = {}
+    rows = []
+    for j, (scale, param_scale) in enumerate(p["scales"]):
+        scan = comparability_scan(
+            disorder,
+            p["l"],
+            p["m"],
+            p["s"],
+            p["r"],
+            p["draws"],
+            param_scale,
+            derive_sample_seed(master_seed, 3000),
+            workers=workers,
+            # by position: no config string in a path
+            checkpoint_path=checkpoint_path(outdir, f"scan_{j}"),
+        )
+        scan_results[str(scale)] = {
+            "ratio_min": scan["ratio_min"],
+            "ratio_max": scan["ratio_max"],
+            "failures": len(scan["failures"]),
+        }
+        rows += [
+            [scan["param_scale"], i,
+             canonical_json({"a": r["a"], "b": r["b"]}),
+             float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
+            for i, r in enumerate(scan["records"])
+        ]
+    rh = reverse_holder_check(
+        disorder,
+        p["rh_s"],
+        p["rh_j"],
+        p["rh_trials"],
+        derive_sample_seed(master_seed, 4000),
+        workers=workers,
+        checkpoint_path=checkpoint_path(outdir, "rh"),
+    )
+    vinv = None
+    if model.variant != "alloy":
+        vinv = vinv_moment(
+            model, lam, p["vinv_s"],
+            max(samples, 2000), derive_sample_seed(master_seed, 5000), disorder,
+        )
+    outputs = {
+        "one_step": one_step,
+        "one_step_all_pass": bool(all(r["pass"] for r in one_step)),
+        "decoupling": lem,
+        "decoupling_min_ratio": float(
+            min((e["ratio"] for e in lem if not e["skipped"]), default=math.nan)
+        ),
+        "comparability": scan_results,
+        "reverse_holder": {
+            "worst_constant": rh["worst_constant"],
+            "failures": len(rh["failures"]),
+        },
+        "vinv": vinv,
+    }
+    return outputs, rows

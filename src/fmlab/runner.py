@@ -19,8 +19,10 @@ realizes, check_comparability_regime), called here with the section's path.
 The library checks none of these ranges again.
 
 parse_config() parses the whole config and runs every rule; run() calls it
-before it touches the outdir, so no config is refused once a run has begun,
-and each _run_* gets parsed values and only calls its estimators.
+before it touches the outdir, so no config is refused once a run has begun.
+_KINDS maps each kind to its library function, kind(p, model, topo,
+disorder, master_seed, workers, outdir) -> (outputs, rows), which gets the
+parsed estimator fields p and returns what results.json holds.
 
 Timing and environment stamps go to run_meta.json; results.json and
 series.csv are byte-deterministic functions of (config, master_seed).
@@ -29,7 +31,6 @@ series.csv are byte-deterministic functions of (config, master_seed).
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -44,7 +45,6 @@ from . import inequalities as ineq
 from .engine import canonical_json
 from .errors import ConfigurationError
 from .model import alloy_model, assembly_plan, block_model, singular_covering_model, spencer_model
-from .rng import Stream, derive_sample_seed
 from .topology import distances_from, make_lattice_box
 
 _VOLATILE_KEYS = ("workers", "out")
@@ -212,11 +212,11 @@ def _edges(value, path: str) -> np.ndarray:
     return edges
 
 
-def _eps_list(value, path: str) -> list:
-    """The wegner window half-widths: at least 3, all positive."""
-    eps = _reals(value, path)
-    if len(eps) < 3 or not all(e > 0 for e in eps):
-        raise ConfigurationError(f"{path}: expected >= 3 positive reals, got {value!r}")
+def _eps_list(value, path: str) -> np.ndarray:
+    """The wegner window half-widths, descending: at least 3, distinct and positive."""
+    eps = np.sort(_reals(value, path))[::-1].copy()
+    if eps.size < 3 or not (eps[-1] > 0 and np.all(eps[:-1] > eps[1:])):
+        raise ConfigurationError(f"{path}: expected >= 3 distinct positive reals, got {value!r}")
     return eps
 
 
@@ -318,186 +318,6 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-# ---------------------------------------------------------------------------
-# kinds: each runs its estimators on the parsed estimator fields p and returns
-# (outputs, series rows); checkpoint(scan) is the path of one engine scan
-
-
-def _series(columns, *constants) -> list:
-    """Rows of the equal-length array columns, each followed by the constants."""
-    return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
-
-
-def _fit(prof, d_min: int) -> dict:
-    return {"fit": est.decay_rate_fit(prof, d_min=d_min), "d_min": d_min}
-
-
-def _run_decay(p, model, topo, dis, seed, workers, checkpoint):
-    eps = est.default_eps(model, topo, dis, seed) if p["eps"] == "auto" else p["eps"]
-    profile = est.fractional_moment_profile(
-        model, topo, dis, x0=p["x0"], s=p["s"], lam=p["lambda"], eps=eps,
-        samples=p["samples"], master_seed=seed, workers=workers, checkpoint_path=checkpoint(),
-    )
-    ok, margin = est.moment_max_check(profile)
-    outputs = {
-        **_fit(profile, p["d_min"]),
-        "eps_used": eps,
-        "max_at_diagonal": ok,
-        "max_margin": margin,
-        "resamples": profile.resamples,
-        "flags": list(profile.flags),
-        "estimate": est.to_payload(profile),
-    }
-    columns = (profile.distances, profile.means, profile.errs)
-    return outputs, _series(columns, profile.n_samples, profile.resamples)
-
-
-def _run_wegner(p, model, topo, dis, seed, workers, checkpoint):
-    we = est.wegner_exponent(
-        model, topo, dis,
-        lambda0=p["lambda0"],
-        eps_list=p["eps_list"],
-        samples=p["samples"],
-        master_seed=seed,
-        workers=workers,
-        checkpoint_path=checkpoint(),
-    )
-    outputs = {"exponent": we.exponent, "flags": list(we.flags), "estimate": est.to_payload(we)}
-    return outputs, _series((we.eps_list, we.masses, we.errs), we.n_samples)
-
-
-def _run_ids(p, model, topo, dis, seed, workers, checkpoint):
-    ids = est.ids_histogram(
-        model, topo, dis,
-        samples=p["samples"],
-        edges=p["bins"],
-        master_seed=seed,
-        workers=workers,
-        checkpoint_path=checkpoint(),
-    )
-    outputs = {"total_mass": float(np.sum(ids.masses)), "estimate": est.to_payload(ids)}
-    return outputs, _series((ids.edges[:-1], ids.edges[1:], ids.masses, ids.errs))
-
-
-def _run_correlator(p, model, topo, dis, seed, workers, checkpoint):
-    prof = est.correlator_decay_profile(
-        model, topo, dis,
-        interval=p["interval"],
-        samples=p["samples"],
-        master_seed=seed,
-        x0=p["x0"],
-        workers=workers,
-        checkpoint_path=checkpoint(),
-    )
-    k_bound = prof.extras["k"] + 1e-8
-    outputs = {
-        **_fit(prof, p["d_min"]),
-        "max_correlator": prof.extras["max_correlator"],
-        "k_bound_ok": bool(prof.extras["max_correlator"] <= k_bound),
-        "estimate": est.to_payload(prof),
-    }
-    return outputs, _series((prof.distances, prof.means, prof.errs), prof.n_samples)
-
-
-def _run_dynamical(p, model, topo, dis, seed, workers, checkpoint):
-    prof = est.dynamical_profile(
-        model, topo, dis,
-        interval=p["interval"],
-        samples=p["samples"],
-        master_seed=seed,
-        x0=p["x0"],
-        t_points=p["t_points"],
-        workers=workers,
-        checkpoint_path=checkpoint(),
-    )
-    outputs = {
-        "max_excess_over_2q": prof.extras["max_excess_over_2q"],
-        "factor1_hold_fraction": prof.extras["factor1_hold_fraction"],
-        "bound_ok": bool(prof.extras["max_excess_over_2q"] <= 1e-8),
-        "estimate": est.to_payload(prof),
-    }
-    return outputs, _series((prof.distances, prof.means, prof.errs), prof.n_samples)
-
-
-def _run_inequalities(p, model, topo, dis, seed, workers, checkpoint):
-    samples, lam, eps = p["samples"], p["lambda"], p["eps"]
-    # random (x, y) pairs from a dedicated stream
-    pair_stream = Stream(derive_sample_seed(seed, 0xA11))
-    n = topo.n_vertices
-    one_step = []
-    for j in range(p["pairs"]):
-        w = pair_stream.uniforms(2)
-        x, y = int(w[0] * n), int(w[1] * n)
-        one_step.append(
-            ineq.one_step_bound_check(
-                model, topo, dis, x, y, p["one_step_s"], lam, eps,
-                samples, derive_sample_seed(seed, 1000 + j), workers,
-                checkpoint_path=checkpoint(f"one_step_{j}"),
-            )
-        )
-    lem = ineq.decoupling_ratio(
-        model, topo, dis, 0, min(2, n - 1), p["decoupling_s"],
-        p["lambda_grid"], eps, samples, derive_sample_seed(seed, 2000), workers,
-        checkpoint_path=checkpoint("decoupling"),
-    )
-    scan_results = {}
-    rows = []
-    for j, (scale, param_scale) in enumerate(p["scales"]):
-        scan = ineq.comparability_scan(
-            dis,
-            p["l"],
-            p["m"],
-            p["s"],
-            p["r"],
-            p["draws"],
-            param_scale,
-            derive_sample_seed(seed, 3000),
-            workers=workers,
-            checkpoint_path=checkpoint(f"scan_{j}"),  # by position: no config string in a path
-        )
-        scan_results[str(scale)] = {
-            "ratio_min": scan["ratio_min"],
-            "ratio_max": scan["ratio_max"],
-            "failures": len(scan["failures"]),
-        }
-        rows += [
-            [scan["param_scale"], i,
-             canonical_json({"a": r["a"], "b": r["b"]}),
-             float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
-            for i, r in enumerate(scan["records"])
-        ]
-    rh = ineq.reverse_holder_check(
-        dis,
-        p["rh_s"],
-        p["rh_j"],
-        p["rh_trials"],
-        derive_sample_seed(seed, 4000),
-        workers=workers,
-        checkpoint_path=checkpoint("rh"),
-    )
-    vinv = None
-    if model.variant != "alloy":
-        vinv = ineq.vinv_moment(
-            model, lam, p["vinv_s"],
-            max(samples, 2000), derive_sample_seed(seed, 5000), dis,
-        )
-    outputs = {
-        "one_step": one_step,
-        "one_step_all_pass": bool(all(r["pass"] for r in one_step)),
-        "decoupling": lem,
-        "decoupling_min_ratio": float(
-            min((e["ratio"] for e in lem if not e["skipped"]), default=math.nan)
-        ),
-        "comparability": scan_results,
-        "reverse_holder": {
-            "worst_constant": rh["worst_constant"],
-            "failures": len(rh["failures"]),
-        },
-        "vinv": vinv,
-    }
-    return outputs, rows
-
-
 # cross-section checks: (estimator fields, model, topology, disorder) -> None,
 # or ConfigurationError for a config whose estimators could not give a result
 
@@ -526,9 +346,9 @@ def _check_comparability(p, model, topo, dis):
 
 
 _SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
-# kind -> (run function, series columns, estimator field table, check or None)
+# kind -> (kind function, series columns, estimator field table, check or None)
 _KINDS = {
-    "decay": (_run_decay, ["distance", "mean", "mom_err", "n", "resamples"], {
+    "decay": (est.decay, ["distance", "mean", "mom_err", "n", "resamples"], {
         "s": (_in("(0, 1)"), "1/3"),
         "lambda": (parse_real, 0),
         "eps": (lambda v, path: v if v == "auto" else _NONNEGATIVE(v, path), "auto"),
@@ -536,28 +356,28 @@ _KINDS = {
         "x0": _SITE,
         "d_min": (_NATURAL, 1),
     }, _check_decay_fit),
-    "wegner": (_run_wegner, ["eps", "mass", "err", "n"], {
+    "wegner": (est.wegner, ["eps", "mass", "err", "n"], {
         "lambda0": (parse_real, 0),
         "eps_list": (_eps_list, _REQUIRED),
         "samples": (_COUNT, 1000),
     }, None),
-    "ids": (_run_ids, ["bin_lo", "bin_hi", "mass", "err"], {
+    "ids": (est.ids, ["bin_lo", "bin_hi", "mass", "err"], {
         "samples": (_COUNT, 200),
         "bins": (_edges, {}),
     }, None),
-    "correlator": (_run_correlator, ["distance", "mean", "err", "n"], {
+    "correlator": (est.correlator, ["distance", "mean", "err", "n"], {
         "interval": (_interval, ["-1", "1"]),
         "samples": (_COUNT, 500),
         "x0": _SITE,
         "d_min": (_NATURAL, 1),
     }, _check_decay_fit),
-    "dynamical": (_run_dynamical, ["distance", "mean", "err", "n"], {
+    "dynamical": (est.dynamical, ["distance", "mean", "err", "n"], {
         "interval": (_interval, ["-1", "1"]),
         "samples": (_COUNT, 200),
         "x0": _SITE,
         "t_points": (_COUNT, est.T_GRID_POINTS),
     }, _check_site),
-    "inequalities": (_run_inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"], {
+    "inequalities": (ineq.inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"], {
         "samples": (_COUNT, 300),
         "draws": (_COUNT, 200),
         "pairs": (_NATURAL, 6),
@@ -607,10 +427,7 @@ def parse_config(cfg: dict) -> tuple:
 
 def _linalg_build() -> dict:
     """Name and version of the BLAS and LAPACK numpy was built against."""
-    try:
-        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    except TypeError:  # numpy < 1.26 has no mode argument
-        return {}
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     return {
         lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
         for lib in ("blas", "lapack")
@@ -640,14 +457,9 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
             )
         _atomic_write(config_path, json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
-    def checkpoint(scan=None):
-        if not outdir:
-            return None
-        return os.path.join(outdir, "samples.jsonl" if scan is None else f"samples.{scan}.jsonl")
-
     run_kind, columns, _, _ = _KINDS[top["kind"]]
     started = time.time()
-    outputs, rows = run_kind(p, model, topo, dis, top["master_seed"], top["workers"], checkpoint)
+    outputs, rows = run_kind(p, model, topo, dis, top["master_seed"], top["workers"], outdir)
     elapsed = time.time() - started
 
     record = ResultRecord(

@@ -20,9 +20,9 @@ from fmlab.estimators import (
     bin_by_distance,
     correlator_decay_profile,
     decay_rate_fit,
-    dynamical_profile,
+    dynamical,
     fractional_moment_profile,
-    wegner_exponent,
+    wegner,
 )
 from fmlab.inequalities import (
     RatioIntegralSpec,
@@ -89,16 +89,14 @@ def test_criterion_1_oracle_equivalence():
     for s in (0.2, S_THIRD, 0.5):
         for lam in (0.0, 1.0):
             for eps in (1e-2, 1e-3):
-                e1 = fractional_moment_profile(
-                    model, topo1, UNIFORM, 0, s, lam, eps, 4000, master_seed=111
-                )
-                worst = max(worst, abs(e1.means[0] - _one_site_oracle(s, lam, eps)) / e1.errs[0])
-                e2 = fractional_moment_profile(
-                    model, topo2, UNIFORM, 0, s, lam, eps, 4000, master_seed=222
-                )
+                p = {"x0": 0, "s": s, "lambda": lam, "eps": eps, "samples": 4000}
+                e1 = fractional_moment_profile(p, model, topo1, UNIFORM, master_seed=111)
+                gap = abs(e1["means"][0] - _one_site_oracle(s, lam, eps))
+                worst = max(worst, gap / e1["errs"][0])
+                e2 = fractional_moment_profile(p, model, topo2, UNIFORM, master_seed=222)
                 for y in (0, 1):
-                    gap = abs(e2.means[y] - _two_site_oracle(s, lam, eps, g, y))
-                    worst = max(worst, gap / e2.errs[y])
+                    gap = abs(e2["means"][y] - _two_site_oracle(s, lam, eps, g, y))
+                    worst = max(worst, gap / e2["errs"][y])
     elapsed = time.time() - t0
     _report(
         1, worst <= 3.0 and elapsed < 60.0,
@@ -116,7 +114,8 @@ def chain40_decay():
     for g in (10.0, 20.0, 40.0):
         model = block_model([[1.0]], [[0.0]], g)
         out[g] = fractional_moment_profile(
-            model, topo, UNIFORM, 0, S_THIRD, 0.0, 1e-3, 2000, master_seed=20260810
+            {"x0": 0, "s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 2000}, model, topo,
+            UNIFORM, master_seed=20260810,
         )
     return out
 
@@ -127,7 +126,7 @@ def test_criterion_2_decay_in_coupling(chain40_decay):
     all_monotone = True
     min_r2 = 1.0
     for g, est in chain40_decay.items():
-        _, bm, _ = bin_by_distance(est.distances, est.means, d_min=4)
+        _, bm, _ = bin_by_distance(est["distances"], est["means"], d_min=4)
         all_monotone &= bool(np.all(np.diff(np.log(bm)) < 0))
         fit = decay_rate_fit(est, d_min=4)
         min_r2 = min(min_r2, fit["r2"])
@@ -148,8 +147,8 @@ def test_criterion_3_spencer_decay():
     t0 = time.time()
     topo = make_lattice_box(1, (25,))
     est = fractional_moment_profile(
-        spencer_model(1.0, 30.0), topo, UNIFORM, 0, S_THIRD, 0.0, 1e-3, 2000,
-        master_seed=303,
+        {"x0": 0, "s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 2000},
+        spencer_model(1.0, 30.0), topo, UNIFORM, master_seed=303,
     )
     fit = decay_rate_fit(est, d_min=4)
     ok = fit["rate"] > 0 and fit["r2"] >= 0.85
@@ -159,23 +158,26 @@ def test_criterion_3_spencer_decay():
 def test_criterion_4_spencer_wegner():
     t0 = time.time()
     # decoupled single-site reproduction of the 1/2 exponent
-    dec = wegner_exponent(
-        spencer_model(1.0, math.inf), make_lattice_box(1, (24,)), UNIFORM,
-        1.0, [0.2, 0.1, 0.05, 0.025, 0.0125], 800, master_seed=17,
+    dec = wegner(
+        {"lambda0": 1.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025, 0.0125]), "samples": 800},
+        spencer_model(1.0, math.inf), make_lattice_box(1, (24,)), UNIFORM, master_seed=17,
+    )[0]["estimate"]
+    analytic = np.array([0.5 * math.sqrt(e * e + 2.0 * e) for e in dec["eps_list"]])
+    mass_ok = bool(
+        np.all(np.abs(dec["masses"] - analytic) <= 4.0 * np.maximum(dec["errs"], 1e-4))
     )
-    analytic = np.array([0.5 * math.sqrt(e * e + 2.0 * e) for e in dec.eps_list])
-    mass_ok = bool(np.all(np.abs(dec.masses - analytic) <= 4.0 * np.maximum(dec.errs, 1e-4)))
-    dec_ok = abs(dec.exponent - 0.5) <= 0.03 and mass_ok
+    dec_ok = abs(dec["exponent"] - 0.5) <= 0.03 and mass_ok
     # coupled chain at strong disorder keeps the window mass Holder-regular
-    coupled = wegner_exponent(
+    coupled = wegner(
+        {"lambda0": 1.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025]), "samples": 5000},
         spencer_model(1.0, 50.0), make_lattice_box(1, (20,), periodic=True), UNIFORM,
-        1.0, [0.2, 0.1, 0.05, 0.025], 5000, master_seed=404,
-    )
-    ok = dec_ok and coupled.exponent >= 0.4
+        master_seed=404,
+    )[0]["estimate"]
+    ok = dec_ok and coupled["exponent"] >= 0.4
     _report(
         4, ok,
-        f"decoupled exponent={dec.exponent:.3f} (0.5 +- 0.03, analytic masses ok={mass_ok}), "
-        f"coupled exponent={coupled.exponent:.3f} (>=0.4), {time.time() - t0:.0f}s",
+        f"decoupled exponent={dec['exponent']:.3f} (0.5 +- 0.03, analytic masses ok={mass_ok}), "
+        f"coupled exponent={coupled['exponent']:.3f} (>=0.4), {time.time() - t0:.0f}s",
     )
 
 
@@ -183,33 +185,32 @@ def test_criterion_4_spencer_wegner():
 def correlator_chain():
     topo = make_lattice_box(1, (40,))
     return correlator_decay_profile(
-        block_model([[1.0]], [[0.0]], 20.0), topo, UNIFORM, (-0.5, 0.5), 800,
-        master_seed=606,
+        {"interval": (-0.5, 0.5), "samples": 800, "x0": 0},
+        block_model([[1.0]], [[0.0]], 20.0), topo, UNIFORM, master_seed=606,
     )
 
 
 def test_criterion_5_correlator_bounds(correlator_chain):
     t0 = time.time()
     # scalar suite: every sample of the criterion-6 run obeys Q <= k
-    scalar_ok = correlator_chain.extras["max_correlator"] <= 1.0 + 1e-8
+    scalar_ok = correlator_chain["max_correlator"] <= 1.0 + 1e-8
     # block suite with dynamics: Spencer box, every sample and target checked
-    dyn = dynamical_profile(
-        spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM,
-        (-1.0, 1.0), 200, master_seed=505, t_points=256,
-    )
+    p = {"interval": (-1.0, 1.0), "samples": 200, "x0": 0, "t_points": 256}
+    dyn = dynamical(
+        p, spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM, master_seed=505,
+    )[0]["estimate"]
     corr_sp = correlator_decay_profile(
-        spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM,
-        (-1.0, 1.0), 200, master_seed=505,
+        p, spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM, master_seed=505,
     )
-    block_ok = corr_sp.extras["max_correlator"] <= 2.0 + 1e-8
-    dyn_ok = dyn.extras["max_excess_over_2q"] <= 1e-8
+    block_ok = corr_sp["max_correlator"] <= 2.0 + 1e-8
+    dyn_ok = dyn["max_excess_over_2q"] <= 1e-8
     ok = scalar_ok and block_ok and dyn_ok
     _report(
         5, ok,
-        f"max Q/k slack: scalar {correlator_chain.extras['max_correlator'] - 1.0:.2e}, "
-        f"block {corr_sp.extras['max_correlator'] - 2.0:.2e}; "
-        f"sup - 2Q max excess {dyn.extras['max_excess_over_2q']:.2e} (<=1e-8), "
-        f"factor-1 held on {dyn.extras['factor1_hold_fraction'] * 100:.0f}% of pairs, "
+        f"max Q/k slack: scalar {correlator_chain['max_correlator'] - 1.0:.2e}, "
+        f"block {corr_sp['max_correlator'] - 2.0:.2e}; "
+        f"sup - 2Q max excess {dyn['max_excess_over_2q']:.2e} (<=1e-8), "
+        f"factor-1 held on {dyn['factor1_hold_fraction'] * 100:.0f}% of pairs, "
         f"{time.time() - t0:.0f}s",
     )
 

@@ -41,11 +41,11 @@ MODELS = {
     "alloy": (alloy_model({(0,): 1.0, (1,): -1.0}, 3.0), make_lattice_box(1, (6,), True), GAUSSIAN),
 }
 
-# kind -> (batch function, params)
+# kind -> (batch function, the parsed estimator fields it reads)
 KINDS = {
-    "decay": (estimators._moment_batch, {"x0": 0, "s": 1 / 3, "lam": 0.0, "eps": 1e-3}),
+    "decay": (estimators._moment_batch, {"x0": 0, "s": 1 / 3, "lambda": 0.0, "eps": 1e-3}),
     "wegner": (estimators._window_batch, {"lambda0": 0.3, "eps_list": np.array([0.8, 0.4, 0.1])}),
-    "ids": (estimators._ids_batch, {"edges": np.linspace(-2.0, 2.0, 9)}),
+    "ids": (estimators._ids_batch, {"bins": np.linspace(-2.0, 2.0, 9)}),
     "correlator": (estimators._correlator_batch, {"interval": (-1.0, 1.0), "x0": 0}),
     "dynamical": (
         estimators._dynamical_batch, {"interval": (-1.0, 1.0), "x0": 0, "t_points": 16}

@@ -9,8 +9,6 @@ import scipy.integrate as si
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import DegenerateFitError
 from fmlab.estimators import (
-    DistanceProfile,
-    MomentEstimate,
     _distinct,
     _median,
     correlator_decay_profile,
@@ -18,12 +16,12 @@ from fmlab.estimators import (
     decay_rate_fit,
     default_eps,
     default_t_grid,
-    dynamical_profile,
+    dynamical,
     fit_power_law,
     fractional_moment_profile,
-    ids_histogram,
+    ids,
     moment_max_check,
-    wegner_exponent,
+    wegner,
 )
 from fmlab.model import alloy_model, assemble, block_model, spencer_model
 from fmlab.numerics import hermitian_eig
@@ -68,10 +66,11 @@ def two_site_moment_oracle(s, lam, eps, g, target):
 def test_one_site_moment_matches_quadrature():
     topo = make_lattice_box(1, (1,))
     est = fractional_moment_profile(
-        SCALAR, topo, UNIFORM, 0, 0.5, 0.0, 1.0, 4000, master_seed=101
+        {"x0": 0, "s": 0.5, "lambda": 0.0, "eps": 1.0, "samples": 4000}, SCALAR, topo, UNIFORM,
+        master_seed=101,
     )
     oracle = one_site_moment_oracle(0.5, 0.0, 1.0)
-    assert abs(est.means[0] - oracle) <= 3.0 * est.errs[0]
+    assert abs(est["means"][0] - oracle) <= 3.0 * est["errs"][0]
     # frozen value of the stated analytic oracle at eps = 1
     assert oracle == pytest.approx(0.93748975, abs=1e-7)
 
@@ -80,35 +79,40 @@ def test_two_site_moment_matches_tensor_quadrature():
     topo = make_lattice_box(1, (2,))
     model = block_model([[1.0]], [[0.0]], 5.0)
     est = fractional_moment_profile(
-        model, topo, UNIFORM, 0, 1.0 / 3.0, 0.0, 1e-2, 6000, master_seed=103
+        {"x0": 0, "s": 1.0 / 3.0, "lambda": 0.0, "eps": 1e-2, "samples": 6000}, model, topo,
+        UNIFORM, master_seed=103,
     )
     for y in (0, 1):
         oracle = two_site_moment_oracle(1.0 / 3.0, 0.0, 1e-2, 5.0, y)
-        assert abs(est.means[y] - oracle) <= 3.0 * est.errs[y]
+        assert abs(est["means"][y] - oracle) <= 3.0 * est["errs"][y]
 
 
 def test_decoupled_offdiagonal_moment_is_zero():
     topo = make_lattice_box(1, (4,))
     model = block_model([[1.0]], [[0.0]], math.inf)
-    est = fractional_moment_profile(model, topo, UNIFORM, 0, 0.5, 0.0, 1.0, 200, 7)
-    assert np.all(est.means[1:] == 0.0)
-    assert est.means[0] > 0.0
+    est = fractional_moment_profile(
+        {"x0": 0, "s": 0.5, "lambda": 0.0, "eps": 1.0, "samples": 200}, model, topo, UNIFORM, 7
+    )
+    assert np.all(est["means"][1:] == 0.0)
+    assert est["means"][0] > 0.0
 
 
 def test_profile_determinism_across_workers():
     topo = make_lattice_box(1, (6,))
-    kw = dict(x0=0, s=0.5, lam=0.0, eps=1e-2, samples=120, master_seed=31337)
-    a = fractional_moment_profile(SCALAR, topo, UNIFORM, **kw, workers=1)
-    b = fractional_moment_profile(SCALAR, topo, UNIFORM, **kw, workers=2)
-    assert np.array_equal(a.means, b.means)
-    assert np.array_equal(a.errs, b.errs)
+    p = {"x0": 0, "s": 0.5, "lambda": 0.0, "eps": 1e-2, "samples": 120}
+    a = fractional_moment_profile(p, SCALAR, topo, UNIFORM, master_seed=31337, workers=1)
+    b = fractional_moment_profile(p, SCALAR, topo, UNIFORM, master_seed=31337, workers=2)
+    assert np.array_equal(a["means"], b["means"])
+    assert np.array_equal(a["errs"], b["errs"])
 
 
 def test_decay_window_flag():
     topo = make_lattice_box(1, (2,))
     sp = spencer_model(1.0, 30.0)  # k=2: window tops out near 1/2
-    est = fractional_moment_profile(sp, topo, UNIFORM, 0, 0.75, 0.0, 1e-2, 100, 5)
-    assert any("above the decay-bound window" in f for f in est.flags)
+    est = fractional_moment_profile(
+        {"x0": 0, "s": 0.75, "lambda": 0.0, "eps": 1e-2, "samples": 100}, sp, topo, UNIFORM, 5
+    )
+    assert any("above the decay-bound window" in f for f in est["flags"])
 
 
 def test_pointwise_power_monotonicity():
@@ -124,13 +128,7 @@ def test_pointwise_power_monotonicity():
 
 
 def synthetic_estimate(distances, means):
-    distances = np.asarray(distances)
-    means = np.asarray(means, dtype=np.float64)
-    return MomentEstimate(
-        s=0.5, lam=0.0, eps=0.0, g=1.0, x0=0,
-        distances=distances, means=means, moms=means.copy(),
-        errs=np.zeros_like(means), n_samples=1, resamples=0, master_seed=0,
-    )
+    return {"distances": np.asarray(distances), "means": np.asarray(means, dtype=np.float64)}
 
 
 def test_decay_fit_exact_line():
@@ -161,7 +159,8 @@ def test_decay_rate_grows_with_coupling():
     for g in (10.0, 30.0):
         model = block_model([[1.0]], [[0.0]], g)
         est = fractional_moment_profile(
-            model, topo, UNIFORM, 0, 1.0 / 3.0, 0.0, 1e-3, 600, master_seed=919
+            {"x0": 0, "s": 1.0 / 3.0, "lambda": 0.0, "eps": 1e-3, "samples": 600}, model, topo,
+            UNIFORM, master_seed=919,
         )
         fits.append(decay_rate_fit(est, d_min=2)["rate"])
     assert fits[1] > fits[0]
@@ -170,12 +169,14 @@ def test_decay_rate_grows_with_coupling():
 def test_moment_max_check_decoupled_and_strong():
     topo = make_lattice_box(1, (8,))
     est = fractional_moment_profile(
-        block_model([[1.0]], [[0.0]], math.inf), topo, UNIFORM, 2, 0.5, 0.0, 0.5, 150, 3
+        {"x0": 2, "s": 0.5, "lambda": 0.0, "eps": 0.5, "samples": 150},
+        block_model([[1.0]], [[0.0]], math.inf), topo, UNIFORM, 3,
     )
     ok, _ = moment_max_check(est)
     assert ok
     est2 = fractional_moment_profile(
-        block_model([[1.0]], [[0.0]], 20.0), topo, UNIFORM, 2, 1.0 / 3.0, 0.0, 1e-3, 600, 5
+        {"x0": 2, "s": 1.0 / 3.0, "lambda": 0.0, "eps": 1e-3, "samples": 600},
+        block_model([[1.0]], [[0.0]], 20.0), topo, UNIFORM, 5,
     )
     ok2, _ = moment_max_check(est2)
     assert ok2
@@ -189,9 +190,10 @@ def test_diagonal_apriori_bound_over_lambda_grid():
     vals = []
     for lam in (-5.0, -2.0, 0.0, 2.0, 5.0):
         est = fractional_moment_profile(
-            model, topo, UNIFORM, 5, s, lam, 1e-3, 400, master_seed=707
+            {"x0": 5, "s": s, "lambda": lam, "eps": 1e-3, "samples": 400}, model, topo, UNIFORM,
+            master_seed=707,
         )
-        vals.append(est.means[5] * (1.0 + abs(lam)) ** s)
+        vals.append(est["means"][5] * (1.0 + abs(lam)) ** s)
     assert max(vals) / min(vals) < 10.0
 
 
@@ -200,11 +202,11 @@ def test_ids_decoupled_scalar_recovers_mu():
     topo = make_lattice_box(1, (64,))
     model = block_model([[1.0]], [[0.0]], math.inf)
     edges = np.linspace(-1.0, 1.0, 21)
-    ids = ids_histogram(model, topo, UNIFORM, 300, edges, master_seed=11)
-    assert np.sum(ids.masses) == pytest.approx(1.0, abs=1e-12)
+    est = ids({"samples": 300, "bins": edges}, model, topo, UNIFORM, master_seed=11)[0]["estimate"]
+    assert np.sum(est["masses"]) == pytest.approx(1.0, abs=1e-12)
     exact = np.diff(edges) / 2.0
-    err_floor = np.maximum(ids.errs, 1e-4)
-    assert np.all(np.abs(ids.masses - exact) <= 4.0 * err_floor)
+    err_floor = np.maximum(est["errs"], 1e-4)
+    assert np.all(np.abs(est["masses"] - exact) <= 4.0 * err_floor)
 
 
 def test_ids_spencer_gap():
@@ -212,11 +214,11 @@ def test_ids_spencer_gap():
     topo = make_lattice_box(1, (32,))
     model = spencer_model(1.0, math.inf)
     edges = np.linspace(-2.0, 2.0, 41)
-    ids = ids_histogram(model, topo, UNIFORM, 100, edges, master_seed=13)
+    est = ids({"samples": 100, "bins": edges}, model, topo, UNIFORM, master_seed=13)[0]["estimate"]
     centers = (edges[:-1] + edges[1:]) / 2.0
     inside = np.abs(centers) < 0.9
-    assert np.all(ids.masses[inside] == 0.0)
-    assert np.sum(ids.masses) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(est["masses"][inside] == 0.0)
+    assert np.sum(est["masses"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wegner_synthetic_power_law():
@@ -228,27 +230,26 @@ def test_wegner_synthetic_power_law():
 def test_wegner_decoupled_spencer_half_exponent():
     topo = make_lattice_box(1, (24,))
     model = spencer_model(1.0, math.inf)
-    we = wegner_exponent(
-        model, topo, UNIFORM, 1.0, [0.2, 0.1, 0.05, 0.025, 0.0125], 800, master_seed=17
-    )
-    analytic = [0.5 * math.sqrt(e * e + 2 * e) for e in we.eps_list]
-    assert np.all(np.abs(we.masses - analytic) <= 4.0 * np.maximum(we.errs, 1e-4))
-    assert we.exponent == pytest.approx(0.5, abs=0.03)
+    p = {"lambda0": 1.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025, 0.0125]), "samples": 800}
+    we = wegner(p, model, topo, UNIFORM, master_seed=17)[0]["estimate"]
+    analytic = [0.5 * math.sqrt(e * e + 2 * e) for e in we["eps_list"]]
+    assert np.all(np.abs(we["masses"] - analytic) <= 4.0 * np.maximum(we["errs"], 1e-4))
+    assert we["exponent"] == pytest.approx(0.5, abs=0.03)
 
 
 def test_wegner_decoupled_uniform_lipschitz():
     topo = make_lattice_box(1, (48,))
     model = block_model([[1.0]], [[0.0]], math.inf)
-    we = wegner_exponent(
-        model, topo, UNIFORM, 0.0, [0.2, 0.1, 0.05, 0.025], 600, master_seed=19
-    )
-    assert we.exponent == pytest.approx(1.0, abs=0.05)
+    p = {"lambda0": 0.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025]), "samples": 600}
+    we = wegner(p, model, topo, UNIFORM, master_seed=19)[0]["estimate"]
+    assert we["exponent"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_wegner_preconditions():
     topo = make_lattice_box(1, (4,))
-    narrow = wegner_exponent(SCALAR, topo, UNIFORM, 0.0, [0.2, 0.15, 0.1], 150, 1)
-    assert any("one decade" in f for f in narrow.flags)
+    p = {"lambda0": 0.0, "eps_list": np.array([0.2, 0.15, 0.1]), "samples": 150}
+    narrow = wegner(p, SCALAR, topo, UNIFORM, 1)[0]["estimate"]
+    assert any("one decade" in f for f in narrow["flags"])
 
 
 def test_correlator_scalar_diagonal_is_one():
@@ -362,17 +363,17 @@ def test_empty_window_gives_zero_correlator_and_delta_sup(k):
 def test_correlator_profile_decoupled():
     topo = make_lattice_box(1, (5,))
     model = block_model([[1.0]], [[0.0]], math.inf)
-    prof = correlator_decay_profile(model, topo, UNIFORM, (-0.5, 0.5), 100, 3)
-    assert np.all(prof.means[1:] == 0.0)
+    p = {"interval": (-0.5, 0.5), "samples": 100, "x0": 0}
+    prof = correlator_decay_profile(p, model, topo, UNIFORM, 3)
+    assert np.all(prof["means"][1:] == 0.0)
 
 
 def test_dynamical_profile_reports_bound_stats():
     topo = make_lattice_box(1, (5,))
-    prof = dynamical_profile(
-        SCALAR, topo, UNIFORM, (-0.5, 0.5), 50, 9, t_points=64
-    )
-    assert prof.extras["max_excess_over_2q"] <= 1e-8
-    assert 0.0 <= prof.extras["factor1_hold_fraction"] <= 1.0
+    p = {"interval": (-0.5, 0.5), "samples": 50, "x0": 0, "t_points": 64}
+    prof = dynamical(p, SCALAR, topo, UNIFORM, 9)[0]["estimate"]
+    assert prof["max_excess_over_2q"] <= 1e-8
+    assert 0.0 <= prof["factor1_hold_fraction"] <= 1.0
 
 
 def test_default_eps_scales_with_width():

@@ -267,7 +267,10 @@ SINGULAR = block_model([[0.0]], [[0.0]], math.inf)  # H = 0: every solve at z = 
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda topo: fractional_moment_profile(SINGULAR, topo, UNIFORM, 0, 0.3, 0.0, 0.0, 100, 1),
+        lambda topo: fractional_moment_profile(
+            {"x0": 0, "s": 0.3, "lambda": 0.0, "eps": 0.0, "samples": 100}, SINGULAR, topo,
+            UNIFORM, 1,
+        ),
         lambda topo: one_step_bound_check(SINGULAR, topo, UNIFORM, 0, 1, 0.3, 0.0, 0.0, 100, 1),
         lambda topo: decoupling_ratio(SINGULAR, topo, UNIFORM, 0, 1, 0.2, [0.0], 0.0, 100, 1),
     ],

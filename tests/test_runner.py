@@ -673,6 +673,9 @@ _REFUSED_BEFORE_THE_FIRST_DRAW = {
     "wegner-eps-list-of-two": (
         _with_estimator("wegner", eps_list=["0.8", "0.4"]), "estimator.eps_list",
         TINY_CFGS["wegner"]),
+    "wegner-eps-list-repeated": (
+        _with_estimator("wegner", eps_list=["0.4", "0.4", "0.4"]), "estimator.eps_list",
+        TINY_CFGS["wegner"]),
     "ids-bins-lo-above-hi": (
         _with_estimator("ids", bins={"n": 16, "lo": "4", "hi": "-4"}), "estimator.bins",
         TINY_CFGS["ids"]),
@@ -883,6 +886,73 @@ def test_every_kind_is_identical_across_worker_counts(kind, tmp_path):
         outputs.append(_artifacts(out))
     assert "results.json" in outputs[0] and len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+def _key_paths(node, prefix=""):
+    """Dotted key paths of a JSON tree, into every dict and into the first
+    entry of a list of dicts (written "[]")."""
+    if isinstance(node, list) and node and isinstance(node[0], dict):
+        node, prefix = node[0], prefix + "[]"
+    if not isinstance(node, dict):
+        return [prefix]
+    return sorted(
+        p for k, v in node.items() for p in _key_paths(v, f"{prefix}.{k}" if prefix else k)
+    )
+
+
+# per kind: the key paths of results.json's outputs and its series columns
+_RESULTS_SCHEMA = {
+    "correlator": (
+        "d_min estimate.distances estimate.errs estimate.g estimate.interval "
+        "estimate.k estimate.master_seed estimate.max_correlator estimate.means "
+        "estimate.n_samples estimate.x0 fit.intercept fit.r2 fit.rate k_bound_ok "
+        "max_correlator",
+        "distance mean err n",
+    ),
+    "decay": (
+        "d_min eps_used estimate.distances estimate.eps estimate.errs estimate.flags "
+        "estimate.g estimate.lambda estimate.master_seed estimate.means estimate.moms "
+        "estimate.n_samples estimate.resamples estimate.s estimate.x0 fit.intercept "
+        "fit.r2 fit.rate flags max_at_diagonal max_margin resamples",
+        "distance mean mom_err n resamples",
+    ),
+    "dynamical": (
+        "bound_ok estimate.distances estimate.errs estimate.factor1_hold_fraction "
+        "estimate.g estimate.interval estimate.k estimate.master_seed "
+        "estimate.max_excess_over_2q estimate.means estimate.n_samples "
+        "estimate.t_points estimate.x0 factor1_hold_fraction max_excess_over_2q",
+        "distance mean err n",
+    ),
+    "ids": (
+        "estimate.edges estimate.errs estimate.masses estimate.master_seed "
+        "estimate.n_samples total_mass",
+        "bin_lo bin_hi mass err",
+    ),
+    "inequalities": (
+        "comparability.5.failures comparability.5.ratio_max comparability.5.ratio_min "
+        "decoupling[].den decoupling[].den_err decoupling[].flags decoupling[].lambda "
+        "decoupling[].num decoupling[].num_err decoupling[].ratio decoupling[].skipped "
+        "decoupling_min_ratio one_step[].lhs one_step[].pass "
+        "one_step[].pointwise_violations one_step[].rhs one_step[].sigma one_step[].x "
+        "one_step[].y one_step_all_pass reverse_holder.failures "
+        "reverse_holder.worst_constant vinv.err vinv.resamples vinv.value",
+        "scale draw parameters lhs rhs ratio",
+    ),
+    "wegner": (
+        "estimate.eps_list estimate.errs estimate.exponent estimate.flags "
+        "estimate.lambda0 estimate.masses estimate.master_seed estimate.n_samples "
+        "exponent flags",
+        "eps mass err n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_CFGS))
+def test_results_json_keys_are_pinned(kind):
+    results = json.loads(run(TINY_CFGS[kind]).to_json())
+    paths, columns = _RESULTS_SCHEMA[kind]
+    assert _key_paths(results["outputs"]) == paths.split()
+    assert results["series"]["columns"] == columns.split()
 
 
 def test_decay_run_does_not_import_numpy_ma(tmp_path):
