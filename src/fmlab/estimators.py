@@ -120,8 +120,8 @@ def run_samples(
     """Payloads of samples 0..samples-1 from batch_fn(ctx, indices) (see run_indexed).
 
     ctx carries the operator family, its assembly plan and params (a kind's
-    parsed estimator fields p as they are, or an inequalities check's
-    arguments); batch_fn gets its samples' operators from solve_resampled.
+    parsed estimator fields p, with the few an inequalities check sets per
+    call); batch_fn gets its operators, if it needs any, from solve_resampled.
     """
     plan = assembly_plan(model, topo)
     ctx = _SampleCtx(model, topo, disorder, int(master_seed), params, plan)
@@ -279,9 +279,12 @@ def decay_rate_fit(e: dict, d_min: int = 1) -> dict:
     ds, bm, pop = ds[good], bm[good], pop[good]
     if ds.size < 3:
         raise DegenerateFitError("decay fit needs >= 3 distinct distances with positive means")
-    x = ds.astype(np.float64)
-    y = np.log(bm)
-    w = pop.astype(np.float64)
+    slope, intercept, r2 = _line_fit(ds.astype(np.float64), np.log(bm), pop.astype(np.float64))
+    return {"rate": float(-slope), "intercept": float(intercept), "r2": r2}
+
+
+def _line_fit(x, y, w):
+    """(slope, intercept, r2) of the least-squares line through (x, y) with weights w."""
     wsum = np.sum(w)
     xbar = np.sum(w * x) / wsum
     ybar = np.sum(w * y) / wsum
@@ -292,7 +295,7 @@ def decay_rate_fit(e: dict, d_min: int = 1) -> dict:
     ss_res = np.sum(w * (y - (intercept + slope * x)) ** 2)
     ss_tot = np.sum(w * (y - ybar) ** 2)
     r2 = 0.0 if ss_tot == 0.0 else float(1.0 - ss_res / ss_tot)
-    return {"rate": float(-slope), "intercept": float(intercept), "r2": r2}
+    return slope, intercept, r2
 
 
 def moment_max_check(e: dict):
@@ -354,14 +357,6 @@ def ids(p, model, topo, disorder, master_seed, workers=1, outdir=None):
     return outputs, _series((edges[:-1], edges[1:], masses, errs))
 
 
-def fit_power_law(eps_values, masses) -> float:
-    """Slope of log(mass) against log(eps) by ordinary least squares."""
-    x = np.log(np.asarray(eps_values, dtype=np.float64))
-    y = np.log(np.asarray(masses, dtype=np.float64))
-    xbar, ybar = np.mean(x), np.mean(y)
-    return float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
-
-
 def _window_batch(ctx: _SampleCtx, indices) -> list:
     vals = np.asarray(_eigvals_batch(ctx, indices))[:, None, :]
     lam0, eps = ctx.params["lambda0"], ctx.params["eps_list"][:, None]
@@ -391,7 +386,9 @@ def wegner(p, model, topo, disorder, master_seed, workers=1, outdir=None):
         flags.append(f"empty windows below eps={eps[nonempty]:g}; fitted on prefix")
     if nonempty < 2:
         raise DegenerateFitError("not enough nonempty spectral windows to fit")
-    exponent = fit_power_law(eps[:nonempty], masses[:nonempty])
+    # the log-log slope by ordinary least squares
+    exponent = float(_line_fit(np.log(eps[:nonempty]), np.log(masses[:nonempty]),
+                               np.ones(nonempty))[0])
     e = {"lambda0": p["lambda0"], "eps_list": eps, "masses": masses, "errs": errs,
          "exponent": exponent, "n_samples": p["samples"], "master_seed": master_seed,
          "flags": flags}

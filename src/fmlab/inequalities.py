@@ -7,9 +7,13 @@ the multivariate reverse-Holder inequality for Cramer's-rule entries.
 inequalities() is the experiment kind that runs them all, with the
 signature of the kinds in fmlab.estimators.
 
-All scans are driven by per-draw derived streams, so they are deterministic
-and parallelize like the Monte Carlo estimators.  Quadrature values carry
-explicit error bounds.
+Each check has the shape of a kind: check(p, model, topo, disorder,
+master_seed, workers=1, checkpoint_path=None) returns its results.json
+entry, where p holds the kind's parsed estimator fields plus the few the
+kind sets per call (x and y for a pair, param_scale for a scale).  Every
+scan runs on estimators.run_samples, so its draws come from per-index
+derived streams: deterministic, and parallel like the Monte Carlo
+estimators.  Quadrature values carry explicit error bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec, density, sample_vector, support
-from .engine import canonical_json, checkpoint_path, run_indexed
+from .engine import canonical_json, checkpoint_path
 from .errors import ConfigurationError, NumericalError
 from .model import ModelSpec, potential_block, decay_exponent_window
 from .numerics import opnorm_batch, resolvent_profile
@@ -142,17 +146,6 @@ def _ratio_integrals(specs, rel_tol: float) -> list:
     return [(float(value), float(err + tail)) for (value, err), tail in zip(results, tails)]
 
 
-@dataclass(eq=False)
-class _ScanCtx:
-    measure: DisorderSpec
-    l: int
-    m: int
-    s: float
-    r: float
-    param_scale: float
-    master_seed: int
-
-
 def _complex_points(w: np.ndarray, scale: float) -> list:
     """Points scale * w[2k] * exp(2 pi i w[2k+1]) from a row of uniforms."""
     radius = scale * w[0::2]
@@ -160,22 +153,23 @@ def _complex_points(w: np.ndarray, scale: float) -> list:
     return [complex(rad * math.cos(th), rad * math.sin(th)) for rad, th in zip(radius, angle)]
 
 
-def _comparability_batch(ctx: _ScanCtx, indices) -> list:
+def _comparability_batch(ctx: _SampleCtx, indices) -> list:
+    p = ctx.params
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices)))
-    wa = stream.uniforms(2 * ctx.l)
-    wb = stream.uniforms(2 * ctx.m)
+    wa = stream.uniforms(2 * p["l"])
+    wb = stream.uniforms(2 * p["m"])
     specs = [
-        RatioIntegralSpec(a=tuple(_complex_points(ra, ctx.param_scale)),
-                          b=tuple(_complex_points(rb, ctx.param_scale)),
-                          s=ctx.s, r=ctx.r, measure=ctx.measure)
+        RatioIntegralSpec(a=tuple(_complex_points(ra, p["param_scale"])),
+                          b=tuple(_complex_points(rb, p["param_scale"])),
+                          s=p["s"], r=p["r"], measure=ctx.disorder)
         for ra, rb in zip(wa, wb)
     ]
     out = []
     for spec, (value, err) in zip(specs, _ratio_integrals(specs, _SCAN_REL_TOL)):
         target = spec.target()
         out.append({
-            "a": [[p.real, p.imag] for p in spec.a],
-            "b": [[p.real, p.imag] for p in spec.b],
+            "a": [[pt.real, pt.imag] for pt in spec.a],
+            "b": [[pt.real, pt.imag] for pt in spec.b],
             "lhs": value,
             "rhs": target,
             "ratio": value / target,
@@ -195,53 +189,46 @@ def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, 
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
 
 
-def comparability_scan(
-    measure: DisorderSpec,
-    l: int,
-    m: int,
-    s: float,
-    r: float,
-    draws: int,
-    param_scale: float,
-    master_seed: int,
-    workers: int = 1,
-    checkpoint_path=None,
-) -> dict:
-    """Extremes of the ratio integral / target over random points of bounded modulus.
+def comparability_scan(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+    """(entry, rows) over p["draws"] random draws of l points a_j and m points
+    b_i of modulus below p["param_scale"]: the extremes of the ratio integral /
+    target against the disorder measure with the failure count, and one
+    series row per draw.
 
-    Both extremes must be positive and finite; their spread estimates how far
-    the two-sided comparison constants are from each other.
+    Both extremes must be positive and finite (a draw whose ratio is not is a
+    failure); their spread estimates how far the two-sided comparison
+    constants are from each other.
     """
-    ctx = _ScanCtx(measure, int(l), int(m), float(s), float(r), float(param_scale),
-                   int(master_seed))
-    records = run_indexed(_comparability_batch, ctx, draws, workers, checkpoint_path)
+    records = run_samples(
+        _comparability_batch, model, topo, disorder, master_seed, p, p["draws"], workers,
+        checkpoint_path,
+    )
     ratios = np.array([rec["ratio"] for rec in records])
-    failures = [
-        {"draw": i, **rec}
-        for i, rec in enumerate(records)
-        if not np.isfinite(rec["ratio"]) or rec["ratio"] <= 0.0
-    ]
-    return {
+    entry = {
         "ratio_min": float(np.min(ratios)),
         "ratio_max": float(np.max(ratios)),
-        "n_draws": int(draws),
-        "param_scale": float(param_scale),
-        "failures": failures,
-        "records": records,
+        "failures": int(np.sum(~np.isfinite(ratios) | (ratios <= 0.0))),
     }
+    rows = [
+        [p["param_scale"], i, canonical_json({"a": rec["a"], "b": rec["b"]}),
+         rec["lhs"], rec["rhs"], rec["ratio"]]
+        for i, rec in enumerate(records)
+    ]
+    return entry, rows
 
 
-def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_seed: int,
-                disorder: DisorderSpec) -> dict:
-    """Monte Carlo estimate of < || (v A + B - lam)^(-1) ||^s > over v, for a
-    block-type model.
+def vinv_moment(p, model: ModelSpec, disorder: DisorderSpec, master_seed: int) -> dict:
+    """Monte Carlo estimate of < || (v A + B - lambda)^(-1) ||^vinv_s > over
+    p["samples"] draws of v, for a block-type model.
 
     Draws with an exactly singular potential are redrawn (measure zero);
     near-singular draws contribute their huge but finite norm, which is the
-    whole point of taking fractional powers.
+    whole point of taking fractional powers.  All draws come from the one
+    stream of (master_seed, 0), so the estimate stays off the engine.
     """
+    samples = p["samples"]
     stream = Stream(derive_sample_seed(master_seed, 0))
-    shift = model.B - lam * np.eye(model.k, dtype=np.complex128)
+    shift = model.B - p["lambda"] * np.eye(model.k, dtype=np.complex128)
     values = np.empty(samples)
     resamples = 0
     filled = 0
@@ -252,7 +239,7 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
         resamples += draws.size - regular.size
         if resamples > 1000:
             raise NumericalError("vinv_moment: persistent singular potential")
-        values[filled:filled + regular.size] = regular ** -s  # ||V^-1|| = 1/sigma_min
+        values[filled:filled + regular.size] = regular ** -p["vinv_s"]  # ||V^-1|| = 1/sigma_min
         filled += regular.size
     mean, _, err = _group_stats(values[:, None])
     return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
@@ -260,13 +247,13 @@ def vinv_moment(model: ModelSpec, lam: float, s: float, samples: int, master_see
 
 def _one_step_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
-    x, y, s = p["x"], p["y"], p["s"]
+    x, y, s, lam, eps = p["x"], p["y"], p["one_step_s"], p["lambda"], p["eps"]
     scale = (ctx.model.c_b3 * ctx.model.coupling) ** s
     neighbors = list(ctx.topo.neighbors(y))
 
     def sides(h):
-        prof = resolvent_profile(h, p["lam"], p["eps"], x)
-        vy = potential_block(h, y) - complex(p["lam"], p["eps"]) * np.eye(h.k, dtype=np.complex128)
+        prof = resolvent_profile(h, lam, eps, x)
+        vy = potential_block(h, y) - complex(lam, eps) * np.eye(h.k, dtype=np.complex128)
         lhs = opnorm_batch(prof[:, y] @ vy).tolist()
         gnorms = opnorm_batch(prof[:, neighbors]).tolist()
         # Python float powers and sums, one element at a time
@@ -278,28 +265,25 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, sides)[0]
 
 
-def one_step_bound_check(
-    model, topo, disorder, x, y, s, lam, eps, samples, master_seed,
-    workers: int = 1, checkpoint_path=None,
-) -> dict:
-    """One-step bound: <||G(x,y)(V(y)-z)||^s> vs the neighbor-sum majorant.
+def one_step_bound_check(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+    """One-step bound at the pair (x, y), exponent s = one_step_s:
+    <||G(x,y)(V(y)-z)||^s> vs the neighbor-sum majorant, over p["samples"].
 
     The inequality holds per realization when s <= 1 (subadditivity of
     t^s); a failure here indicates a numerics bug, not statistics.
     """
-    params = {"x": int(x), "y": int(y), "s": float(s), "lam": float(lam), "eps": float(eps)}
     payloads = run_samples(
-        _one_step_batch, model, topo, disorder, master_seed, params, samples, workers,
+        _one_step_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
         checkpoint_path,
     )
-    lhs = np.array([p["lhs"] for p in payloads])
-    rhs = np.array([p["rhs"] for p in payloads])
+    lhs = np.array([q["lhs"] for q in payloads])
+    rhs = np.array([q["rhs"] for q in payloads])
     lm, _, le = _group_stats(lhs[:, None])
     rm_, _, re_ = _group_stats(rhs[:, None])
     sigma = math.sqrt(float(le[0]) ** 2 + float(re_[0]) ** 2)
     return {
-        "x": int(x),
-        "y": int(y),
+        "x": p["x"],
+        "y": p["y"],
         "lhs": float(lm[0]),
         "rhs": float(rm_[0]),
         "sigma": sigma,
@@ -310,12 +294,12 @@ def one_step_bound_check(
 
 def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
     p = ctx.params
-    x, y, s, eps = p["x"], p["y"], p["s"], p["eps"]
+    x, y, s, eps = p["x"], p["y"], p["decoupling_s"], p["eps"]
 
     def terms(h):
         eye = np.eye(h.k, dtype=np.complex128)
         nums, dens = [], []
-        for lam in p["grid"]:
+        for lam in p["lambda_grid"]:
             gxy = resolvent_profile(h, lam, eps, x)[:, y]
             vy = potential_block(h, y) - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy).tolist())
@@ -329,29 +313,26 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, terms)[0]
 
 
-def decoupling_ratio(
-    model, topo, disorder, x, y, s, lambda_grid, eps, samples, master_seed,
-    workers: int = 1, checkpoint_path=None,
-) -> list:
-    """Per-lambda decoupling ratio <||G(V-z)||^s> / (<||G||^s> (1+|lam|)^s).
+def decoupling_ratio(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+    """Decoupling ratio at the pair (x, y), exponent s = decoupling_s, for
+    each lambda of lambda_grid: <||G(V-z)||^s> / (<||G||^s> (1+|lambda|)^s).
 
     The decoupling bound guarantees a positive floor for the ratio, not a
     specific constant; callers assert positivity and stability.
     """
-    grid = [float(lam) for lam in lambda_grid]
+    s = p["decoupling_s"]
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
-    params = {"x": int(x), "y": int(y), "s": float(s), "eps": float(eps), "grid": grid}
     payloads = run_samples(
-        _decoupling_batch, model, topo, disorder, master_seed, params, samples, workers,
+        _decoupling_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
         checkpoint_path,
     )
-    nums = np.array([p["num"] for p in payloads])
-    dens = np.array([p["den"] for p in payloads])
+    nums = np.array([q["num"] for q in payloads])
+    dens = np.array([q["den"] for q in payloads])
     out = []
-    for j, lam in enumerate(grid):
+    for j, lam in enumerate(p["lambda_grid"]):
         nmean, _, nerr = _group_stats(nums[:, j:j + 1])
         dmean, _, derr = _group_stats(dens[:, j:j + 1])
         scaled = float(dmean[0]) * (1.0 + abs(lam)) ** s
@@ -372,14 +353,6 @@ def decoupling_ratio(
 # reverse-Holder for rational functions of several disorder variables
 
 
-@dataclass(eq=False)
-class _RhCtx:
-    measure: DisorderSpec
-    s: float
-    j_vars: int
-    master_seed: int
-
-
 def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
     """|G(0, J-1)| of a J-site chain with affine potentials, vectorized over rows.
 
@@ -396,54 +369,46 @@ def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
         return np.abs(hop) ** (j_vars - 1) / np.abs(det)
 
 
-def _rh_trial(ctx: _RhCtx, idx: int) -> dict:
-    stream = Stream(derive_sample_seed(ctx.master_seed, idx))
-    j_vars = ctx.j_vars
-    w = stream.uniforms(2 * j_vars + 2)
-    coeff_c = 0.5 + w[:j_vars]
-    coeff_d = _RH_PARAM_SCALE * (2.0 * w[j_vars:2 * j_vars] - 1.0)
-    hop = 0.2 + w[2 * j_vars]
-    lam = 4.0 * w[2 * j_vars + 1] - 2.0
-    v = sample_vector(ctx.measure, stream, _RH_DRAWS * j_vars).reshape(_RH_DRAWS, j_vars)
-    q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
-    half = q ** (0.5 * ctx.s)
-    m_half = float(np.mean(half))
-    m_full = float(np.mean(half * half))
-    ratio = m_full / (m_half * m_half) if m_half > 0 else math.inf
-    return {"ratio": ratio, "m_s": m_full, "m_s2": m_half,
-            "kind": "cramer", "lambda": lam, "hop": float(hop)}
+def _rh_batch(ctx: _SampleCtx, indices) -> list:
+    """One trial per index: a random J-site chain (J = rh_j) from the index's
+    stream, and <|Q|^s> and <|Q|^{s/2}> (s = rh_s) over _RH_DRAWS draws."""
+    j_vars, s = ctx.params["rh_j"], ctx.params["rh_s"]
+    out = []
+    for i in indices:
+        stream = Stream(derive_sample_seed(ctx.master_seed, i))
+        w = stream.uniforms(2 * j_vars + 2)
+        coeff_c = 0.5 + w[:j_vars]
+        coeff_d = _RH_PARAM_SCALE * (2.0 * w[j_vars:2 * j_vars] - 1.0)
+        hop = 0.2 + w[2 * j_vars]
+        lam = 4.0 * w[2 * j_vars + 1] - 2.0
+        v = sample_vector(ctx.disorder, stream, _RH_DRAWS * j_vars).reshape(_RH_DRAWS, j_vars)
+        q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
+        half = q ** (0.5 * s)
+        m_half = float(np.mean(half))
+        m_full = float(np.mean(half * half))
+        ratio = m_full / (m_half * m_half) if m_half > 0 else math.inf
+        out.append({"ratio": ratio, "m_s": m_full, "m_s2": m_half,
+                    "kind": "cramer", "lambda": lam, "hop": float(hop)})
+    return out
 
 
-def _rh_batch(ctx: _RhCtx, indices) -> list:
-    return [_rh_trial(ctx, i) for i in indices]
-
-
-def reverse_holder_check(
-    measure: DisorderSpec,
-    s: float,
-    j_vars: int,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-    checkpoint_path=None,
-) -> dict:
-    """Worst <|Q|^s> / <|Q|^{s/2}>^2 over sampled rational functions Q.
+def reverse_holder_check(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+    """Worst <|Q|^s> / <|Q|^{s/2}>^2 over p["rh_trials"] sampled rational
+    functions Q, and how many trials gave no finite ratio (failures).
 
     Q is the corner Green entry of a random J-site chain (degree 1 in each
     variable), averaged over _RH_DRAWS disorder draws per trial; the
     inequality says the worst constant stays bounded.
     """
-    ctx = _RhCtx(measure, float(s), int(j_vars), int(master_seed))
-    records = run_indexed(_rh_batch, ctx, trials, workers, checkpoint_path)
+    records = run_samples(
+        _rh_batch, model, topo, disorder, master_seed, p, p["rh_trials"], workers,
+        checkpoint_path,
+    )
     ratios = np.array([rec["ratio"] for rec in records])
-    failures = [
-        {"trial": i, **rec} for i, rec in enumerate(records) if not np.isfinite(rec["ratio"])
-    ]
+    finite = ratios[np.isfinite(ratios)]
     return {
-        "worst_constant": float(np.max(ratios[np.isfinite(ratios)])) if np.any(np.isfinite(ratios)) else math.inf,
-        "n_trials": int(trials),
-        "failures": failures,
-        "records": records,
+        "worst_constant": float(np.max(finite)) if finite.size else math.inf,
+        "failures": int(ratios.size - finite.size),
     }
 
 
@@ -454,80 +419,43 @@ def reverse_holder_check(
 def inequalities(p, model, topo, disorder, master_seed, workers=1, outdir=None):
     """The inequalities kind: every check above on the parsed estimator
     fields p; one series row per comparability draw, at every scale."""
-    samples, lam, eps = p["samples"], p["lambda"], p["eps"]
+    def seed(j):
+        return derive_sample_seed(master_seed, j)
+
     # random (x, y) pairs from a dedicated stream
-    pair_stream = Stream(derive_sample_seed(master_seed, 0xA11))
+    pair_stream = Stream(seed(0xA11))
     n = topo.n_vertices
     one_step = []
     for j in range(p["pairs"]):
-        w = pair_stream.uniforms(2)
-        x, y = int(w[0] * n), int(w[1] * n)
-        one_step.append(
-            one_step_bound_check(
-                model, topo, disorder, x, y, p["one_step_s"], lam, eps,
-                samples, derive_sample_seed(master_seed, 1000 + j), workers,
-                checkpoint_path=checkpoint_path(outdir, f"one_step_{j}"),
-            )
-        )
+        x, y = (int(w * n) for w in pair_stream.uniforms(2))
+        one_step.append(one_step_bound_check(
+            {**p, "x": x, "y": y}, model, topo, disorder, seed(1000 + j), workers,
+            checkpoint_path(outdir, f"one_step_{j}"),
+        ))
     lem = decoupling_ratio(
-        model, topo, disorder, 0, min(2, n - 1), p["decoupling_s"],
-        p["lambda_grid"], eps, samples, derive_sample_seed(master_seed, 2000), workers,
-        checkpoint_path=checkpoint_path(outdir, "decoupling"),
+        {**p, "x": 0, "y": min(2, n - 1)}, model, topo, disorder, seed(2000), workers,
+        checkpoint_path(outdir, "decoupling"),
     )
-    scan_results = {}
-    rows = []
+    comparability, rows = {}, []
     for j, (scale, param_scale) in enumerate(p["scales"]):
-        scan = comparability_scan(
-            disorder,
-            p["l"],
-            p["m"],
-            p["s"],
-            p["r"],
-            p["draws"],
-            param_scale,
-            derive_sample_seed(master_seed, 3000),
-            workers=workers,
+        comparability[str(scale)], scale_rows = comparability_scan(
+            {**p, "param_scale": param_scale}, model, topo, disorder, seed(3000), workers,
             # by position: no config string in a path
-            checkpoint_path=checkpoint_path(outdir, f"scan_{j}"),
+            checkpoint_path(outdir, f"scan_{j}"),
         )
-        scan_results[str(scale)] = {
-            "ratio_min": scan["ratio_min"],
-            "ratio_max": scan["ratio_max"],
-            "failures": len(scan["failures"]),
-        }
-        rows += [
-            [scan["param_scale"], i,
-             canonical_json({"a": r["a"], "b": r["b"]}),
-             float(r["lhs"]), float(r["rhs"]), float(r["ratio"])]
-            for i, r in enumerate(scan["records"])
-        ]
-    rh = reverse_holder_check(
-        disorder,
-        p["rh_s"],
-        p["rh_j"],
-        p["rh_trials"],
-        derive_sample_seed(master_seed, 4000),
-        workers=workers,
-        checkpoint_path=checkpoint_path(outdir, "rh"),
-    )
-    vinv = None
-    if model.variant != "alloy":
-        vinv = vinv_moment(
-            model, lam, p["vinv_s"],
-            max(samples, 2000), derive_sample_seed(master_seed, 5000), disorder,
-        )
-    outputs = {
+        rows += scale_rows
+    return {
         "one_step": one_step,
         "one_step_all_pass": bool(all(r["pass"] for r in one_step)),
         "decoupling": lem,
         "decoupling_min_ratio": float(
             min((e["ratio"] for e in lem if not e["skipped"]), default=math.nan)
         ),
-        "comparability": scan_results,
-        "reverse_holder": {
-            "worst_constant": rh["worst_constant"],
-            "failures": len(rh["failures"]),
-        },
-        "vinv": vinv,
-    }
-    return outputs, rows
+        "comparability": comparability,
+        "reverse_holder": reverse_holder_check(
+            p, model, topo, disorder, seed(4000), workers, checkpoint_path(outdir, "rh")
+        ),
+        "vinv": None if model.variant == "alloy" else vinv_moment(
+            {**p, "samples": max(p["samples"], 2000)}, model, disorder, seed(5000)
+        ),
+    }, rows

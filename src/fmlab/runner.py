@@ -3,7 +3,8 @@
 Config files are JSON with a twist: real-valued fields are written as
 strings ("1e-3", "1/3", "inf") or integers, never as JSON floats, so the
 canonical form (sorted keys, compact separators) hashes identically on every
-platform.  Integer fields are JSON integers and lists of reals are JSON
+platform.  Every real is finite but model.g, whose "inf" decouples the
+sites.  Integer fields are JSON integers and lists of reals are JSON
 arrays; a boolean or a string in their place is a config error.  The digest
 excludes the volatile fields "workers" and "out", which cannot influence
 results.
@@ -148,6 +149,9 @@ def _in(window: str, parse=parse_real):
     return check
 
 
+_FINITE, _NONNEGATIVE = _in("(-inf, inf)"), _in("[0, inf)")
+
+
 def _choice(options: tuple):
     def check(value, path):
         if value not in options:  # a tuple compares, so an unhashable value is refused too
@@ -157,7 +161,7 @@ def _choice(options: tuple):
 
 
 def _reals(value, path: str) -> list:
-    return [parse_real(v, path) for v in _array(value, path)]
+    return [_FINITE(v, path) for v in _array(value, path)]
 
 
 def _interval(value, path: str) -> tuple:
@@ -195,8 +199,7 @@ def _offset_map(parse_value):
 
 
 _COUNT, _NATURAL = _in("[1, inf)", _integer), _in("[0, inf)", _integer)
-_NONNEGATIVE = _in("[0, inf]")
-_BINS = {"n": (_COUNT, 64), "lo": (parse_real, -3), "hi": (parse_real, 3), "edges": (_reals, None)}
+_BINS = {"n": (_COUNT, 64), "lo": (_FINITE, -3), "hi": (_FINITE, 3), "edges": (_reals, None)}
 
 
 def _edges(value, path: str) -> np.ndarray:
@@ -231,9 +234,9 @@ _MODEL = {"variant": (_text, "block"), "g": (_in("(0, inf]"), 1)}
 _MODELS = {  # variant -> (builder, its keywords' field table plus variant)
     "block": (block_model, {**_MODEL, "A": (_matrix, _REQUIRED), "B": (_matrix, _REQUIRED),
                             "hopping": (_offset_map(_matrix), None)}),
-    "spencer": (spencer_model, {**_MODEL, "a": (parse_real, 1)}),
+    "spencer": (spencer_model, {**_MODEL, "a": (_FINITE, 1)}),
     "singular_covering": (singular_covering_model, _MODEL),
-    "alloy": (alloy_model, {**_MODEL, "coeffs": (_offset_map(parse_real), {})}),
+    "alloy": (alloy_model, {**_MODEL, "coeffs": (_offset_map(_FINITE), {})}),
 }
 
 
@@ -350,14 +353,14 @@ _SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
 _KINDS = {
     "decay": (est.decay, ["distance", "mean", "mom_err", "n", "resamples"], {
         "s": (_in("(0, 1)"), "1/3"),
-        "lambda": (parse_real, 0),
+        "lambda": (_FINITE, 0),
         "eps": (lambda v, path: v if v == "auto" else _NONNEGATIVE(v, path), "auto"),
         "samples": (_in("[100, inf)", _integer), 1000),
         "x0": _SITE,
         "d_min": (_NATURAL, 1),
     }, _check_decay_fit),
     "wegner": (est.wegner, ["eps", "mass", "err", "n"], {
-        "lambda0": (parse_real, 0),
+        "lambda0": (_FINITE, 0),
         "eps_list": (_eps_list, _REQUIRED),
         "samples": (_COUNT, 1000),
     }, None),
@@ -388,11 +391,11 @@ _KINDS = {
         "l": (_NATURAL, 3),
         "m": (_NATURAL, 3),
         "rh_trials": (_COUNT, 100),
-        "rh_s": (parse_real, "0.2"),
+        "rh_s": (_FINITE, "0.2"),
         "rh_j": (_COUNT, 2),
         "one_step_s": (_in("(0, 1]"), "1/3"),
-        "decoupling_s": (parse_real, "0.2"),
-        "lambda": (parse_real, 0),
+        "decoupling_s": (_FINITE, "0.2"),
+        "lambda": (_FINITE, 0),
         "lambda_grid": (_reals, ["0", "0.5", "1", "2"]),
         "vinv_s": (_in("(0, 1)"), "0.5"),
         "eps": (_NONNEGATIVE, "1e-3"),

@@ -40,6 +40,8 @@ from oracles import ratio_integral, spectral_resolvent_block
 
 UNIFORM = make_spec("uniform", (-1, 1))
 S_THIRD = 1.0 / 3.0
+# comparability and reverse Holder draw no operator: any model and box carry them
+SCALAR, PAIR = block_model([[1.0]], [[0.0]], 5.0), make_lattice_box(1, (2,))
 
 
 def _report(criterion, ok, detail):
@@ -236,8 +238,8 @@ def test_criterion_7_one_step_bound():
         w = pair_stream.uniforms(2)
         x, y = int(w[0] * 10), int(w[1] * 10)
         res = one_step_bound_check(
-            models[j % 3], topo, UNIFORM, x, y, S_THIRD, 0.0, 1e-3, 300,
-            derive_sample_seed(700, 1 + j),
+            {"x": x, "y": y, "one_step_s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 300},
+            models[j % 3], topo, UNIFORM, derive_sample_seed(700, 1 + j),
         )
         passed += res["pass"]
         violations += res["pointwise_violations"]
@@ -254,7 +256,10 @@ def test_criterion_8_comparability():
     spreads = {}
     finite = True
     for scale in (5.0, 10.0):
-        scan = comparability_scan(UNIFORM, 3, 3, 0.15, 0.15, 1000, scale, 800)
+        scan, _ = comparability_scan(
+            {"l": 3, "m": 3, "s": 0.15, "r": 0.15, "draws": 1000, "param_scale": scale},
+            SCALAR, PAIR, UNIFORM, 800,
+        )
         finite &= not scan["failures"] and scan["ratio_min"] > 0
         spreads[scale] = scan["ratio_max"] / scan["ratio_min"]
     growth = spreads[10.0] / spreads[5.0]
@@ -273,8 +278,12 @@ def test_criterion_8_comparability():
 
 def test_criterion_9_reverse_holder():
     t0 = time.time()
-    base = reverse_holder_check(UNIFORM, 0.2, 2, 100, 900)
-    doubled = reverse_holder_check(UNIFORM, 0.2, 2, 200, 900)
+    base = reverse_holder_check(
+        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 100}, SCALAR, PAIR, UNIFORM, 900
+    )
+    doubled = reverse_holder_check(
+        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 200}, SCALAR, PAIR, UNIFORM, 900
+    )
     drift = doubled["worst_constant"] / base["worst_constant"]
     ok = (
         math.isfinite(base["worst_constant"])

@@ -51,12 +51,18 @@ KINDS = {
         estimators._dynamical_batch, {"interval": (-1.0, 1.0), "x0": 0, "t_points": 16}
     ),
     "one_step": (
-        inequalities._one_step_batch, {"x": 1, "y": 2, "s": 1 / 3, "lam": 0.0, "eps": 1e-3}
+        inequalities._one_step_batch,
+        {"x": 1, "y": 2, "one_step_s": 1 / 3, "lambda": 0.0, "eps": 1e-3},
     ),
     "decoupling": (
         inequalities._decoupling_batch,
-        {"x": 0, "y": 2, "s": 0.2, "eps": 1e-3, "grid": [0.0, 0.5, 1.0]},
+        {"x": 0, "y": 2, "decoupling_s": 0.2, "eps": 1e-3, "lambda_grid": [0.0, 0.5, 1.0]},
     ),
+    "comparability": (
+        inequalities._comparability_batch,
+        {"l": 2, "m": 1, "s": 0.15, "r": 0.15, "param_scale": 4.0},
+    ),
+    "reverse_holder": (inequalities._rh_batch, {"rh_s": 0.2, "rh_j": 2}),
 }
 
 

@@ -10,6 +10,7 @@ from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import DegenerateFitError
 from fmlab.estimators import (
     _distinct,
+    _line_fit,
     _median,
     correlator_decay_profile,
     correlator_targets,
@@ -17,7 +18,6 @@ from fmlab.estimators import (
     default_eps,
     default_t_grid,
     dynamical,
-    fit_power_law,
     fractional_moment_profile,
     ids,
     moment_max_check,
@@ -223,8 +223,9 @@ def test_ids_spencer_gap():
 
 def test_wegner_synthetic_power_law():
     eps = np.array([0.2, 0.1, 0.05, 0.025])
-    assert fit_power_law(eps, eps**0.5) == pytest.approx(0.5, abs=1e-10)
-    assert fit_power_law(eps, 3.0 * eps) == pytest.approx(1.0, abs=1e-10)
+    ones = np.ones(eps.size)  # the wegner exponent is the unit-weight log-log slope
+    assert _line_fit(np.log(eps), np.log(eps**0.5), ones)[0] == pytest.approx(0.5, abs=1e-10)
+    assert _line_fit(np.log(eps), np.log(3.0 * eps), ones)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wegner_decoupled_spencer_half_exponent():

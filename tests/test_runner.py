@@ -666,6 +666,39 @@ _REFUSED_BEFORE_THE_FIRST_DRAW = {
     "inequalities-eps-nan": (
         _with_estimator("inequalities", eps="nan"), "estimator.eps", TINY_CFGS["inequalities"]),
     "decay-eps-nan": (_with_estimator("decay", eps="nan"), "estimator.eps", TINY_CFGS["decay"]),
+    # non-finite reals: each once ran to exit 0 on NaN or zero draws, or to exit 3
+    # after config.json and a checkpoint had claimed the outdir
+    "inequalities-decoupling-s-nan": (
+        _with_estimator("inequalities", decoupling_s="nan"), "estimator.decoupling_s",
+        TINY_CFGS["inequalities"]),
+    "inequalities-rh-s-nan": (
+        _with_estimator("inequalities", rh_s="nan"), "estimator.rh_s", TINY_CFGS["inequalities"]),
+    "inequalities-lambda-inf": (
+        _with_estimator("inequalities", **{"lambda": "inf"}), "estimator.lambda",
+        TINY_CFGS["inequalities"]),
+    "inequalities-eps-inf": (
+        _with_estimator("inequalities", eps="inf"), "estimator.eps", TINY_CFGS["inequalities"]),
+    "inequalities-lambda-grid-nan": (
+        _with_estimator("inequalities", lambda_grid=["nan"]), "estimator.lambda_grid",
+        TINY_CFGS["inequalities"]),
+    "inequalities-scales-nan": (
+        _with_estimator("inequalities", scales=["nan"]), "estimator.scales",
+        TINY_CFGS["inequalities"]),
+    "decay-lambda-nan": (
+        _with_estimator("decay", **{"lambda": "nan"}), "estimator.lambda", TINY_CFGS["decay"]),
+    "decay-eps-inf": (_with_estimator("decay", eps="inf"), "estimator.eps", TINY_CFGS["decay"]),
+    "wegner-lambda0-nan": (
+        _with_estimator("wegner", lambda0="nan"), "estimator.lambda0", TINY_CFGS["wegner"]),
+    "decay-heavy-tail-inf": (
+        _heavy_tailed(TINY_CFGS["decay"], "inf"), "disorder.params", TINY_CFGS["decay"]),
+    "decay-heavy-tail-nan": (
+        _heavy_tailed(TINY_CFGS["decay"], "nan"), "disorder.params", TINY_CFGS["decay"]),
+    "decay-gaussian-sigma-nan": (
+        {**BASE_CFG, "disorder": {"family": "gaussian", "params": ["0", "nan"]}},
+        "disorder.params", TINY_CFGS["decay"]),
+    "decay-gaussian-mean-inf": (
+        {**BASE_CFG, "disorder": {"family": "gaussian", "params": ["inf", "1"]}},
+        "disorder.params", TINY_CFGS["decay"]),
     "decay-g-0": (_with_model("decay", g="0"), "model.g", TINY_CFGS["decay"]),
     "ids-alloy-g-0": (_with_model("ids", g="0"), "model.g", TINY_CFGS["ids"]),
     "decay-sides-0": (_with_topology("decay", sides=[0]), "topology.sides", TINY_CFGS["decay"]),
