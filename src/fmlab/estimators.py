@@ -3,13 +3,13 @@ states, spectral window masses, eigenfunction correlators, and time-evolution
 suprema.
 
 Each experiment kind but inequalities (see fmlab.inequalities) is one
-function here, kind(p, model, topo, disorder, master_seed, workers=1,
-outdir=None) -> (outputs, rows): p holds the kind's parsed estimator fields
-(runner's field tables) and is the context every sample reads, outputs is
-what results.json holds and rows are its series rows.  An estimate is a
-plain dict whose arrays stay numpy until the record is written.  decay and
-correlator fit their estimate in a separate step, so their estimates have
-functions of their own.
+function here, kind(ctx, workers=1, outdir=None) -> (outputs, rows): ctx is
+the run's sample context (sample_context: the operator family, the master
+seed, the kind's parsed estimator fields as ctx.params and the assembly
+plan, built once per run), outputs is what results.json holds and rows are
+its series rows.  An estimate is a plain dict whose arrays stay numpy until
+the record is written.  decay and correlator fit their estimate in a
+separate step, so their estimates have functions of their own.
 
 Every estimator derives sample i's random stream from (master_seed, i), so
 results are bit-identical for any worker count.  Aggregation reports the
@@ -21,7 +21,7 @@ sample groups, which stays usable when resolvent norms have heavy tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,18 +114,11 @@ class _SampleCtx:
     plan: object
 
 
-def run_samples(
-    batch_fn, model, topo, disorder, master_seed, params, samples, workers=1, checkpoint_path=None
-) -> list:
-    """Payloads of samples 0..samples-1 from batch_fn(ctx, indices) (see run_indexed).
-
-    ctx carries the operator family, its assembly plan and params (a kind's
-    parsed estimator fields p, with the few an inequalities check sets per
-    call); batch_fn gets its operators, if it needs any, from solve_resampled.
-    """
-    plan = assembly_plan(model, topo)
-    ctx = _SampleCtx(model, topo, disorder, int(master_seed), params, plan)
-    return run_indexed(batch_fn, ctx, samples, workers, checkpoint_path)
+def sample_context(p, model, topo, disorder, master_seed) -> _SampleCtx:
+    """A run's one ctx for run_indexed's batch functions, which get their
+    operators, if any, from solve_resampled: the kind's parsed estimator
+    fields p as params, and the assembly plan (refusing offsets without a kernel)."""
+    return _SampleCtx(model, topo, disorder, int(master_seed), p, assembly_plan(model, topo))
 
 
 def solve_resampled(ctx: _SampleCtx, indices, solve):
@@ -192,21 +185,18 @@ def _moment_batch(ctx: _SampleCtx, indices) -> list:
     return [{"m": m.tolist(), "r": r} for m, r in zip(rows, retries)]
 
 
-def fractional_moment_profile(
-    p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None
-) -> dict:
+def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
     """The decay estimate: the mean of ||G_{lambda + i eps}(x0, y)||^s over
     disorder for every site y, eps "auto" taken from default_eps."""
-    if p["eps"] == "auto":
-        p = {**p, "eps": default_eps(model, topo, disorder, master_seed)}
+    if ctx.params["eps"] == "auto":
+        ctx = replace(ctx, params={**ctx.params, "eps": default_eps(ctx)})
+    p, model, disorder = ctx.params, ctx.model, ctx.disorder
     flags = []
     s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
     if p["s"] > s_bound + 1e-12:
         flags.append(f"s={p['s']:g} above the decay-bound window {s_bound:g}")
     samples = p["samples"]
-    payloads = run_samples(
-        _moment_batch, model, topo, disorder, master_seed, p, samples, workers, checkpoint_path
-    )
+    payloads = run_indexed(_moment_batch, ctx, samples, workers, checkpoint_path)
     values = np.asarray([q["m"] for q in payloads], dtype=np.float64)
     resamples = int(sum(q["r"] for q in payloads))
     if resamples > RESAMPLE_FLAG_FRACTION * samples:
@@ -218,23 +208,22 @@ def fractional_moment_profile(
         "eps": p["eps"],
         "g": model.g,
         "x0": p["x0"],
-        "distances": distances_from(topo, p["x0"]),  # graph distance of each target from x0
+        "distances": distances_from(ctx.topo, p["x0"]),  # graph distance of each target from x0
         "means": mean,
         "moms": mom,  # median-of-means companion estimate
         "errs": err,  # group-based standard error of the mean
         "n_samples": samples,
         "resamples": resamples,
-        "master_seed": master_seed,
+        "master_seed": ctx.master_seed,
         "flags": flags,
     }
 
 
-def decay(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+def decay(ctx: _SampleCtx, workers=1, outdir=None):
     """The decay kind: the fractional-moment profile, its decay-rate fit over
     the distances from d_min on, and the diagonal-maximum check."""
-    e = fractional_moment_profile(
-        p, model, topo, disorder, master_seed, workers, checkpoint_path(outdir)
-    )
+    p = ctx.params
+    e = fractional_moment_profile(ctx, workers, checkpoint_path(outdir))
     ok, margin = moment_max_check(e)
     outputs = {
         "fit": decay_rate_fit(e, p["d_min"]),
@@ -309,13 +298,13 @@ def moment_max_check(e: dict):
     return bool(m_diag >= m_max - combined), float(margin)
 
 
-def default_eps(model, topo, disorder, master_seed) -> float:
+def default_eps(ctx: _SampleCtx) -> float:
     """Resolvent smoothing default: 1e-3 * spectral width / matrix dimension.
 
     Uses the spectrum of sample 0; recorded per experiment, since the i0
     limit itself is not computable.
     """
-    vals = run_samples(_eigvals_batch, model, topo, disorder, master_seed, {}, 1)[0]
+    vals = run_indexed(_eigvals_batch, ctx, 1)[0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 
@@ -336,23 +325,21 @@ def _ids_batch(ctx: _SampleCtx, indices) -> list:
     return [{"c": c.tolist()} for c in counts]
 
 
-def ids(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+def ids(ctx: _SampleCtx, workers=1, outdir=None):
     """The ids kind: the disorder-averaged normalized eigenvalue counting
-    measure on the bins whose edges are p["bins"].
+    measure on the bins whose edges are params["bins"].
 
     Eigenvalues falling outside the edge range are clipped into the boundary
     bins, so the masses sum to one exactly (up to float summation).
     """
+    p = ctx.params
     edges = p["bins"]
-    payloads = run_samples(
-        _ids_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path(outdir),
-    )
-    dim = topo.n_vertices * model.k_ambient
+    payloads = run_indexed(_ids_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
+    dim = ctx.topo.n_vertices * ctx.model.k_ambient
     counts = np.asarray([q["c"] for q in payloads], dtype=np.float64) / dim
     masses, _, errs = _group_stats(counts)
     e = {"edges": edges, "masses": masses, "errs": errs, "n_samples": p["samples"],
-         "master_seed": master_seed}
+         "master_seed": ctx.master_seed}
     outputs = {"total_mass": float(np.sum(masses)), "estimate": e}
     return outputs, _series((edges[:-1], edges[1:], masses, errs))
 
@@ -364,23 +351,21 @@ def _window_batch(ctx: _SampleCtx, indices) -> list:
     return [{"c": c.tolist()} for c in counts]
 
 
-def wegner(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+def wegner(ctx: _SampleCtx, workers=1, outdir=None):
     """The wegner kind: normalized counting-measure masses of [lambda0 - eps,
-    lambda0 + eps] for each eps of p["eps_list"] (an array, descending), and
-    the log-log slope across them (the local Holder exponent)."""
+    lambda0 + eps] for each eps of params["eps_list"] (an array, descending),
+    and the log-log slope across them (the local Holder exponent)."""
+    p = ctx.params
     eps = p["eps_list"]
     flags = []
     if eps[0] / eps[-1] < 10.0 - 1e-9:
         flags.append(f"eps grid spans only {eps[0] / eps[-1]:.1f}x (< one decade)")
-    payloads = run_samples(
-        _window_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path(outdir),
-    )
+    payloads = run_indexed(_window_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
     counts = np.asarray([q["c"] for q in payloads], dtype=np.float64)
     expected = np.mean(counts[:, 0])
     if expected < 50.0:
         flags.append(f"largest window holds {expected:.1f} eigenvalues on average (< 50)")
-    masses, _, errs = _group_stats(counts / (topo.n_vertices * model.k_ambient))
+    masses, _, errs = _group_stats(counts / (ctx.topo.n_vertices * ctx.model.k_ambient))
     nonempty = int(np.argmax(masses <= 0.0)) if np.any(masses <= 0.0) else masses.size
     if nonempty < masses.size:
         flags.append(f"empty windows below eps={eps[nonempty]:g}; fitted on prefix")
@@ -390,7 +375,7 @@ def wegner(p, model, topo, disorder, master_seed, workers=1, outdir=None):
     exponent = float(_line_fit(np.log(eps[:nonempty]), np.log(masses[:nonempty]),
                                np.ones(nonempty))[0])
     e = {"lambda0": p["lambda0"], "eps_list": eps, "masses": masses, "errs": errs,
-         "exponent": exponent, "n_samples": p["samples"], "master_seed": master_seed,
+         "exponent": exponent, "n_samples": p["samples"], "master_seed": ctx.master_seed,
          "flags": flags}
     outputs = {"exponent": exponent, "flags": flags, "estimate": e}
     return outputs, _series((eps, masses, errs), p["samples"])
@@ -400,19 +385,20 @@ def wegner(p, model, topo, disorder, master_seed, workers=1, outdir=None):
 # eigenfunction correlators and dynamics
 
 
-def _distance_profile(p, model, topo, values, master_seed) -> dict:
+def _distance_profile(ctx: _SampleCtx, values) -> dict:
     """The estimate of per-sample target values, shape (samples, n_sites),
     against graph distance from x0."""
+    p = ctx.params
     mean, _, err = _group_stats(values)
     return {
         "x0": p["x0"],
         "interval": p["interval"],
-        "g": model.g,
-        "distances": distances_from(topo, p["x0"]),
+        "g": ctx.model.g,
+        "distances": distances_from(ctx.topo, p["x0"]),
         "means": mean,
         "errs": err,
         "n_samples": len(values),
-        "master_seed": master_seed,
+        "master_seed": ctx.master_seed,
     }
 
 
@@ -475,27 +461,20 @@ def _correlator_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, targets)[0]
 
 
-def correlator_decay_profile(
-    p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None
-) -> dict:
+def correlator_decay_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
     """The correlator estimate: the disorder-averaged eigenfunction correlator
     against graph distance, and its largest sample value."""
-    payloads = run_samples(
-        _correlator_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path,
-    )
+    payloads = run_indexed(_correlator_batch, ctx, ctx.params["samples"], workers, checkpoint_path)
     values = np.asarray([q["q"] for q in payloads], dtype=np.float64)
     qmax = float(np.max(values)) if values.size else 0.0
-    return {**_distance_profile(p, model, topo, values, master_seed),
-            "max_correlator": qmax, "k": model.k_ambient}
+    return {**_distance_profile(ctx, values), "max_correlator": qmax, "k": ctx.model.k_ambient}
 
 
-def correlator(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+def correlator(ctx: _SampleCtx, workers=1, outdir=None):
     """The correlator kind: the correlator profile, its decay-rate fit over
     the distances from d_min on, and the bound Q <= k."""
-    e = correlator_decay_profile(
-        p, model, topo, disorder, master_seed, workers, checkpoint_path(outdir)
-    )
+    p = ctx.params
+    e = correlator_decay_profile(ctx, workers, checkpoint_path(outdir))
     outputs = {
         "fit": decay_rate_fit(e, p["d_min"]),
         "d_min": p["d_min"],
@@ -522,29 +501,27 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, targets)[0]
 
 
-def dynamical(p, model, topo, disorder, master_seed, workers=1, outdir=None):
+def dynamical(ctx: _SampleCtx, workers=1, outdir=None):
     """The dynamical kind: the disorder-averaged sup_t ||e^{i t H_I}(x0, y)||
     with correlator bounds.
 
     The estimate records the worst excess of the grid sup over 2 * Q_hat
     (should stay <= ~1e-8) and how often the unproven factor-1 bound also held.
     """
-    payloads = run_samples(
-        _dynamical_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path(outdir),
-    )
+    p = ctx.params
+    payloads = run_indexed(_dynamical_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
     sups = np.asarray([q["u"] for q in payloads], dtype=np.float64)
     qs = np.asarray([q["q"] for q in payloads], dtype=np.float64)
-    off = np.ones(topo.n_vertices, dtype=bool)
+    off = np.ones(ctx.topo.n_vertices, dtype=bool)
     off[p["x0"]] = False
     excess = float(np.max(sups[:, off] - 2.0 * qs[:, off])) if np.any(off) else 0.0
     factor1 = float(np.mean(sups[:, off] <= qs[:, off] + 1e-8)) if np.any(off) else 1.0
     e = {
-        **_distance_profile(p, model, topo, sups, master_seed),
+        **_distance_profile(ctx, sups),
         "max_excess_over_2q": excess,
         "factor1_hold_fraction": factor1,
         "t_points": p["t_points"],
-        "k": model.k_ambient,
+        "k": ctx.model.k_ambient,
     }
     outputs = {
         "max_excess_over_2q": excess,

@@ -7,30 +7,30 @@ the multivariate reverse-Holder inequality for Cramer's-rule entries.
 inequalities() is the experiment kind that runs them all, with the
 signature of the kinds in fmlab.estimators.
 
-Each check has the shape of a kind: check(p, model, topo, disorder,
-master_seed, workers=1, checkpoint_path=None) returns its results.json
-entry, where p holds the kind's parsed estimator fields plus the few the
-kind sets per call (x and y for a pair, param_scale for a scale).  Every
-scan runs on estimators.run_samples, so its draws come from per-index
-derived streams: deterministic, and parallel like the Monte Carlo
-estimators.  Quadrature values carry explicit error bounds.
+Each check has the shape of a kind: check(ctx, workers=1,
+checkpoint_path=None) returns its results.json entry, where ctx is the
+run's sample context with the check's own master seed and the few params
+the kind sets per call (x and y for a pair, param_scale for a scale).  Every
+scan runs on run_indexed, so its draws come from per-index derived streams:
+deterministic, and parallel like the Monte Carlo estimators.  Quadrature
+values carry explicit error bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .disorder import DisorderSpec, density, sample_vector, support
-from .engine import canonical_json, checkpoint_path
+from .engine import canonical_json, checkpoint_path, run_indexed
 from .errors import ConfigurationError, NumericalError
-from .model import ModelSpec, potential_block, decay_exponent_window
+from .model import potential_block, decay_exponent_window
 from .numerics import opnorm_batch, resolvent_profile
 from .quadrature import integrate_batch
 from .rng import Stream, derive_sample_seed
-from .estimators import _group_stats, _SampleCtx, run_samples, solve_resampled
+from .estimators import _group_stats, _SampleCtx, solve_resampled
 
 _TAIL_REL = 1e-8  # target tail contribution relative to the comparability target
 _SCAN_REL_TOL = 1e-7  # quadrature tolerance of comparability_scan
@@ -189,20 +189,18 @@ def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, 
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
 
 
-def comparability_scan(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
-    """(entry, rows) over p["draws"] random draws of l points a_j and m points
-    b_i of modulus below p["param_scale"]: the extremes of the ratio integral /
-    target against the disorder measure with the failure count, and one
-    series row per draw.
+def comparability_scan(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+    """(entry, rows) over params["draws"] random draws of l points a_j and m
+    points b_i of modulus below params["param_scale"]: the extremes of the
+    ratio integral / target against the disorder measure with the failure
+    count, and one series row per draw.
 
     Both extremes must be positive and finite (a draw whose ratio is not is a
     failure); their spread estimates how far the two-sided comparison
     constants are from each other.
     """
-    records = run_samples(
-        _comparability_batch, model, topo, disorder, master_seed, p, p["draws"], workers,
-        checkpoint_path,
-    )
+    p = ctx.params
+    records = run_indexed(_comparability_batch, ctx, p["draws"], workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     entry = {
         "ratio_min": float(np.min(ratios)),
@@ -217,23 +215,24 @@ def comparability_scan(p, model, topo, disorder, master_seed, workers=1, checkpo
     return entry, rows
 
 
-def vinv_moment(p, model: ModelSpec, disorder: DisorderSpec, master_seed: int) -> dict:
+def vinv_moment(ctx: _SampleCtx) -> dict:
     """Monte Carlo estimate of < || (v A + B - lambda)^(-1) ||^vinv_s > over
-    p["samples"] draws of v, for a block-type model.
+    params["samples"] draws of v, for a block-type model.
 
     Draws with an exactly singular potential are redrawn (measure zero);
     near-singular draws contribute their huge but finite norm, which is the
     whole point of taking fractional powers.  All draws come from the one
     stream of (master_seed, 0), so the estimate stays off the engine.
     """
+    p, model = ctx.params, ctx.model
     samples = p["samples"]
-    stream = Stream(derive_sample_seed(master_seed, 0))
+    stream = Stream(derive_sample_seed(ctx.master_seed, 0))
     shift = model.B - p["lambda"] * np.eye(model.k, dtype=np.complex128)
     values = np.empty(samples)
     resamples = 0
     filled = 0
     while filled < samples:
-        draws = sample_vector(disorder, stream, samples - filled)
+        draws = sample_vector(ctx.disorder, stream, samples - filled)
         smin = np.linalg.svd(draws[:, None, None] * model.A + shift, compute_uv=False)[:, -1]
         regular = smin[smin > 0.0]
         resamples += draws.size - regular.size
@@ -265,17 +264,16 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, sides)[0]
 
 
-def one_step_bound_check(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     """One-step bound at the pair (x, y), exponent s = one_step_s:
-    <||G(x,y)(V(y)-z)||^s> vs the neighbor-sum majorant, over p["samples"].
+    <||G(x,y)(V(y)-z)||^s> vs the neighbor-sum majorant, over
+    params["samples"].
 
     The inequality holds per realization when s <= 1 (subadditivity of
     t^s); a failure here indicates a numerics bug, not statistics.
     """
-    payloads = run_samples(
-        _one_step_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path,
-    )
+    p = ctx.params
+    payloads = run_indexed(_one_step_batch, ctx, p["samples"], workers, checkpoint_path)
     lhs = np.array([q["lhs"] for q in payloads])
     rhs = np.array([q["rhs"] for q in payloads])
     lm, _, le = _group_stats(lhs[:, None])
@@ -313,22 +311,20 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
     return solve_resampled(ctx, indices, terms)[0]
 
 
-def decoupling_ratio(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
+def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     """Decoupling ratio at the pair (x, y), exponent s = decoupling_s, for
     each lambda of lambda_grid: <||G(V-z)||^s> / (<||G||^s> (1+|lambda|)^s).
 
     The decoupling bound guarantees a positive floor for the ratio, not a
     specific constant; callers assert positivity and stability.
     """
+    p, dis = ctx.params, ctx.disorder
     s = p["decoupling_s"]
     flags = []
-    s_bound = decay_exponent_window(model.k, disorder.declared_alpha, disorder.declared_q)
+    s_bound = decay_exponent_window(ctx.model.k, dis.declared_alpha, dis.declared_q)
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
-    payloads = run_samples(
-        _decoupling_batch, model, topo, disorder, master_seed, p, p["samples"], workers,
-        checkpoint_path,
-    )
+    payloads = run_indexed(_decoupling_batch, ctx, p["samples"], workers, checkpoint_path)
     nums = np.array([q["num"] for q in payloads])
     dens = np.array([q["den"] for q in payloads])
     out = []
@@ -392,18 +388,15 @@ def _rh_batch(ctx: _SampleCtx, indices) -> list:
     return out
 
 
-def reverse_holder_check(p, model, topo, disorder, master_seed, workers=1, checkpoint_path=None):
-    """Worst <|Q|^s> / <|Q|^{s/2}>^2 over p["rh_trials"] sampled rational
+def reverse_holder_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+    """Worst <|Q|^s> / <|Q|^{s/2}>^2 over params["rh_trials"] sampled rational
     functions Q, and how many trials gave no finite ratio (failures).
 
     Q is the corner Green entry of a random J-site chain (degree 1 in each
     variable), averaged over _RH_DRAWS disorder draws per trial; the
     inequality says the worst constant stays bounded.
     """
-    records = run_samples(
-        _rh_batch, model, topo, disorder, master_seed, p, p["rh_trials"], workers,
-        checkpoint_path,
-    )
+    records = run_indexed(_rh_batch, ctx, ctx.params["rh_trials"], workers, checkpoint_path)
     ratios = np.array([rec["ratio"] for rec in records])
     finite = ratios[np.isfinite(ratios)]
     return {
@@ -416,32 +409,32 @@ def reverse_holder_check(p, model, topo, disorder, master_seed, workers=1, check
 # the inequalities kind
 
 
-def inequalities(p, model, topo, disorder, master_seed, workers=1, outdir=None):
-    """The inequalities kind: every check above on the parsed estimator
-    fields p; one series row per comparability draw, at every scale."""
-    def seed(j):
-        return derive_sample_seed(master_seed, j)
+def inequalities(ctx: _SampleCtx, workers=1, outdir=None):
+    """The inequalities kind: every check above on the run's context;
+    one series row per comparability draw, at every scale."""
+    p = ctx.params
+
+    def check_ctx(j, **fields):  # the master seed j derives from the run's; fields join params
+        return replace(ctx, master_seed=int(derive_sample_seed(ctx.master_seed, j)),
+                       params={**p, **fields})
 
     # random (x, y) pairs from a dedicated stream
-    pair_stream = Stream(seed(0xA11))
-    n = topo.n_vertices
+    pair_stream = Stream(derive_sample_seed(ctx.master_seed, 0xA11))
+    n = ctx.topo.n_vertices
     one_step = []
     for j in range(p["pairs"]):
         x, y = (int(w * n) for w in pair_stream.uniforms(2))
         one_step.append(one_step_bound_check(
-            {**p, "x": x, "y": y}, model, topo, disorder, seed(1000 + j), workers,
-            checkpoint_path(outdir, f"one_step_{j}"),
+            check_ctx(1000 + j, x=x, y=y), workers, checkpoint_path(outdir, f"one_step_{j}")
         ))
     lem = decoupling_ratio(
-        {**p, "x": 0, "y": min(2, n - 1)}, model, topo, disorder, seed(2000), workers,
-        checkpoint_path(outdir, "decoupling"),
+        check_ctx(2000, x=0, y=min(2, n - 1)), workers, checkpoint_path(outdir, "decoupling")
     )
     comparability, rows = {}, []
     for j, (scale, param_scale) in enumerate(p["scales"]):
+        # checkpoints by position: no config string in a path
         comparability[str(scale)], scale_rows = comparability_scan(
-            {**p, "param_scale": param_scale}, model, topo, disorder, seed(3000), workers,
-            # by position: no config string in a path
-            checkpoint_path(outdir, f"scan_{j}"),
+            check_ctx(3000, param_scale=param_scale), workers, checkpoint_path(outdir, f"scan_{j}")
         )
         rows += scale_rows
     return {
@@ -453,9 +446,9 @@ def inequalities(p, model, topo, disorder, master_seed, workers=1, outdir=None):
         ),
         "comparability": comparability,
         "reverse_holder": reverse_holder_check(
-            p, model, topo, disorder, seed(4000), workers, checkpoint_path(outdir, "rh")
+            check_ctx(4000), workers, checkpoint_path(outdir, "rh")
         ),
-        "vinv": None if model.variant == "alloy" else vinv_moment(
-            {**p, "samples": max(p["samples"], 2000)}, model, disorder, seed(5000)
+        "vinv": None if ctx.model.variant == "alloy" else vinv_moment(
+            check_ctx(5000, samples=max(p["samples"], 2000))
         ),
     }, rows

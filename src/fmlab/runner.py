@@ -15,15 +15,15 @@ kind's estimator table in _KINDS.  A parser returns the checked value, range
 included, or raises ConfigurationError naming the key's path; an absent key
 takes its default through the same parser, _REQUIRED keys must be present,
 and a key no table names is refused.  A rule that spans fields stays with
-its owner (the model and box builders, assembly_plan for the offsets a box
-realizes, check_comparability_regime), called here with the section's path.
-The library checks none of these ranges again.
+its owner (the model and box builders, the assembly plan for the offsets a
+box realizes, check_comparability_regime), called here with the section's
+path.  The library checks none of these ranges again.
 
-parse_config() parses the whole config and runs every rule; run() calls it
-before it touches the outdir, so no config is refused once a run has begun.
-_KINDS maps each kind to its library function, kind(p, model, topo,
-disorder, master_seed, workers, outdir) -> (outputs, rows), which gets the
-parsed estimator fields p and returns what results.json holds.
+parse_config() parses the whole config, runs every rule and builds the
+run's one sample context (estimators.sample_context); run() calls it before
+it touches the outdir, so no config is refused once a run has begun.  _KINDS
+maps each kind to its library function, kind(ctx, workers, outdir) ->
+(outputs, rows), which returns what results.json holds.
 
 Timing and environment stamps go to run_meta.json; results.json and
 series.csv are byte-deterministic functions of (config, master_seed).
@@ -31,6 +31,8 @@ series.csv are byte-deterministic functions of (config, master_seed).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import time
@@ -45,7 +47,7 @@ from . import estimators as est
 from . import inequalities as ineq
 from .engine import canonical_json
 from .errors import ConfigurationError
-from .model import alloy_model, assembly_plan, block_model, singular_covering_model, spencer_model
+from .model import alloy_model, block_model, singular_covering_model, spencer_model
 from .topology import distances_from, make_lattice_box
 
 _VOLATILE_KEYS = ("workers", "out")
@@ -203,16 +205,27 @@ _BINS = {"n": (_COUNT, 64), "lo": (_FINITE, -3), "hi": (_FINITE, 3), "edges": (_
 
 
 def _edges(value, path: str) -> np.ndarray:
-    """The ids histogram edges, strictly increasing: bins.edges, or bins.n
-    equal bins on [bins.lo, bins.hi]."""
+    """The ids histogram edges, strictly increasing: bins.edges (alone), or
+    bins.n equal bins on [bins.lo, bins.hi]."""
     bins = _parse_table(value, _BINS, path)
     if bins["edges"] is not None:
+        if len(value) > 1:
+            raise ConfigurationError(f"{path}: edges excludes n, lo and hi, got {value!r}")
         edges = np.array(bins["edges"])
     else:
         edges = np.linspace(bins["lo"], bins["hi"], bins["n"] + 1)
     if edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ConfigurationError(f"{path}: expected strictly increasing edges, got {value!r}")
     return edges
+
+
+def _scales(value, path: str) -> list:
+    """The comparability scales as (name, real) pairs, the names as written
+    keying the outputs: distinct reals, since each runs one scan."""
+    reals = _reals(value, path)
+    if len(set(reals)) < len(reals):
+        raise ConfigurationError(f"{path}: expected distinct scales, got {value!r}")
+    return list(zip(value, reals))
 
 
 def _eps_list(value, path: str) -> np.ndarray:
@@ -307,11 +320,13 @@ def _fmt_cell(x) -> str:
 
 
 def emit_csv(record: ResultRecord, path: str):
-    """UTF-8 CSV with a header row; floats in 17-significant-digit scientific form."""
-    lines = [",".join(record.columns)]
-    for row in record.rows:
-        lines.append(",".join(_fmt_cell(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """UTF-8 CSV with a header row, quoted as RFC 4180 asks; floats in
+    17-significant-digit scientific form."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(record.columns)
+    writer.writerows([_fmt_cell(c) for c in row] for row in record.rows)
+    _atomic_write(path, text.getvalue())
 
 
 def _atomic_write(path: str, text: str):
@@ -321,21 +336,22 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-# cross-section checks: (estimator fields, model, topology, disorder) -> None,
-# or ConfigurationError for a config whose estimators could not give a result
+# cross-section checks: sample context -> None, or ConfigurationError for a
+# config whose estimators could not give a result
 
 
-def _check_site(p, model, topo, dis):
-    _in(f"[0, {topo.n_vertices})", _integer)(p["x0"], "estimator.x0")
+def _check_site(ctx):
+    _in(f"[0, {ctx.topo.n_vertices})", _integer)(ctx.params["x0"], "estimator.x0")
 
 
-def _check_decay_fit(p, model, topo, dis):
+def _check_decay_fit(ctx):
     """x0 is a site, the sites are coupled, and the fit's 3 distinct distances
     from x0 reach d_min."""
-    _check_site(p, model, topo, dis)
-    if model.coupling == 0.0:
+    _check_site(ctx)
+    p = ctx.params
+    if ctx.model.coupling == 0.0:
         raise ConfigurationError("model.g: inf decouples the sites; every bin beyond x0 is zero")
-    reached = {int(d) for d in distances_from(topo, p["x0"]) if d >= p["d_min"]}
+    reached = {int(d) for d in distances_from(ctx.topo, p["x0"]) if d >= p["d_min"]}
     if len(reached) < 3:
         raise ConfigurationError(
             f"estimator.d_min: {p['d_min']} leaves {len(reached)} distinct distances from "
@@ -343,9 +359,10 @@ def _check_decay_fit(p, model, topo, dis):
         )
 
 
-def _check_comparability(p, model, topo, dis):
+def _check_comparability(ctx):
+    p = ctx.params
     _owned("estimator.{s, l, r, m}", ineq.check_comparability_regime,
-           dis, p["l"], p["m"], p["s"], p["r"])
+           ctx.disorder, p["l"], p["m"], p["s"], p["r"])
 
 
 _SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
@@ -384,8 +401,7 @@ _KINDS = {
         "samples": (_COUNT, 300),
         "draws": (_COUNT, 200),
         "pairs": (_NATURAL, 6),
-        # (name, real) pairs: the names, as written, key the comparability outputs
-        "scales": (lambda v, path: list(zip(v, _reals(v, path))), ["5", "10"]),
+        "scales": (_scales, ["5", "10"]),
         "s": (_NONNEGATIVE, "0.15"),
         "r": (_NONNEGATIVE, "0.15"),
         "l": (_NATURAL, 3),
@@ -415,17 +431,17 @@ _TOP = {
 
 
 def parse_config(cfg: dict) -> tuple:
-    """(top-level fields, estimator fields, model, topology, disorder) of cfg:
-    every key parsed against its table, the model's offsets realizable on the
-    box, and the kind's check passed."""
+    """(top-level fields, the run's sample context) of cfg: every key parsed
+    against its table, the model's offsets realizable on the box, and the
+    kind's check passed."""
     top = _parse_table(cfg, _TOP, "")
     model, topo, dis = build_model(cfg), build_topology(cfg), build_disorder(cfg)
-    _owned("model", assembly_plan, model, topo)
     _, _, fields, check = _KINDS[top["kind"]]
     p = _parse_table(top["estimator"], fields, "estimator")
+    ctx = _owned("model", est.sample_context, p, model, topo, dis, top["master_seed"])
     if check:
-        check(p, model, topo, dis)
-    return top, p, model, topo, dis
+        check(ctx)
+    return top, ctx
 
 
 def _linalg_build() -> dict:
@@ -447,7 +463,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
     and runs are resumable.  An outdir whose config.json has another config
     digest is refused: it and everything beside it belong to that run.
     """
-    top, p, model, topo, dis = parse_config(cfg)
+    top, ctx = parse_config(cfg)
     digest = config_digest(cfg)
 
     if outdir:
@@ -462,7 +478,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
 
     run_kind, columns, _, _ = _KINDS[top["kind"]]
     started = time.time()
-    outputs, rows = run_kind(p, model, topo, dis, top["master_seed"], top["workers"], outdir)
+    outputs, rows = run_kind(ctx, top["workers"], outdir)
     elapsed = time.time() - started
 
     record = ResultRecord(

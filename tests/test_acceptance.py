@@ -22,6 +22,7 @@ from fmlab.estimators import (
     decay_rate_fit,
     dynamical,
     fractional_moment_profile,
+    sample_context,
     wegner,
 )
 from fmlab.inequalities import (
@@ -92,10 +93,10 @@ def test_criterion_1_oracle_equivalence():
         for lam in (0.0, 1.0):
             for eps in (1e-2, 1e-3):
                 p = {"x0": 0, "s": s, "lambda": lam, "eps": eps, "samples": 4000}
-                e1 = fractional_moment_profile(p, model, topo1, UNIFORM, master_seed=111)
+                e1 = fractional_moment_profile(sample_context(p, model, topo1, UNIFORM, 111))
                 gap = abs(e1["means"][0] - _one_site_oracle(s, lam, eps))
                 worst = max(worst, gap / e1["errs"][0])
-                e2 = fractional_moment_profile(p, model, topo2, UNIFORM, master_seed=222)
+                e2 = fractional_moment_profile(sample_context(p, model, topo2, UNIFORM, 222))
                 for y in (0, 1):
                     gap = abs(e2["means"][y] - _two_site_oracle(s, lam, eps, g, y))
                     worst = max(worst, gap / e2["errs"][y])
@@ -115,10 +116,10 @@ def chain40_decay():
     out = {}
     for g in (10.0, 20.0, 40.0):
         model = block_model([[1.0]], [[0.0]], g)
-        out[g] = fractional_moment_profile(
+        out[g] = fractional_moment_profile(sample_context(
             {"x0": 0, "s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 2000}, model, topo,
             UNIFORM, master_seed=20260810,
-        )
+        ))
     return out
 
 
@@ -148,10 +149,10 @@ def test_criterion_2_decay_in_coupling(chain40_decay):
 def test_criterion_3_spencer_decay():
     t0 = time.time()
     topo = make_lattice_box(1, (25,))
-    est = fractional_moment_profile(
+    est = fractional_moment_profile(sample_context(
         {"x0": 0, "s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 2000},
         spencer_model(1.0, 30.0), topo, UNIFORM, master_seed=303,
-    )
+    ))
     fit = decay_rate_fit(est, d_min=4)
     ok = fit["rate"] > 0 and fit["r2"] >= 0.85
     _report(3, ok, f"rate={fit['rate']:.3f}, r2={fit['r2']:.4f} (>=0.85), {time.time() - t0:.0f}s")
@@ -160,21 +161,21 @@ def test_criterion_3_spencer_decay():
 def test_criterion_4_spencer_wegner():
     t0 = time.time()
     # decoupled single-site reproduction of the 1/2 exponent
-    dec = wegner(
+    dec = wegner(sample_context(
         {"lambda0": 1.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025, 0.0125]), "samples": 800},
         spencer_model(1.0, math.inf), make_lattice_box(1, (24,)), UNIFORM, master_seed=17,
-    )[0]["estimate"]
+    ))[0]["estimate"]
     analytic = np.array([0.5 * math.sqrt(e * e + 2.0 * e) for e in dec["eps_list"]])
     mass_ok = bool(
         np.all(np.abs(dec["masses"] - analytic) <= 4.0 * np.maximum(dec["errs"], 1e-4))
     )
     dec_ok = abs(dec["exponent"] - 0.5) <= 0.03 and mass_ok
     # coupled chain at strong disorder keeps the window mass Holder-regular
-    coupled = wegner(
+    coupled = wegner(sample_context(
         {"lambda0": 1.0, "eps_list": np.array([0.2, 0.1, 0.05, 0.025]), "samples": 5000},
         spencer_model(1.0, 50.0), make_lattice_box(1, (20,), periodic=True), UNIFORM,
         master_seed=404,
-    )[0]["estimate"]
+    ))[0]["estimate"]
     ok = dec_ok and coupled["exponent"] >= 0.4
     _report(
         4, ok,
@@ -186,10 +187,10 @@ def test_criterion_4_spencer_wegner():
 @pytest.fixture(scope="module")
 def correlator_chain():
     topo = make_lattice_box(1, (40,))
-    return correlator_decay_profile(
+    return correlator_decay_profile(sample_context(
         {"interval": (-0.5, 0.5), "samples": 800, "x0": 0},
         block_model([[1.0]], [[0.0]], 20.0), topo, UNIFORM, master_seed=606,
-    )
+    ))
 
 
 def test_criterion_5_correlator_bounds(correlator_chain):
@@ -198,12 +199,12 @@ def test_criterion_5_correlator_bounds(correlator_chain):
     scalar_ok = correlator_chain["max_correlator"] <= 1.0 + 1e-8
     # block suite with dynamics: Spencer box, every sample and target checked
     p = {"interval": (-1.0, 1.0), "samples": 200, "x0": 0, "t_points": 256}
-    dyn = dynamical(
+    dyn = dynamical(sample_context(
         p, spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM, master_seed=505,
-    )[0]["estimate"]
-    corr_sp = correlator_decay_profile(
+    ))[0]["estimate"]
+    corr_sp = correlator_decay_profile(sample_context(
         p, spencer_model(1.0, 8.0), make_lattice_box(2, (3, 3)), UNIFORM, master_seed=505,
-    )
+    ))
     block_ok = corr_sp["max_correlator"] <= 2.0 + 1e-8
     dyn_ok = dyn["max_excess_over_2q"] <= 1e-8
     ok = scalar_ok and block_ok and dyn_ok
@@ -237,10 +238,10 @@ def test_criterion_7_one_step_bound():
     for j in range(20):
         w = pair_stream.uniforms(2)
         x, y = int(w[0] * 10), int(w[1] * 10)
-        res = one_step_bound_check(
+        res = one_step_bound_check(sample_context(
             {"x": x, "y": y, "one_step_s": S_THIRD, "lambda": 0.0, "eps": 1e-3, "samples": 300},
             models[j % 3], topo, UNIFORM, derive_sample_seed(700, 1 + j),
-        )
+        ))
         passed += res["pass"]
         violations += res["pointwise_violations"]
     ok = passed == 20 and violations == 0
@@ -256,10 +257,10 @@ def test_criterion_8_comparability():
     spreads = {}
     finite = True
     for scale in (5.0, 10.0):
-        scan, _ = comparability_scan(
+        scan, _ = comparability_scan(sample_context(
             {"l": 3, "m": 3, "s": 0.15, "r": 0.15, "draws": 1000, "param_scale": scale},
             SCALAR, PAIR, UNIFORM, 800,
-        )
+        ))
         finite &= not scan["failures"] and scan["ratio_min"] > 0
         spreads[scale] = scan["ratio_max"] / scan["ratio_min"]
     growth = spreads[10.0] / spreads[5.0]
@@ -278,12 +279,12 @@ def test_criterion_8_comparability():
 
 def test_criterion_9_reverse_holder():
     t0 = time.time()
-    base = reverse_holder_check(
-        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 100}, SCALAR, PAIR, UNIFORM, 900
-    )
-    doubled = reverse_holder_check(
-        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 200}, SCALAR, PAIR, UNIFORM, 900
-    )
+    base = reverse_holder_check(sample_context(
+        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 100}, SCALAR, PAIR, UNIFORM, 900,
+    ))
+    doubled = reverse_holder_check(sample_context(
+        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 200}, SCALAR, PAIR, UNIFORM, 900,
+    ))
     drift = doubled["worst_constant"] / base["worst_constant"]
     ok = (
         math.isfinite(base["worst_constant"])

@@ -14,7 +14,7 @@ import pytest
 from fmlab import estimators, inequalities
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
-from fmlab.estimators import _SampleCtx
+from fmlab.estimators import sample_context
 from fmlab.model import (
     alloy_model,
     assemble,
@@ -67,8 +67,7 @@ KINDS = {
 
 
 def context(model_name, params):
-    model, topo, dis = MODELS[model_name]
-    return _SampleCtx(model, topo, dis, SEED, params, assembly_plan(model, topo))
+    return sample_context(params, *MODELS[model_name], SEED)
 
 
 def payload_bytes(payloads) -> bytes:

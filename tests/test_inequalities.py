@@ -10,7 +10,7 @@ import pytest
 from fmlab import estimators
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import ConfigurationError, NumericalError
-from fmlab.estimators import MAX_RETRIES, _SampleCtx, fractional_moment_profile
+from fmlab.estimators import MAX_RETRIES, fractional_moment_profile, sample_context
 from fmlab.inequalities import (
     RatioIntegralSpec,
     _comparability_batch,
@@ -24,7 +24,6 @@ from fmlab.inequalities import (
 )
 from fmlab.model import (
     alloy_model,
-    assembly_plan,
     block_model,
     singular_covering_model,
     spencer_model,
@@ -39,10 +38,6 @@ SCALAR, PAIR = block_model([[1.0]], [[0.0]], 5.0), make_lattice_box(1, (2,))
 
 def scan_fields(l, m, s, r, draws, param_scale):
     return {"l": l, "m": m, "s": s, "r": r, "draws": draws, "param_scale": param_scale}
-
-
-def scan_context(measure, p, master_seed):
-    return _SampleCtx(SCALAR, PAIR, measure, master_seed, p, assembly_plan(SCALAR, PAIR))
 
 
 def test_empty_products_give_one():
@@ -85,13 +80,15 @@ def test_comparability_fixed_draw_stability():
 
 
 def test_comparability_scan_trivial_and_positive():
-    scan, _ = comparability_scan(scan_fields(0, 0, 0.2, 0.2, 10, 5.0), SCALAR, PAIR, UNIFORM, 42)
+    scan, _ = comparability_scan(
+        sample_context(scan_fields(0, 0, 0.2, 0.2, 10, 5.0), SCALAR, PAIR, UNIFORM, 42)
+    )
     assert scan["ratio_min"] == pytest.approx(1.0, abs=1e-9)
     assert scan["ratio_max"] == pytest.approx(1.0, abs=1e-9)
 
-    scan2, _ = comparability_scan(
-        scan_fields(2, 2, 0.15, 0.15, 60, 5.0), SCALAR, PAIR, UNIFORM, 43
-    )
+    scan2, _ = comparability_scan(sample_context(
+        scan_fields(2, 2, 0.15, 0.15, 60, 5.0), SCALAR, PAIR, UNIFORM, 43,
+    ))
     assert scan2["ratio_min"] > 0.0
     assert math.isfinite(scan2["ratio_max"])
     assert not scan2["failures"]
@@ -99,9 +96,9 @@ def test_comparability_scan_trivial_and_positive():
 
 def test_comparability_lower_bound_positive_across_catalog():
     for measure in (UNIFORM, make_spec("gaussian", (0, 1)), make_spec("heavy_tail", (4.0,))):
-        scan, _ = comparability_scan(
-            scan_fields(1, 1, 0.2, 0.2, 40, 4.0), SCALAR, PAIR, measure, 44
-        )
+        scan, _ = comparability_scan(sample_context(
+            scan_fields(1, 1, 0.2, 0.2, 40, 4.0), SCALAR, PAIR, measure, 44,
+        ))
         assert scan["ratio_min"] > 0.0 and not scan["failures"]
 
 
@@ -118,7 +115,7 @@ SCAN_CASES = {
 def test_comparability_batch_matches_batch_of_one(case):
     # a chunk shares its stream, its integrand call and its quadrature rounds
     measure, l, m, s, r, scale = SCAN_CASES[case]
-    ctx = scan_context(measure, scan_fields(l, m, s, r, 23, scale), 4242)
+    ctx = sample_context(scan_fields(l, m, s, r, 23, scale), SCALAR, PAIR, measure, 4242)
     batch = json.dumps(_comparability_batch(ctx, range(23)))
     alone = json.dumps([_comparability_batch(ctx, [i])[0] for i in range(23)])
     assert batch == alone
@@ -129,9 +126,9 @@ def test_heavy_tail_comparability_at_the_moment_edge():
     # needs q0 >= (s + r) / (1 - r) = 0.5
     above = make_spec("heavy_tail", (0.55,))
     fields = scan_fields(1, 1, 0.2, 0.2, 12, 4.0)
-    scan, _ = comparability_scan(fields, SCALAR, PAIR, above, 45)
+    scan, _ = comparability_scan(sample_context(fields, SCALAR, PAIR, above, 45))
     assert not scan["failures"] and scan["ratio_min"] > 0.0 and math.isfinite(scan["ratio_max"])
-    for rec in _comparability_batch(scan_context(above, fields, 45), range(12)):
+    for rec in _comparability_batch(sample_context(fields, SCALAR, PAIR, above, 45), range(12)):
         a, b = (tuple(complex(*p) for p in rec[k]) for k in ("a", "b"))
         tail = _integration_domain(RatioIntegralSpec(a, b, 0.2, 0.2, above))[2]
         assert 0.0 < tail <= rec["error_bound"]
@@ -148,7 +145,8 @@ def test_heavy_tail_without_the_moment_fails_fast():
         ratio_integral(RatioIntegralSpec((1.0, 2.0j), (), 0.25, 0.0, measure))
     with pytest.raises(NumericalError, match="tail"):
         _comparability_batch(
-            scan_context(measure, scan_fields(2, 1, 0.25, 0.2, 23, 3.0), 7), range(23)
+            sample_context(scan_fields(2, 1, 0.25, 0.2, 23, 3.0), SCALAR, PAIR, measure, 7),
+            range(23),
         )
     assert time.perf_counter() - start < 5.0
 
@@ -156,7 +154,9 @@ def test_heavy_tail_without_the_moment_fails_fast():
 def test_vinv_scalar_analytic():
     # <|v|^(-1/2)> over uniform(-1,1): 2 * integral_0^1 v^(-1/2) dv / 2 = 2
     model = block_model([[1.0]], [[0.0]], 5.0)
-    res = vinv_moment({"lambda": 0.0, "vinv_s": 0.5, "samples": 60_000}, model, UNIFORM, 7)
+    res = vinv_moment(
+        sample_context({"lambda": 0.0, "vinv_s": 0.5, "samples": 60_000}, model, PAIR, UNIFORM, 7)
+    )
     oracle, _ = integrate(lambda v: 0.5 * np.abs(v) ** -0.5, -1, 1, singular_points=[0.0])
     assert oracle == pytest.approx(2.0, rel=1e-8)
     assert res["value"] == pytest.approx(oracle, abs=4.0 * res["err"])
@@ -165,8 +165,8 @@ def test_vinv_scalar_analytic():
 def test_vinv_singular_covering_bounded_in_g():
     # the averaged inverse-potential moment does not grow with the coupling
     vals = [
-        vinv_moment({"lambda": 0.0, "vinv_s": 0.5, "samples": 4000}, singular_covering_model(g),
-                    UNIFORM, 11)["value"]
+        vinv_moment(sample_context({"lambda": 0.0, "vinv_s": 0.5, "samples": 4000},
+                                   singular_covering_model(g), PAIR, UNIFORM, 11))["value"]
         for g in (2.0, 8.0, 32.0)
     ]
     assert max(vals) / min(vals) < 1.5  # g never enters the single-site law
@@ -178,7 +178,9 @@ def test_vinv_lambda_scaling():
     s = 0.4
     scaled = []
     for lam in (2.0, 4.0, 8.0, 16.0):
-        res = vinv_moment({"lambda": lam, "vinv_s": s, "samples": 4000}, model, UNIFORM, 13)
+        res = vinv_moment(
+            sample_context({"lambda": lam, "vinv_s": s, "samples": 4000}, model, PAIR, UNIFORM, 13)
+        )
         scaled.append(res["value"] * (1.0 + abs(lam)) ** s)
     assert max(scaled) / min(scaled) < 3.0
 
@@ -187,9 +189,9 @@ def test_one_step_decoupled_cases():
     topo = make_lattice_box(1, (4,))
     dec = block_model([[1.0]], [[0.0]], math.inf)
     p = {"one_step_s": 0.5, "lambda": 0.0, "eps": 1e-2, "samples": 100}
-    off = one_step_bound_check({**p, "x": 0, "y": 2}, dec, topo, UNIFORM, 3)
+    off = one_step_bound_check(sample_context({**p, "x": 0, "y": 2}, dec, topo, UNIFORM, 3))
     assert off["lhs"] == 0.0 and off["pass"]
-    diag = one_step_bound_check({**p, "x": 1, "y": 1}, dec, topo, UNIFORM, 3)
+    diag = one_step_bound_check(sample_context({**p, "x": 1, "y": 1}, dec, topo, UNIFORM, 3))
     # G(V - z) = I on the diagonal in the decoupled limit
     assert diag["lhs"] == pytest.approx(1.0, abs=1e-9)
     assert diag["rhs"] == pytest.approx(1.0, abs=1e-9)
@@ -209,7 +211,7 @@ def test_one_step_never_violated_pointwise():
             x, y = (int(v) for v in rng.integers(0, 8, 2))
             p = {"x": x, "y": y, "one_step_s": 1.0 / 3.0, "lambda": 0.0, "eps": 1e-3,
                  "samples": 150}
-            res = one_step_bound_check(p, model, topo, UNIFORM, 71)
+            res = one_step_bound_check(sample_context(p, model, topo, UNIFORM, 71))
             assert res["pointwise_violations"] == 0
             assert res["pass"]
 
@@ -221,7 +223,7 @@ def test_decoupling_scalar_limit_matches_quadrature():
     s, eps = 0.4, 1e-3
     p = {"x": 1, "y": 1, "decoupling_s": s, "lambda_grid": [0.0, 0.5], "eps": eps,
          "samples": 4000}
-    out = decoupling_ratio(p, model, topo, UNIFORM, 77)
+    out = decoupling_ratio(sample_context(p, model, topo, UNIFORM, 77))
     for entry in out:
         lam = entry["lambda"]
         den_oracle, _ = integrate(
@@ -239,8 +241,8 @@ def test_decoupling_spencer_positive_and_stable():
     model = spencer_model(1.0, 20.0)
     grid = [0.0, 0.5, 1.0, 2.0]
     p = {"x": 2, "y": 5, "decoupling_s": 0.2, "lambda_grid": grid, "eps": 1e-3}
-    half = decoupling_ratio({**p, "samples": 300}, model, topo, UNIFORM, 83)
-    full = decoupling_ratio({**p, "samples": 600}, model, topo, UNIFORM, 83)
+    half = decoupling_ratio(sample_context({**p, "samples": 300}, model, topo, UNIFORM, 83))
+    full = decoupling_ratio(sample_context({**p, "samples": 600}, model, topo, UNIFORM, 83))
     r_half = [e["ratio"] for e in half]
     r_full = [e["ratio"] for e in full]
     assert min(r_full) > 0.0
@@ -253,7 +255,7 @@ def test_decoupling_alloy_scalar_form():
     model = alloy_model({0: 1.0, 1: -1.0}, 20.0)
     p = {"x": 1, "y": 4, "decoupling_s": 0.2, "lambda_grid": [0.0, 1.0], "eps": 1e-3,
          "samples": 300}
-    out = decoupling_ratio(p, model, topo, UNIFORM, 87)
+    out = decoupling_ratio(sample_context(p, model, topo, UNIFORM, 87))
     assert all(e["ratio"] > 0.0 for e in out if not e["skipped"])
 
 
@@ -261,7 +263,7 @@ def test_decoupling_decoupled_offdiagonal_skipped():
     topo = make_lattice_box(1, (4,))
     model = block_model([[1.0]], [[0.0]], math.inf)
     p = {"x": 0, "y": 3, "decoupling_s": 0.3, "lambda_grid": [0.0], "eps": 1e-2, "samples": 120}
-    out = decoupling_ratio(p, model, topo, UNIFORM, 91)
+    out = decoupling_ratio(sample_context(p, model, topo, UNIFORM, 91))
     assert out[0]["skipped"]
 
 
@@ -287,9 +289,9 @@ def test_reverse_holder_single_pole_quadrature_agreement():
 
 
 def test_reverse_holder_cramer_scan_finite():
-    res = reverse_holder_check(
-        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 40}, SCALAR, PAIR, UNIFORM, 101
-    )
+    res = reverse_holder_check(sample_context(
+        {"rh_s": 0.2, "rh_j": 2, "rh_trials": 40}, SCALAR, PAIR, UNIFORM, 101,
+    ))
     assert math.isfinite(res["worst_constant"])
     assert res["worst_constant"] >= 1.0  # Jensen floor
     assert not res["failures"]
@@ -301,19 +303,19 @@ SINGULAR = block_model([[0.0]], [[0.0]], math.inf)  # H = 0: every solve at z = 
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda topo: fractional_moment_profile(
+        lambda topo: fractional_moment_profile(sample_context(
             {"x0": 0, "s": 0.3, "lambda": 0.0, "eps": 0.0, "samples": 100}, SINGULAR, topo,
             UNIFORM, 1,
-        ),
-        lambda topo: one_step_bound_check(
+        )),
+        lambda topo: one_step_bound_check(sample_context(
             {"x": 0, "y": 1, "one_step_s": 0.3, "lambda": 0.0, "eps": 0.0, "samples": 100},
             SINGULAR, topo, UNIFORM, 1,
-        ),
-        lambda topo: decoupling_ratio(
+        )),
+        lambda topo: decoupling_ratio(sample_context(
             {"x": 0, "y": 1, "decoupling_s": 0.2, "lambda_grid": [0.0], "eps": 0.0,
              "samples": 100},
             SINGULAR, topo, UNIFORM, 1,
-        ),
+        )),
     ],
     ids=["fractional_moment_profile", "one_step_bound_check", "decoupling_ratio"],
 )

@@ -1,5 +1,6 @@
 """Runner contracts: config handling, determinism, checkpointing, artifacts."""
 
+import csv
 import glob
 import json
 import math
@@ -493,10 +494,18 @@ def _with_estimator(kind, **fields):
                      "estimator.vinv_s", id="inequalities-vinv-s-malformed"),
         pytest.param(_with_estimator("inequalities", scales="10"), [],
                      "estimator.scales", id="inequalities-scales-string"),
+        pytest.param(_with_estimator("inequalities", scales=["5", "5"]), [],
+                     "estimator.scales", id="inequalities-scales-repeated"),
+        pytest.param(_with_estimator("inequalities", scales=["5", "10", "5.0"]), [],
+                     "estimator.scales", id="inequalities-scales-repeated-value"),
         pytest.param(_with_estimator("inequalities", lambda_grid="0"), [],
                      "estimator.lambda_grid", id="inequalities-lambda-grid-string"),
         pytest.param(_with_estimator("ids", bins={"edges": "012"}), [],
                      "estimator.bins.edges", id="ids-bins-edges-string"),
+        pytest.param(_with_estimator("ids", bins={"edges": ["-1", "0", "1"], "n": 10, "lo": "-5"}),
+                     [], "estimator.bins", id="ids-bins-edges-with-n-and-lo"),
+        pytest.param(_with_estimator("ids", bins={"edges": ["-1", "0", "1"], "hi": "5"}), [],
+                     "estimator.bins", id="ids-bins-edges-with-hi"),
         pytest.param(_with_estimator("decay", eps="-1e-3"), [],
                      "estimator.eps", id="decay-eps-negative"),
         pytest.param(_with_estimator("inequalities", eps="-1e-3"), [],
@@ -815,7 +824,7 @@ def test_shipped_configs_validate():
     assert len(shipped) >= 6 and len(bench) >= 7
     for path in shipped + bench:
         cfg = load_config(path)
-        top, _, _, _, _ = parse_config(cfg)  # every key, every range, every check
+        top, _ = parse_config(cfg)  # every key, every range, every check
         assert top["kind"] in os.path.basename(path) or top["kind"] in ("ids",)
 
 
@@ -906,8 +915,18 @@ def test_inequalities_series_keeps_every_scale(tmp_path):
     assert [row[0] for row in rec.rows] == [5.0] * 12 + [10.0] * 12 + [20.0] * 12
     assert [row[1] for row in rec.rows] == list(range(12)) * 3
     emit_csv(rec, str(tmp_path / "series.csv"))
-    csv = (tmp_path / "series.csv").read_text().splitlines()
-    assert csv[0] == "scale,draw,parameters,lhs,rhs,ratio" and len(csv) == 1 + 3 * 12
+    lines = (tmp_path / "series.csv").read_text().splitlines()
+    assert lines[0] == "scale,draw,parameters,lhs,rhs,ratio" and len(lines) == 1 + 3 * 12
+    # the parameters cell is JSON, commas and quotes included: every row parses to the
+    # header's 6 cells, and the cell reads back as its draw's points from the checkpoint
+    with open(tmp_path / "series.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for j in range(3):
+        draws, _ = checkpoint_prefix(str(tmp_path / "iq" / f"samples.scan_{j}.jsonl"))
+        for i, draw in enumerate(draws):
+            row = rows[12 * j + i]
+            assert len(row) == 6
+            assert json.loads(row[2]) == {"a": draw["a"], "b": draw["b"]}
 
 
 @pytest.mark.parametrize("kind", sorted(TINY_CFGS))
@@ -919,6 +938,20 @@ def test_every_kind_is_identical_across_worker_counts(kind, tmp_path):
         outputs.append(_artifacts(out))
     assert "results.json" in outputs[0] and len(outputs[0]) >= 2
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_CFGS))
+def test_a_run_builds_one_assembly_plan(kind, monkeypatch):
+    # parse_config builds the run's one sample context, plan included, and every scan shares it
+    from fmlab import estimators, inequalities, model, runner
+
+    calls = []
+    real = model.assembly_plan
+    for module in (model, estimators, inequalities, runner):
+        if hasattr(module, "assembly_plan"):
+            monkeypatch.setattr(module, "assembly_plan", lambda *a: calls.append(a) or real(*a))
+    run(TINY_CFGS[kind])
+    assert len(calls) == 1
 
 
 def _key_paths(node, prefix=""):
