@@ -7,8 +7,9 @@ function here, kind(ctx, workers=1, outdir=None) -> (outputs, rows): ctx is
 the run's sample context (sample_context: the operator family, the master
 seed, the kind's parsed estimator fields as ctx.params and the assembly
 plan, built once per run), outputs is what results.json holds and rows are
-its series rows.  An estimate is a plain dict whose arrays stay numpy until
-the record is written.  decay and correlator fit their estimate in a
+its series rows.  Its scan's batch function returns records of the dtype the
+scan declares.  An estimate is a plain dict whose arrays stay numpy until
+results.json is written.  decay and correlator fit their estimate in a
 separate step, so their estimates have functions of their own.
 
 Every estimator derives sample i's random stream from (master_seed, i), so
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .disorder import DisorderSpec, sample_vector
-from .engine import checkpoint_path, run_indexed
+from .engine import checkpoint_path, records, run_indexed
 from .errors import DegenerateFitError, NumericalError, ResampleSignal
 from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window
 from .numerics import (
@@ -167,22 +168,18 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
     raise NumericalError("persistent singular factorization", failed.digest)
 
 
-def _eigvals_batch(ctx: _SampleCtx, indices) -> list:
-    return solve_resampled(ctx, indices, hermitian_eigvals)[0]
-
-
 # ---------------------------------------------------------------------------
 # fractional moments and decay fits
 
 
-def _moment_batch(ctx: _SampleCtx, indices) -> list:
+def _moment_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
 
     def moments(h):
         return opnorm_batch(resolvent_profile(h, p["lambda"], p["eps"], p["x0"])) ** p["s"]
 
     rows, retries = solve_resampled(ctx, indices, moments)
-    return [{"m": m.tolist(), "r": r} for m, r in zip(rows, retries)]
+    return records(m=rows, r=retries)
 
 
 def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
@@ -196,12 +193,12 @@ def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) 
     if p["s"] > s_bound + 1e-12:
         flags.append(f"s={p['s']:g} above the decay-bound window {s_bound:g}")
     samples = p["samples"]
-    payloads = run_indexed(_moment_batch, ctx, samples, workers, checkpoint_path)
-    values = np.asarray([q["m"] for q in payloads], dtype=np.float64)
-    resamples = int(sum(q["r"] for q in payloads))
+    dtype = np.dtype([("m", "f8", ctx.topo.n_vertices), ("r", "i8")])
+    recs = run_indexed(_moment_batch, ctx, dtype, samples, workers, checkpoint_path)
+    resamples = int(recs["r"].sum())
     if resamples > RESAMPLE_FLAG_FRACTION * samples:
         flags.append(f"excessive resamples: {resamples}")
-    mean, mom, err = _group_stats(values)
+    mean, mom, err = _group_stats(recs["m"])
     return {
         "s": p["s"],
         "lambda": p["lambda"],
@@ -304,7 +301,7 @@ def default_eps(ctx: _SampleCtx) -> float:
     Uses the spectrum of sample 0; recorded per experiment, since the i0
     limit itself is not computable.
     """
-    vals = run_indexed(_eigvals_batch, ctx, 1)[0]
+    vals = solve_resampled(ctx, [0], hermitian_eigvals)[0][0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 
@@ -313,8 +310,8 @@ def default_eps(ctx: _SampleCtx) -> float:
 # density of states and spectral-window masses
 
 
-def _ids_batch(ctx: _SampleCtx, indices) -> list:
-    vals = np.asarray(_eigvals_batch(ctx, indices))
+def _ids_batch(ctx: _SampleCtx, indices) -> np.ndarray:
+    vals = np.asarray(solve_resampled(ctx, indices, hermitian_eigvals)[0])
     edges = ctx.params["bins"]
     nbins = edges.size - 1
     # np.histogram's bins (the last one closed), eigenvalues beyond the edges
@@ -322,7 +319,7 @@ def _ids_batch(ctx: _SampleCtx, indices) -> list:
     bins = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, nbins - 1)
     bins += nbins * np.arange(len(indices))[:, None]
     counts = np.bincount(bins.ravel(), minlength=len(indices) * nbins).reshape(-1, nbins)
-    return [{"c": c.tolist()} for c in counts]
+    return records(c=counts)
 
 
 def ids(ctx: _SampleCtx, workers=1, outdir=None):
@@ -334,21 +331,20 @@ def ids(ctx: _SampleCtx, workers=1, outdir=None):
     """
     p = ctx.params
     edges = p["bins"]
-    payloads = run_indexed(_ids_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
-    dim = ctx.topo.n_vertices * ctx.model.k_ambient
-    counts = np.asarray([q["c"] for q in payloads], dtype=np.float64) / dim
-    masses, _, errs = _group_stats(counts)
+    dtype = np.dtype([("c", "i8", edges.size - 1)])
+    recs = run_indexed(_ids_batch, ctx, dtype, p["samples"], workers, checkpoint_path(outdir))
+    masses, _, errs = _group_stats(recs["c"] / (ctx.topo.n_vertices * ctx.model.k_ambient))
     e = {"edges": edges, "masses": masses, "errs": errs, "n_samples": p["samples"],
          "master_seed": ctx.master_seed}
     outputs = {"total_mass": float(np.sum(masses)), "estimate": e}
     return outputs, _series((edges[:-1], edges[1:], masses, errs))
 
 
-def _window_batch(ctx: _SampleCtx, indices) -> list:
-    vals = np.asarray(_eigvals_batch(ctx, indices))[:, None, :]
+def _window_batch(ctx: _SampleCtx, indices) -> np.ndarray:
+    vals = np.asarray(solve_resampled(ctx, indices, hermitian_eigvals)[0])[:, None, :]
     lam0, eps = ctx.params["lambda0"], ctx.params["eps_list"][:, None]
     counts = np.sum((vals >= lam0 - eps) & (vals <= lam0 + eps), axis=-1)
-    return [{"c": c.tolist()} for c in counts]
+    return records(c=counts)
 
 
 def wegner(ctx: _SampleCtx, workers=1, outdir=None):
@@ -360,8 +356,9 @@ def wegner(ctx: _SampleCtx, workers=1, outdir=None):
     flags = []
     if eps[0] / eps[-1] < 10.0 - 1e-9:
         flags.append(f"eps grid spans only {eps[0] / eps[-1]:.1f}x (< one decade)")
-    payloads = run_indexed(_window_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
-    counts = np.asarray([q["c"] for q in payloads], dtype=np.float64)
+    dtype = np.dtype([("c", "i8", eps.size)])
+    counts = run_indexed(_window_batch, ctx, dtype, p["samples"], workers,
+                         checkpoint_path(outdir))["c"].astype(np.float64)
     expected = np.mean(counts[:, 0])
     if expected < 50.0:
         flags.append(f"largest window holds {expected:.1f} eigenvalues on average (< 50)")
@@ -452,20 +449,20 @@ def _dynamical_sup(nus, blocks, x0: int, t_grid) -> np.ndarray:
     return opnorm_batch(ev).max(axis=0)
 
 
-def _correlator_batch(ctx: _SampleCtx, indices) -> list:
+def _correlator_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
 
     def targets(h):
-        return [{"q": correlator_targets(sd, interval, x0).tolist()} for sd in hermitian_eig(h)]
+        return [correlator_targets(sd, interval, x0) for sd in hermitian_eig(h)]
 
-    return solve_resampled(ctx, indices, targets)[0]
+    return records(q=solve_resampled(ctx, indices, targets)[0])
 
 
 def correlator_decay_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
     """The correlator estimate: the disorder-averaged eigenfunction correlator
     against graph distance, and its largest sample value."""
-    payloads = run_indexed(_correlator_batch, ctx, ctx.params["samples"], workers, checkpoint_path)
-    values = np.asarray([q["q"] for q in payloads], dtype=np.float64)
+    values = run_indexed(_correlator_batch, ctx, np.dtype([("q", "f8", ctx.topo.n_vertices)]),
+                         ctx.params["samples"], workers, checkpoint_path)["q"]
     qmax = float(np.max(values)) if values.size else 0.0
     return {**_distance_profile(ctx, values), "max_correlator": qmax, "k": ctx.model.k_ambient}
 
@@ -485,7 +482,7 @@ def correlator(ctx: _SampleCtx, workers=1, outdir=None):
     return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"])
 
 
-def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
+def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
 
     def targets(h):
@@ -493,12 +490,11 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> list:
         for sd in hermitian_eig(h):
             t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
             nus, blocks = _cluster_blocks_all_targets(sd, interval, x0)
-            sup = _dynamical_sup(nus, blocks, x0, t_grid)
-            q = opnorm_batch(blocks).sum(axis=0)
-            out.append({"u": sup.tolist(), "q": q.tolist()})
+            out.append((_dynamical_sup(nus, blocks, x0, t_grid), opnorm_batch(blocks).sum(axis=0)))
         return out
 
-    return solve_resampled(ctx, indices, targets)[0]
+    sups, qs = zip(*solve_resampled(ctx, indices, targets)[0])
+    return records(u=sups, q=qs)
 
 
 def dynamical(ctx: _SampleCtx, workers=1, outdir=None):
@@ -509,9 +505,9 @@ def dynamical(ctx: _SampleCtx, workers=1, outdir=None):
     (should stay <= ~1e-8) and how often the unproven factor-1 bound also held.
     """
     p = ctx.params
-    payloads = run_indexed(_dynamical_batch, ctx, p["samples"], workers, checkpoint_path(outdir))
-    sups = np.asarray([q["u"] for q in payloads], dtype=np.float64)
-    qs = np.asarray([q["q"] for q in payloads], dtype=np.float64)
+    dtype = np.dtype([(field, "f8", ctx.topo.n_vertices) for field in ("u", "q")])
+    recs = run_indexed(_dynamical_batch, ctx, dtype, p["samples"], workers, checkpoint_path(outdir))
+    sups, qs = recs["u"], recs["q"]
     off = np.ones(ctx.topo.n_vertices, dtype=bool)
     off[p["x0"]] = False
     excess = float(np.max(sups[:, off] - 2.0 * qs[:, off])) if np.any(off) else 0.0

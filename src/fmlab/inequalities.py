@@ -12,8 +12,8 @@ checkpoint_path=None) returns its results.json entry, where ctx is the
 run's sample context with the check's own master seed and the few params
 the kind sets per call (x and y for a pair, param_scale for a scale).  Every
 scan runs on run_indexed, so its draws come from per-index derived streams:
-deterministic, and parallel like the Monte Carlo estimators.  Quadrature
-values carry explicit error bounds.
+deterministic, and parallel like the Monte Carlo estimators, with records
+declared in the same way.  Quadrature values carry explicit error bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .disorder import DisorderSpec, density, sample_vector, support
-from .engine import canonical_json, checkpoint_path, run_indexed
+from .engine import canonical_json, checkpoint_path, records, run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import potential_block, decay_exponent_window
 from .numerics import opnorm_batch, resolvent_profile
@@ -36,6 +36,7 @@ _TAIL_REL = 1e-8  # target tail contribution relative to the comparability targe
 _SCAN_REL_TOL = 1e-7  # quadrature tolerance of comparability_scan
 _RH_DRAWS = 20000  # disorder draws per reverse-Holder trial
 _RH_PARAM_SCALE = 2.0  # reverse-Holder potential offsets lie in [-scale, scale]
+_RH = np.dtype([("ratio", "f8"), ("m_s", "f8"), ("m_s2", "f8"), ("lambda", "f8"), ("hop", "f8")])
 
 
 @dataclass(frozen=True)
@@ -146,36 +147,25 @@ def _ratio_integrals(specs, rel_tol: float) -> list:
     return [(float(value), float(err + tail)) for (value, err), tail in zip(results, tails)]
 
 
-def _complex_points(w: np.ndarray, scale: float) -> list:
-    """Points scale * w[2k] * exp(2 pi i w[2k+1]) from a row of uniforms."""
-    radius = scale * w[0::2]
-    angle = 2.0 * math.pi * w[1::2]
-    return [complex(rad * math.cos(th), rad * math.sin(th)) for rad, th in zip(radius, angle)]
+def _complex_points(w: np.ndarray, scale: float) -> np.ndarray:
+    """Points scale * w[:, 2k] * exp(2 pi i w[:, 2k+1]), shape (rows, k), from rows of uniforms."""
+    radius, angle = scale * w[:, 0::2], 2.0 * math.pi * w[:, 1::2]
+    points = [[complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(*row)]
+              for row in zip(radius, angle)]
+    return np.array(points, dtype=np.complex128).reshape(radius.shape)
 
 
-def _comparability_batch(ctx: _SampleCtx, indices) -> list:
+def _comparability_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices)))
-    wa = stream.uniforms(2 * p["l"])
-    wb = stream.uniforms(2 * p["m"])
-    specs = [
-        RatioIntegralSpec(a=tuple(_complex_points(ra, p["param_scale"])),
-                          b=tuple(_complex_points(rb, p["param_scale"])),
-                          s=p["s"], r=p["r"], measure=ctx.disorder)
-        for ra, rb in zip(wa, wb)
-    ]
-    out = []
-    for spec, (value, err) in zip(specs, _ratio_integrals(specs, _SCAN_REL_TOL)):
-        target = spec.target()
-        out.append({
-            "a": [[pt.real, pt.imag] for pt in spec.a],
-            "b": [[pt.real, pt.imag] for pt in spec.b],
-            "lhs": value,
-            "rhs": target,
-            "ratio": value / target,
-            "error_bound": err,
-        })
-    return out
+    a = _complex_points(stream.uniforms(2 * p["l"]), p["param_scale"])
+    b = _complex_points(stream.uniforms(2 * p["m"]), p["param_scale"])
+    specs = [RatioIntegralSpec(a=tuple(pa), b=tuple(pb), s=p["s"], r=p["r"], measure=ctx.disorder)
+             for pa, pb in zip(a, b)]
+    value, err = np.array(_ratio_integrals(specs, _SCAN_REL_TOL)).T
+    target = np.array([spec.target() for spec in specs])
+    return records(a=np.stack([a.real, a.imag], -1), b=np.stack([b.real, b.imag], -1),  # [re, im]
+                   lhs=value, rhs=target, ratio=value / target, error_bound=err)
 
 
 def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, r: float):
@@ -200,18 +190,18 @@ def comparability_scan(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     constants are from each other.
     """
     p = ctx.params
-    records = run_indexed(_comparability_batch, ctx, p["draws"], workers, checkpoint_path)
-    ratios = np.array([rec["ratio"] for rec in records])
+    dtype = np.dtype([("a", "f8", (p["l"], 2)), ("b", "f8", (p["m"], 2)), ("lhs", "f8"),
+                      ("rhs", "f8"), ("ratio", "f8"), ("error_bound", "f8")])
+    recs = run_indexed(_comparability_batch, ctx, dtype, p["draws"], workers, checkpoint_path)
+    ratios = recs["ratio"]
     entry = {
         "ratio_min": float(np.min(ratios)),
         "ratio_max": float(np.max(ratios)),
         "failures": int(np.sum(~np.isfinite(ratios) | (ratios <= 0.0))),
     }
-    rows = [
-        [p["param_scale"], i, canonical_json({"a": rec["a"], "b": rec["b"]}),
-         rec["lhs"], rec["rhs"], rec["ratio"]]
-        for i, rec in enumerate(records)
-    ]
+    columns = (recs[field].tolist() for field in ("a", "b", "lhs", "rhs", "ratio"))
+    rows = [[p["param_scale"], i, canonical_json({"a": a, "b": b}), lhs, rhs, ratio]
+            for i, (a, b, lhs, rhs, ratio) in enumerate(zip(*columns))]
     return entry, rows
 
 
@@ -244,7 +234,7 @@ def vinv_moment(ctx: _SampleCtx) -> dict:
     return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
 
 
-def _one_step_batch(ctx: _SampleCtx, indices) -> list:
+def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
     x, y, s, lam, eps = p["x"], p["y"], p["one_step_s"], p["lambda"], p["eps"]
     scale = (ctx.model.c_b3 * ctx.model.coupling) ** s
@@ -255,13 +245,14 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> list:
         vy = potential_block(h, y) - complex(lam, eps) * np.eye(h.k, dtype=np.complex128)
         lhs = opnorm_batch(prof[:, y] @ vy).tolist()
         gnorms = opnorm_batch(prof[:, neighbors]).tolist()
-        # Python float powers and sums, one element at a time
+        # Python float powers and sums, one element at a time (numpy's ** rounds apart)
         return [
-            {"lhs": lg ** s, "rhs": scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0)}
+            (lg ** s, scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0))
             for lg, gs in zip(lhs, gnorms)
         ]
 
-    return solve_resampled(ctx, indices, sides)[0]
+    lhs, rhs = zip(*solve_resampled(ctx, indices, sides)[0])
+    return records(lhs=lhs, rhs=rhs)
 
 
 def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
@@ -273,9 +264,9 @@ def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     t^s); a failure here indicates a numerics bug, not statistics.
     """
     p = ctx.params
-    payloads = run_indexed(_one_step_batch, ctx, p["samples"], workers, checkpoint_path)
-    lhs = np.array([q["lhs"] for q in payloads])
-    rhs = np.array([q["rhs"] for q in payloads])
+    dtype = np.dtype([("lhs", "f8"), ("rhs", "f8")])
+    recs = run_indexed(_one_step_batch, ctx, dtype, p["samples"], workers, checkpoint_path)
+    lhs, rhs = recs["lhs"], recs["rhs"]
     lm, _, le = _group_stats(lhs[:, None])
     rm_, _, re_ = _group_stats(rhs[:, None])
     sigma = math.sqrt(float(le[0]) ** 2 + float(re_[0]) ** 2)
@@ -290,7 +281,7 @@ def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     }
 
 
-def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
+def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
     x, y, s, eps = p["x"], p["y"], p["decoupling_s"], p["eps"]
 
@@ -302,13 +293,14 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> list:
             vy = potential_block(h, y) - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy).tolist())
             dens.append(opnorm_batch(gxy).tolist())
-        # Python float powers, one element at a time
+        # Python float powers, one element at a time (numpy's ** rounds apart)
         return [
-            {"num": [t ** s for t in num], "den": [t ** s for t in den]}
+            ([t ** s for t in num], [t ** s for t in den])
             for num, den in zip(zip(*nums), zip(*dens))
         ]
 
-    return solve_resampled(ctx, indices, terms)[0]
+    nums, dens = zip(*solve_resampled(ctx, indices, terms)[0])
+    return records(num=nums, den=dens)
 
 
 def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
@@ -324,9 +316,9 @@ def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     s_bound = decay_exponent_window(ctx.model.k, dis.declared_alpha, dis.declared_q)
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
-    payloads = run_indexed(_decoupling_batch, ctx, p["samples"], workers, checkpoint_path)
-    nums = np.array([q["num"] for q in payloads])
-    dens = np.array([q["den"] for q in payloads])
+    dtype = np.dtype([(field, "f8", len(p["lambda_grid"])) for field in ("num", "den")])
+    recs = run_indexed(_decoupling_batch, ctx, dtype, p["samples"], workers, checkpoint_path)
+    nums, dens = recs["num"], recs["den"]
     out = []
     for j, lam in enumerate(p["lambda_grid"]):
         nmean, _, nerr = _group_stats(nums[:, j:j + 1])
@@ -365,12 +357,12 @@ def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
         return np.abs(hop) ** (j_vars - 1) / np.abs(det)
 
 
-def _rh_batch(ctx: _SampleCtx, indices) -> list:
+def _rh_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     """One trial per index: a random J-site chain (J = rh_j) from the index's
     stream, and <|Q|^s> and <|Q|^{s/2}> (s = rh_s) over _RH_DRAWS draws."""
     j_vars, s = ctx.params["rh_j"], ctx.params["rh_s"]
-    out = []
-    for i in indices:
+    out = np.empty(len(indices), _RH)
+    for j, i in enumerate(indices):
         stream = Stream(derive_sample_seed(ctx.master_seed, i))
         w = stream.uniforms(2 * j_vars + 2)
         coeff_c = 0.5 + w[:j_vars]
@@ -383,8 +375,7 @@ def _rh_batch(ctx: _SampleCtx, indices) -> list:
         m_half = float(np.mean(half))
         m_full = float(np.mean(half * half))
         ratio = m_full / (m_half * m_half) if m_half > 0 else math.inf
-        out.append({"ratio": ratio, "m_s": m_full, "m_s2": m_half,
-                    "kind": "cramer", "lambda": lam, "hop": float(hop)})
+        out[j] = (ratio, m_full, m_half, lam, hop)
     return out
 
 
@@ -396,8 +387,8 @@ def reverse_holder_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     variable), averaged over _RH_DRAWS disorder draws per trial; the
     inequality says the worst constant stays bounded.
     """
-    records = run_indexed(_rh_batch, ctx, ctx.params["rh_trials"], workers, checkpoint_path)
-    ratios = np.array([rec["ratio"] for rec in records])
+    recs = run_indexed(_rh_batch, ctx, _RH, ctx.params["rh_trials"], workers, checkpoint_path)
+    ratios = recs["ratio"]
     finite = ratios[np.isfinite(ratios)]
     return {
         "worst_constant": float(np.max(finite)) if finite.size else math.inf,

@@ -240,21 +240,14 @@ def assembly_plan(model: ModelSpec, topo: LatticeBox) -> AssemblyPlan:
     return AssemblyPlan(hop=hop, diag=diag, alloy_gather=gather)
 
 
-def assemble(
-    model: ModelSpec,
-    topo: LatticeBox,
-    v,
-    plan: AssemblyPlan | None = None,
-) -> HamiltonianInstance:
+def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> HamiltonianInstance:
     """Assemble the Hermitian matrix of one disorder realization v, shape (N,),
-    or the (B, N*ka, N*ka) stack of B realizations, shape (B, N)."""
+    or the (B, N*ka, N*ka) stack of B realizations, shape (B, N), from plan."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != topo.n_vertices:
         raise ConfigurationError(
             f"disorder vector shape {v.shape} does not end in the site count {topo.n_vertices}"
         )
-    if plan is None:
-        plan = assembly_plan(model, topo)
     lead = v.shape[:-1]
     mat = np.broadcast_to(plan.hop, lead + plan.hop.shape).copy()
     if model.variant == "alloy":

@@ -477,9 +477,9 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         _atomic_write(config_path, json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
     run_kind, columns, _, _ = _KINDS[top["kind"]]
-    started = time.time()
+    started = time.perf_counter()  # a monotonic clock: a step of the system clock does not count
     outputs, rows = run_kind(ctx, top["workers"], outdir)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     record = ResultRecord(
         kind=top["kind"],

@@ -31,7 +31,7 @@ from fmlab.inequalities import (
     one_step_bound_check,
     reverse_holder_check,
 )
-from fmlab.model import alloy_model, assemble, block_model, spencer_model
+from fmlab.model import alloy_model, assemble, assembly_plan, block_model, spencer_model
 from fmlab.numerics import hermitian_eig, resolvent_profile
 from fmlab.rng import Stream, derive_sample_seed
 from fmlab.runner import run
@@ -303,10 +303,11 @@ def test_criterion_10_numerics_kernels():
     t0 = time.time()
     topo = make_lattice_box(1, (8,))
     model = spencer_model(1.0, 4.0)
+    plan = assembly_plan(model, topo)
     worst_recon, worst_solve, worst_cross = 0.0, 0.0, 0.0
     for seed in range(100):
         v = sample_vector(UNIFORM, Stream(derive_sample_seed(1000, seed)), 8)
-        h = assemble(model, topo, v)
+        h = assemble(model, topo, v, plan)
         sd = hermitian_eig(h)
         u, lam = sd.eigenvectors, sd.eigenvalues
         scale = 1.0 + float(np.abs(h.matrix).max())

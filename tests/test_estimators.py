@@ -24,7 +24,7 @@ from fmlab.estimators import (
     sample_context,
     wegner,
 )
-from fmlab.model import alloy_model, assemble, block_model, spencer_model
+from fmlab.model import alloy_model, assemble, assembly_plan, block_model, spencer_model
 from fmlab.numerics import hermitian_eig
 from fmlab.rng import Stream
 from fmlab.topology import make_lattice_box
@@ -121,7 +121,7 @@ def test_pointwise_power_monotonicity():
     # for each sample norm, t -> norm^t moves with sign(log norm)
     topo = make_lattice_box(1, (5,))
     v = sample_vector(UNIFORM, Stream(11), 5)
-    h = assemble(SCALAR, topo, v)
+    h = assemble(SCALAR, topo, v, assembly_plan(SCALAR, topo))
     from fmlab.numerics import opnorm_batch, resolvent_profile
 
     norms = opnorm_batch(resolvent_profile(h, 0.0, 1e-2, 0))
@@ -260,14 +260,14 @@ def test_wegner_preconditions():
 def test_correlator_scalar_diagonal_is_one():
     topo = make_lattice_box(1, (6,))
     v = sample_vector(UNIFORM, Stream(23), 6)
-    sd = hermitian_eig(assemble(SCALAR, topo, v))
+    sd = hermitian_eig(assemble(SCALAR, topo, v, assembly_plan(SCALAR, topo)))
     full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
     assert correlator_targets(sd, full, 3)[3] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlator_two_site_offdiagonal():
-    topo = make_lattice_box(1, (2,))
-    sd = hermitian_eig(assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0]))
+    topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
+    sd = hermitian_eig(assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo)))
     assert correlator_targets(sd, (-2, 2), 0)[1] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -275,7 +275,7 @@ def test_correlator_bounded_by_k():
     topo = make_lattice_box(1, (5,))
     for model in (SCALAR, spencer_model(1.0, 2.0)):
         v = sample_vector(UNIFORM, Stream(29), 5)
-        sd = hermitian_eig(assemble(model, topo, v))
+        sd = hermitian_eig(assemble(model, topo, v, assembly_plan(model, topo)))
         full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
         k = model.k_ambient
         for m in range(5):
@@ -283,8 +283,8 @@ def test_correlator_bounded_by_k():
 
 
 def test_dynamical_sup_examples():
-    topo = make_lattice_box(1, (2,))
-    sd = hermitian_eig(assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0]))
+    topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
+    sd = hermitian_eig(assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo)))
     assert dynamical_targets(sd, (-2, 2), 0, [0.0])[1] == 0.0
     dense = np.linspace(0.0, 20.0, 4001)
     assert dynamical_targets(sd, (-2, 2), 0, dense)[1] == pytest.approx(1.0, abs=1e-5)
@@ -293,9 +293,10 @@ def test_dynamical_sup_examples():
 def test_dynamical_bounded_by_twice_correlator():
     topo = make_lattice_box(1, (6,))
     grid = default_t_grid(4.0)
+    model = spencer_model(1.0, 3.0)
     for seed in range(5):
         v = sample_vector(UNIFORM, Stream(seed), 6)
-        sd = hermitian_eig(assemble(spencer_model(1.0, 3.0), topo, v))
+        sd = hermitian_eig(assemble(model, topo, v, assembly_plan(model, topo)))
         window = (-0.8, 0.8)
         for n in range(1, 6):
             assert dynamical_targets(sd, window, 0, grid)[n] <= (
@@ -313,7 +314,8 @@ def block_eig(k, n_sites, seed, A=None, B=None):
 
     model = block_model(herm() if A is None else A, herm() if B is None else B, 3.0)
     topo = make_lattice_box(1, (n_sites,))
-    return hermitian_eig(assemble(model, topo, sample_vector(UNIFORM, Stream(seed), n_sites)))
+    v = sample_vector(UNIFORM, Stream(seed), n_sites)
+    return hermitian_eig(assemble(model, topo, v, assembly_plan(model, topo)))
 
 
 def full_window(sd):

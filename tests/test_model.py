@@ -38,19 +38,20 @@ def scalar_anderson(topo, v, g):
 
 
 def test_spencer_single_site_eigenvalues():
-    sp = spencer_model(1.0, 2.0)
-    h = assemble(sp, make_lattice_box(1, (1,)), [0.0])
+    sp, site = spencer_model(1.0, 2.0), make_lattice_box(1, (1,))
+    h = assemble(sp, site, [0.0], assembly_plan(sp, site))
     vals = np.linalg.eigvalsh(h.matrix)
     assert np.allclose(vals, [-1.0, 1.0])
-    h2 = assemble(sp, make_lattice_box(1, (1,)), [3.0])
+    h2 = assemble(sp, site, [3.0], assembly_plan(sp, site))
     sp4 = spencer_model(4.0, 2.0)
-    h3 = assemble(sp4, make_lattice_box(1, (1,)), [3.0])
+    h3 = assemble(sp4, site, [3.0], assembly_plan(sp4, site))
     assert np.allclose(np.linalg.eigvalsh(h3.matrix), [-5.0, 5.0])  # +-sqrt(v^2+a^2)
     assert np.allclose(np.linalg.eigvalsh(h2.matrix), [-np.sqrt(10), np.sqrt(10)])
 
 
 def test_spencer_site_matrix_display():
-    h = assemble(spencer_model(1.0, 2.0), make_lattice_box(1, (1,)), [0.5])
+    sp, site = spencer_model(1.0, 2.0), make_lattice_box(1, (1,))
+    h = assemble(sp, site, [0.5], assembly_plan(sp, site))
     assert np.array_equal(h.matrix, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=np.complex128))
 
 
@@ -79,26 +80,27 @@ def test_singular_covering_model_matrices():
 def test_alloy_reductions():
     plain = alloy_model({0: 1.0}, 2.0)
     assert plain.k == 1
-    h = assemble(plain, CHAIN5, [1.0, 2.0, 3.0, 4.0, 5.0])
+    h = assemble(plain, CHAIN5, [1.0, 2.0, 3.0, 4.0, 5.0], assembly_plan(plain, CHAIN5))
     assert np.allclose(np.diag(h.matrix).real, [1, 2, 3, 4, 5])
 
     diff = alloy_model({0: 1.0, 1: -1.0}, 2.0)
     assert diff.k == 2
-    hc = assemble(diff, make_lattice_box(1, (3,)), [7.0, 7.0, 7.0])
+    chain3 = make_lattice_box(1, (3,))
+    hc = assemble(diff, chain3, [7.0, 7.0, 7.0], assembly_plan(diff, chain3))
     # constants are annihilated except at the truncated boundary
     assert np.allclose(np.diag(hc.matrix).real, [0.0, 0.0, 7.0])
 
 
 def test_alloy_truncation_convention():
     # V(n) = v(n) - v(n+1), the out-of-box term dropped
-    h = assemble(alloy_model({0: 1.0, 1: -1.0}, 2.0), make_lattice_box(1, (3,)),
-                 [1.0, 2.0, 4.0])
+    model, chain3 = alloy_model({0: 1.0, 1: -1.0}, 2.0), make_lattice_box(1, (3,))
+    h = assemble(model, chain3, [1.0, 2.0, 4.0], assembly_plan(model, chain3))
     assert np.allclose(np.diag(h.matrix).real, [-1.0, -2.0, 4.0])
 
 
 def test_alloy_periodic_wraps():
-    h = assemble(alloy_model({0: 1.0, 1: -1.0}, math.inf), make_lattice_box(1, (3,), True),
-                 [1.0, 2.0, 4.0])
+    model, ring3 = alloy_model({0: 1.0, 1: -1.0}, math.inf), make_lattice_box(1, (3,), True)
+    h = assemble(model, ring3, [1.0, 2.0, 4.0], assembly_plan(model, ring3))
     assert np.allclose(np.diag(h.matrix).real, [-1.0, -2.0, 3.0])
 
 
@@ -108,10 +110,12 @@ def test_alloy_empty_support_rejected():
 
 
 def test_assemble_examples():
-    one = assemble(block_model([[1.0]], [[0.0]], 2.0), make_lattice_box(1, (1,)), [0.7])
+    model = block_model([[1.0]], [[0.0]], 2.0)
+    site, pair = make_lattice_box(1, (1,)), make_lattice_box(1, (2,))
+    one = assemble(model, site, [0.7], assembly_plan(model, site))
     assert one.matrix.shape == (1, 1) and one.matrix[0, 0] == 0.7
 
-    two = assemble(block_model([[1.0]], [[0.0]], 2.0), make_lattice_box(1, (2,)), [0.1, -0.2])
+    two = assemble(model, pair, [0.1, -0.2], assembly_plan(model, pair))
     assert np.array_equal(
         two.matrix, np.array([[0.1, 0.5], [0.5, -0.2]], dtype=np.complex128)
     )
@@ -120,14 +124,16 @@ def test_assemble_examples():
 def test_assembly_matches_direct_scalar_anderson():
     g = 3.0
     v = rng.uniform(-1, 1, CHAIN5.n_vertices)
-    h = assemble(block_model([[1.0]], [[0.0]], g), CHAIN5, v)
+    model = block_model([[1.0]], [[0.0]], g)
+    h = assemble(model, CHAIN5, v, assembly_plan(model, CHAIN5))
     assert np.array_equal(h.matrix, scalar_anderson(CHAIN5, v, g))
 
 
 def test_alloy_delta_equals_scalar_block():
     v = rng.uniform(-1, 1, CHAIN5.n_vertices)
-    ha = assemble(alloy_model({0: 1.0}, 4.0), CHAIN5, v)
-    hb = assemble(block_model([[1.0]], [[0.0]], 4.0), CHAIN5, v)
+    alloy, block = alloy_model({0: 1.0}, 4.0), block_model([[1.0]], [[0.0]], 4.0)
+    ha = assemble(alloy, CHAIN5, v, assembly_plan(alloy, CHAIN5))
+    hb = assemble(block, CHAIN5, v, assembly_plan(block, CHAIN5))
     assert np.array_equal(ha.matrix, hb.matrix)
 
 
@@ -140,7 +146,7 @@ def test_hermiticity_and_sparsity_invariants():
         alloy_model({(0, 0): 1.0, (1, 0): -1.0}, 7.0),
         singular_covering_model(7.0),
     ):
-        h = assemble(model, box, v)
+        h = assemble(model, box, v, assembly_plan(model, box))
         assert hermiticity_residual(h) == 0.0
         ka = model.k_ambient
         for x in range(9):
@@ -151,15 +157,17 @@ def test_hermiticity_and_sparsity_invariants():
 
 
 def test_forged_asymmetry_detected():
-    h = assemble(block_model([[1.0]], [[0.0]], 2.0), CHAIN5, np.zeros(5))
+    model = block_model([[1.0]], [[0.0]], 2.0)
+    h = assemble(model, CHAIN5, np.zeros(5), assembly_plan(model, CHAIN5))
     h.matrix[0, 1] += 0.5j
     assert hermiticity_residual(h) > 0.0
 
 
 def test_coupling_scale_halves_offdiagonal():
     v = rng.uniform(-1, 1, 5)
-    h1 = assemble(spencer_model(1.0, 5.0), CHAIN5, v)
-    h2 = assemble(spencer_model(1.0, 10.0), CHAIN5, v)
+    sp1, sp2 = spencer_model(1.0, 5.0), spencer_model(1.0, 10.0)
+    h1 = assemble(sp1, CHAIN5, v, assembly_plan(sp1, CHAIN5))
+    h2 = assemble(sp2, CHAIN5, v, assembly_plan(sp2, CHAIN5))
     off = ~np.eye(10, dtype=bool)
     diag_mask = np.kron(np.eye(5, dtype=bool), np.ones((2, 2), dtype=bool))
     off = ~diag_mask
@@ -167,7 +175,8 @@ def test_coupling_scale_halves_offdiagonal():
 
 
 def test_decoupled_limit():
-    h = assemble(spencer_model(1.0, math.inf), CHAIN5, np.zeros(5))
+    model = spencer_model(1.0, math.inf)
+    h = assemble(model, CHAIN5, np.zeros(5), assembly_plan(model, CHAIN5))
     diag_mask = np.kron(np.eye(5, dtype=bool), np.ones((2, 2), dtype=bool))
     assert np.all(h.matrix[~diag_mask] == 0.0)
 
@@ -175,13 +184,14 @@ def test_decoupled_limit():
 def test_alloy_potential_block_gathers_neighbor_disorder():
     # the middle site's potential is v1 - v2, gathered from the neighbor's v
     chain3 = make_lattice_box(1, (3,))
-    h = assemble(alloy_model({0: 1.0, 1: -1.0}, 2.0), chain3, [1.0, 2.0, 4.0])
+    model = alloy_model({0: 1.0, 1: -1.0}, 2.0)
+    h = assemble(model, chain3, [1.0, 2.0, 4.0], assembly_plan(model, chain3))
     assert potential_block(h, 1)[0, 0] == -2.0
 
 
 def test_potential_block():
     sp = spencer_model(2.0, 3.0)
-    h = assemble(sp, CHAIN5, [0.5, 0, 0, 0, 0])
+    h = assemble(sp, CHAIN5, [0.5, 0, 0, 0, 0], assembly_plan(sp, CHAIN5))
     assert np.array_equal(potential_block(h, 0), np.array([[0.5, 2.0], [2.0, -0.5]]))
 
 
@@ -190,7 +200,8 @@ def test_kernel_symmetry_enforced():
         block_model([[1.0]], [[0.0]], 1.0, hopping={(1,): [[1.0j]], (-1,): [[1.0j]]})
     m = block_model([[1.0]], [[0.0]], 1.0, hopping={(1,): [[1.0j]]})
     assert np.array_equal(m.hopping[(-1,)], np.array([[-1.0j]]))
-    h = assemble(m, make_lattice_box(1, (3,)), np.zeros(3))
+    chain3 = make_lattice_box(1, (3,))
+    h = assemble(m, chain3, np.zeros(3), assembly_plan(m, chain3))
     assert hermiticity_residual(h) == 0.0
 
 
@@ -226,9 +237,10 @@ PAIRWISE_MODELS = {
 def test_assembly_matches_pair_by_pair_build(name, periodic):
     model = PAIRWISE_MODELS[name]
     box = make_lattice_box(2, (3, 4), periodic)
-    assert np.array_equal(assembly_plan(model, box).hop, pairwise_hopping(model, box))
+    plan = assembly_plan(model, box)
+    assert np.array_equal(plan.hop, pairwise_hopping(model, box))
     v = rng.uniform(-1, 1, box.n_vertices)
-    assert np.array_equal(assemble(model, box, v).matrix, pairwise_assembly(model, box, v))
+    assert np.array_equal(assemble(model, box, v, plan).matrix, pairwise_assembly(model, box, v))
 
 
 def test_non_hermitian_blocks_rejected():
@@ -243,10 +255,11 @@ def test_decay_exponent_window():
 
 
 def test_assembly_plan_reuse():
-    v = rng.uniform(-1, 1, 5)
+    # one plan serves every realization: each equals its assembly from a fresh plan
     m = spencer_model(1.0, 3.0)
     plan = assembly_plan(m, CHAIN5)
-    a = assemble(m, CHAIN5, v, plan)
-    b = assemble(m, CHAIN5, v)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert a.digest == b.digest
+    for v in rng.uniform(-1, 1, (2, 5)):
+        a = assemble(m, CHAIN5, v, plan)
+        b = assemble(m, CHAIN5, v, assembly_plan(m, CHAIN5))
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a.digest == b.digest

@@ -7,7 +7,7 @@ import pytest
 
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
-from fmlab.model import HamiltonianInstance, assemble, block_model, spencer_model
+from fmlab.model import HamiltonianInstance, assemble, assembly_plan, block_model, spencer_model
 from fmlab.numerics import (
     CLUSTER_TOL,
     SpectralDecomposition,
@@ -54,7 +54,7 @@ def random_instance(n_sites, seed, model=None, g=4.0):
     topo = make_lattice_box(1, (n_sites,))
     model = model or block_model([[1.0]], [[0.0]], g)
     v = sample_vector(UNIFORM, Stream(derive_sample_seed(seed, 0)), n_sites)
-    return assemble(model, topo, v)
+    return assemble(model, topo, v, assembly_plan(model, topo))
 
 
 def test_eig_contract_on_random_instances():
@@ -97,8 +97,8 @@ def test_resolvent_one_site():
 
 def test_resolvent_two_site_formula():
     g = 2.5
-    topo = make_lattice_box(1, (2,))
-    h = assemble(block_model([[1.0]], [[0.0]], g), topo, [0.4, -0.7])
+    topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], g)
+    h = assemble(model, topo, [0.4, -0.7], assembly_plan(model, topo))
     z = 0.1 + 1e-3j
     det = (0.4 - z) * (-0.7 - z) - 1.0 / g**2
     expect = -(1.0 / g) / det
@@ -172,8 +172,8 @@ def test_solve_residual(n, m):
 
 
 def test_singular_factorization_raises_resample():
-    topo = make_lattice_box(1, (1,))
-    h = assemble(block_model([[1.0]], [[0.0]], math.inf), topo, [0.25])
+    topo, model = make_lattice_box(1, (1,)), block_model([[1.0]], [[0.0]], math.inf)
+    h = assemble(model, topo, [0.25], assembly_plan(model, topo))
     with pytest.raises(ResampleSignal):
         resolvent_profile(h, 0.25, 0.0, 0)
 
@@ -246,8 +246,8 @@ def test_projector_blocks_completeness_and_orthogonality():
 
 
 def test_projector_blocks_symmetric_two_site():
-    topo = make_lattice_box(1, (2,))
-    h = assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0])
+    topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
+    h = assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo))
     sd = hermitian_eig(h)
     blocks = cluster_blocks_loop(sd, (-2, 2), 0)
     assert len(blocks) == 2
@@ -257,8 +257,8 @@ def test_projector_blocks_symmetric_two_site():
 
 
 def test_evolve_block_examples():
-    topo = make_lattice_box(1, (2,))
-    h = assemble(block_model([[1.0]], [[0.0]], 1.0), topo, [0.0, 0.0])
+    topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
+    h = assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo))
     sd = hermitian_eig(h)
     assert evolve(sd, (-2, 2), 0.0, 0)[0][0, 0] == pytest.approx(1.0)
     assert evolve(sd, (-2, 2), 0.0, 0)[1][0, 0] == pytest.approx(0.0)

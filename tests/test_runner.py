@@ -14,7 +14,7 @@ import pytest
 
 from fmlab import engine
 from fmlab.disorder import sample_vector
-from fmlab.engine import checkpoint_prefix, run_indexed
+from fmlab.engine import checkpoint_prefix, records, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.model import assemble
 from fmlab.plotting import emit_plot
@@ -185,21 +185,37 @@ def test_checkpoint_resume_equals_straight_run(kind, tmp_path):
     assert _artifacts(partial) == straight
 
 
-@pytest.mark.parametrize("fault", ["repeated", "swapped"])
+# a line whose payload does not fit the record ends the valid prefix like a torn one
+_FOREIGN_PAYLOADS = {
+    "field_missing": lambda p: {"r": p["r"]},
+    "field_extra": lambda p: {**p, "x": 1},
+    "misshapen": lambda p: {**p, "m": p["m"][:2]},
+}
+
+
+@pytest.mark.parametrize("fault", ["repeated", "swapped", "nested", *_FOREIGN_PAYLOADS])
 def test_resume_over_a_disordered_checkpoint_equals_straight_run(fault, tmp_path):
     full, partial = str(tmp_path / "full"), str(tmp_path / "partial")
     run(BASE_CFG, outdir=full)
     straight = _artifacts(full)
     lines = straight["samples.jsonl"].splitlines(keepends=True)
     if fault == "repeated":
-        lines.insert(41, lines[40])
-    else:
+        lines.insert(41, lines[40])  # every index is present, but not each on its own line
+    elif fault == "swapped":
         lines[40], lines[41] = lines[41], lines[40]
+    elif fault == "nested":  # too deep for the JSON decoder's recursion limit
+        lines[40] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    else:
+        payload = _FOREIGN_PAYLOADS[fault](json.loads(lines[40])["p"])
+        lines[40] = (json.dumps({"i": 40, "p": payload}) + "\n").encode()
     os.makedirs(partial)
     with open(os.path.join(partial, "samples.jsonl"), "wb") as fh:
-        fh.writelines(lines)  # every index is present, but not each on its own line
+        fh.writelines(lines)
     run(BASE_CFG, outdir=partial)
     assert _artifacts(partial) == straight
+
+
+_INDEX = np.dtype([("v", "i8")])  # the record of the engine tests: its own index
 
 
 def _touch_and_fail_on_chunk_1(outdir, indices):
@@ -208,7 +224,7 @@ def _touch_and_fail_on_chunk_1(outdir, indices):
     if indices[0] == engine._CHUNK:
         raise RuntimeError("chunk 1 blew up")
     time.sleep(0.05)
-    return [{"v": i} for i in indices]
+    return records(v=indices)
 
 
 def test_engine_failed_chunk_stops_the_pool(tmp_path):
@@ -216,10 +232,10 @@ def test_engine_failed_chunk_stops_the_pool(tmp_path):
     started.mkdir()
     path = str(tmp_path / "ck.jsonl")
     with pytest.raises(RuntimeError, match="chunk 1"):
-        run_indexed(_touch_and_fail_on_chunk_1, str(started), 60 * engine._CHUNK,
+        run_indexed(_touch_and_fail_on_chunk_1, str(started), _INDEX, 60 * engine._CHUNK,
                     workers=2, checkpoint_path=path)
-    done, _ = checkpoint_prefix(path)
-    assert done == [{"v": i} for i in range(engine._CHUNK)]  # chunk 0 stays checkpointed
+    done, _ = checkpoint_prefix(path, _INDEX)
+    assert done["v"].tolist() == list(range(engine._CHUNK))  # chunk 0 stays checkpointed
     assert len(os.listdir(started)) < 10  # the pending chunks were cancelled, not run
 
 
@@ -227,14 +243,14 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     def batch(ctx, indices):
         if 3 in indices:
             raise RuntimeError("worker blew up")
-        return [{"v": i} for i in indices]
+        return records(v=indices)
 
     monkeypatch.setattr(engine, "_CHUNK", 3)
     path = str(tmp_path / "ck.jsonl")
     with pytest.raises(RuntimeError):
-        run_indexed(batch, None, 6, workers=1, checkpoint_path=path)
-    done, _ = checkpoint_prefix(path)
-    assert done == [{"v": 0}, {"v": 1}, {"v": 2}]  # completed prefix survives the abort
+        run_indexed(batch, None, _INDEX, 6, workers=1, checkpoint_path=path)
+    done, _ = checkpoint_prefix(path, _INDEX)
+    assert done["v"].tolist() == [0, 1, 2]  # completed prefix survives the abort
 
 
 def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
@@ -253,31 +269,59 @@ def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
             pass
 
     def batch(ctx, indices):
-        return [{"v": i} for i in indices]
+        return records(v=indices)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
-    straight = [{"v": i} for i in range(2 * engine._CHUNK)]
+    straight = list(range(2 * engine._CHUNK))
     for cpus, want in ((64, [2]), (3, [2]), (1, []), (None, [])):
         sizes.clear()
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        assert run_indexed(batch, None, 2 * engine._CHUNK, workers=5000) == straight
+        recs = run_indexed(batch, None, _INDEX, 2 * engine._CHUNK, workers=5000)
+        assert recs["v"].tolist() == straight
         assert sizes == want, cpus
 
 
 def test_engine_payload_roundtrip(tmp_path):
     calls = []
+    dtype = np.dtype([("v", "f8", 1), ("i2", "i8")])
 
     def batch(ctx, indices):
         calls.extend(indices)
-        return [{"v": [float(i) * 0.1], "i2": i * i} for i in indices]
+        return records(v=[[float(i) * 0.1] for i in indices], i2=[i * i for i in indices])
 
     path = str(tmp_path / "ck.jsonl")
-    first = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
-    again = run_indexed(batch, None, 5, workers=1, checkpoint_path=path)
-    assert first == again
+    first = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
+    again = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
+    assert again.dtype == dtype and again.tobytes() == first.tobytes()
     assert len(calls) == 5  # second pass is checkpoint-only
-    done, _ = checkpoint_prefix(path)
-    assert done == first
+    done, _ = checkpoint_prefix(path, dtype)
+    assert done.tobytes() == first.tobytes()
+    with open(path) as fh:
+        assert fh.readline() == '{"i":0,"p":{"i2":0,"v":[0.0]}}\n'
+
+
+@pytest.mark.parametrize("cfg", [*TINY_CFGS.values(), {**TINY_CFGS["inequalities"], "estimator": {
+    **TINY_CFGS["inequalities"]["estimator"], "l": 0}}], ids=[*TINY_CFGS, "inequalities-l0"])
+def test_every_checkpoint_line_decodes_into_its_record_and_back(cfg, tmp_path, monkeypatch):
+    from fmlab import estimators, inequalities
+
+    scans = []  # (checkpoint, record dtype) of every scan of the run
+
+    def recorded(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
+        scans.append((checkpoint_path, dtype))
+        return run_indexed(batch_fn, ctx, dtype, n_samples, workers, checkpoint_path)
+
+    for module in (estimators, inequalities):
+        monkeypatch.setattr(module, "run_indexed", recorded)
+    run(cfg, outdir=str(tmp_path))
+    assert sorted(os.path.basename(path) for path, _ in scans) == sorted(
+        name for name in os.listdir(tmp_path) if name.startswith("samples"))
+    for path, dtype in scans:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        recs, end = checkpoint_prefix(path, dtype)
+        assert end == len(raw) and len(recs) == raw.count(b"\n") > 0
+        assert "".join(engine._lines(range(len(recs)), recs)).encode() == raw
 
 
 def test_emit_csv_lossless_roundtrip(tmp_path):
@@ -533,8 +577,9 @@ def test_cli_exits_3_when_a_solve_fails_its_residual(tmp_path, capsys, monkeypat
     from fmlab.cli import main
 
     # sample 1 is member 1 of the first stack; its solve is off by 1e-6 on one row
-    v = sample_vector(build_disorder(BASE_CFG), Stream(derive_sample_seed(424242, 1)), 8)
-    digest = assemble(build_model(BASE_CFG), build_topology(BASE_CFG), v).digest
+    ctx = parse_config(BASE_CFG)[1]
+    v = sample_vector(ctx.disorder, Stream(derive_sample_seed(424242, 1)), 8)
+    digest = assemble(ctx.model, ctx.topo, v, ctx.plan).digest
     real = np.linalg.solve
 
     def off_on_member_1(a, b):
@@ -921,12 +966,15 @@ def test_inequalities_series_keeps_every_scale(tmp_path):
     # header's 6 cells, and the cell reads back as its draw's points from the checkpoint
     with open(tmp_path / "series.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
+    dtype = np.dtype([("a", "f8", (3, 2)), ("b", "f8", (3, 2)), ("lhs", "f8"), ("rhs", "f8"),
+                      ("ratio", "f8"), ("error_bound", "f8")])  # l = m = 3 points by default
     for j in range(3):
-        draws, _ = checkpoint_prefix(str(tmp_path / "iq" / f"samples.scan_{j}.jsonl"))
+        draws, _ = checkpoint_prefix(str(tmp_path / "iq" / f"samples.scan_{j}.jsonl"), dtype)
+        assert len(draws) == 12
         for i, draw in enumerate(draws):
             row = rows[12 * j + i]
             assert len(row) == 6
-            assert json.loads(row[2]) == {"a": draw["a"], "b": draw["b"]}
+            assert json.loads(row[2]) == {"a": draw["a"].tolist(), "b": draw["b"].tolist()}
 
 
 @pytest.mark.parametrize("kind", sorted(TINY_CFGS))
