@@ -9,11 +9,12 @@ pool, from pool.map otherwise), and each chunk's records are appended to the
 checkpoint and flushed as it arrives; a failing chunk cancels the chunks
 still pending and leaves every earlier chunk on disk.
 
-Only this module reads and writes checkpoints: line j is the canonical JSON
-{"i": j, "p": {field: value}} of record j.  A resume keeps the longest prefix
-of lines that decode into the dtype and re-encode to their own bytes, cuts
-the file there (a torn, repeated or swapped line, a missing or extra field or
-a misshapen value, and all after it, is recomputed) and runs the rest.
+Only this module reads and writes checkpoints.  Like a .npy file, one is a
+header line, the canonical JSON {"dtype": dtype.descr, "format": 1}, then the raw
+bytes of (j, record j), j = 0, 1, ..., in the dtype [("i", "<i8"), ("p", dtype)].
+A resume keeps the whole records in place after a header equal to the scan's
+own, cuts the file there (another format or dtype, a torn, repeated or swapped
+record, and all after it, is recomputed) and runs the rest.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ import numpy as np
 
 _CHUNK = 32  # samples per batch_fn call
 
-# compact, key-sorted JSON of checkpoint lines and series cells, from one encoder
+# compact, key-sorted JSON of checkpoint headers, series cells and config digests
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def checkpoint_path(outdir, scan=None):
     """The checkpoint of a run's engine scan in outdir (None without one):
-    samples.jsonl, or samples.<scan>.jsonl for a run of several scans."""
+    samples.rec, or samples.<scan>.rec for a run of several scans."""
     if not outdir:
         return None
-    return os.path.join(outdir, "samples.jsonl" if scan is None else f"samples.{scan}.jsonl")
+    return os.path.join(outdir, "samples.rec" if scan is None else f"samples.{scan}.rec")
 
 
 def records(**columns) -> np.ndarray:
@@ -49,32 +50,27 @@ def records(**columns) -> np.ndarray:
     return recs
 
 
-def _lines(indices, recs) -> list:
-    """The checkpoint lines of records recs, of sample indices indices."""
-    names = recs.dtype.names
-    return [canonical_json({"i": i, "p": dict(zip(names, values))}) + "\n"
-            for i, values in zip(indices, zip(*(recs[name].tolist() for name in names)))]
+def _layout(dtype):
+    """(header line, on-disk record dtype) of a checkpoint of records of dtype."""
+    header = canonical_json({"dtype": dtype.descr, "format": 1}) + "\n"
+    return header.encode(), np.dtype([("i", "<i8"), ("p", dtype)])
 
 
 def checkpoint_prefix(path, dtype):
     """(records, byte length) of the longest valid prefix of a checkpoint of
-    records of dtype: line j decodes into a record and re-encodes to itself."""
-    lines = []
+    records of dtype: the scan's own header, then whole records j = 0, 1, ..."""
+    header, disk = _layout(dtype)
+    raw = b""
     if path and os.path.exists(path):
         with open(path, "rb") as fh:
-            lines = fh.readlines()
-    recs = np.zeros(len(lines), dtype)
-    for j, raw in enumerate(lines):
-        try:
-            payload = json.loads(raw)["p"]
-            # by shape, so that an empty field's [] fits it as well
-            recs[j] = tuple(np.reshape(payload[name], dtype[name].shape) for name in dtype.names)
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-            recs = recs[:j]
-            break
-    same = [raw == line.encode() for raw, line in zip(lines, _lines(range(len(recs)), recs))]
-    valid = same.index(False) if False in same else len(same)
-    return recs[:valid], sum(map(len, lines[:valid]))
+            raw = fh.read()
+    if not raw.startswith(header):
+        return np.zeros(0, dtype), 0
+    body = raw[len(header):]
+    recs = np.frombuffer(body, disk, count=len(body) // disk.itemsize)
+    misplaced = np.flatnonzero(recs["i"] != np.arange(len(recs)))
+    valid = int(misplaced[0]) if len(misplaced) else len(recs)
+    return recs["p"][:valid], len(header) + valid * disk.itemsize
 
 
 def run_indexed(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
@@ -93,8 +89,10 @@ def run_indexed(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None
     with ExitStack() as stack:
         writer = None
         if checkpoint_path is not None:
-            writer = stack.enter_context(open(checkpoint_path, "a", encoding="utf-8"))
+            header, disk = _layout(dtype)
+            writer = stack.enter_context(open(checkpoint_path, "ab"))
             writer.truncate(end)  # drop everything after the valid prefix
+            writer.write(header[end:])  # the header, unless the prefix holds it
         processes = min(workers, len(chunks), os.cpu_count() or 1)
         if processes > 1:
             pool = ProcessPoolExecutor(max_workers=processes)
@@ -107,6 +105,8 @@ def run_indexed(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None
                 raise ValueError(f"batch_fn gave {batch.shape} of {batch.dtype} for {idx}")
             parts.append(batch)
             if writer is not None:
-                writer.writelines(_lines(idx, batch))
+                rows = np.empty(len(idx), disk)
+                rows["i"], rows["p"] = idx, batch
+                writer.write(rows.tobytes())
                 writer.flush()
     return np.concatenate(parts)[:n_samples]

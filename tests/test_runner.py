@@ -14,7 +14,7 @@ import pytest
 
 from fmlab import engine
 from fmlab.disorder import sample_vector
-from fmlab.engine import checkpoint_prefix, records, run_indexed
+from fmlab.engine import canonical_json, checkpoint_prefix, records, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.model import assemble
 from fmlab.plotting import emit_plot
@@ -155,8 +155,8 @@ def test_run_decay_and_rerun_identical(tmp_path):
     r1 = open(os.path.join(out1, "results.json"), "rb").read()
     r2 = open(os.path.join(out2, "results.json"), "rb").read()
     assert r1 == r2
-    s1 = open(os.path.join(out1, "samples.jsonl"), "rb").read()
-    s2 = open(os.path.join(out2, "samples.jsonl"), "rb").read()
+    s1 = open(os.path.join(out1, "samples.rec"), "rb").read()
+    s2 = open(os.path.join(out2, "samples.rec"), "rb").read()
     assert s1 == s2
 
 
@@ -176,43 +176,79 @@ def test_checkpoint_resume_equals_straight_run(kind, tmp_path):
 
     os.makedirs(partial)
     for name in checkpoints:
-        lines = straight[name].splitlines(keepends=True)
-        keep = len(lines) // 2
         with open(os.path.join(partial, name), "wb") as fh:
-            fh.writelines(lines[:keep])
-            fh.write(lines[keep][: len(lines[keep]) // 2])  # torn final line from a kill
+            fh.write(straight[name][: len(straight[name]) // 2 + 3])  # cut by a kill
     run(TINY_CFGS[kind], outdir=partial)
     assert _artifacts(partial) == straight
 
 
-# a line whose payload does not fit the record ends the valid prefix like a torn one
-_FOREIGN_PAYLOADS = {
-    "field_missing": lambda p: {"r": p["r"]},
-    "field_extra": lambda p: {**p, "x": 1},
-    "misshapen": lambda p: {**p, "m": p["m"][:2]},
-}
+def _disorder(fault, raw):
+    """The checkpoint raw of 120 records with one fault at record 40 or in its header."""
+    head = raw.index(b"\n") + 1
+    header, size = json.loads(raw[:head]), (len(raw) - head) // 120
+    at = [raw[head + j * size: head + (j + 1) * size] for j in (40, 41)]
+    if fault == "torn":  # cut inside record 40
+        return raw[: head + 40 * size + size // 2]
+    if fault == "repeated":  # every index is present, but not each in its own place
+        return raw[: head + 41 * size] + at[0] + raw[head + 41 * size:]
+    if fault == "swapped":
+        return raw[: head + 40 * size] + at[1] + at[0] + raw[head + 42 * size:]
+    if fault == "other_dtype":  # a record layout with one field fewer
+        header["dtype"] = header["dtype"][:-1]
+    elif fault == "other_format":
+        header["format"] = 2
+    elif fault == "shorter_than_header":
+        return raw[: head // 2]
+    elif fault == "empty":
+        return b""
+    return (canonical_json(header) + "\n").encode() + raw[head:]
 
 
-@pytest.mark.parametrize("fault", ["repeated", "swapped", "nested", *_FOREIGN_PAYLOADS])
+@pytest.mark.parametrize("fault", ["torn", "repeated", "swapped", "other_dtype", "other_format",
+                                   "shorter_than_header", "empty"])
 def test_resume_over_a_disordered_checkpoint_equals_straight_run(fault, tmp_path):
     full, partial = str(tmp_path / "full"), str(tmp_path / "partial")
     run(BASE_CFG, outdir=full)
     straight = _artifacts(full)
-    lines = straight["samples.jsonl"].splitlines(keepends=True)
-    if fault == "repeated":
-        lines.insert(41, lines[40])  # every index is present, but not each on its own line
-    elif fault == "swapped":
-        lines[40], lines[41] = lines[41], lines[40]
-    elif fault == "nested":  # too deep for the JSON decoder's recursion limit
-        lines[40] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
-    else:
-        payload = _FOREIGN_PAYLOADS[fault](json.loads(lines[40])["p"])
-        lines[40] = (json.dumps({"i": 40, "p": payload}) + "\n").encode()
     os.makedirs(partial)
-    with open(os.path.join(partial, "samples.jsonl"), "wb") as fh:
-        fh.writelines(lines)
+    with open(os.path.join(partial, "samples.rec"), "wb") as fh:
+        fh.write(_disorder(fault, straight["samples.rec"]))
     run(BASE_CFG, outdir=partial)
     assert _artifacts(partial) == straight
+
+
+def test_a_json_lines_checkpoint_is_left_alone_and_recomputed(tmp_path, monkeypatch):
+    from fmlab import estimators
+
+    scans, computed = [], []  # (dtype, records) of each scan; every index a batch computed
+
+    def counted(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
+        def batch(ctx, indices):
+            computed.extend(indices)
+            return batch_fn(ctx, indices)
+        recs = run_indexed(batch, ctx, dtype, n_samples, workers, checkpoint_path)
+        scans.append((dtype, recs))
+        return recs
+
+    monkeypatch.setattr(estimators, "run_indexed", counted)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    run(BASE_CFG, outdir=str(fresh))
+    # an outdir as an earlier version left it: config.json, and line j of samples.jsonl
+    # the compact, key-sorted JSON {"i": j, "p": {field: value}} of record j
+    (dtype, recs), = scans
+    old.mkdir()
+    (old / "config.json").write_bytes((fresh / "config.json").read_bytes())
+    lines = "".join(
+        json.dumps({"i": i, "p": dict(zip(dtype.names, values))}, sort_keys=True,
+                   separators=(",", ":")) + "\n"
+        for i, values in enumerate(zip(*(recs[name].tolist() for name in dtype.names))))
+    (old / "samples.jsonl").write_text(lines)
+    computed.clear()
+    run(BASE_CFG, outdir=str(old))
+    assert computed == list(range(BASE_CFG["estimator"]["samples"]))  # nothing resumed
+    assert (old / "results.json").read_bytes() == (fresh / "results.json").read_bytes()
+    assert (old / "samples.rec").read_bytes() == (fresh / "samples.rec").read_bytes()
+    assert (old / "samples.jsonl").read_text() == lines  # never opened
 
 
 _INDEX = np.dtype([("v", "i8")])  # the record of the engine tests: its own index
@@ -230,7 +266,7 @@ def _touch_and_fail_on_chunk_1(outdir, indices):
 def test_engine_failed_chunk_stops_the_pool(tmp_path):
     started = tmp_path / "started"
     started.mkdir()
-    path = str(tmp_path / "ck.jsonl")
+    path = str(tmp_path / "ck.rec")
     with pytest.raises(RuntimeError, match="chunk 1"):
         run_indexed(_touch_and_fail_on_chunk_1, str(started), _INDEX, 60 * engine._CHUNK,
                     workers=2, checkpoint_path=path)
@@ -246,7 +282,7 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
         return records(v=indices)
 
     monkeypatch.setattr(engine, "_CHUNK", 3)
-    path = str(tmp_path / "ck.jsonl")
+    path = str(tmp_path / "ck.rec")
     with pytest.raises(RuntimeError):
         run_indexed(batch, None, _INDEX, 6, workers=1, checkpoint_path=path)
     done, _ = checkpoint_prefix(path, _INDEX)
@@ -289,39 +325,41 @@ def test_engine_payload_roundtrip(tmp_path):
         calls.extend(indices)
         return records(v=[[float(i) * 0.1] for i in indices], i2=[i * i for i in indices])
 
-    path = str(tmp_path / "ck.jsonl")
+    path = str(tmp_path / "ck.rec")
     first = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
     again = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
     assert again.dtype == dtype and again.tobytes() == first.tobytes()
     assert len(calls) == 5  # second pass is checkpoint-only
     done, _ = checkpoint_prefix(path, dtype)
     assert done.tobytes() == first.tobytes()
-    with open(path) as fh:
-        assert fh.readline() == '{"i":0,"p":{"i2":0,"v":[0.0]}}\n'
+    header = b'{"dtype":[["v","<f8",[1]],["i2","<i8"]],"format":1}\n'
+    rows = np.empty(5, [("i", "<i8"), ("p", dtype)])
+    rows["i"], rows["p"] = range(5), first
+    with open(path, "rb") as fh:
+        assert fh.read() == header + rows.tobytes()
 
 
 @pytest.mark.parametrize("cfg", [*TINY_CFGS.values(), {**TINY_CFGS["inequalities"], "estimator": {
     **TINY_CFGS["inequalities"]["estimator"], "l": 0}}], ids=[*TINY_CFGS, "inequalities-l0"])
-def test_every_checkpoint_line_decodes_into_its_record_and_back(cfg, tmp_path, monkeypatch):
+def test_every_checkpoint_decodes_in_full_into_its_records(cfg, tmp_path, monkeypatch):
     from fmlab import estimators, inequalities
 
-    scans = []  # (checkpoint, record dtype) of every scan of the run
+    scans = []  # (checkpoint, record dtype, records) of every scan of the run
 
     def recorded(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
-        scans.append((checkpoint_path, dtype))
-        return run_indexed(batch_fn, ctx, dtype, n_samples, workers, checkpoint_path)
+        recs = run_indexed(batch_fn, ctx, dtype, n_samples, workers, checkpoint_path)
+        scans.append((checkpoint_path, dtype, recs))
+        return recs
 
     for module in (estimators, inequalities):
         monkeypatch.setattr(module, "run_indexed", recorded)
     run(cfg, outdir=str(tmp_path))
-    assert sorted(os.path.basename(path) for path, _ in scans) == sorted(
+    assert sorted(os.path.basename(path) for path, _, _ in scans) == sorted(
         name for name in os.listdir(tmp_path) if name.startswith("samples"))
-    for path, dtype in scans:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+    for path, dtype, straight in scans:
         recs, end = checkpoint_prefix(path, dtype)
-        assert end == len(raw) and len(recs) == raw.count(b"\n") > 0
-        assert "".join(engine._lines(range(len(recs)), recs)).encode() == raw
+        assert end == os.path.getsize(path) and len(recs) == len(straight) > 0
+        assert recs.tobytes() == straight.tobytes()
 
 
 def test_emit_csv_lossless_roundtrip(tmp_path):
@@ -418,7 +456,7 @@ def test_cli_end_to_end(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for name in ("results.json", "series.csv", "plot.svg", "config.json",
-                 "run_meta.json", "samples.jsonl"):
+                 "run_meta.json", "samples.rec"):
         assert os.path.exists(os.path.join(out, name)), name
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert "elapsed_seconds" in meta["timing"]
@@ -570,7 +608,7 @@ def test_cli_rejects_out_of_range_and_malformed_configs(tmp_path, capsys, cfg, e
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{field}:" in err, err
-    assert not list(out.glob("samples*.jsonl"))  # refused before any sample ran
+    assert not list(out.glob("samples*"))  # refused before any sample ran
 
 
 def test_cli_exits_3_when_a_solve_fails_its_residual(tmp_path, capsys, monkeypatch):
@@ -643,7 +681,7 @@ def test_a_config_json_alone_claims_its_outdir(tmp_path, capsys):
 
     out = tmp_path / "run"
     out.mkdir()
-    # what a run leaves that was stopped before its first checkpoint line
+    # what a run leaves that was stopped before its first checkpoint write
     (out / "config.json").write_text(json.dumps({**BASE_CFG, "master_seed": 1}))
     argv = ["decay", "--config", write_cfg(tmp_path, BASE_CFG), "--out", str(out)]
     assert main(argv) == 2
@@ -858,7 +896,7 @@ def test_fractional_scale_names_its_checkpoint_by_position(tmp_path):
     rec = run(cfg, outdir=str(out))
     assert sorted(rec.outputs["comparability"]) == ["1/2", "10"]
     scans = sorted(p.name for p in out.glob("samples.scan*"))
-    assert scans == ["samples.scan_0.jsonl", "samples.scan_1.jsonl"]
+    assert scans == ["samples.scan_0.rec", "samples.scan_1.rec"]
 
 
 def test_shipped_configs_validate():
@@ -969,7 +1007,7 @@ def test_inequalities_series_keeps_every_scale(tmp_path):
     dtype = np.dtype([("a", "f8", (3, 2)), ("b", "f8", (3, 2)), ("lhs", "f8"), ("rhs", "f8"),
                       ("ratio", "f8"), ("error_bound", "f8")])  # l = m = 3 points by default
     for j in range(3):
-        draws, _ = checkpoint_prefix(str(tmp_path / "iq" / f"samples.scan_{j}.jsonl"), dtype)
+        draws, _ = checkpoint_prefix(str(tmp_path / "iq" / f"samples.scan_{j}.rec"), dtype)
         assert len(draws) == 12
         for i, draw in enumerate(draws):
             row = rows[12 * j + i]
