@@ -1,4 +1,5 @@
-"""Single-site disorder catalog: parameters, sampling, density and support.
+"""Single-site disorder catalog: parameters, sampling, density, support,
+singular points and moment tails.
 
 Four families spanning the regularity/moment parameter space:
 
@@ -116,3 +117,35 @@ def support(spec: DisorderSpec):
     if spec.family == "power_regular":
         return (-1.0, 1.0)
     return (-math.inf, math.inf)
+
+
+def singular_points(spec: DisorderSpec) -> tuple:
+    """Points where the density may be unbounded: 0 for power_regular, whose
+    density grows like |v|^(alpha - 1) there."""
+    return (0.0,) if spec.family == "power_regular" else ()
+
+
+def abs_moment_tail(spec: DisorderSpec, p: float, t: float) -> float:
+    """Upper bound on the integral of |v|^p over {|v| > t}."""
+    if spec.family in ("uniform", "power_regular"):
+        lo, hi = support(spec)
+        return 0.0 if t >= max(abs(lo), abs(hi)) else math.inf
+    if spec.family == "heavy_tail":
+        q0 = spec.params[0]
+        if q0 <= p:
+            return math.inf
+        return q0 * (1.0 + t) ** (p - q0) / (q0 - p)
+    if spec.family == "gaussian":
+        mean, sigma = spec.params
+        if t <= abs(mean):
+            return math.inf
+        # Cauchy-Schwarz against a sub-Gaussian tail probability
+        n2 = max(1, math.ceil(p))
+        even = 2 * n2
+        dfact = 1.0
+        for j in range(1, even, 2):
+            dfact *= j
+        moment = 2.0 ** (even - 1) * (abs(mean) ** even + dfact * sigma**even) + 1.0
+        prob = 2.0 * math.exp(-((t - abs(mean)) ** 2) / (2.0 * sigma * sigma))
+        return math.sqrt(moment * prob)
+    raise ConfigurationError(f"no closed-form density for family {spec.family!r}")

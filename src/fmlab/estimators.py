@@ -85,7 +85,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _group_stats(values: np.ndarray):
-    """(mean, median-of-means, group-based standard error) along axis 0."""
+    """(mean, median-of-means, group-based standard error) along axis 0: scalars
+    for a 1-D column, equal bit for bit to the entries of its (n, 1) form."""
     n = values.shape[0]
     mean = np.mean(values, axis=0)
     groups = min(MOM_GROUPS, n)
@@ -123,12 +124,12 @@ def sample_context(p, model, topo, disorder, master_seed) -> _SampleCtx:
 
 
 def solve_resampled(ctx: _SampleCtx, indices, solve):
-    """(results, retries) for a list of sample indices.
+    """(results, retries) arrays for a list of sample indices.
 
     Sample i's operator is drawn and assembled from its own (master_seed, i)
     stream.  solve(h) gets a stack h of operators, at most STACK_BYTES of
-    matrices but at least one, and returns one result per member (anything
-    indexable by member); results[j] is indices[j]'s.  A ResampleSignal (an
+    matrices but at least one, and returns an array (records, say) with one
+    entry per member; results[j] is indices[j]'s.  A ResampleSignal (an
     exactly singular solve, measure zero for continuous disorder) redraws
     only the singular members, each from the next words of its own stream,
     and retries[j] counts indices[j]'s redraws; after MAX_RETRIES redraws a
@@ -137,8 +138,8 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
     n = ctx.topo.n_vertices
     dim = n * ctx.model.k_ambient
     per_stack = max(1, STACK_BYTES // (16 * dim * dim))  # complex128 matrices
-    results = [None] * len(indices)
-    retries = [0] * len(indices)
+    results = None  # allocated from the first solved stack's dtype and entry shape
+    retries = np.zeros(len(indices), dtype=np.int64)
     pending = np.arange(len(indices))  # positions in indices still without a result
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices, dtype=np.uint64)))
     for attempt in range(MAX_RETRIES + 1):
@@ -156,9 +157,10 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
                     singular[rows[bad]] = True
                     rows = rows[~bad]
                     continue
-                for j, row in enumerate(rows):
-                    results[pending[row]] = out[j]
-                    retries[pending[row]] = attempt
+                if results is None:
+                    results = np.empty((len(indices), *out.shape[1:]), out.dtype)
+                results[pending[rows]] = out
+                retries[pending[rows]] = attempt
                 break
         if not np.any(singular):
             return results, retries
@@ -311,7 +313,7 @@ def default_eps(ctx: _SampleCtx) -> float:
 
 
 def _ids_batch(ctx: _SampleCtx, indices) -> np.ndarray:
-    vals = np.asarray(solve_resampled(ctx, indices, hermitian_eigvals)[0])
+    vals = solve_resampled(ctx, indices, hermitian_eigvals)[0]
     edges = ctx.params["bins"]
     nbins = edges.size - 1
     # np.histogram's bins (the last one closed), eigenvalues beyond the edges
@@ -341,7 +343,7 @@ def ids(ctx: _SampleCtx, workers=1, outdir=None):
 
 
 def _window_batch(ctx: _SampleCtx, indices) -> np.ndarray:
-    vals = np.asarray(solve_resampled(ctx, indices, hermitian_eigvals)[0])[:, None, :]
+    vals = solve_resampled(ctx, indices, hermitian_eigvals)[0][:, None, :]
     lam0, eps = ctx.params["lambda0"], ctx.params["eps_list"][:, None]
     counts = np.sum((vals >= lam0 - eps) & (vals <= lam0 + eps), axis=-1)
     return records(c=counts)
@@ -453,9 +455,9 @@ def _correlator_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
 
     def targets(h):
-        return [correlator_targets(sd, interval, x0) for sd in hermitian_eig(h)]
+        return records(q=[correlator_targets(sd, interval, x0) for sd in hermitian_eig(h)])
 
-    return records(q=solve_resampled(ctx, indices, targets)[0])
+    return solve_resampled(ctx, indices, targets)[0]
 
 
 def correlator_decay_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
@@ -486,15 +488,15 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     interval, x0 = ctx.params["interval"], ctx.params["x0"]
 
     def targets(h):
-        out = []
+        sups, qs = [], []
         for sd in hermitian_eig(h):
             t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
             nus, blocks = _cluster_blocks_all_targets(sd, interval, x0)
-            out.append((_dynamical_sup(nus, blocks, x0, t_grid), opnorm_batch(blocks).sum(axis=0)))
-        return out
+            sups.append(_dynamical_sup(nus, blocks, x0, t_grid))
+            qs.append(opnorm_batch(blocks).sum(axis=0))
+        return records(u=sups, q=qs)
 
-    sups, qs = zip(*solve_resampled(ctx, indices, targets)[0])
-    return records(u=sups, q=qs)
+    return solve_resampled(ctx, indices, targets)[0]
 
 
 def dynamical(ctx: _SampleCtx, workers=1, outdir=None):

@@ -19,11 +19,12 @@ declared in the same way.  Quadrature values carry explicit error bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .disorder import DisorderSpec, density, sample_vector, support
+from .disorder import (DisorderSpec, abs_moment_tail, density, sample_vector,
+                       singular_points, support)
 from .engine import canonical_json, checkpoint_path, records, run_indexed
 from .errors import ConfigurationError, NumericalError
 from .model import potential_block, decay_exponent_window
@@ -39,24 +40,15 @@ _RH_PARAM_SCALE = 2.0  # reverse-Holder potential offsets lie in [-scale, scale]
 _RH = np.dtype([("ratio", "f8"), ("m_s", "f8"), ("m_s2", "f8"), ("lambda", "f8"), ("hop", "f8")])
 
 
-@dataclass(frozen=True)
-class RatioIntegralSpec:
-    """Integral of prod |v - a_j|^s / prod |v - b_i|^r against a catalog measure."""
+def _targets(a: np.ndarray, b: np.ndarray, s: float, r: float) -> np.ndarray:
+    """prod_j (1 + |a_j|)^s / prod_i (1 + |b_i|)^r of every row of the points
+    a, shape (rows, l), and b, shape (rows, m).
 
-    a: tuple  # complex points, length l
-    b: tuple  # complex points, length m
-    s: float
-    r: float
-    measure: DisorderSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(complex(x) for x in self.b))
-
-    def target(self) -> float:
-        num = math.prod((1.0 + abs(aj)) ** self.s for aj in self.a)
-        den = math.prod((1.0 + abs(bi)) ** self.r for bi in self.b)
-        return num / den
+    Python float powers and products, one row at a time (numpy's ** rounds apart).
+    """
+    return np.array([math.prod((1.0 + abs(aj)) ** s for aj in pa)
+                     / math.prod((1.0 + abs(bi)) ** r for bi in pb)
+                     for pa, pb in zip(a.tolist(), b.tolist())])
 
 
 def _ratio_integrand(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: float, r: float):
@@ -73,78 +65,47 @@ def _ratio_integrand(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: flo
     return f
 
 
-def _abs_moment_tail(measure: DisorderSpec, p: float, t: float) -> float:
-    """Upper bound on the integral of |v|^p over {|v| > t}."""
-    fam = measure.family
-    if fam in ("uniform", "power_regular"):
-        lo, hi = support(measure)
-        return 0.0 if t >= max(abs(lo), abs(hi)) else math.inf
-    if fam == "heavy_tail":
-        q0 = measure.params[0]
-        if q0 <= p:
-            return math.inf
-        return q0 * (1.0 + t) ** (p - q0) / (q0 - p)
-    if fam == "gaussian":
-        mean, sigma = measure.params
-        if t <= abs(mean):
-            return math.inf
-        # Cauchy-Schwarz against a sub-Gaussian tail probability
-        n2 = max(1, math.ceil(p))
-        even = 2 * n2
-        dfact = 1.0
-        for j in range(1, even, 2):
-            dfact *= j
-        moment = 2.0 ** (even - 1) * (abs(mean) ** even + dfact * sigma**even) + 1.0
-        prob = 2.0 * math.exp(-((t - abs(mean)) ** 2) / (2.0 * sigma * sigma))
-        return math.sqrt(moment * prob)
-    raise ConfigurationError(f"no closed-form density for family {fam!r}")
-
-
-def _integration_domain(spec: RatioIntegralSpec):
-    """(lo, hi, tail_bound) with the tail below _TAIL_REL of the target scale."""
-    lo, hi = support(spec.measure)
+def _integration_domain(measure: DisorderSpec, a, b, s: float, r: float, target: float):
+    """(lo, hi, tail_bound) of one row's ratio integral, points a and b and
+    comparability target, with the tail below _TAIL_REL of the target."""
+    lo, hi = support(measure)
     if math.isfinite(lo) and math.isfinite(hi):
         return lo, hi, 0.0
-    sl = spec.s * len(spec.a)
-    rm = spec.r * len(spec.b)
-    pmax = max(
-        [1.0]
-        + [abs(x) for x in spec.a]
-        + [abs(x) for x in spec.b]
-    )
-    goal = _TAIL_REL * spec.target() + 1e-300
+    sl = s * len(a)
+    rm = r * len(b)
+    pmax = max([1.0] + [abs(x) for x in a] + [abs(x) for x in b])
+    goal = _TAIL_REL * target + 1e-300
     t = 2.0 * pmax
     for _ in range(200):
-        bound = 1.5**sl * 2.0**rm * t ** (-rm) * _abs_moment_tail(spec.measure, sl, t)
+        bound = 1.5**sl * 2.0**rm * t ** (-rm) * abs_moment_tail(measure, sl, t)
         if bound <= goal:
             return -t, t, bound
         t *= 2.0
     raise NumericalError("could not truncate the measure tail (check moment assumptions)")
 
 
-def _ratio_integrals(specs, rel_tol: float) -> list:
-    """[(value, error_bound)] of the ratio integrals of specs sharing s, r,
-    the measure and the point counts, integrated in one batch.
+def _ratio_integrals(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: float, r: float,
+                     rel_tol: float):
+    """(value, error_bound, target) arrays of the integrals of
+    prod_j |v - a_j|^s / prod_i |v - b_i|^r against measure, one per row of
+    the complex points a, shape (rows, l), and b, shape (rows, m), integrated
+    in one batch.
 
     Panel boundaries are forced at every real singular point; unbounded
     measures are truncated where the q-moment tail bound drops below
     _TAIL_REL of the comparability target (added to error_bound).
     """
-    first = specs[0]
-    a = np.array([spec.a for spec in specs], dtype=np.complex128)
-    b = np.array([spec.b for spec in specs], dtype=np.complex128)
+    target = _targets(a, b, s, r)
     items, tails = [], []
-    for spec in specs:
-        lo, hi, tail = _integration_domain(spec)
-        sing = {pt.real for pt in (*spec.a, *spec.b) if pt.imag == 0.0 and lo < pt.real < hi}
-        if spec.measure.family == "power_regular":
-            sing.add(0.0)
-        items.append((lo, hi, (), sorted(sing)))
+    for pa, pb, goal in zip(a.tolist(), b.tolist(), target.tolist()):
+        lo, hi, tail = _integration_domain(measure, pa, pb, s, r, goal)
+        sing = {pt.real for pt in (*pa, *pb) if pt.imag == 0.0 and lo < pt.real < hi}
+        items.append((lo, hi, sorted(sing.union(singular_points(measure)))))
         tails.append(tail)
-    f = _ratio_integrand(first.measure, a, b, first.s, first.r)
     with np.errstate(divide="ignore", over="ignore"):
-        results = integrate_batch(f, items, rel_tol=rel_tol)
-    return [(float(value), float(err + tail)) for (value, err), tail in zip(results, tails)]
+        value, err = np.array(integrate_batch(_ratio_integrand(measure, a, b, s, r), items,
+                                              rel_tol)).T
+    return value, err + np.array(tails), target
 
 
 def _complex_points(w: np.ndarray, scale: float) -> np.ndarray:
@@ -160,10 +121,7 @@ def _comparability_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices)))
     a = _complex_points(stream.uniforms(2 * p["l"]), p["param_scale"])
     b = _complex_points(stream.uniforms(2 * p["m"]), p["param_scale"])
-    specs = [RatioIntegralSpec(a=tuple(pa), b=tuple(pb), s=p["s"], r=p["r"], measure=ctx.disorder)
-             for pa, pb in zip(a, b)]
-    value, err = np.array(_ratio_integrals(specs, _SCAN_REL_TOL)).T
-    target = np.array([spec.target() for spec in specs])
+    value, err, target = _ratio_integrals(ctx.disorder, a, b, p["s"], p["r"], _SCAN_REL_TOL)
     return records(a=np.stack([a.real, a.imag], -1), b=np.stack([b.real, b.imag], -1),  # [re, im]
                    lhs=value, rhs=target, ratio=value / target, error_bound=err)
 
@@ -230,8 +188,8 @@ def vinv_moment(ctx: _SampleCtx) -> dict:
             raise NumericalError("vinv_moment: persistent singular potential")
         values[filled:filled + regular.size] = regular ** -p["vinv_s"]  # ||V^-1|| = 1/sigma_min
         filled += regular.size
-    mean, _, err = _group_stats(values[:, None])
-    return {"value": float(mean[0]), "err": float(err[0]), "resamples": resamples}
+    mean, _, err = _group_stats(values)
+    return {"value": float(mean), "err": float(err), "resamples": resamples}
 
 
 def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
@@ -246,13 +204,11 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
         lhs = opnorm_batch(prof[:, y] @ vy).tolist()
         gnorms = opnorm_batch(prof[:, neighbors]).tolist()
         # Python float powers and sums, one element at a time (numpy's ** rounds apart)
-        return [
-            (lg ** s, scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0))
-            for lg, gs in zip(lhs, gnorms)
-        ]
+        return records(lhs=[lg ** s for lg in lhs],
+                       rhs=[scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0)
+                            for gs in gnorms])
 
-    lhs, rhs = zip(*solve_resampled(ctx, indices, sides)[0])
-    return records(lhs=lhs, rhs=rhs)
+    return solve_resampled(ctx, indices, sides)[0]
 
 
 def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
@@ -267,16 +223,16 @@ def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     dtype = np.dtype([("lhs", "f8"), ("rhs", "f8")])
     recs = run_indexed(_one_step_batch, ctx, dtype, p["samples"], workers, checkpoint_path)
     lhs, rhs = recs["lhs"], recs["rhs"]
-    lm, _, le = _group_stats(lhs[:, None])
-    rm_, _, re_ = _group_stats(rhs[:, None])
-    sigma = math.sqrt(float(le[0]) ** 2 + float(re_[0]) ** 2)
+    lm, _, le = _group_stats(lhs)
+    rm_, _, re_ = _group_stats(rhs)
+    sigma = math.sqrt(float(le) ** 2 + float(re_) ** 2)
     return {
         "x": p["x"],
         "y": p["y"],
-        "lhs": float(lm[0]),
-        "rhs": float(rm_[0]),
+        "lhs": float(lm),
+        "rhs": float(rm_),
         "sigma": sigma,
-        "pass": bool(lm[0] <= rm_[0] + 3.0 * sigma),
+        "pass": bool(lm <= rm_ + 3.0 * sigma),
         "pointwise_violations": int(np.sum(lhs > rhs + 1e-9 * (1.0 + np.abs(rhs)))),
     }
 
@@ -294,13 +250,10 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
             nums.append(opnorm_batch(gxy @ vy).tolist())
             dens.append(opnorm_batch(gxy).tolist())
         # Python float powers, one element at a time (numpy's ** rounds apart)
-        return [
-            ([t ** s for t in num], [t ** s for t in den])
-            for num, den in zip(zip(*nums), zip(*dens))
-        ]
+        return records(num=[[t ** s for t in num] for num in zip(*nums)],
+                       den=[[t ** s for t in den] for den in zip(*dens)])
 
-    nums, dens = zip(*solve_resampled(ctx, indices, terms)[0])
-    return records(num=nums, den=dens)
+    return solve_resampled(ctx, indices, terms)[0]
 
 
 def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
@@ -321,18 +274,18 @@ def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     nums, dens = recs["num"], recs["den"]
     out = []
     for j, lam in enumerate(p["lambda_grid"]):
-        nmean, _, nerr = _group_stats(nums[:, j:j + 1])
-        dmean, _, derr = _group_stats(dens[:, j:j + 1])
-        scaled = float(dmean[0]) * (1.0 + abs(lam)) ** s
+        nmean, _, nerr = _group_stats(nums[:, j])
+        dmean, _, derr = _group_stats(dens[:, j])
+        scaled = float(dmean) * (1.0 + abs(lam)) ** s
         out.append({
             "lambda": lam,
-            "num": float(nmean[0]),
-            "num_err": float(nerr[0]),
+            "num": float(nmean),
+            "num_err": float(nerr),
             "den": scaled,
-            "den_err": float(derr[0]) * (1.0 + abs(lam)) ** s,
+            "den_err": float(derr) * (1.0 + abs(lam)) ** s,
             "flags": list(flags),
             "skipped": scaled == 0.0,
-            "ratio": math.nan if scaled == 0.0 else float(nmean[0]) / scaled,
+            "ratio": math.nan if scaled == 0.0 else float(nmean) / scaled,
         })
     return out
 

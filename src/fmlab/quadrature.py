@@ -44,6 +44,8 @@ _WGFULL[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 _GRADING = 4  # substitution exponent at singular endpoints
 _WIDTH_FLOOR = 1e-13  # relative panel width below which refinement stops
+_ABS_TOL = 1e-14  # absolute error at which a lane stops, whatever its rel_tol
+_MAX_PANELS = 4000  # panels per lane before it stops short of its tolerance
 
 
 def _panel_rule(f, lanes, lo, hi):
@@ -90,11 +92,11 @@ class _Lane:
         self.frozen_err = 0.0
         self.panels = 1
 
-    def next_split(self, rel_tol, abs_tol, max_panels):
+    def next_split(self, rel_tol):
         """The next panel to bisect, as (lo, hi, val, -err), or None when done."""
         heap = self.heap
-        while heap and self.toterr + self.frozen_err > max(abs_tol, rel_tol * abs(self.total)):
-            if self.panels >= max_panels:
+        while heap and self.toterr + self.frozen_err > max(_ABS_TOL, rel_tol * abs(self.total)):
+            if self.panels >= _MAX_PANELS:
                 return None
             nerr, _, lo, hi, val = heapq.heappop(heap)
             if hi - lo < _WIDTH_FLOOR * (1.0 + abs(lo) + abs(hi)):
@@ -116,10 +118,10 @@ class _Lane:
         self.panels += 1
 
 
-def _lanes(item, a, b, split_points, singular_points):
+def _lanes(item, a, b, singular_points):
     """Lanes of one integral with their first panels: [(lane, lo, hi)]."""
     sing = sorted({float(p) for p in singular_points if a <= p <= b})
-    cuts = sorted({a, b, *sing, *(float(p) for p in split_points if a < p < b)})
+    cuts = sorted({a, b, *sing})
     singular = set(sing)
     out = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -140,27 +142,21 @@ def _lanes(item, a, b, split_points, singular_points):
     return out
 
 
-def integrate_batch(
-    f,
-    items,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-14,
-    max_panels: int = 4000,
-):
+def integrate_batch(f, items, rel_tol: float = 1e-9):
     """Adaptive integrals of many items in lockstep; returns [(value, error_bound)].
 
-    items is a sequence of (a, b, split_points, singular_points), one per
-    integral: split_points become panel boundaries, and singular_points
-    also get the graded endpoint substitution on the segments they touch.
+    items is a sequence of (a, b, singular_points), one per integral:
+    singular_points become panel boundaries with the graded endpoint
+    substitution on the segments they touch.
     f(rows, x) evaluates the integrands: x is a float array and rows an int
     array of the same shape naming the item of each x.  Each result equals
     that of the item alone in a batch of one, bit for bit.
     """
     lanes, los, his = [], [], []
-    for k, (a, b, split_points, singular_points) in enumerate(items):
+    for k, (a, b, singular_points) in enumerate(items):
         a, b = float(a), float(b)
         if b > a:
-            for lane, lo, hi in _lanes(k, a, b, split_points, singular_points):
+            for lane, lo, hi in _lanes(k, a, b, singular_points):
                 lanes.append(lane)
                 los.append(lo)
                 his.append(hi)
@@ -172,7 +168,7 @@ def integrate_batch(
     while active:
         splits = []
         for lane in active:
-            panel = lane.next_split(rel_tol, abs_tol, max_panels)
+            panel = lane.next_split(rel_tol)
             if panel is not None:
                 splits.append((lane, *panel))
         if not splits:

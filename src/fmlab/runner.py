@@ -444,13 +444,16 @@ def parse_config(cfg: dict) -> tuple:
     return top, ctx
 
 
-def _linalg_build() -> dict:
-    """Name and version of the BLAS and LAPACK numpy was built against."""
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+def _numpy_build() -> dict:
+    """Name and version of the BLAS and LAPACK numpy was built against, and
+    the SIMD extensions its dispatch found on this CPU (its ufuncs, ** among
+    them, can round apart from one set to another)."""
+    config = np.show_config(mode="dicts")
+    deps = config.get("Build Dependencies", {})
     return {
-        lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
-        for lib in ("blas", "lapack")
-        if lib in deps
+        **{lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
+           for lib in ("blas", "lapack") if lib in deps},
+        "simd": config.get("SIMD Extensions", {}).get("found", []),
     }
 
 
@@ -489,7 +492,7 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         columns=list(columns),
         rows=rows,
         timing={"elapsed_seconds": elapsed, "finished_unix": time.time()},
-        environment={"numpy": np.__version__, **_linalg_build()},
+        environment={"numpy": np.__version__, **_numpy_build()},
     )
     if outdir:
         _atomic_write(os.path.join(outdir, "results.json"), record.to_json())

@@ -56,10 +56,9 @@ from fmlab.quadrature import integrate_batch
 from fmlab.rng import Stream, derive_sample_seed
 
 
-def integrate(f, a, b, split_points=(), singular_points=(), **kw):
+def integrate(f, a, b, singular_points=(), **kw):
     """(value, error_bound) of a vectorized f over [a, b] via integrate_batch."""
-    items = [(a, b, split_points, singular_points)]
-    return integrate_batch(lambda rows, x: f(x), items, **kw)[0]
+    return integrate_batch(lambda rows, x: f(x), [(a, b, singular_points)], **kw)[0]
 
 
 def dynamical_targets(sd, interval, x0: int, t_grid) -> np.ndarray:
@@ -125,20 +124,23 @@ def moment_probe(spec, q: float, n: int, stream) -> float:
     return float(np.mean(np.abs(draws) ** q))
 
 
-def ratio_integral(spec, rel_tol: float = 1e-8, mc_draws: int = 0, mc_seed: int = 0) -> dict:
-    """The comparability quadrature of one RatioIntegralSpec, as
-    {"value", "error_bound"}; with mc_draws > 0 also "mc_value" and
-    "mc_err", a Monte Carlo average of the same ratio."""
-    value, err = _ratio_integrals([spec], rel_tol)[0]
-    out = {"value": value, "error_bound": err}
+def ratio_integral(measure, a, b, s: float, r: float, rel_tol: float = 1e-8,
+                   mc_draws: int = 0, mc_seed: int = 0) -> dict:
+    """The comparability quadrature of the integral of
+    prod_j |v - a_j|^s / prod_i |v - b_i|^r against measure, for one draw of
+    points a and b, as {"value", "error_bound"}; with mc_draws > 0 also
+    "mc_value" and "mc_err", a Monte Carlo average of the same ratio."""
+    rows = [np.array([points], dtype=np.complex128).reshape(1, len(points)) for points in (a, b)]
+    value, err, _ = _ratio_integrals(measure, *rows, s, r, rel_tol)
+    out = {"value": float(value[0]), "error_bound": float(err[0])}
     if mc_draws > 0:
         stream = Stream(derive_sample_seed(mc_seed, 0x51AD))
-        v = sample_vector(spec.measure, stream, int(mc_draws))
+        v = sample_vector(measure, stream, int(mc_draws))
         ratio = np.ones_like(v)
-        for aj in spec.a:
-            ratio *= np.abs(v - aj) ** spec.s
-        for bi in spec.b:
-            ratio /= np.abs(v - bi) ** spec.r
+        for aj in a:
+            ratio *= np.abs(v - aj) ** s
+        for bi in b:
+            ratio /= np.abs(v - bi) ** r
         out["mc_value"] = float(np.mean(ratio))
         out["mc_err"] = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
     return out

@@ -26,7 +26,6 @@ from fmlab.estimators import (
     wegner,
 )
 from fmlab.inequalities import (
-    RatioIntegralSpec,
     comparability_scan,
     one_step_bound_check,
     reverse_holder_check,
@@ -264,9 +263,9 @@ def test_criterion_8_comparability():
         finite &= not scan["failures"] and scan["ratio_min"] > 0
         spreads[scale] = scan["ratio_max"] / scan["ratio_min"]
     growth = spreads[10.0] / spreads[5.0]
-    spec = RatioIntegralSpec((2.0,), (-3.0,), 0.15, 0.15, UNIFORM)
-    coarse = ratio_integral(spec, rel_tol=1e-6)["value"]
-    fine = ratio_integral(spec, rel_tol=1e-9)["value"]
+    draw = (UNIFORM, (2.0,), (-3.0,), 0.15, 0.15)
+    coarse = ratio_integral(*draw, rel_tol=1e-6)["value"]
+    fine = ratio_integral(*draw, rel_tol=1e-9)["value"]
     consistent = abs(coarse - fine) <= 0.01 * abs(fine)
     ok = finite and growth < 2.0 and consistent
     _report(

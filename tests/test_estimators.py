@@ -10,6 +10,7 @@ from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import DegenerateFitError
 from fmlab.estimators import (
     _distinct,
+    _group_stats,
     _line_fit,
     _median,
     correlator_decay_profile,
@@ -402,3 +403,16 @@ def test_sort_based_median_and_distinct_match_numpy(rows):
     for x in (ints, ints[:-1], ints[:0]):
         got, want = _distinct(x), np.unique(x)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 300, 2000])
+def test_group_stats_of_a_column_match_its_n_by_1_form(n):
+    # the inequalities checks average 1-D columns; their stats must be the
+    # [0] entries of the (n, 1) form bit for bit
+    rng = np.random.default_rng(n)
+    heavy = np.abs(rng.standard_cauchy(n)) ** 1.5  # heavy-tailed, like ||G||^s near a pole
+    block = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-3, 4, (n, 4))
+    for column in (heavy, block[:, 2]):  # contiguous, and strided across (n, 4)
+        for got, want in zip(_group_stats(column), _group_stats(column[:, None])):
+            assert np.shape(got) == ()
+            assert np.float64(got).tobytes() == want[0].tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fmlab.errors import NumericalError
+from fmlab import quadrature
 from fmlab.quadrature import _WIDTH_FLOOR, _Lane, _panel_rule, integrate_batch
 from oracles import integrate
 
@@ -31,7 +32,7 @@ def test_gk15_error_estimate_signals_roughness():
 def test_integrate_plain_and_split():
     val, err = integrate(lambda x: np.sin(x), 0.0, np.pi)
     assert val == pytest.approx(2.0, abs=1e-10)
-    val, err = integrate(lambda x: np.sign(x - 0.3), 0.0, 1.0, split_points=[0.3])
+    val, err = integrate(lambda x: np.sign(x - 0.3), 0.0, 1.0, singular_points=[0.3])
     assert val == pytest.approx(0.4, abs=1e-12)
 
 
@@ -73,9 +74,10 @@ def test_error_bound_is_honest_under_refinement():
     assert abs(coarse - fine) <= bound
 
 
-def test_batch_items_match_their_batch_of_one():
+def test_batch_items_match_their_batch_of_one(monkeypatch):
     # one item converges on its first panel, one is frozen at the width floor,
-    # one is capped by max_panels; a graded item and an empty one ride along
+    # one is capped by _MAX_PANELS (40 here); a graded item and an empty one ride along
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
     width = 0.5 * _WIDTH_FLOOR
     funcs = [
         lambda x: x**3,
@@ -85,11 +87,11 @@ def test_batch_items_match_their_batch_of_one():
         lambda x: x,
     ]
     items = [
-        (0.0, 1.0, (), ()),
-        (1.0, 1.0 + width, (), ()),
-        (0.0, 1.0, (), ()),
-        (-1.0, 1.0, (), (0.2,)),
-        (2.0, 1.0, (), ()),
+        (0.0, 1.0, ()),
+        (1.0, 1.0 + width, ()),
+        (0.0, 1.0, ()),
+        (-1.0, 1.0, (0.2,)),
+        (2.0, 1.0, ()),
     ]
 
     def f(rows, x):
@@ -99,20 +101,19 @@ def test_batch_items_match_their_batch_of_one():
             out[sel] = fk(x[sel])
         return out
 
-    kw = dict(rel_tol=1e-12, max_panels=40)
-    batch = integrate_batch(f, items, **kw)
-    alone = [integrate(fk, a, b, sp, sing, **kw) for fk, (a, b, sp, sing) in zip(funcs, items)]
+    batch = integrate_batch(f, items, rel_tol=1e-12)
+    alone = [integrate(fk, a, b, sing, rel_tol=1e-12) for fk, (a, b, sing) in zip(funcs, items)]
     assert batch == alone
     assert alone[0][0] == pytest.approx(0.25, rel=1e-14)
     first_err = gk15(funcs[1], *items[1][:2])[1]
-    assert first_err > 1e-14  # above abs_tol, so the lone panel is popped and frozen
+    assert first_err > quadrature._ABS_TOL  # so the lone panel is popped and frozen
     assert alone[1][1] == pytest.approx(4.0 * first_err, rel=1e-12)
     assert alone[2][1] > 4e-12 * alone[2][0]  # stopped by the panel cap, short of rel_tol
     assert alone[4] == (0.0, 0.0)
 
 
 def test_diverging_item_fails_its_batch():
-    items = [(0.0, 1.0, (), ()), (-1.0, 1.0, (), ())]
+    items = [(0.0, 1.0, ()), (-1.0, 1.0, ())]
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="diverged"):
             integrate_batch(lambda rows, x: np.where(rows == 1, np.inf * x, x), items)

@@ -460,8 +460,9 @@ def test_cli_end_to_end(tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert "elapsed_seconds" in meta["timing"]
-    env = meta["environment"]  # numpy and the BLAS/LAPACK build it links
+    env = meta["environment"]  # numpy, the BLAS/LAPACK build it links and its SIMD dispatch
     assert env["numpy"] == np.__version__ and env["blas"] and env["lapack"]
+    assert env["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     results = json.load(open(os.path.join(out, "results.json")))
     assert "timing" not in results  # deterministic artifact carries no timestamps
     assert "environment" not in results
