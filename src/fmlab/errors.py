@@ -8,14 +8,15 @@ class ConfigurationError(ValueError):
 class NumericalError(RuntimeError):
     """A LAPACK routine failed to converge or a result violated its residual contract.
 
-    Carries the digest of the offending Hamiltonian instance when available.
+    member is the first failing matrix's position in the stack that was checked.
     """
 
-    def __init__(self, message, digest=None):
+    def __init__(self, message, digest=None, member=0):
         if digest is not None:
             message = f"{message} [instance {digest[:16]}]"
         super().__init__(message)
         self.digest = digest
+        self.member = member
 
 
 class DegenerateFitError(RuntimeError):

@@ -29,9 +29,8 @@ import numpy as np
 from .disorder import DisorderSpec, sample_vector
 from .engine import checkpoint_path, records, run_indexed
 from .errors import DegenerateFitError, NumericalError, ResampleSignal
-from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window
+from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window, instance_digest
 from .numerics import (
-    SpectralDecomposition,
     cluster_indices,
     hermitian_eig,
     hermitian_eigvals,
@@ -127,13 +126,14 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
     """(results, retries) arrays for a list of sample indices.
 
     Sample i's operator is drawn and assembled from its own (master_seed, i)
-    stream.  solve(h) gets a stack h of operators, at most STACK_BYTES of
-    matrices but at least one, and returns an array (records, say) with one
+    stream.  solve(h) gets a (B, n, n) stack h of matrices, at most
+    STACK_BYTES but at least one, and returns an array (records, say) with one
     entry per member; results[j] is indices[j]'s.  A ResampleSignal (an
     exactly singular solve, measure zero for continuous disorder) redraws
     only the singular members, each from the next words of its own stream,
     and retries[j] counts indices[j]'s redraws; after MAX_RETRIES redraws a
-    sample fails with NumericalError.
+    sample fails with NumericalError.  So does a failed contract, raised again
+    with its reason and the instance digest of the member it names.
     """
     n = ctx.topo.n_vertices
     dim = n * ctx.model.k_ambient
@@ -142,14 +142,21 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
     retries = np.zeros(len(indices), dtype=np.int64)
     pending = np.arange(len(indices))  # positions in indices still without a result
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices, dtype=np.uint64)))
+
+    def failure(reason, vb, mat):  # a sample's NumericalError, named by its instance digest
+        return NumericalError(reason, instance_digest(ctx.model, ctx.topo, vb, mat))
+
     for attempt in range(MAX_RETRIES + 1):
         v = sample_vector(ctx.disorder, stream, n)
         singular = np.zeros(pending.size, dtype=bool)
         for lo in range(0, pending.size, per_stack):
             rows = np.arange(lo, min(lo + per_stack, pending.size))
             while rows.size:
+                h = assemble(ctx.model, ctx.topo, v[rows], ctx.plan)
                 try:
-                    out = solve(assemble(ctx.model, ctx.topo, v[rows], ctx.plan))
+                    out = solve(h)
+                except NumericalError as exc:
+                    raise failure(str(exc), v[rows[exc.member]], h[exc.member]) from None
                 except ResampleSignal as sig:
                     # each member gets the LAPACK call it would get alone, so some member
                     # fails alone; should none, redraw the whole stack rather than loop
@@ -166,8 +173,9 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
             return results, retries
         pending = pending[singular]
         stream = Stream(stream.state[singular], stream.pos)
-    failed = assemble(ctx.model, ctx.topo, v[int(np.argmax(singular))], ctx.plan)
-    raise NumericalError("persistent singular factorization", failed.digest)
+    vb = v[int(np.argmax(singular))]
+    mat = assemble(ctx.model, ctx.topo, vb, ctx.plan)
+    raise failure("persistent singular factorization", vb, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +183,10 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
 
 
 def _moment_batch(ctx: _SampleCtx, indices) -> np.ndarray:
-    p = ctx.params
+    p, k = ctx.params, ctx.model.k_ambient
 
     def moments(h):
-        return opnorm_batch(resolvent_profile(h, p["lambda"], p["eps"], p["x0"])) ** p["s"]
+        return opnorm_batch(resolvent_profile(h, k, p["lambda"], p["eps"], p["x0"])) ** p["s"]
 
     rows, retries = solve_resampled(ctx, indices, moments)
     return records(m=rows, r=retries)
@@ -401,34 +409,34 @@ def _distance_profile(ctx: _SampleCtx, values) -> dict:
     }
 
 
-def _cluster_blocks_all_targets(sd: SpectralDecomposition, interval, x0: int):
-    """(nus, blocks) for the window clusters nu of one decomposition: nus[c] is
-    cluster c's mean eigenvalue, shape (C,), and blocks[c, y] is
-    M_nu(x0, y) = sum_{j in nu} psi_j(x0) psi_j(y)*, shape (C, N, k, k).
+def _cluster_blocks_all_targets(vals, vecs, k: int, interval, x0: int):
+    """(nus, blocks) for the window clusters nu of eigenpairs (vals, vecs) with
+    k x k site blocks: nus[c] is cluster c's mean eigenvalue, shape (C,), and
+    blocks[c, y] = M_nu(x0, y) = sum_{j in nu} psi_j(x0) psi_j(y)*, (C, N, k, k).
 
     One reduceat over the outer products of the window columns, split at the
     cluster starts.  blocks is C-contiguous: numpy then sums over its cluster
     axis row by row, in the order of a loop over the clusters.
     """
-    k, n_sites = sd.k, sd.n_sites
-    cols, starts = cluster_indices(sd, interval)
+    n_sites = vals.size // k
+    cols, starts = cluster_indices(vals, interval)
     if not starts.size:  # reduceat needs at least one start
         return np.zeros(0), np.zeros((0, n_sites, k, k), dtype=np.complex128)
-    u = sd.eigenvectors[:, cols]  # (N k, W)
+    u = vecs[:, cols]  # (N k, W)
     v = u.reshape(n_sites, k, cols.size)
     # einsum's products, not a broadcast multiply (which rounds some complex
     # products differently): each block is then bit for bit an einsum over
     # its own cluster's columns
-    outer = np.einsum("aj,nbj->jnab", u[sd.site_rows(x0)], v.conj())  # (W, N, k, k)
+    outer = np.einsum("aj,nbj->jnab", u[x0 * k:(x0 + 1) * k], v.conj())  # (W, N, k, k)
     blocks = np.ascontiguousarray(np.add.reduceat(outer, starts, axis=0))
-    nus = np.add.reduceat(sd.eigenvalues[cols], starts) / np.diff(starts, append=cols.size)
+    nus = np.add.reduceat(vals[cols], starts) / np.diff(starts, append=cols.size)
     return nus, blocks
 
 
-def correlator_targets(sd: SpectralDecomposition, interval, x0: int) -> np.ndarray:
+def correlator_targets(vals, vecs, k: int, interval, x0: int) -> np.ndarray:
     """Q_hat(x0, y), the sum over window clusters of ||M_nu(x0, y)|| (at most
     k), for every site y."""
-    return opnorm_batch(_cluster_blocks_all_targets(sd, interval, x0)[1]).sum(axis=0)
+    return opnorm_batch(_cluster_blocks_all_targets(vals, vecs, k, interval, x0)[1]).sum(axis=0)
 
 
 def default_t_grid(spectral_width: float, points: int = T_GRID_POINTS) -> np.ndarray:
@@ -452,10 +460,11 @@ def _dynamical_sup(nus, blocks, x0: int, t_grid) -> np.ndarray:
 
 
 def _correlator_batch(ctx: _SampleCtx, indices) -> np.ndarray:
-    interval, x0 = ctx.params["interval"], ctx.params["x0"]
+    interval, x0, k = ctx.params["interval"], ctx.params["x0"], ctx.model.k_ambient
 
     def targets(h):
-        return records(q=[correlator_targets(sd, interval, x0) for sd in hermitian_eig(h)])
+        return records(q=[correlator_targets(vals, vecs, k, interval, x0)
+                          for vals, vecs in zip(*hermitian_eig(h))])
 
     return solve_resampled(ctx, indices, targets)[0]
 
@@ -485,13 +494,13 @@ def correlator(ctx: _SampleCtx, workers=1, outdir=None):
 
 
 def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
-    interval, x0 = ctx.params["interval"], ctx.params["x0"]
+    interval, x0, k = ctx.params["interval"], ctx.params["x0"], ctx.model.k_ambient
 
     def targets(h):
         sups, qs = [], []
-        for sd in hermitian_eig(h):
-            t_grid = default_t_grid(sd.spectral_width, ctx.params["t_points"])
-            nus, blocks = _cluster_blocks_all_targets(sd, interval, x0)
+        for vals, vecs in zip(*hermitian_eig(h)):
+            t_grid = default_t_grid(vals[-1] - vals[0], ctx.params["t_points"])
+            nus, blocks = _cluster_blocks_all_targets(vals, vecs, k, interval, x0)
             sups.append(_dynamical_sup(nus, blocks, x0, t_grid))
             qs.append(opnorm_batch(blocks).sum(axis=0))
         return records(u=sups, q=qs)

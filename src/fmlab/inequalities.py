@@ -27,7 +27,7 @@ from .disorder import (DisorderSpec, abs_moment_tail, density, sample_vector,
                        singular_points, support)
 from .engine import canonical_json, checkpoint_path, records, run_indexed
 from .errors import ConfigurationError, NumericalError
-from .model import potential_block, decay_exponent_window
+from .model import decay_exponent_window
 from .numerics import opnorm_batch, resolvent_profile
 from .quadrature import integrate_batch
 from .rng import Stream, derive_sample_seed
@@ -195,12 +195,13 @@ def vinv_moment(ctx: _SampleCtx) -> dict:
 def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
     x, y, s, lam, eps = p["x"], p["y"], p["one_step_s"], p["lambda"], p["eps"]
-    scale = (ctx.model.c_b3 * ctx.model.coupling) ** s
+    k, scale = ctx.model.k_ambient, (ctx.model.c_b3 * ctx.model.coupling) ** s
     neighbors = list(ctx.topo.neighbors(y))
+    sy = slice(y * k, (y + 1) * k)  # site y's rows and columns
 
     def sides(h):
-        prof = resolvent_profile(h, lam, eps, x)
-        vy = potential_block(h, y) - complex(lam, eps) * np.eye(h.k, dtype=np.complex128)
+        prof = resolvent_profile(h, k, lam, eps, x)
+        vy = h[:, sy, sy] - complex(lam, eps) * np.eye(k, dtype=np.complex128)
         lhs = opnorm_batch(prof[:, y] @ vy).tolist()
         gnorms = opnorm_batch(prof[:, neighbors]).tolist()
         # Python float powers and sums, one element at a time (numpy's ** rounds apart)
@@ -239,14 +240,14 @@ def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
 
 def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
-    x, y, s, eps = p["x"], p["y"], p["decoupling_s"], p["eps"]
+    x, y, s, eps, k = p["x"], p["y"], p["decoupling_s"], p["eps"], ctx.model.k_ambient
+    sy, eye = slice(y * k, (y + 1) * k), np.eye(k, dtype=np.complex128)
 
     def terms(h):
-        eye = np.eye(h.k, dtype=np.complex128)
         nums, dens = [], []
         for lam in p["lambda_grid"]:
-            gxy = resolvent_profile(h, lam, eps, x)[:, y]
-            vy = potential_block(h, y) - complex(lam, eps) * eye
+            gxy = resolvent_profile(h, k, lam, eps, x)[:, y]
+            vy = h[:, sy, sy] - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy).tolist())
             dens.append(opnorm_batch(gxy).tolist())
         # Python float powers, one element at a time (numpy's ** rounds apart)

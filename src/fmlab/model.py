@@ -14,8 +14,12 @@ Every offset, hopping or alloy, is applied to the whole box at once through
 ``LatticeBox.shift``, so the numbering and boundary rule live in
 ``topology`` alone.  Matrices are stored complex128 throughout (one numeric
 path).  Assembly writes both triangles from the same kernel/potential
-source, so assembled instances are Hermitian exactly, not after
+source, so assembled matrices are Hermitian exactly, not after
 symmetrization.
+
+``assemble`` returns one matrix or a (B, n, n) stack.  numerics reports a
+failing member by its position in a stack; ``estimators.solve_resampled``
+turns it into ``instance_digest``, a hash of the box, model, disorder and matrix.
 """
 
 from __future__ import annotations
@@ -160,44 +164,15 @@ def decay_exponent_window(k: int, alpha: float, q: float) -> float:
     return alpha * q / (2.0 * k * alpha + k * q)
 
 
-@dataclass(eq=False)
-class HamiltonianInstance:
-    """One realization, or a stack of B realizations on the same operator family."""
-
-    topology: LatticeBox
-    model: ModelSpec
-    v: np.ndarray  # one disorder value per vertex: (N,), or (B, N) for a stack
-    matrix: np.ndarray  # (N*ka, N*ka) complex128, or (B, N*ka, N*ka)
-    _digest: str | None = None
-
-    @property
-    def k(self) -> int:
-        return self.model.k_ambient
-
-    @property
-    def n_sites(self) -> int:
-        return self.topology.n_vertices
-
-    def block_slice(self, site: int) -> slice:
-        ka = self.k
-        return slice(site * ka, (site + 1) * ka)
-
-    def member(self, b: int) -> "HamiltonianInstance":
-        """Realization b of a stack; a single realization is its own member 0."""
-        if self.matrix.ndim == 2:
-            return self
-        return HamiltonianInstance(self.topology, self.model, self.v[b], self.matrix[b])
-
-    @property
-    def digest(self) -> str:
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(self.topology.signature().encode())
-            h.update(self.model.describe().encode())
-            h.update(np.ascontiguousarray(self.v).tobytes())
-            h.update(np.ascontiguousarray(self.matrix).tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
+def instance_digest(model: ModelSpec, topo: LatticeBox, v, matrix) -> str:
+    """SHA-256 hex digest of one realization: its box, its model, its
+    disorder vector v and its assembled matrix, in that order."""
+    h = hashlib.sha256()
+    h.update(topo.signature().encode())
+    h.update(model.describe().encode())
+    h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(matrix).tobytes())
+    return h.hexdigest()
 
 
 @dataclass(eq=False)
@@ -240,9 +215,10 @@ def assembly_plan(model: ModelSpec, topo: LatticeBox) -> AssemblyPlan:
     return AssemblyPlan(hop=hop, diag=diag, alloy_gather=gather)
 
 
-def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> HamiltonianInstance:
-    """Assemble the Hermitian matrix of one disorder realization v, shape (N,),
-    or the (B, N*ka, N*ka) stack of B realizations, shape (B, N), from plan."""
+def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> np.ndarray:
+    """The (N*ka, N*ka) Hermitian matrix of one disorder realization v, shape
+    (N,), or the (B, N*ka, N*ka) stack of B realizations, shape (B, N), from
+    plan.  Site x owns rows and columns x*ka to (x+1)*ka."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != topo.n_vertices:
         raise ConfigurationError(
@@ -258,11 +234,4 @@ def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> Hamil
         pot = v[..., None, None] * model.A + model.B  # (..., N, ka, ka) diagonal blocks
     flat = mat.reshape(lead + (-1,))
     flat[..., plan.diag.ravel()] += pot.reshape(lead + (-1,))
-    return HamiltonianInstance(topology=topo, model=model, v=v.copy(), matrix=mat)
-
-
-def potential_block(h: HamiltonianInstance, site: int) -> np.ndarray:
-    """The assembled diagonal block at a site (the realized potential V(site)),
-    one per member of a stack."""
-    sl = h.block_slice(site)
-    return h.matrix[..., sl, sl].copy()
+    return mat

@@ -1,52 +1,30 @@
-"""Spectral and resolvent computations on assembled instances.
+"""Spectral and resolvent computations on assembled matrices.
 
 All dense linear algebra goes through numpy's LAPACK bindings: ``eigh`` where
 eigenvectors are used, ``eigvalsh`` where only eigenvalues are, ``solve`` for
 resolvent columns and a batched ``svd`` for block norms with k > 2.  All
 operations are pure functions of their inputs.  A run checks two contracts,
-raising NumericalError with the instance digest when one fails: every
-resolvent solve (resolvent_profile) checks its residual against SOLVE_TOL,
-and every eigensolver call first checks that the matrix is exactly
-Hermitian.
+raising NumericalError when one fails: every resolvent solve
+(resolvent_profile) checks its residual against SOLVE_TOL, and every
+eigensolver call first checks that the matrix is exactly Hermitian.
 
-Every entry point taking a HamiltonianInstance also takes a stack of them
-(matrix shape (B, n, n)) and returns results with a leading axis of length
-B.  numpy hands each member of a stack to the same LAPACK routine a single
-matrix goes to, so member b's result is bit-identical to what the member
-alone would give; the checks run over the whole stack and name the first
-failing member's digest.
+Every entry point takes one matrix or a (B, n, n) stack of them and returns
+numpy's own results, with a leading axis of length B for a stack.  numpy
+hands each member of a stack to the same LAPACK routine a single matrix goes
+to, so member b's result is bit-identical to what the member alone would
+give.  The checks run over the whole stack; a NumericalError reports the
+first failing member by its position (``member``), which
+estimators.solve_resampled turns into that sample's instance digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ResampleSignal
-from .model import HamiltonianInstance
 
 SOLVE_TOL = 1e-10  # resolvent solve residual, relative to 1 + |z|
 CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
-
-
-@dataclass(eq=False)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray  # ascending, length N*k; (B, N*k) for a stack
-    eigenvectors: np.ndarray  # orthonormal columns, complex128
-    k: int  # block size of the source
-    n_sites: int
-
-    def __getitem__(self, b: int) -> "SpectralDecomposition":
-        """Member b of a stacked decomposition."""
-        return SpectralDecomposition(self.eigenvalues[b], self.eigenvectors[b], self.k, self.n_sites)
-
-    @property
-    def spectral_width(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
-    def site_rows(self, site: int) -> slice:
-        return slice(site * self.k, (site + 1) * self.k)
 
 
 def _failing(mats: np.ndarray, routine) -> np.ndarray:
@@ -61,46 +39,37 @@ def _failing(mats: np.ndarray, routine) -> np.ndarray:
     return bad
 
 
-def _first_digest(h: HamiltonianInstance, bad: np.ndarray) -> str:
-    """Digest of the first member flagged in bad (member 0 if none is)."""
-    return h.member(int(np.argmax(bad))).digest
-
-
-def _require_hermitian(h: HamiltonianInstance) -> None:
-    mats = h.matrix
+def _hermitian_guarded(mats: np.ndarray, routine, what: str):
+    """routine(mats), a LAPACK Hermitian eigensolver, once every member is
+    exactly Hermitian; NumericalError names the first failing member."""
     bad = np.atleast_1d(np.any(mats != np.swapaxes(mats, -1, -2).conj(), axis=(-2, -1)))
     if np.any(bad):
-        raise NumericalError("instance is not exactly Hermitian", _first_digest(h, bad))
+        raise NumericalError("instance is not exactly Hermitian", member=int(np.argmax(bad)))
+    try:
+        return routine(mats)
+    except np.linalg.LinAlgError as exc:
+        member = int(np.argmax(_failing(mats, routine)))
+        raise NumericalError(f"{what} failed: {exc}", member=member) from None
 
 
-def hermitian_eig(h: HamiltonianInstance) -> SpectralDecomposition:
-    """Dense Hermitian eigendecomposition by LAPACK (``np.linalg.eigh``).
+def hermitian_eig(mats: np.ndarray):
+    """(vals, vecs), the dense Hermitian eigendecomposition by LAPACK
+    (``np.linalg.eigh``).
 
     Eigenvalues ascend; eigenvector phases are LAPACK's, so callers use only
     phase-invariant products such as psi psi*.
     """
-    _require_hermitian(h)
-    try:
-        vals, vecs = np.linalg.eigh(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        digest = _first_digest(h, _failing(h.matrix, np.linalg.eigh))
-        raise NumericalError(f"eigendecomposition failed: {exc}", digest) from None
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, k=h.k, n_sites=h.n_sites)
+    return _hermitian_guarded(mats, np.linalg.eigh, "eigendecomposition")
 
 
-def hermitian_eigvals(h: HamiltonianInstance) -> np.ndarray:
+def hermitian_eigvals(mats: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only (``np.linalg.eigvalsh``), for counting estimators."""
-    _require_hermitian(h)
-    try:
-        return np.linalg.eigvalsh(h.matrix)
-    except np.linalg.LinAlgError as exc:
-        digest = _first_digest(h, _failing(h.matrix, np.linalg.eigvalsh))
-        raise NumericalError(f"eigenvalue computation failed: {exc}", digest) from None
+    return _hermitian_guarded(mats, np.linalg.eigvalsh, "eigenvalue computation")
 
 
-def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -> np.ndarray:
-    """Blocks G_z(x0, y) of (H - lam - i eps)^(-1) for every site y, shape
-    (n_sites, k, k) per member: the library's only resolvent solve.
+def resolvent_profile(mats: np.ndarray, k: int, lam: float, eps: float, x0: int) -> np.ndarray:
+    """Blocks G_z(x0, y) of (H - lam - i eps)^(-1), H with k x k site blocks,
+    for every site y, shape (n_sites, k, k) per member: the only resolvent solve.
 
     One solve with (H - conj(z)) suffices: for Hermitian H,
     G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.  eps = 0 is allowed at
@@ -109,14 +78,14 @@ def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -
     the mask of the singular members.
     """
     if not eps >= 0:
-        raise NumericalError("resolvent_profile needs eps >= 0", h.digest)
+        raise NumericalError("resolvent_profile needs eps >= 0")
     zbar = complex(lam, -eps)
-    n, k = h.matrix.shape[-1], h.k
-    a = h.matrix.astype(np.complex128)
+    n = mats.shape[-1]
+    a = mats.astype(np.complex128)
     diag = np.arange(n)
     a[..., diag, diag] -= zbar
     rhs = np.zeros((n, k), dtype=np.complex128)
-    rhs[h.block_slice(x0), :] = np.eye(k)
+    rhs[x0 * k:(x0 + 1) * k, :] = np.eye(k)
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
@@ -124,10 +93,10 @@ def resolvent_profile(h: HamiltonianInstance, lam: float, eps: float, x0: int) -
     worst = np.atleast_1d(np.max(np.abs(a @ sol - rhs), axis=(-2, -1)))
     bad = ~(worst <= SOLVE_TOL * (1.0 + abs(zbar)))  # also catches a NaN residual
     if np.any(bad):
-        raise NumericalError(
-            f"resolvent solve residual {worst[np.argmax(bad)]:.3e} too large", _first_digest(h, bad)
-        )
-    cols = sol.reshape(sol.shape[:-2] + (h.n_sites, k, k))
+        member = int(np.argmax(bad))
+        raise NumericalError(f"resolvent solve residual {worst[member]:.3e} too large",
+                             member=member)
+    cols = sol.reshape(sol.shape[:-2] + (n // k, k, k))
     return np.conj(np.swapaxes(cols, -1, -2))
 
 
@@ -159,16 +128,16 @@ def opnorm_batch(blocks) -> np.ndarray:
     return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
-def cluster_indices(sd: SpectralDecomposition, interval):
-    """(sel, starts): the ascending indices sel of the eigenvalues inside the
-    closed interval, and the positions in sel where each cluster starts.
+def cluster_indices(vals: np.ndarray, interval):
+    """(sel, starts): the ascending indices sel of the ascending eigenvalues
+    vals inside the closed interval, and the positions in sel where each
+    cluster starts.
 
     Consecutive eigenvalues within CLUSTER_TOL * (1 + spectral radius) merge
     into one cluster (continuous disorder makes exact degeneracy measure
     zero; the tolerance guards reproducibility).
     """
     lo, hi = float(interval[0]), float(interval[1])
-    vals = sd.eigenvalues
     sel = np.flatnonzero((vals >= lo) & (vals <= hi))
     radius = max(abs(float(vals[0])), abs(float(vals[-1])))
     tol = CLUSTER_TOL * (1.0 + radius)

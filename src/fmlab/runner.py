@@ -166,6 +166,15 @@ def _reals(value, path: str) -> list:
     return [_FINITE(v, path) for v in _array(value, path)]
 
 
+def _nonempty(parse):
+    """parse, refusing an empty JSON array."""
+    def check(value, path):
+        if value == []:
+            raise ConfigurationError(f"{path}: expected at least one entry, got []")
+        return parse(value, path)
+    return check
+
+
 def _interval(value, path: str) -> tuple:
     """The closed energy window [lo, hi], lo < hi."""
     lo_hi = tuple(_reals(value, path))
@@ -238,7 +247,7 @@ def _eps_list(value, path: str) -> np.ndarray:
 
 _TOPOLOGY = {
     "d": (_COUNT, None),  # None: one dimension per side length
-    "sides": (lambda v, path: [_COUNT(s, path) for s in (v if type(v) is list else [v])],
+    "sides": (_nonempty(lambda v, path: [_COUNT(s, path) for s in (v if type(v) is list else [v])]),
               _REQUIRED),
     "periodic": (_bool, False),
 }
@@ -412,7 +421,7 @@ _KINDS = {
         "one_step_s": (_in("(0, 1]"), "1/3"),
         "decoupling_s": (_FINITE, "0.2"),
         "lambda": (_FINITE, 0),
-        "lambda_grid": (_reals, ["0", "0.5", "1", "2"]),
+        "lambda_grid": (_nonempty(_reals), ["0", "0.5", "1", "2"]),
         "vinv_s": (_in("(0, 1)"), "0.5"),
         "eps": (_NONNEGATIVE, "1e-3"),
     }, _check_comparability),

@@ -35,7 +35,7 @@ route that no run takes:
 integrate is not independent: it is the library's quadrature, one item in
 a batch of one, for tests that need a closed-form-free integral.  Nor is
 dynamical_targets: it is the dynamical estimator's time sup on one
-decomposition, for tests that check single instances.  Nor is
+decomposition, for tests that check single matrices.  Nor is
 cluster_split: it cuts numerics.cluster_indices into one index array per
 cluster, for tests that compare clusters one by one.
 """
@@ -61,31 +61,33 @@ def integrate(f, a, b, singular_points=(), **kw):
     return integrate_batch(lambda rows, x: f(x), [(a, b, singular_points)], **kw)[0]
 
 
-def dynamical_targets(sd, interval, x0: int, t_grid) -> np.ndarray:
+def dynamical_targets(vals, vecs, k: int, interval, x0: int, t_grid) -> np.ndarray:
     """sup over t_grid of ||e^{i t H_I}(x0, y)|| for every y, as a dynamical
-    run computes it for one sample."""
-    return _dynamical_sup(*_cluster_blocks_all_targets(sd, interval, x0), x0, t_grid)
+    run computes it for one sample's eigenpairs (vals, vecs), k x k site blocks."""
+    return _dynamical_sup(*_cluster_blocks_all_targets(vals, vecs, k, interval, x0), x0, t_grid)
 
 
-def spectral_resolvent_block(sd, z: complex, x: int, y: int) -> np.ndarray:
-    """G_z(x, y) summed over the spectral representation of a decomposition."""
-    um = sd.eigenvectors[sd.site_rows(x), :]
-    un = sd.eigenvectors[sd.site_rows(y), :]
-    weights = 1.0 / (sd.eigenvalues - z)
+def spectral_resolvent_block(vals, vecs, k: int, z: complex, x: int, y: int) -> np.ndarray:
+    """G_z(x, y) summed over the spectral representation of the eigenpairs
+    (vals, vecs) of a matrix with k x k site blocks."""
+    um = vecs[x * k:(x + 1) * k, :]
+    un = vecs[y * k:(y + 1) * k, :]
+    weights = 1.0 / (vals - z)
     return (um * weights[None, :]) @ un.conj().T
 
 
-def column_resolvent_block(h, z: complex, x: int, y: int) -> np.ndarray:
-    """G_z(x, y) of a single instance from the direct solve (H - z) X = E_y."""
-    n, k = h.matrix.shape[-1], h.k
+def column_resolvent_block(h, k: int, z: complex, x: int, y: int) -> np.ndarray:
+    """G_z(x, y) of a single matrix h with k x k site blocks from the direct
+    solve (H - z) X = E_y."""
+    n = h.shape[-1]
     rhs = np.zeros((n, k), dtype=np.complex128)
-    rhs[h.block_slice(y), :] = np.eye(k)
-    return np.linalg.solve(h.matrix - z * np.eye(n), rhs)[h.block_slice(x), :]
+    rhs[y * k:(y + 1) * k, :] = np.eye(k)
+    return np.linalg.solve(h - z * np.eye(n), rhs)[x * k:(x + 1) * k, :]
 
 
 def hermiticity_residual(h) -> float:
-    """max |H_ij - conj(H_ji)|; exactly 0 for assembled instances."""
-    return float(np.max(np.abs(h.matrix - h.matrix.conj().T)))
+    """max |H_ij - conj(H_ji)|; exactly 0 for assembled matrices."""
+    return float(np.max(np.abs(h - h.conj().T)))
 
 
 def regularity_probe(spec, alpha, t_grid, eps_grid, n, stream) -> float:
@@ -227,17 +229,17 @@ def pairwise_assembly(model, box, v) -> np.ndarray:
     return out
 
 
-def cluster_split(sd, interval) -> list:
+def cluster_split(vals, interval) -> list:
     """numerics.cluster_indices as a list of index arrays, one per cluster."""
-    sel, starts = cluster_indices(sd, interval)
+    sel, starts = cluster_indices(vals, interval)
     return np.split(sel, starts[1:]) if starts.size else []
 
 
-def cluster_indices_loop(sd, interval) -> list:
-    """Eigenvalue-index clusters inside the closed interval: a cluster grows
-    while the next gap is at most CLUSTER_TOL * (1 + spectral radius)."""
+def cluster_indices_loop(vals, interval) -> list:
+    """Eigenvalue-index clusters of the ascending vals inside the closed
+    interval: a cluster grows while the next gap is at most
+    CLUSTER_TOL * (1 + spectral radius)."""
     lo, hi = float(interval[0]), float(interval[1])
-    vals = sd.eigenvalues
     sel = np.where((vals >= lo) & (vals <= hi))[0]
     if sel.size == 0:
         return []
@@ -254,34 +256,34 @@ def cluster_indices_loop(sd, interval) -> list:
     return out
 
 
-def cluster_blocks_loop(sd, interval, x0: int) -> list:
-    """Per window cluster nu, (nu's mean eigenvalue, M_nu(x0, y) for every y,
-    shape (N, k, k)), one einsum per cluster."""
-    k, n_sites = sd.k, sd.n_sites
-    u = sd.eigenvectors
-    um = u[sd.site_rows(x0), :]
+def cluster_blocks_loop(vals, vecs, k: int, interval, x0: int) -> list:
+    """Per window cluster nu of the eigenpairs (vals, vecs) with k x k site
+    blocks, (nu's mean eigenvalue, M_nu(x0, y) for every y, shape (N, k, k)),
+    one einsum per cluster."""
+    n_sites = vals.size // k
+    um = vecs[x0 * k:(x0 + 1) * k, :]
     out = []
-    for cols in cluster_indices_loop(sd, interval):
-        nu = float(np.mean(sd.eigenvalues[cols]))
-        v = u[:, cols].reshape(n_sites, k, cols.size)
+    for cols in cluster_indices_loop(vals, interval):
+        nu = float(np.mean(vals[cols]))
+        v = vecs[:, cols].reshape(n_sites, k, cols.size)
         out.append((nu, np.einsum("ac,nbc->nab", um[:, cols], v.conj())))
     return out
 
 
-def correlator_sum_loop(sd, interval, x0: int) -> np.ndarray:
+def correlator_sum_loop(vals, vecs, k: int, interval, x0: int) -> np.ndarray:
     """Q_hat(x0, y) for every y, summed cluster by cluster."""
-    q = np.zeros(sd.n_sites)
-    for _, blocks in cluster_blocks_loop(sd, interval, x0):
+    q = np.zeros(vals.size // k)
+    for _, blocks in cluster_blocks_loop(vals, vecs, k, interval, x0):
         q += opnorm_batch(blocks)
     return q
 
 
-def dynamical_sup_einsum(sd, interval, x0: int, t_grid) -> np.ndarray:
+def dynamical_sup_einsum(vals, vecs, k: int, interval, x0: int, t_grid) -> np.ndarray:
     """sup over t_grid of ||e^{i t H_I}(x0, y)|| for every y, from one einsum
     of the time phases against the stacked cluster blocks."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    k, n_sites = sd.k, sd.n_sites
-    clusters = cluster_blocks_loop(sd, interval, x0)
+    n_sites = vals.size // k
+    clusters = cluster_blocks_loop(vals, vecs, k, interval, x0)
     if not clusters:
         out = np.zeros(n_sites)
         out[x0] = 1.0

@@ -125,7 +125,7 @@ def test_pointwise_power_monotonicity():
     h = assemble(SCALAR, topo, v, assembly_plan(SCALAR, topo))
     from fmlab.numerics import opnorm_batch, resolvent_profile
 
-    norms = opnorm_batch(resolvent_profile(h, 0.0, 1e-2, 0))
+    norms = opnorm_batch(resolvent_profile(h, 1, 0.0, 1e-2, 0))
     lo, hi = norms**0.2, norms**0.4
     assert np.all((hi >= lo) == (norms >= 1.0))
 
@@ -263,13 +263,13 @@ def test_correlator_scalar_diagonal_is_one():
     v = sample_vector(UNIFORM, Stream(23), 6)
     sd = hermitian_eig(assemble(SCALAR, topo, v, assembly_plan(SCALAR, topo)))
     full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
-    assert correlator_targets(sd, full, 3)[3] == pytest.approx(1.0, abs=1e-10)
+    assert correlator_targets(*sd, 1, full, 3)[3] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlator_two_site_offdiagonal():
     topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
     sd = hermitian_eig(assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo)))
-    assert correlator_targets(sd, (-2, 2), 0)[1] == pytest.approx(1.0, abs=1e-10)
+    assert correlator_targets(*sd, 1, (-2, 2), 0)[1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlator_bounded_by_k():
@@ -280,15 +280,15 @@ def test_correlator_bounded_by_k():
         full = (sd.eigenvalues[0] - 1, sd.eigenvalues[-1] + 1)
         k = model.k_ambient
         for m in range(5):
-            assert np.all(correlator_targets(sd, full, m) <= k + 1e-8)
+            assert np.all(correlator_targets(*sd, k, full, m) <= k + 1e-8)
 
 
 def test_dynamical_sup_examples():
     topo, model = make_lattice_box(1, (2,)), block_model([[1.0]], [[0.0]], 1.0)
     sd = hermitian_eig(assemble(model, topo, [0.0, 0.0], assembly_plan(model, topo)))
-    assert dynamical_targets(sd, (-2, 2), 0, [0.0])[1] == 0.0
+    assert dynamical_targets(*sd, 1, (-2, 2), 0, [0.0])[1] == 0.0
     dense = np.linspace(0.0, 20.0, 4001)
-    assert dynamical_targets(sd, (-2, 2), 0, dense)[1] == pytest.approx(1.0, abs=1e-5)
+    assert dynamical_targets(*sd, 1, (-2, 2), 0, dense)[1] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_dynamical_bounded_by_twice_correlator():
@@ -300,8 +300,8 @@ def test_dynamical_bounded_by_twice_correlator():
         sd = hermitian_eig(assemble(model, topo, v, assembly_plan(model, topo)))
         window = (-0.8, 0.8)
         for n in range(1, 6):
-            assert dynamical_targets(sd, window, 0, grid)[n] <= (
-                2.0 * correlator_targets(sd, window, 0)[n] + 1e-8
+            assert dynamical_targets(*sd, 2, window, 0, grid)[n] <= (
+                2.0 * correlator_targets(*sd, 2, window, 0)[n] + 1e-8
             )
 
 
@@ -323,6 +323,10 @@ def full_window(sd):
     return (sd.eigenvalues[0] - 1.0, sd.eigenvalues[-1] + 1.0)
 
 
+def width(sd):
+    return sd.eigenvalues[-1] - sd.eigenvalues[0]
+
+
 SPECTRAL_CASES = [
     pytest.param(1, 20, None, None, id="k1"),
     pytest.param(2, 10, None, None, id="k2"),
@@ -337,24 +341,24 @@ SPECTRAL_CASES = [
 def test_correlator_targets_match_cluster_loop_bit_for_bit(k, n_sites, A, B):
     sd = block_eig(k, n_sites, 41 + k, A, B)
     window = full_window(sd)
-    clusters = cluster_split(sd, window)
+    clusters = cluster_split(sd.eigenvalues, window)
     assert len(clusters) >= 16
     if A is not None:
         assert all(c.size == 2 for c in clusters)
     for x0 in (0, n_sites // 2):
-        got = correlator_targets(sd, window, x0)
-        assert got.tobytes() == correlator_sum_loop(sd, window, x0).tobytes()
+        got = correlator_targets(*sd, k, window, x0)
+        assert got.tobytes() == correlator_sum_loop(*sd, k, window, x0).tobytes()
 
 
 @pytest.mark.parametrize("k,n_sites,A,B", SPECTRAL_CASES)
 def test_dynamical_targets_match_cluster_einsum(k, n_sites, A, B):
     sd = block_eig(k, n_sites, 43 + k, A, B)
     window = full_window(sd)
-    assert len(cluster_split(sd, window)) >= 16
-    grid = default_t_grid(sd.spectral_width, 64)
+    assert len(cluster_split(sd.eigenvalues, window)) >= 16
+    grid = default_t_grid(width(sd), 64)
     for x0 in (0, n_sites // 2):
-        got = dynamical_targets(sd, window, x0, grid)
-        want = dynamical_sup_einsum(sd, window, x0, grid)
+        got = dynamical_targets(*sd, k, window, x0, grid)
+        want = dynamical_sup_einsum(*sd, k, window, x0, grid)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
@@ -362,9 +366,9 @@ def test_dynamical_targets_match_cluster_einsum(k, n_sites, A, B):
 def test_empty_window_gives_zero_correlator_and_delta_sup(k):
     sd = block_eig(k, 6, 47)
     empty = (sd.eigenvalues[-1] + 1.0, sd.eigenvalues[-1] + 2.0)
-    assert cluster_split(sd, empty) == []
-    assert np.array_equal(correlator_targets(sd, empty, 2), np.zeros(6))
-    sup = dynamical_targets(sd, empty, 2, default_t_grid(sd.spectral_width, 16))
+    assert cluster_split(sd.eigenvalues, empty) == []
+    assert np.array_equal(correlator_targets(*sd, k, empty, 2), np.zeros(6))
+    sup = dynamical_targets(*sd, k, empty, 2, default_t_grid(width(sd), 16))
     assert np.array_equal(sup, np.eye(6)[2])
 
 

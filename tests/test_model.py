@@ -13,9 +13,9 @@ from fmlab.model import (
     assembly_plan,
     singular_covering_model,
     block_model,
-    potential_block,
     spencer_model,
     decay_exponent_window,
+    instance_digest,
 )
 from fmlab.rng import Stream
 from fmlab.disorder import sample_vector
@@ -40,19 +40,19 @@ def scalar_anderson(topo, v, g):
 def test_spencer_single_site_eigenvalues():
     sp, site = spencer_model(1.0, 2.0), make_lattice_box(1, (1,))
     h = assemble(sp, site, [0.0], assembly_plan(sp, site))
-    vals = np.linalg.eigvalsh(h.matrix)
+    vals = np.linalg.eigvalsh(h)
     assert np.allclose(vals, [-1.0, 1.0])
     h2 = assemble(sp, site, [3.0], assembly_plan(sp, site))
     sp4 = spencer_model(4.0, 2.0)
     h3 = assemble(sp4, site, [3.0], assembly_plan(sp4, site))
-    assert np.allclose(np.linalg.eigvalsh(h3.matrix), [-5.0, 5.0])  # +-sqrt(v^2+a^2)
-    assert np.allclose(np.linalg.eigvalsh(h2.matrix), [-np.sqrt(10), np.sqrt(10)])
+    assert np.allclose(np.linalg.eigvalsh(h3), [-5.0, 5.0])  # +-sqrt(v^2+a^2)
+    assert np.allclose(np.linalg.eigvalsh(h2), [-np.sqrt(10), np.sqrt(10)])
 
 
 def test_spencer_site_matrix_display():
     sp, site = spencer_model(1.0, 2.0), make_lattice_box(1, (1,))
     h = assemble(sp, site, [0.5], assembly_plan(sp, site))
-    assert np.array_equal(h.matrix, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=np.complex128))
+    assert np.array_equal(h, np.array([[0.5, 1.0], [1.0, -0.5]], dtype=np.complex128))
 
 
 def test_spencer_single_site_window_mass_exponent():
@@ -81,27 +81,27 @@ def test_alloy_reductions():
     plain = alloy_model({0: 1.0}, 2.0)
     assert plain.k == 1
     h = assemble(plain, CHAIN5, [1.0, 2.0, 3.0, 4.0, 5.0], assembly_plan(plain, CHAIN5))
-    assert np.allclose(np.diag(h.matrix).real, [1, 2, 3, 4, 5])
+    assert np.allclose(np.diag(h).real, [1, 2, 3, 4, 5])
 
     diff = alloy_model({0: 1.0, 1: -1.0}, 2.0)
     assert diff.k == 2
     chain3 = make_lattice_box(1, (3,))
     hc = assemble(diff, chain3, [7.0, 7.0, 7.0], assembly_plan(diff, chain3))
     # constants are annihilated except at the truncated boundary
-    assert np.allclose(np.diag(hc.matrix).real, [0.0, 0.0, 7.0])
+    assert np.allclose(np.diag(hc).real, [0.0, 0.0, 7.0])
 
 
 def test_alloy_truncation_convention():
     # V(n) = v(n) - v(n+1), the out-of-box term dropped
     model, chain3 = alloy_model({0: 1.0, 1: -1.0}, 2.0), make_lattice_box(1, (3,))
     h = assemble(model, chain3, [1.0, 2.0, 4.0], assembly_plan(model, chain3))
-    assert np.allclose(np.diag(h.matrix).real, [-1.0, -2.0, 4.0])
+    assert np.allclose(np.diag(h).real, [-1.0, -2.0, 4.0])
 
 
 def test_alloy_periodic_wraps():
     model, ring3 = alloy_model({0: 1.0, 1: -1.0}, math.inf), make_lattice_box(1, (3,), True)
     h = assemble(model, ring3, [1.0, 2.0, 4.0], assembly_plan(model, ring3))
-    assert np.allclose(np.diag(h.matrix).real, [-1.0, -2.0, 3.0])
+    assert np.allclose(np.diag(h).real, [-1.0, -2.0, 3.0])
 
 
 def test_alloy_empty_support_rejected():
@@ -113,11 +113,11 @@ def test_assemble_examples():
     model = block_model([[1.0]], [[0.0]], 2.0)
     site, pair = make_lattice_box(1, (1,)), make_lattice_box(1, (2,))
     one = assemble(model, site, [0.7], assembly_plan(model, site))
-    assert one.matrix.shape == (1, 1) and one.matrix[0, 0] == 0.7
+    assert one.shape == (1, 1) and one[0, 0] == 0.7
 
     two = assemble(model, pair, [0.1, -0.2], assembly_plan(model, pair))
     assert np.array_equal(
-        two.matrix, np.array([[0.1, 0.5], [0.5, -0.2]], dtype=np.complex128)
+        two, np.array([[0.1, 0.5], [0.5, -0.2]], dtype=np.complex128)
     )
 
 
@@ -126,7 +126,7 @@ def test_assembly_matches_direct_scalar_anderson():
     v = rng.uniform(-1, 1, CHAIN5.n_vertices)
     model = block_model([[1.0]], [[0.0]], g)
     h = assemble(model, CHAIN5, v, assembly_plan(model, CHAIN5))
-    assert np.array_equal(h.matrix, scalar_anderson(CHAIN5, v, g))
+    assert np.array_equal(h, scalar_anderson(CHAIN5, v, g))
 
 
 def test_alloy_delta_equals_scalar_block():
@@ -134,7 +134,7 @@ def test_alloy_delta_equals_scalar_block():
     alloy, block = alloy_model({0: 1.0}, 4.0), block_model([[1.0]], [[0.0]], 4.0)
     ha = assemble(alloy, CHAIN5, v, assembly_plan(alloy, CHAIN5))
     hb = assemble(block, CHAIN5, v, assembly_plan(block, CHAIN5))
-    assert np.array_equal(ha.matrix, hb.matrix)
+    assert np.array_equal(ha, hb)
 
 
 def test_hermiticity_and_sparsity_invariants():
@@ -151,7 +151,7 @@ def test_hermiticity_and_sparsity_invariants():
         ka = model.k_ambient
         for x in range(9):
             for y in range(9):
-                blk = h.matrix[x * ka:(x + 1) * ka, y * ka:(y + 1) * ka]
+                blk = h[x * ka:(x + 1) * ka, y * ka:(y + 1) * ka]
                 if x != y and y not in box.neighbors(x):
                     assert np.all(blk == 0.0)
 
@@ -159,7 +159,7 @@ def test_hermiticity_and_sparsity_invariants():
 def test_forged_asymmetry_detected():
     model = block_model([[1.0]], [[0.0]], 2.0)
     h = assemble(model, CHAIN5, np.zeros(5), assembly_plan(model, CHAIN5))
-    h.matrix[0, 1] += 0.5j
+    h[0, 1] += 0.5j
     assert hermiticity_residual(h) > 0.0
 
 
@@ -171,14 +171,14 @@ def test_coupling_scale_halves_offdiagonal():
     off = ~np.eye(10, dtype=bool)
     diag_mask = np.kron(np.eye(5, dtype=bool), np.ones((2, 2), dtype=bool))
     off = ~diag_mask
-    assert np.array_equal(h1.matrix[off], 2.0 * h2.matrix[off])
+    assert np.array_equal(h1[off], 2.0 * h2[off])
 
 
 def test_decoupled_limit():
     model = spencer_model(1.0, math.inf)
     h = assemble(model, CHAIN5, np.zeros(5), assembly_plan(model, CHAIN5))
     diag_mask = np.kron(np.eye(5, dtype=bool), np.ones((2, 2), dtype=bool))
-    assert np.all(h.matrix[~diag_mask] == 0.0)
+    assert np.all(h[~diag_mask] == 0.0)
 
 
 def test_alloy_potential_block_gathers_neighbor_disorder():
@@ -186,13 +186,13 @@ def test_alloy_potential_block_gathers_neighbor_disorder():
     chain3 = make_lattice_box(1, (3,))
     model = alloy_model({0: 1.0, 1: -1.0}, 2.0)
     h = assemble(model, chain3, [1.0, 2.0, 4.0], assembly_plan(model, chain3))
-    assert potential_block(h, 1)[0, 0] == -2.0
+    assert h[1, 1] == -2.0  # site 1's 1 x 1 diagonal block
 
 
 def test_potential_block():
     sp = spencer_model(2.0, 3.0)
     h = assemble(sp, CHAIN5, [0.5, 0, 0, 0, 0], assembly_plan(sp, CHAIN5))
-    assert np.array_equal(potential_block(h, 0), np.array([[0.5, 2.0], [2.0, -0.5]]))
+    assert np.array_equal(h[0:2, 0:2], np.array([[0.5, 2.0], [2.0, -0.5]]))
 
 
 def test_kernel_symmetry_enforced():
@@ -240,7 +240,7 @@ def test_assembly_matches_pair_by_pair_build(name, periodic):
     plan = assembly_plan(model, box)
     assert np.array_equal(plan.hop, pairwise_hopping(model, box))
     v = rng.uniform(-1, 1, box.n_vertices)
-    assert np.array_equal(assemble(model, box, v, plan).matrix, pairwise_assembly(model, box, v))
+    assert np.array_equal(assemble(model, box, v, plan), pairwise_assembly(model, box, v))
 
 
 def test_non_hermitian_blocks_rejected():
@@ -261,5 +261,5 @@ def test_assembly_plan_reuse():
     for v in rng.uniform(-1, 1, (2, 5)):
         a = assemble(m, CHAIN5, v, plan)
         b = assemble(m, CHAIN5, v, assembly_plan(m, CHAIN5))
-        assert np.array_equal(a.matrix, b.matrix)
-        assert a.digest == b.digest
+        assert np.array_equal(a, b)
+        assert instance_digest(m, CHAIN5, v, a) == instance_digest(m, CHAIN5, v, b)

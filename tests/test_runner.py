@@ -16,7 +16,7 @@ from fmlab import engine
 from fmlab.disorder import sample_vector
 from fmlab.engine import canonical_json, checkpoint_prefix, records, run_indexed
 from fmlab.errors import ConfigurationError
-from fmlab.model import assemble
+from fmlab.model import assemble, instance_digest
 from fmlab.plotting import emit_plot
 from fmlab.runner import (
     ResultRecord,
@@ -553,6 +553,8 @@ def _with_estimator(kind, **fields):
                      "topology.sides", id="topology-sides-true"),
         pytest.param({**BASE_CFG, "topology": {"sides": ["8"]}}, [],
                      "topology.sides", id="topology-sides-string"),
+        pytest.param({**BASE_CFG, "topology": {"sides": []}}, [],
+                     "topology.sides", id="topology-sides-empty"),
         pytest.param({**BASE_CFG, "topology": {"sides": [8], "d": True}}, [],
                      "topology.d", id="topology-d-true"),
         pytest.param(_with_estimator("ids", samples=True), [],
@@ -583,6 +585,8 @@ def _with_estimator(kind, **fields):
                      "estimator.scales", id="inequalities-scales-repeated-value"),
         pytest.param(_with_estimator("inequalities", lambda_grid="0"), [],
                      "estimator.lambda_grid", id="inequalities-lambda-grid-string"),
+        pytest.param(_with_estimator("inequalities", lambda_grid=[]), [],
+                     "estimator.lambda_grid", id="inequalities-lambda-grid-empty"),
         pytest.param(_with_estimator("ids", bins={"edges": "012"}), [],
                      "estimator.bins.edges", id="ids-bins-edges-string"),
         pytest.param(_with_estimator("ids", bins={"edges": ["-1", "0", "1"], "n": 10, "lo": "-5"}),
@@ -618,7 +622,8 @@ def test_cli_exits_3_when_a_solve_fails_its_residual(tmp_path, capsys, monkeypat
     # sample 1 is member 1 of the first stack; its solve is off by 1e-6 on one row
     ctx = parse_config(BASE_CFG)[1]
     v = sample_vector(ctx.disorder, Stream(derive_sample_seed(424242, 1)), 8)
-    digest = assemble(ctx.model, ctx.topo, v, ctx.plan).digest
+    digest = instance_digest(ctx.model, ctx.topo, v, assemble(ctx.model, ctx.topo, v, ctx.plan))
+    assert digest[:16] == "c3344070c1d16570"  # a refactor must not rename the failing sample
     real = np.linalg.solve
 
     def off_on_member_1(a, b):
