@@ -3,18 +3,21 @@ singular points and moment tails.
 
 Four families spanning the regularity/moment parameter space:
 
-==================  =====================================  =======  =========
-family              density                                alpha    q-moments
-==================  =====================================  =======  =========
-uniform(a, b)       1/(b-a) on [a, b]                      1        all
-gaussian(m, s)      normal pdf                             1        all
-power_regular(α)    (α/2)|v|^(α-1) on [-1, 1]              α        all
-heavy_tail(q0)      (q0/2)(1+|v|)^(-1-q0) on R             1        q < q0
-==================  =====================================  =======  =========
+==================  =========================================  =======  =========
+family              density                                    alpha    q-moments
+==================  =========================================  =======  =========
+uniform(a, b)       1/(b-a) on [a, b]                          1        all
+gaussian(m, s)      normal pdf                                 1        all
+power_regular(α)    (α/2)|v|^(α-1) on [-1, 1]                  α        all
+heavy_tail(q0)      (q0/2)(1+|v|)^(-1-q0) on R, q0 > 53/1024   1        q < q0
+==================  =========================================  =======  =========
 
 power_regular draws v = sign(u)|u|^(1/α) from u uniform on (-1, 1), so the
-mass of [-ε, ε] is exactly ε^α.  "All q" is encoded as the finite sentinel
-Q_UNBOUNDED so exponent formulas stay in ordinary float arithmetic.
+mass of [-ε, ε] is exactly ε^α.  heavy_tail draws
+v = sign(u)((1 - |u|)^(-1/q0) - 1) from the same u; its extreme, 1 - |u| =
+2^-53, gives |v| = 2^(53/q0) - 1, finite only for q0 > 53/1024.  "All q" is
+encoded as the finite sentinel Q_UNBOUNDED so exponent formulas stay in
+ordinary float arithmetic.
 
 Each draw consumes a fixed number of stream words (uniform, power_regular,
 heavy_tail: 1; gaussian: 2 via the rejection-free trigonometric Box-Muller
@@ -58,8 +61,8 @@ def make_spec(family: str, params) -> DisorderSpec:
             raise ConfigurationError(f"power_regular needs alpha in (0,1], got {params}")
         return DisorderSpec(family, params, params[0], Q_UNBOUNDED)
     if family == "heavy_tail":
-        if len(params) != 1 or params[0] <= 0:
-            raise ConfigurationError(f"heavy_tail needs q0 > 0, got {params}")
+        if len(params) != 1 or not params[0] > 53 / 1024:  # see the module docstring
+            raise ConfigurationError(f"heavy_tail needs q0 > 53/1024, got {params}")
         return DisorderSpec(family, params, 1.0, params[0])
     raise ConfigurationError(f"unknown disorder family {family!r}")
 

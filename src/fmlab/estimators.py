@@ -364,7 +364,7 @@ def wegner(ctx: _SampleCtx, workers=1, outdir=None):
     p = ctx.params
     eps = p["eps_list"]
     flags = []
-    if eps[0] / eps[-1] < 10.0 - 1e-9:
+    if eps[0] < (10.0 - 1e-9) * eps[-1]:  # no division: 1e300 / 1e-300 overflows
         flags.append(f"eps grid spans only {eps[0] / eps[-1]:.1f}x (< one decade)")
     dtype = np.dtype([("c", "i8", eps.size)])
     counts = run_indexed(_window_batch, ctx, dtype, p["samples"], workers,

@@ -14,6 +14,7 @@ the kind sets per call (x and y for a pair, param_scale for a scale).  Every
 scan runs on run_indexed, so its draws come from per-index derived streams:
 deterministic, and parallel like the Monte Carlo estimators, with records
 declared in the same way.  Quadrature values carry explicit error bounds.
+Every check computes on whole numpy arrays, its powers with numpy's **.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ _RH = np.dtype([("ratio", "f8"), ("m_s", "f8"), ("m_s2", "f8"), ("lambda", "f8")
 
 def _targets(a: np.ndarray, b: np.ndarray, s: float, r: float) -> np.ndarray:
     """prod_j (1 + |a_j|)^s / prod_i (1 + |b_i|)^r of every row of the points
-    a, shape (rows, l), and b, shape (rows, m).
-
-    Python float powers and products, one row at a time (numpy's ** rounds apart).
-    """
-    return np.array([math.prod((1.0 + abs(aj)) ** s for aj in pa)
-                     / math.prod((1.0 + abs(bi)) ** r for bi in pb)
-                     for pa, pb in zip(a.tolist(), b.tolist())])
+    a, shape (rows, l), and b, shape (rows, m); an empty product is 1."""
+    return np.prod((1.0 + np.abs(a)) ** s, axis=1) / np.prod((1.0 + np.abs(b)) ** r, axis=1)
 
 
 def _ratio_integrand(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: float, r: float):
@@ -111,9 +107,7 @@ def _ratio_integrals(measure: DisorderSpec, a: np.ndarray, b: np.ndarray, s: flo
 def _complex_points(w: np.ndarray, scale: float) -> np.ndarray:
     """Points scale * w[:, 2k] * exp(2 pi i w[:, 2k+1]), shape (rows, k), from rows of uniforms."""
     radius, angle = scale * w[:, 0::2], 2.0 * math.pi * w[:, 1::2]
-    points = [[complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(*row)]
-              for row in zip(radius, angle)]
-    return np.array(points, dtype=np.complex128).reshape(radius.shape)
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
 def _comparability_batch(ctx: _SampleCtx, indices) -> np.ndarray:
@@ -202,12 +196,9 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     def sides(h):
         prof = resolvent_profile(h, k, lam, eps, x)
         vy = h[:, sy, sy] - complex(lam, eps) * np.eye(k, dtype=np.complex128)
-        lhs = opnorm_batch(prof[:, y] @ vy).tolist()
-        gnorms = opnorm_batch(prof[:, neighbors]).tolist()
-        # Python float powers and sums, one element at a time (numpy's ** rounds apart)
-        return records(lhs=[lg ** s for lg in lhs],
-                       rhs=[scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0)
-                            for gs in gnorms])
+        return records(lhs=opnorm_batch(prof[:, y] @ vy) ** s,
+                       rhs=scale * np.sum(opnorm_batch(prof[:, neighbors]) ** s, axis=-1)
+                       + (1.0 if x == y else 0.0))
 
     return solve_resampled(ctx, indices, sides)[0]
 
@@ -248,11 +239,9 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
         for lam in p["lambda_grid"]:
             gxy = resolvent_profile(h, k, lam, eps, x)[:, y]
             vy = h[:, sy, sy] - complex(lam, eps) * eye
-            nums.append(opnorm_batch(gxy @ vy).tolist())
-            dens.append(opnorm_batch(gxy).tolist())
-        # Python float powers, one element at a time (numpy's ** rounds apart)
-        return records(num=[[t ** s for t in num] for num in zip(*nums)],
-                       den=[[t ** s for t in den] for den in zip(*dens)])
+            nums.append(opnorm_batch(gxy @ vy))
+            dens.append(opnorm_batch(gxy))
+        return records(num=np.stack(nums, -1) ** s, den=np.stack(dens, -1) ** s)
 
     return solve_resampled(ctx, indices, terms)[0]
 
@@ -295,15 +284,13 @@ def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
 # reverse-Holder for rational functions of several disorder variables
 
 
-def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, z):
-    """|G(0, J-1)| of a J-site chain with affine potentials, vectorized over rows.
-
-    Uses the tridiagonal determinant recursion; the corner entry of the
-    inverse is prod(hop) / det.
-    """
+def _tridiag_green_entry(vmat, coeff_c, coeff_d, hop, lam):
+    """|G(0, J-1)| = prod(hop) / |det| at the real energy lam of a J-site chain
+    with affine potentials, vectorized over rows; det by the tridiagonal
+    determinant recursion in float64."""
     n_draws, j_vars = vmat.shape
-    avals = coeff_c[None, :] * vmat + coeff_d[None, :] - z
-    det_prev = np.ones(n_draws, dtype=np.complex128)
+    avals = coeff_c[None, :] * vmat + coeff_d[None, :] - lam
+    det_prev = np.ones(n_draws)
     det = avals[:, 0].copy()
     for jj in range(1, j_vars):
         det, det_prev = avals[:, jj] * det - (hop * hop) * det_prev, det
@@ -324,7 +311,7 @@ def _rh_batch(ctx: _SampleCtx, indices) -> np.ndarray:
         hop = 0.2 + w[2 * j_vars]
         lam = 4.0 * w[2 * j_vars + 1] - 2.0
         v = sample_vector(ctx.disorder, stream, _RH_DRAWS * j_vars).reshape(_RH_DRAWS, j_vars)
-        q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
+        q = _tridiag_green_entry(v, coeff_c, coeff_d, hop, lam)
         half = q ** (0.5 * s)
         m_half = float(np.mean(half))
         m_full = float(np.mean(half * half))

@@ -22,6 +22,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TWO53 = 9007199254740992.0  # 2**53
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # 1 - 2**-53
 
 
 def mix64(z):
@@ -72,8 +73,8 @@ class Stream:
     def uniforms(self, n: int) -> np.ndarray:
         """Next n doubles, uniform on the open interval (0, 1).
 
-        Midpoints ((w >> 11) + 0.5) / 2^53 never hit 0 or 1, which keeps
-        log/power transforms in the disorder catalog finite.
+        Midpoints ((w >> 11) + 0.5) / 2^53 never hit 0, and the top one, which
+        rounds to 1, is clamped to 1 - 2^-53: the disorder transforms stay finite.
         """
         w = self.words(n)
-        return ((w >> _S11).astype(np.float64) + 0.5) / _TWO53
+        return np.minimum(((w >> _S11).astype(np.float64) + 0.5) / _TWO53, _BELOW_ONE)

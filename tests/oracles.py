@@ -15,6 +15,12 @@ route that no run takes:
 * ratio_integral's mc_draws option averages the ratio over draws of the
   measure; it checks the quadrature value that inequalities._ratio_integrals
   (the comparability_scan path) returns.
+* targets_python takes the comparability targets' powers and products in
+  Python floats, row by row; it checks inequalities._targets, which takes
+  them on whole arrays with numpy's ** and prod.
+* tridiag_green_entry_complex runs the chain's determinant recursion in
+  complex arithmetic at a complex energy; at a real one it checks
+  inequalities._tridiag_green_entry, which runs it in float64.
 * pair_neighbors and bfs_distances find a box's edges pair by pair, from
   the per-pair offset rule lattice_offset, and its distances by
   breadth-first search; they check LatticeBox.neighbors and the closed-form
@@ -146,6 +152,28 @@ def ratio_integral(measure, a, b, s: float, r: float, rel_tol: float = 1e-8,
         out["mc_value"] = float(np.mean(ratio))
         out["mc_err"] = float(np.std(ratio, ddof=1) / math.sqrt(len(ratio)))
     return out
+
+
+def targets_python(a, b, s: float, r: float) -> np.ndarray:
+    """prod_j (1 + |a_j|)^s / prod_i (1 + |b_i|)^r of every row of the points
+    a, shape (rows, l), and b, shape (rows, m), in Python floats."""
+    return np.array([math.prod((1.0 + abs(aj)) ** s for aj in pa)
+                     / math.prod((1.0 + abs(bi)) ** r for bi in pb)
+                     for pa, pb in zip(a.tolist(), b.tolist())])
+
+
+def tridiag_green_entry_complex(vmat, coeff_c, coeff_d, hop, z: complex) -> np.ndarray:
+    """|G(0, J-1)| at energy z of the J-site chains with potentials
+    coeff_c * v + coeff_d, one per row v of vmat, by the determinant
+    recursion in complex arithmetic."""
+    n_draws, j_vars = vmat.shape
+    avals = coeff_c[None, :] * vmat + coeff_d[None, :] - z
+    det_prev = np.ones(n_draws, dtype=np.complex128)
+    det = avals[:, 0].copy()
+    for jj in range(1, j_vars):
+        det, det_prev = avals[:, jj] * det - (hop * hop) * det_prev, det
+    with np.errstate(divide="ignore"):
+        return np.abs(hop) ** (j_vars - 1) / np.abs(det)
 
 
 def lattice_offset(box, x: int, y: int) -> tuple:

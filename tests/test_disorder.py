@@ -7,12 +7,28 @@ from fmlab.disorder import Q_UNBOUNDED, density, make_spec, sample_vector
 from fmlab.errors import ConfigurationError
 from fmlab.rng import Stream
 from oracles import integrate, moment_probe, regularity_probe
+from test_rng import TOP_WORD_STATE, ZERO_WORD_STATE
 
 SEED = 918273
 
 
 def draws(spec, n, seed=SEED):
     return sample_vector(spec, Stream(seed), n)
+
+
+def test_heavy_tail_extreme_words_draw_finite_values_above_the_q0_bound():
+    # word 0 gives u = 2^-54, so 1 - |2u - 1| = 2^-53 and |v| = 2^(53/q0) - 1,
+    # finite only for q0 > 53/1024; the top word's uniform is clamped below 1
+    q0 = np.nextafter(53 / 1024, 1.0)
+    spec = make_spec("heavy_tail", (q0,))
+    low = sample_vector(spec, Stream(ZERO_WORD_STATE), 1)[0]
+    top = sample_vector(spec, Stream(TOP_WORD_STATE), 1)[0]
+    assert np.isfinite(low) and low < -2.0**1023
+    assert np.isfinite(top) and top > 2.0**1000
+    with pytest.raises(ConfigurationError, match="53/1024"):
+        make_spec("heavy_tail", (53 / 1024,))
+    with pytest.raises(ConfigurationError, match="53/1024"):
+        make_spec("heavy_tail", (0.01,))
 
 
 def test_make_spec_table():

@@ -9,10 +9,17 @@ import pytest
 from fmlab import estimators
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import ConfigurationError, NumericalError
-from fmlab.estimators import MAX_RETRIES, fractional_moment_profile, sample_context
+from fmlab.engine import records
+from fmlab.estimators import (MAX_RETRIES, fractional_moment_profile, sample_context,
+                              solve_resampled)
 from fmlab.inequalities import (
     _comparability_batch,
+    _complex_points,
+    _decoupling_batch,
     _integration_domain,
+    _one_step_batch,
+    _targets,
+    _tridiag_green_entry,
     check_comparability_regime,
     comparability_scan,
     decoupling_ratio,
@@ -26,8 +33,9 @@ from fmlab.model import (
     singular_covering_model,
     spencer_model,
 )
+from fmlab.numerics import opnorm_batch, resolvent_profile
 from fmlab.topology import make_lattice_box
-from oracles import integrate, ratio_integral
+from oracles import integrate, ratio_integral, targets_python, tridiag_green_entry_complex
 
 UNIFORM = make_spec("uniform", (-1, 1))
 # comparability and reverse Holder draw no operator: any model and box carry them
@@ -145,6 +153,122 @@ def test_heavy_tail_without_the_moment_fails_fast():
             range(23),
         )
     assert time.perf_counter() - start < 5.0
+
+
+# numpy's ** is at most one ulp from Python's float power (numpy's cos and sin
+# agree with math's), so each bound below is one ulp per rounding that can differ
+_EPS = np.finfo(np.float64).eps  # one ulp of a value, relative, is at most _EPS
+
+
+def _python_points(w, scale):
+    """_complex_points in Python floats, one element at a time."""
+    radius, angle = scale * w[:, 0::2], 2.0 * math.pi * w[:, 1::2]
+    return np.array([[complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(*row)]
+                     for row in zip(radius.tolist(), angle.tolist())],
+                    dtype=np.complex128).reshape(radius.shape)
+
+
+@pytest.mark.parametrize("l,m", [(0, 0), (0, 3), (3, 0), (2, 2), (6, 1)])
+def test_targets_agree_with_python_float_products(l, m):
+    # l + m powers, each within one ulp, and l + m roundings in products run in
+    # the same order; empty products are exactly 1 on both paths
+    bound = 2 * (l + m) * _EPS
+    rng = np.random.default_rng(100 + 10 * l + m)
+    a = _complex_points(rng.random((400, 2 * l)), 10.0)
+    b = _complex_points(rng.random((400, 2 * m)), 10.0)
+    for s, r in ((0.15, 0.15), (1.0 / 3.0, 0.2)):
+        got, want = _targets(a, b, s, r), targets_python(a, b, s, r)
+        assert got.shape == want.shape == (400,)
+        assert np.all(np.abs(got - want) <= bound * want)
+
+
+def test_complex_points_agree_with_python_float_points():
+    # one cos or sin (equal on both paths) and one product per part
+    bound = _EPS
+    w = np.random.default_rng(7).random((500, 8))
+    w[0] = np.nextafter(1.0, 0.0)  # the largest uniform a stream returns
+    got, want = _complex_points(w, 5.0), _python_points(w, 5.0)
+    assert got.dtype == np.complex128 and got.shape == (500, 4)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= bound * np.abs(part(want)))
+
+
+_SIDE_MODELS = [block_model([[1.0]], [[0.0]], 5.0), spencer_model(1.0, 5.0),
+                singular_covering_model(5.0), alloy_model({0: 1.0, 1: -1.0}, 5.0)]
+
+
+@pytest.mark.parametrize("model", _SIDE_MODELS, ids=["block", "spencer", "covering", "alloy"])
+def test_one_step_sides_agree_with_python_float_sums(model):
+    topo = make_lattice_box(1, (8,))
+    for x, y in ((2, 5), (3, 3), (0, 0)):
+        p = {"x": x, "y": y, "one_step_s": 1.0 / 3.0, "lambda": 0.3, "eps": 1e-3}
+        ctx = sample_context(p, model, topo, UNIFORM, 61)
+        k, s = model.k_ambient, p["one_step_s"]
+        scale = (model.c_b3 * model.coupling) ** s
+        neighbors = list(topo.neighbors(y))
+        # lhs: one power; rhs: a power per neighbor, an add per neighbor and the scale
+        lhs_bound, rhs_bound = _EPS, (2 * len(neighbors) + 2) * _EPS
+
+        def python_sides(h):
+            prof = resolvent_profile(h, k, p["lambda"], p["eps"], x)
+            z = complex(p["lambda"], p["eps"])
+            vy = h[:, y * k:(y + 1) * k, y * k:(y + 1) * k] - z * np.eye(k)
+            lhs = opnorm_batch(prof[:, y] @ vy).tolist()
+            gnorms = opnorm_batch(prof[:, neighbors]).tolist()
+            return records(lhs=[t ** s for t in lhs],
+                           rhs=[scale * sum(g ** s for g in gs) + (1.0 if x == y else 0.0)
+                                for gs in gnorms])
+
+        got = _one_step_batch(ctx, range(60))
+        want = solve_resampled(ctx, range(60), python_sides)[0]
+        assert np.all(np.abs(got["lhs"] - want["lhs"]) <= lhs_bound * want["lhs"])
+        assert np.all(np.abs(got["rhs"] - want["rhs"]) <= rhs_bound * want["rhs"])
+
+
+@pytest.mark.parametrize("model", _SIDE_MODELS, ids=["block", "spencer", "covering", "alloy"])
+def test_decoupling_terms_agree_with_python_float_powers(model):
+    bound = _EPS  # every term is one power
+    topo = make_lattice_box(1, (8,))
+    grid = [0.0, 0.5, -1.5]
+    p = {"x": 1, "y": 4, "decoupling_s": 0.2, "lambda_grid": grid, "eps": 1e-3}
+    ctx = sample_context(p, model, topo, UNIFORM, 67)
+    k, s = model.k_ambient, p["decoupling_s"]
+
+    def python_terms(h):
+        nums, dens = [], []
+        for lam in grid:
+            gxy = resolvent_profile(h, k, lam, p["eps"], 1)[:, 4]
+            vy = h[:, 4 * k:5 * k, 4 * k:5 * k] - complex(lam, p["eps"]) * np.eye(k)
+            nums.append(opnorm_batch(gxy @ vy).tolist())
+            dens.append(opnorm_batch(gxy).tolist())
+        return records(num=[[t ** s for t in num] for num in zip(*nums)],
+                       den=[[t ** s for t in den] for den in zip(*dens)])
+
+    got = _decoupling_batch(ctx, range(60))
+    want = solve_resampled(ctx, range(60), python_terms)[0]
+    assert got["num"].shape == (60, len(grid))
+    for field in ("num", "den"):
+        assert np.all(np.abs(got[field] - want[field]) <= bound * want[field])
+
+
+def test_tridiag_green_entry_in_real_arithmetic_equals_the_complex_recursion():
+    # at a real energy every imaginary part of the complex recursion is exactly 0
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        j = int(rng.integers(1, 7))
+        v = rng.uniform(-1.0, 1.0, (64, j))
+        coeff_c, coeff_d = 0.5 + rng.random(j), 2.0 * (2.0 * rng.random(j) - 1.0)
+        hop, lam = 0.2 + rng.random(), 4.0 * rng.random() - 2.0
+        got = _tridiag_green_entry(v, coeff_c, coeff_d, hop, lam)
+        want = tridiag_green_entry_complex(v, coeff_c, coeff_d, hop, complex(lam, 0.0))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    # a chain whose determinant is exactly 0: a0 a1 - hop^2 with a0 = a1 = hop
+    hop = 0.75
+    v = np.array([[hop, hop], [0.1, -0.2]])
+    one, zero = np.ones(2), np.zeros(2)
+    got = _tridiag_green_entry(v, one, zero, hop, 0.0)
+    want = tridiag_green_entry_complex(v, one, zero, hop, 0j)
+    assert got[0] == math.inf and got.tobytes() == want.tobytes()
 
 
 def test_vinv_scalar_analytic():

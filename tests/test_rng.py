@@ -1,6 +1,10 @@
 import numpy as np
 
-from fmlab.rng import Stream, derive_sample_seed, mix64
+from fmlab.rng import GOLDEN, Stream, derive_sample_seed, mix64
+
+# states whose first word is 2^64 - 1 (mix64 inverted at the top word) and 0
+TOP_WORD_STATE = 0x31628AF67B2131AB
+ZERO_WORD_STATE = -int(GOLDEN) % 2**64  # state + GOLDEN wraps to 0, and mix64(0) = 0
 
 
 def test_mix64_reference_values():
@@ -42,6 +46,11 @@ def test_uniforms_open_interval():
     w = Stream(7).uniforms(10_000)
     assert np.all(w > 0.0) and np.all(w < 1.0)
     assert abs(w.mean() - 0.5) < 0.02
+    # the top word's midpoint 2^53 - 1/2 rounds to 2^53: clamped below 1
+    assert Stream(TOP_WORD_STATE).words(1)[0] == 2**64 - 1
+    assert Stream(TOP_WORD_STATE).uniforms(1)[0] == 1.0 - 2.0**-53
+    assert Stream(ZERO_WORD_STATE).words(1)[0] == 0
+    assert Stream(ZERO_WORD_STATE).uniforms(1)[0] == 2.0**-54
 
 
 def test_mix64_is_bijective_on_samples():

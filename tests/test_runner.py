@@ -490,6 +490,24 @@ def _with_estimator(kind, **fields):
     return {**cfg, "estimator": {**cfg["estimator"], **fields}}
 
 
+def test_cli_exits_3_when_every_vinv_potential_is_singular(tmp_path, capsys):
+    from fmlab.cli import main
+
+    # A = B = 0 at lambda = 0: v A + B - lambda is singular for every draw
+    zero = [[["0", "0"]]]
+    cfg = {**TINY_CFGS["inequalities"], "model": {"variant": "block", "g": "10", "A": zero,
+                                                  "B": zero}}
+    argv = ["inequalities", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert "vinv_moment: persistent singular potential" in capsys.readouterr().err
+
+
+def test_wegner_flag_test_takes_a_grid_of_600_decades():
+    # eps[0] / eps[-1] = 1e600 overflows; the one-decade flag compares without dividing
+    rec = run(_with_estimator("wegner", eps_list=["1e300", "1", "1e-300"]))
+    assert not any("decade" in flag for flag in rec.outputs["flags"])
+
+
 @pytest.mark.parametrize(
     "cfg,extra,field",
     [
@@ -789,6 +807,10 @@ _REFUSED_BEFORE_THE_FIRST_DRAW = {
         _with_estimator("wegner", lambda0="nan"), "estimator.lambda0", TINY_CFGS["wegner"]),
     "decay-heavy-tail-inf": (
         _heavy_tailed(TINY_CFGS["decay"], "inf"), "disorder.params", TINY_CFGS["decay"]),
+    # the stream's extreme word draws |v| = 2^(53/q0) - 1, inf for q0 <= 53/1024: the
+    # run once overflowed and exited 3 blaming the resolvent solve
+    "decay-heavy-tail-0.05": (
+        _heavy_tailed(TINY_CFGS["decay"], "0.05"), "disorder", TINY_CFGS["decay"]),
     "decay-heavy-tail-nan": (
         _heavy_tailed(TINY_CFGS["decay"], "nan"), "disorder.params", TINY_CFGS["decay"]),
     "decay-gaussian-sigma-nan": (

@@ -1,13 +1,17 @@
-"""The library keeps only what its own code reaches.
+"""The library keeps only what its own code reaches, and imports only numpy.
 
 A public module-level function or class, or a public method, that no code
 in src/fmlab references outside its own definition is reached only from
 tests: it belongs in tests/oracles.py, or nowhere.  A reference is any
 name, attribute or import of the same identifier, so the check is by name.
+
+The library's one dependency is numpy: every other import is the standard
+library or fmlab itself (scipy, say, is for tests only).
 """
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmlab"
 
@@ -52,3 +56,19 @@ def unreferenced():
 def test_every_public_name_is_reached_from_the_library():
     assert SRC.is_dir()
     assert sorted(set(unreferenced()) - ALLOWED) == []
+
+
+def test_the_library_imports_only_numpy_the_standard_library_and_itself():
+    allowed = {"numpy", "fmlab"} | set(sys.stdlib_module_names)
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import is fmlab itself
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert foreign == []
