@@ -3,14 +3,16 @@ states, spectral window masses, eigenfunction correlators, and time-evolution
 suprema.
 
 Each experiment kind but inequalities (see fmlab.inequalities) is one
-function here, kind(ctx, workers=1, outdir=None) -> (outputs, rows): ctx is
+function here, kind(ctx, pool=None, outdir=None) -> (outputs, rows): ctx is
 the run's sample context (sample_context: the operator family, the master
 seed, the kind's parsed estimator fields as ctx.params and the assembly
-plan, built once per run), outputs is what results.json holds and rows are
-its series rows.  Its scan's batch function returns records of the dtype the
-scan declares.  An estimate is a plain dict whose arrays stay numpy until
-results.json is written.  decay and correlator fit their estimate in a
-separate step, so their estimates have functions of their own.
+plan, built once per run), pool is the run's engine.Pool, which its scan
+maps its chunks through (None: in this process), outputs is what
+results.json holds and rows are its series rows.  Its scan's batch function
+returns records of the dtype the scan declares.  An estimate is a plain
+dict whose arrays stay numpy until results.json is written.  decay and
+correlator fit their estimate in a separate step, so their estimates have
+functions of their own.
 
 Every estimator derives sample i's random stream from (master_seed, i), so
 results are bit-identical for any worker count.  Aggregation reports the
@@ -192,7 +194,7 @@ def _moment_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return records(m=rows, r=retries)
 
 
-def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
+def fractional_moment_profile(ctx: _SampleCtx, pool=None, checkpoint_path=None) -> dict:
     """The decay estimate: the mean of ||G_{lambda + i eps}(x0, y)||^s over
     disorder for every site y, eps "auto" taken from default_eps."""
     if ctx.params["eps"] == "auto":
@@ -204,7 +206,7 @@ def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) 
         flags.append(f"s={p['s']:g} above the decay-bound window {s_bound:g}")
     samples = p["samples"]
     dtype = np.dtype([("m", "f8", ctx.topo.n_vertices), ("r", "i8")])
-    recs = run_indexed(_moment_batch, ctx, dtype, samples, workers, checkpoint_path)
+    recs = run_indexed(_moment_batch, ctx, dtype, samples, pool, checkpoint_path)
     resamples = int(recs["r"].sum())
     if resamples > RESAMPLE_FLAG_FRACTION * samples:
         flags.append(f"excessive resamples: {resamples}")
@@ -226,11 +228,11 @@ def fractional_moment_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) 
     }
 
 
-def decay(ctx: _SampleCtx, workers=1, outdir=None):
+def decay(ctx: _SampleCtx, pool=None, outdir=None):
     """The decay kind: the fractional-moment profile, its decay-rate fit over
     the distances from d_min on, and the diagonal-maximum check."""
     p = ctx.params
-    e = fractional_moment_profile(ctx, workers, checkpoint_path(outdir))
+    e = fractional_moment_profile(ctx, pool, checkpoint_path(outdir))
     ok, margin = moment_max_check(e)
     outputs = {
         "fit": decay_rate_fit(e, p["d_min"]),
@@ -332,7 +334,7 @@ def _ids_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return records(c=counts)
 
 
-def ids(ctx: _SampleCtx, workers=1, outdir=None):
+def ids(ctx: _SampleCtx, pool=None, outdir=None):
     """The ids kind: the disorder-averaged normalized eigenvalue counting
     measure on the bins whose edges are params["bins"].
 
@@ -342,7 +344,7 @@ def ids(ctx: _SampleCtx, workers=1, outdir=None):
     p = ctx.params
     edges = p["bins"]
     dtype = np.dtype([("c", "i8", edges.size - 1)])
-    recs = run_indexed(_ids_batch, ctx, dtype, p["samples"], workers, checkpoint_path(outdir))
+    recs = run_indexed(_ids_batch, ctx, dtype, p["samples"], pool, checkpoint_path(outdir))
     masses, _, errs = _group_stats(recs["c"] / (ctx.topo.n_vertices * ctx.model.k_ambient))
     e = {"edges": edges, "masses": masses, "errs": errs, "n_samples": p["samples"],
          "master_seed": ctx.master_seed}
@@ -357,7 +359,7 @@ def _window_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return records(c=counts)
 
 
-def wegner(ctx: _SampleCtx, workers=1, outdir=None):
+def wegner(ctx: _SampleCtx, pool=None, outdir=None):
     """The wegner kind: normalized counting-measure masses of [lambda0 - eps,
     lambda0 + eps] for each eps of params["eps_list"] (an array, descending),
     and the log-log slope across them (the local Holder exponent)."""
@@ -367,7 +369,7 @@ def wegner(ctx: _SampleCtx, workers=1, outdir=None):
     if eps[0] < (10.0 - 1e-9) * eps[-1]:  # no division: 1e300 / 1e-300 overflows
         flags.append(f"eps grid spans only {eps[0] / eps[-1]:.1f}x (< one decade)")
     dtype = np.dtype([("c", "i8", eps.size)])
-    counts = run_indexed(_window_batch, ctx, dtype, p["samples"], workers,
+    counts = run_indexed(_window_batch, ctx, dtype, p["samples"], pool,
                          checkpoint_path(outdir))["c"].astype(np.float64)
     expected = np.mean(counts[:, 0])
     if expected < 50.0:
@@ -469,20 +471,20 @@ def _correlator_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return solve_resampled(ctx, indices, targets)[0]
 
 
-def correlator_decay_profile(ctx: _SampleCtx, workers=1, checkpoint_path=None) -> dict:
+def correlator_decay_profile(ctx: _SampleCtx, pool=None, checkpoint_path=None) -> dict:
     """The correlator estimate: the disorder-averaged eigenfunction correlator
     against graph distance, and its largest sample value."""
     values = run_indexed(_correlator_batch, ctx, np.dtype([("q", "f8", ctx.topo.n_vertices)]),
-                         ctx.params["samples"], workers, checkpoint_path)["q"]
+                         ctx.params["samples"], pool, checkpoint_path)["q"]
     qmax = float(np.max(values)) if values.size else 0.0
     return {**_distance_profile(ctx, values), "max_correlator": qmax, "k": ctx.model.k_ambient}
 
 
-def correlator(ctx: _SampleCtx, workers=1, outdir=None):
+def correlator(ctx: _SampleCtx, pool=None, outdir=None):
     """The correlator kind: the correlator profile, its decay-rate fit over
     the distances from d_min on, and the bound Q <= k."""
     p = ctx.params
-    e = correlator_decay_profile(ctx, workers, checkpoint_path(outdir))
+    e = correlator_decay_profile(ctx, pool, checkpoint_path(outdir))
     outputs = {
         "fit": decay_rate_fit(e, p["d_min"]),
         "d_min": p["d_min"],
@@ -508,7 +510,7 @@ def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return solve_resampled(ctx, indices, targets)[0]
 
 
-def dynamical(ctx: _SampleCtx, workers=1, outdir=None):
+def dynamical(ctx: _SampleCtx, pool=None, outdir=None):
     """The dynamical kind: the disorder-averaged sup_t ||e^{i t H_I}(x0, y)||
     with correlator bounds.
 
@@ -517,7 +519,7 @@ def dynamical(ctx: _SampleCtx, workers=1, outdir=None):
     """
     p = ctx.params
     dtype = np.dtype([(field, "f8", ctx.topo.n_vertices) for field in ("u", "q")])
-    recs = run_indexed(_dynamical_batch, ctx, dtype, p["samples"], workers, checkpoint_path(outdir))
+    recs = run_indexed(_dynamical_batch, ctx, dtype, p["samples"], pool, checkpoint_path(outdir))
     sups, qs = recs["u"], recs["q"]
     off = np.ones(ctx.topo.n_vertices, dtype=bool)
     off[p["x0"]] = False

@@ -7,10 +7,11 @@ the multivariate reverse-Holder inequality for Cramer's-rule entries.
 inequalities() is the experiment kind that runs them all, with the
 signature of the kinds in fmlab.estimators.
 
-Each check has the shape of a kind: check(ctx, workers=1,
+Each check has the shape of a kind: check(ctx, pool=None,
 checkpoint_path=None) returns its results.json entry, where ctx is the
 run's sample context with the check's own master seed and the few params
-the kind sets per call (x and y for a pair, param_scale for a scale).  Every
+the kind sets per call (x and y for a pair, param_scale for a scale), and
+pool is the run's one engine.Pool, which all the kind's scans share.  Every
 scan runs on run_indexed, so its draws come from per-index derived streams:
 deterministic, and parallel like the Monte Carlo estimators, with records
 declared in the same way.  Quadrature values carry explicit error bounds.
@@ -131,7 +132,7 @@ def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, 
         raise ConfigurationError("comparability regime violated: q too small for (s*l + r*m)")
 
 
-def comparability_scan(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+def comparability_scan(ctx: _SampleCtx, pool=None, checkpoint_path=None):
     """(entry, rows) over params["draws"] random draws of l points a_j and m
     points b_i of modulus below params["param_scale"]: the extremes of the
     ratio integral / target against the disorder measure with the failure
@@ -144,7 +145,7 @@ def comparability_scan(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     p = ctx.params
     dtype = np.dtype([("a", "f8", (p["l"], 2)), ("b", "f8", (p["m"], 2)), ("lhs", "f8"),
                       ("rhs", "f8"), ("ratio", "f8"), ("error_bound", "f8")])
-    recs = run_indexed(_comparability_batch, ctx, dtype, p["draws"], workers, checkpoint_path)
+    recs = run_indexed(_comparability_batch, ctx, dtype, p["draws"], pool, checkpoint_path)
     ratios = recs["ratio"]
     entry = {
         "ratio_min": float(np.min(ratios)),
@@ -203,7 +204,7 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return solve_resampled(ctx, indices, sides)[0]
 
 
-def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+def one_step_bound_check(ctx: _SampleCtx, pool=None, checkpoint_path=None):
     """One-step bound at the pair (x, y), exponent s = one_step_s:
     <||G(x,y)(V(y)-z)||^s> vs the neighbor-sum majorant, over
     params["samples"].
@@ -213,7 +214,7 @@ def one_step_bound_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     """
     p = ctx.params
     dtype = np.dtype([("lhs", "f8"), ("rhs", "f8")])
-    recs = run_indexed(_one_step_batch, ctx, dtype, p["samples"], workers, checkpoint_path)
+    recs = run_indexed(_one_step_batch, ctx, dtype, p["samples"], pool, checkpoint_path)
     lhs, rhs = recs["lhs"], recs["rhs"]
     lm, _, le = _group_stats(lhs)
     rm_, _, re_ = _group_stats(rhs)
@@ -246,7 +247,7 @@ def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return solve_resampled(ctx, indices, terms)[0]
 
 
-def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+def decoupling_ratio(ctx: _SampleCtx, pool=None, checkpoint_path=None):
     """Decoupling ratio at the pair (x, y), exponent s = decoupling_s, for
     each lambda of lambda_grid: <||G(V-z)||^s> / (<||G||^s> (1+|lambda|)^s).
 
@@ -260,7 +261,7 @@ def decoupling_ratio(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     if s > s_bound + 1e-12:
         flags.append(f"s={s:g} above decoupling window {s_bound:g}")
     dtype = np.dtype([(field, "f8", len(p["lambda_grid"])) for field in ("num", "den")])
-    recs = run_indexed(_decoupling_batch, ctx, dtype, p["samples"], workers, checkpoint_path)
+    recs = run_indexed(_decoupling_batch, ctx, dtype, p["samples"], pool, checkpoint_path)
     nums, dens = recs["num"], recs["den"]
     out = []
     for j, lam in enumerate(p["lambda_grid"]):
@@ -320,7 +321,7 @@ def _rh_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     return out
 
 
-def reverse_holder_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
+def reverse_holder_check(ctx: _SampleCtx, pool=None, checkpoint_path=None):
     """Worst <|Q|^s> / <|Q|^{s/2}>^2 over params["rh_trials"] sampled rational
     functions Q, and how many trials gave no finite ratio (failures).
 
@@ -328,7 +329,7 @@ def reverse_holder_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
     variable), averaged over _RH_DRAWS disorder draws per trial; the
     inequality says the worst constant stays bounded.
     """
-    recs = run_indexed(_rh_batch, ctx, _RH, ctx.params["rh_trials"], workers, checkpoint_path)
+    recs = run_indexed(_rh_batch, ctx, _RH, ctx.params["rh_trials"], pool, checkpoint_path)
     ratios = recs["ratio"]
     finite = ratios[np.isfinite(ratios)]
     return {
@@ -341,7 +342,7 @@ def reverse_holder_check(ctx: _SampleCtx, workers=1, checkpoint_path=None):
 # the inequalities kind
 
 
-def inequalities(ctx: _SampleCtx, workers=1, outdir=None):
+def inequalities(ctx: _SampleCtx, pool=None, outdir=None):
     """The inequalities kind: every check above on the run's context;
     one series row per comparability draw, at every scale."""
     p = ctx.params
@@ -357,16 +358,16 @@ def inequalities(ctx: _SampleCtx, workers=1, outdir=None):
     for j in range(p["pairs"]):
         x, y = (int(w * n) for w in pair_stream.uniforms(2))
         one_step.append(one_step_bound_check(
-            check_ctx(1000 + j, x=x, y=y), workers, checkpoint_path(outdir, f"one_step_{j}")
+            check_ctx(1000 + j, x=x, y=y), pool, checkpoint_path(outdir, f"one_step_{j}")
         ))
     lem = decoupling_ratio(
-        check_ctx(2000, x=0, y=min(2, n - 1)), workers, checkpoint_path(outdir, "decoupling")
+        check_ctx(2000, x=0, y=min(2, n - 1)), pool, checkpoint_path(outdir, "decoupling")
     )
     comparability, rows = {}, []
     for j, (scale, param_scale) in enumerate(p["scales"]):
         # checkpoints by position: no config string in a path
         comparability[str(scale)], scale_rows = comparability_scan(
-            check_ctx(3000, param_scale=param_scale), workers, checkpoint_path(outdir, f"scan_{j}")
+            check_ctx(3000, param_scale=param_scale), pool, checkpoint_path(outdir, f"scan_{j}")
         )
         rows += scale_rows
     return {
@@ -378,7 +379,7 @@ def inequalities(ctx: _SampleCtx, workers=1, outdir=None):
         ),
         "comparability": comparability,
         "reverse_holder": reverse_holder_check(
-            check_ctx(4000), workers, checkpoint_path(outdir, "rh")
+            check_ctx(4000), pool, checkpoint_path(outdir, "rh")
         ),
         "vinv": None if ctx.model.variant == "alloy" else vinv_moment(
             check_ctx(5000, samples=max(p["samples"], 2000))

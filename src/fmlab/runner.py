@@ -22,11 +22,12 @@ path.  The library checks none of these ranges again.
 parse_config() parses the whole config, runs every rule and builds the
 run's one sample context (estimators.sample_context); run() calls it before
 it touches the outdir, so no config is refused once a run has begun.  _KINDS
-maps each kind to its library function, kind(ctx, workers, outdir) ->
-(outputs, rows), which returns what results.json holds.
+maps each kind to its library function, kind(ctx, pool, outdir) ->
+(outputs, rows), which returns what results.json holds; pool is the run's
+one engine.Pool of config "workers" workers, shut down when the run ends.
 
-Timing and environment stamps go to run_meta.json; results.json and
-series.csv are byte-deterministic functions of (config, master_seed).
+Timing, environment stamps and the number of pool processes the run started
+go to run_meta.json; results.json and series.csv are byte-deterministic functions of (config, master_seed).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from . import disorder as disorder_mod
 from . import estimators as est
 from . import inequalities as ineq
-from .engine import canonical_json
+from .engine import Pool, canonical_json
 from .errors import ConfigurationError
 from .model import alloy_model, block_model, singular_covering_model, spencer_model
 from .topology import distances_from, make_lattice_box
@@ -489,9 +490,10 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         _atomic_write(config_path, json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
     run_kind, columns, _, _ = _KINDS[top["kind"]]
-    started = time.perf_counter()  # a monotonic clock: a step of the system clock does not count
-    outputs, rows = run_kind(ctx, top["workers"], outdir)
-    elapsed = time.perf_counter() - started
+    with Pool(top["workers"]) as pool:  # every scan of the run shares it
+        started = time.perf_counter()  # a monotonic clock: a step of the system clock does not count
+        outputs, rows = run_kind(ctx, pool, outdir)
+        elapsed = time.perf_counter() - started
 
     record = ResultRecord(
         kind=top["kind"],
@@ -508,7 +510,8 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
         _atomic_write(
             os.path.join(outdir, "run_meta.json"),
             json.dumps(
-                {"timing": record.timing, "environment": record.environment},
+                {"timing": record.timing, "environment": record.environment,
+                 "processes": pool.processes},
                 sort_keys=True,
                 indent=1,
             ) + "\n",

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate as si
 
 from fmlab.disorder import make_spec, sample_vector
+from fmlab.engine import Pool
 from fmlab.errors import DegenerateFitError
 from fmlab.estimators import (
     _distinct,
@@ -103,8 +104,9 @@ def test_profile_determinism_across_workers():
     topo = make_lattice_box(1, (6,))
     p = {"x0": 0, "s": 0.5, "lambda": 0.0, "eps": 1e-2, "samples": 120}
     ctx = sample_context(p, SCALAR, topo, UNIFORM, master_seed=31337)
-    a = fractional_moment_profile(ctx, workers=1)
-    b = fractional_moment_profile(ctx, workers=2)
+    a = fractional_moment_profile(ctx)
+    with Pool(2) as pool:
+        b = fractional_moment_profile(ctx, pool)
     assert np.array_equal(a["means"], b["means"])
     assert np.array_equal(a["errs"], b["errs"])
 

@@ -4,17 +4,19 @@ import csv
 import glob
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from fmlab import engine
+from fmlab import engine, estimators
 from fmlab.disorder import sample_vector
-from fmlab.engine import canonical_json, checkpoint_prefix, records, run_indexed
+from fmlab.engine import Pool, canonical_json, checkpoint_prefix, records, run_indexed
 from fmlab.errors import ConfigurationError
 from fmlab.model import assemble, instance_digest
 from fmlab.plotting import emit_plot
@@ -222,11 +224,11 @@ def test_a_json_lines_checkpoint_is_left_alone_and_recomputed(tmp_path, monkeypa
 
     scans, computed = [], []  # (dtype, records) of each scan; every index a batch computed
 
-    def counted(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
+    def counted(batch_fn, ctx, dtype, n_samples, pool=None, checkpoint_path=None):
         def batch(ctx, indices):
             computed.extend(indices)
             return batch_fn(ctx, indices)
-        recs = run_indexed(batch, ctx, dtype, n_samples, workers, checkpoint_path)
+        recs = run_indexed(batch, ctx, dtype, n_samples, pool, checkpoint_path)
         scans.append((dtype, recs))
         return recs
 
@@ -263,16 +265,25 @@ def _touch_and_fail_on_chunk_1(outdir, indices):
     return records(v=indices)
 
 
+def _indices(ctx, indices):
+    return records(v=indices)
+
+
 def test_engine_failed_chunk_stops_the_pool(tmp_path):
     started = tmp_path / "started"
     started.mkdir()
     path = str(tmp_path / "ck.rec")
-    with pytest.raises(RuntimeError, match="chunk 1"):
-        run_indexed(_touch_and_fail_on_chunk_1, str(started), _INDEX, 60 * engine._CHUNK,
-                    workers=2, checkpoint_path=path)
+    with Pool(2) as pool:
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            run_indexed(_touch_and_fail_on_chunk_1, str(started), _INDEX, 60 * engine._CHUNK,
+                        pool=pool, checkpoint_path=path)
+        # the pool starts chunks in submission order, so once a later scan on it is done,
+        # every chunk of the failed scan that was not cancelled has started
+        later = run_indexed(_indices, None, _INDEX, 2 * engine._CHUNK, pool)
+        assert later["v"].tolist() == list(range(2 * engine._CHUNK))
+        assert len(os.listdir(started)) < 10  # the pending chunks were cancelled, not run
     done, _ = checkpoint_prefix(path, _INDEX)
     assert done["v"].tolist() == list(range(engine._CHUNK))  # chunk 0 stays checkpointed
-    assert len(os.listdir(started)) < 10  # the pending chunks were cancelled, not run
 
 
 def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
@@ -284,37 +295,146 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", 3)
     path = str(tmp_path / "ck.rec")
     with pytest.raises(RuntimeError):
-        run_indexed(batch, None, _INDEX, 6, workers=1, checkpoint_path=path)
+        run_indexed(batch, None, _INDEX, 6, checkpoint_path=path)
     done, _ = checkpoint_prefix(path, _INDEX)
     assert done["v"].tolist() == [0, 1, 2]  # completed prefix survives the abort
 
 
-def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
+def _in_process_executors(monkeypatch):
+    """The list the size of every executor the engine constructs is appended
+    to; each runs a call as it is submitted, so no process is started."""
     sizes = []
 
-    class InProcessPool:
-        """Records its size and maps in this process: no process is started."""
-
+    class InProcess:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass
 
-    def batch(ctx, indices):
-        return records(v=indices)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
+    return sizes
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
-    straight = list(range(2 * engine._CHUNK))
+
+def _pool_sizes(monkeypatch, n_chunks, workers=5000):
+    """The sizes of the executors a Pool(workers) opens for a scan of n_chunks."""
+    sizes = _in_process_executors(monkeypatch)
+    with Pool(workers) as pool:
+        recs = run_indexed(_indices, None, _INDEX, n_chunks * engine._CHUNK, pool)
+    assert recs["v"].tolist() == list(range(n_chunks * engine._CHUNK))
+    assert pool.processes == sum(sizes)
+    return sizes
+
+
+def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)  # a host without one
     for cpus, want in ((64, [2]), (3, [2]), (1, []), (None, [])):
-        sizes.clear()
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        recs = run_indexed(batch, None, _INDEX, 2 * engine._CHUNK, workers=5000)
-        assert recs["v"].tolist() == straight
-        assert sizes == want, cpus
+        assert _pool_sizes(monkeypatch, 2) == want, cpus
+
+
+def test_the_pool_has_no_more_processes_than_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    for cpus, want in ((64, [2]), (3, [2]), (1, [])):  # 1: as under taskset -c 0
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _pool_sizes(monkeypatch, 2) == want, cpus
+    assert _pool_sizes(monkeypatch, 1) == []  # one chunk runs in this process
+    assert _pool_sizes(monkeypatch, 9, workers=1) == []
+
+
+def test_later_scans_reuse_the_pool_the_first_opened(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
+    sizes = _in_process_executors(monkeypatch)
+    with Pool(4) as pool:
+        for n_chunks in (1, 3, 1, 9, 2):
+            recs = run_indexed(_indices, None, _INDEX, n_chunks * engine._CHUNK, pool)
+            assert recs["v"].tolist() == list(range(n_chunks * engine._CHUNK))
+    assert sizes == [3]  # sized by the first scan of more than one chunk
+    assert pool.processes == 3
+
+
+def _counted_executors(monkeypatch):
+    """The list every ProcessPoolExecutor the engine constructs is appended to;
+    the host is taken to have 2 usable CPUs, so a 2-worker run opens a pool."""
+    made = []
+
+    class Counted(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    return made
+
+
+def test_an_inequalities_run_shares_one_pool_and_leaves_no_process(tmp_path, monkeypatch):
+    made = _counted_executors(monkeypatch)
+    out = tmp_path / "w2"
+    run({**TINY_CFGS["inequalities"], "workers": 2}, outdir=str(out))
+    assert len(made) == 1  # ten scans, one executor
+    assert multiprocessing.active_children() == []
+    assert json.loads((out / "run_meta.json").read_text())["processes"] == 2
+    run({**TINY_CFGS["inequalities"], "workers": 2}, outdir=str(tmp_path / "again"))
+    assert len(made) == 2  # a pool belongs to one run
+
+
+def test_a_run_that_exits_3_after_pooled_scans_leaves_no_process(tmp_path, monkeypatch, capsys):
+    from fmlab.cli import main
+
+    made = _counted_executors(monkeypatch)
+    zero = [[["0", "0"]]]  # the config of test_cli_exits_3_when_every_vinv_potential_is_singular
+    cfg = {**TINY_CFGS["inequalities"], "model": {"variant": "block", "g": "10", "A": zero,
+                                                  "B": zero}}
+    argv = ["inequalities", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "run"),
+            "--workers", "2"]
+    assert main(argv) == 3
+    assert "vinv_moment: persistent singular potential" in capsys.readouterr().err
+    assert len(made) == 1  # the scans before vinv_moment ran on the pool
+    assert multiprocessing.active_children() == []
+
+
+_MOMENT_BATCH = estimators._moment_batch
+
+
+def _moment_batch_failing_on_chunk_1(ctx, indices):
+    if indices[0] == engine._CHUNK:
+        raise RuntimeError("chunk 1 blew up")
+    return _MOMENT_BATCH(ctx, indices)
+
+
+def test_a_run_whose_pooled_chunk_raises_leaves_no_process(tmp_path, monkeypatch):
+    made = _counted_executors(monkeypatch)
+    monkeypatch.setattr(estimators, "_moment_batch", _moment_batch_failing_on_chunk_1)
+    with pytest.raises(RuntimeError, match="chunk 1"):
+        run({**BASE_CFG, "workers": 2}, outdir=str(tmp_path))
+    assert len(made) == 1
+    assert multiprocessing.active_children() == []
+    done, _ = checkpoint_prefix(str(tmp_path / "samples.rec"), np.dtype(
+        [("m", "f8", 8), ("r", "i8")]))
+    assert len(done) == engine._CHUNK  # chunk 0 stays checkpointed
+
+
+@pytest.mark.parametrize("cfg, workers, want", [
+    pytest.param(BASE_CFG, 1, 0, id="one-worker"),
+    pytest.param({**TINY_CFGS["ids"], "estimator": {**TINY_CFGS["ids"]["estimator"],
+                                                    "samples": engine._CHUNK}}, 2, 0,
+                 id="one-chunk"),
+    pytest.param(TINY_CFGS["inequalities"], 2, None, id="inequalities"),
+])
+def test_run_meta_records_the_pool_processes_the_run_started(cfg, workers, want, tmp_path):
+    run({**cfg, "workers": workers}, outdir=str(tmp_path))
+    processes = json.loads((tmp_path / "run_meta.json").read_text())["processes"]
+    if want is None:  # a pool of no more processes than workers and usable CPUs
+        want = 2 if engine._usable_cpus() > 1 else 0
+    assert processes == want
+    assert multiprocessing.active_children() == []
 
 
 def test_engine_payload_roundtrip(tmp_path):
@@ -326,8 +446,8 @@ def test_engine_payload_roundtrip(tmp_path):
         return records(v=[[float(i) * 0.1] for i in indices], i2=[i * i for i in indices])
 
     path = str(tmp_path / "ck.rec")
-    first = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
-    again = run_indexed(batch, None, dtype, 5, workers=1, checkpoint_path=path)
+    first = run_indexed(batch, None, dtype, 5, checkpoint_path=path)
+    again = run_indexed(batch, None, dtype, 5, checkpoint_path=path)
     assert again.dtype == dtype and again.tobytes() == first.tobytes()
     assert len(calls) == 5  # second pass is checkpoint-only
     done, _ = checkpoint_prefix(path, dtype)
@@ -346,8 +466,8 @@ def test_every_checkpoint_decodes_in_full_into_its_records(cfg, tmp_path, monkey
 
     scans = []  # (checkpoint, record dtype, records) of every scan of the run
 
-    def recorded(batch_fn, ctx, dtype, n_samples, workers=1, checkpoint_path=None):
-        recs = run_indexed(batch_fn, ctx, dtype, n_samples, workers, checkpoint_path)
+    def recorded(batch_fn, ctx, dtype, n_samples, pool=None, checkpoint_path=None):
+        recs = run_indexed(batch_fn, ctx, dtype, n_samples, pool, checkpoint_path)
         scans.append((checkpoint_path, dtype, recs))
         return recs
 
