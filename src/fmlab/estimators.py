@@ -3,12 +3,13 @@ states, spectral window masses, eigenfunction correlators, and time-evolution
 suprema.
 
 Each experiment kind but inequalities (see fmlab.inequalities) is one
-function here, kind(ctx, pool=None, outdir=None) -> (outputs, rows): ctx is
-the run's sample context (sample_context: the operator family, the master
-seed, the kind's parsed estimator fields as ctx.params and the assembly
-plan, built once per run), pool is the run's engine.Pool, which its scan
-maps its chunks through (None: in this process), outputs is what
-results.json holds and rows are its series rows.  Its scan's batch function
+function here, kind(ctx, pool=None, outdir=None) -> (outputs, series, plot):
+ctx is the run's sample context (sample_context: the operator family, the
+master seed, the kind's parsed estimator fields as ctx.params and the
+assembly plan, built once per run), pool is the run's engine.Pool, which
+its scan maps its chunks through (None: in this process), outputs is what
+results.json holds, series its columns by name (see fmlab.runner) and plot
+its plot function (see fmlab.plotting).  Its scan's batch function
 returns records of the dtype the scan declares.  An estimate is a plain
 dict whose arrays stay numpy until results.json is written.  decay and
 correlator fit their estimate in a separate step, so their estimates have
@@ -48,24 +49,6 @@ RESAMPLE_FLAG_FRACTION = 0.01
 
 T_GRID_POINTS = 512
 T_GRID_CYCLES = 64.0
-
-
-def _jsonable(x):
-    """Arrays, tuples and lists as lists and dicts as dicts, recursively;
-    non-finite reals as strings (strict JSON has no NaN or Infinity
-    literal), numpy scalars as Python numbers."""
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (np.ndarray, tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
-        return repr(float(x))
-    return x.item() if isinstance(x, np.generic) else x
-
-
-def _series(columns, *constants) -> list:
-    """Series rows of the equal-length array columns, each followed by the constants."""
-    return [[*row, *constants] for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -244,7 +227,8 @@ def decay(ctx: _SampleCtx, pool=None, outdir=None):
         "flags": e["flags"],
         "estimate": e,
     }
-    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"], e["resamples"])
+    return outputs, *_distance_series("decay", e, "mom_err", n=p["samples"],
+                                      resamples=e["resamples"])
 
 
 def bin_by_distance(distances, means, d_min: int = 0):
@@ -262,6 +246,15 @@ def bin_by_distance(distances, means, d_min: int = 0):
         bm.append(float(np.mean(means[sel])))
         pop.append(int(np.sum(sel)))
     return ds.astype(int), np.asarray(bm), np.asarray(pop, dtype=int)
+
+
+def _distance_series(kind: str, e: dict, err: str, **constants):
+    """(series, plot) of a distance-profile estimate e: one row per site, its
+    distance from x0, mean and e["errs"] (headed err), then the constant
+    columns; the plot is the distance-bin means on semilog axes."""
+    return ({"distance": e["distances"], "mean": e["means"], err: e["errs"], **constants},
+            lambda: (*bin_by_distance(e["distances"], e["means"])[:2], "graph distance",
+                     "mean", f"{kind}: mean vs distance", False, True))
 
 
 def decay_rate_fit(e: dict, d_min: int = 1) -> dict:
@@ -349,7 +342,9 @@ def ids(ctx: _SampleCtx, pool=None, outdir=None):
     e = {"edges": edges, "masses": masses, "errs": errs, "n_samples": p["samples"],
          "master_seed": ctx.master_seed}
     outputs = {"total_mass": float(np.sum(masses)), "estimate": e}
-    return outputs, _series((edges[:-1], edges[1:], masses, errs))
+    series = {"bin_lo": edges[:-1], "bin_hi": edges[1:], "mass": masses, "err": errs}
+    return outputs, series, lambda: ((edges[:-1] + edges[1:]) / 2.0, masses, "energy",
+                                     "mass per bin", "density of states", False, False)
 
 
 def _window_batch(ctx: _SampleCtx, indices) -> np.ndarray:
@@ -387,7 +382,9 @@ def wegner(ctx: _SampleCtx, pool=None, outdir=None):
          "exponent": exponent, "n_samples": p["samples"], "master_seed": ctx.master_seed,
          "flags": flags}
     outputs = {"exponent": exponent, "flags": flags, "estimate": e}
-    return outputs, _series((eps, masses, errs), p["samples"])
+    series = {"eps": eps, "mass": masses, "err": errs, "n": p["samples"]}
+    return outputs, series, lambda: (eps, masses, "window half-width", "mass",
+                                     "spectral window mass", True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +489,7 @@ def correlator(ctx: _SampleCtx, pool=None, outdir=None):
         "k_bound_ok": bool(e["max_correlator"] <= e["k"] + 1e-8),
         "estimate": e,
     }
-    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"])
+    return outputs, *_distance_series("correlator", e, "err", n=p["samples"])
 
 
 def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
@@ -538,4 +535,4 @@ def dynamical(ctx: _SampleCtx, pool=None, outdir=None):
         "bound_ok": bool(excess <= 1e-8),
         "estimate": e,
     }
-    return outputs, _series((e["distances"], e["means"], e["errs"]), p["samples"])
+    return outputs, *_distance_series("dynamical", e, "err", n=p["samples"])

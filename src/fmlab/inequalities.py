@@ -5,7 +5,9 @@ alloy potentials, the inverse-potential fractional moment, the two-sided
 polynomial-ratio comparison against prod(1+|a_j|)^s / prod(1+|b_i|)^r, and
 the multivariate reverse-Holder inequality for Cramer's-rule entries.
 inequalities() is the experiment kind that runs them all, with the
-signature of the kinds in fmlab.estimators.
+signature of the kinds in fmlab.estimators, kind(ctx, pool, outdir) ->
+(outputs, series, plot): its series has one row per comparability draw,
+and its plot is None, since the draws have no 1-D axis.
 
 Each check has the shape of a kind: check(ctx, pool=None,
 checkpoint_path=None) returns its results.json entry, where ctx is the
@@ -133,10 +135,10 @@ def check_comparability_regime(measure: DisorderSpec, l: int, m: int, s: float, 
 
 
 def comparability_scan(ctx: _SampleCtx, pool=None, checkpoint_path=None):
-    """(entry, rows) over params["draws"] random draws of l points a_j and m
-    points b_i of modulus below params["param_scale"]: the extremes of the
+    """(entry, records) over params["draws"] random draws of l points a_j and
+    m points b_i of modulus below params["param_scale"]: the extremes of the
     ratio integral / target against the disorder measure with the failure
-    count, and one series row per draw.
+    count, and the draws' records.
 
     Both extremes must be positive and finite (a draw whose ratio is not is a
     failure); their spread estimates how far the two-sided comparison
@@ -152,10 +154,7 @@ def comparability_scan(ctx: _SampleCtx, pool=None, checkpoint_path=None):
         "ratio_max": float(np.max(ratios)),
         "failures": int(np.sum(~np.isfinite(ratios) | (ratios <= 0.0))),
     }
-    columns = (recs[field].tolist() for field in ("a", "b", "lhs", "rhs", "ratio"))
-    rows = [[p["param_scale"], i, canonical_json({"a": a, "b": b}), lhs, rhs, ratio]
-            for i, (a, b, lhs, rhs, ratio) in enumerate(zip(*columns))]
-    return entry, rows
+    return entry, recs
 
 
 def vinv_moment(ctx: _SampleCtx) -> dict:
@@ -344,7 +343,7 @@ def reverse_holder_check(ctx: _SampleCtx, pool=None, checkpoint_path=None):
 
 def inequalities(ctx: _SampleCtx, pool=None, outdir=None):
     """The inequalities kind: every check above on the run's context;
-    one series row per comparability draw, at every scale."""
+    one series row per comparability draw, scale by scale."""
     p = ctx.params
 
     def check_ctx(j, **fields):  # the master seed j derives from the run's; fields join params
@@ -363,13 +362,19 @@ def inequalities(ctx: _SampleCtx, pool=None, outdir=None):
     lem = decoupling_ratio(
         check_ctx(2000, x=0, y=min(2, n - 1)), pool, checkpoint_path(outdir, "decoupling")
     )
-    comparability, rows = {}, []
+    comparability, scans = {}, []
     for j, (scale, param_scale) in enumerate(p["scales"]):
         # checkpoints by position: no config string in a path
-        comparability[str(scale)], scale_rows = comparability_scan(
+        comparability[str(scale)], recs = comparability_scan(
             check_ctx(3000, param_scale=param_scale), pool, checkpoint_path(outdir, f"scan_{j}")
         )
-        rows += scale_rows
+        scans.append(recs)
+    recs = np.concatenate(scans)  # as lists below, so no series column holds on to its buffer
+    series = {"scale": np.repeat([param_scale for _, param_scale in p["scales"]], p["draws"]),
+              "draw": np.tile(np.arange(p["draws"]), len(scans)),
+              "parameters": [canonical_json({"a": a, "b": b})
+                             for a, b in zip(recs["a"].tolist(), recs["b"].tolist())],
+              **{field: recs[field].tolist() for field in ("lhs", "rhs", "ratio")}}
     return {
         "one_step": one_step,
         "one_step_all_pass": bool(all(r["pass"] for r in one_step)),
@@ -384,4 +389,4 @@ def inequalities(ctx: _SampleCtx, pool=None, outdir=None):
         "vinv": None if ctx.model.variant == "alloy" else vinv_moment(
             check_ctx(5000, samples=max(p["samples"], 2000))
         ),
-    }, rows
+    }, series, None

@@ -1,13 +1,16 @@
 """Standalone SVG plots for result records; no plotting library, no
-timestamps, so emitted bytes are a pure function of the data."""
+timestamps, so emitted bytes are a pure function of the data.  A kind,
+kind(ctx, pool, outdir) -> (outputs, series, plot), owns its plot: a
+function of no arguments returning render_series_svg's arguments after the
+digest, or None."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .estimators import bin_by_distance
 from .runner import _atomic_write
 
 _W, _H = 640, 440
@@ -27,16 +30,8 @@ def _ticks_decades(lo, hi):
     return [10.0**e for e in range(lo_exp, hi_exp + 1)]
 
 
-def render_series_svg(
-    xs,
-    ys,
-    xlabel: str,
-    ylabel: str,
-    title: str,
-    digest: str,
-    xlog: bool = False,
-    ylog: bool = False,
-) -> str:
+def render_series_svg(digest: str, xs, ys, xlabel: str, ylabel: str, title: str,
+                      xlog: bool = False, ylog: bool = False) -> str:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     keep = np.isfinite(xs) & np.isfinite(ys)
@@ -142,27 +137,10 @@ def render_series_svg(
 
 
 def emit_plot(record, path: str) -> bool:
-    """Write an SVG for a plottable record; returns False (with a notice) otherwise.
-
-    Decay-like kinds go on semilog axes, spectral-window masses on log-log,
-    density of states on linear axes.
-    """
-    kind = record.kind
-    col = {c: [row[i] for row in record.rows] for i, c in enumerate(record.columns)}
-    if kind in ("decay", "correlator", "dynamical"):
-        xs, ys, _ = bin_by_distance(col["distance"], col["mean"])
-        axes = ("graph distance", "mean", f"{kind}: mean vs distance", False, True)
-    elif kind == "wegner":
-        xs, ys = col["eps"], col["mass"]
-        axes = ("window half-width", "mass", "spectral window mass", True, True)
-    elif kind == "ids":
-        xs = [(lo + hi) / 2.0 for lo, hi in zip(col["bin_lo"], col["bin_hi"])]
-        ys = col["mass"]
-        axes = ("energy", "mass per bin", "density of states", False, False)
-    else:
-        print(f"emit_plot: kind {kind!r} has no 1D series; skipping")
+    """Write record.plot() as an SVG to path; for a record without a plot,
+    write nothing, print a notice on stderr and return False."""
+    if record.plot is None:
+        print(f"emit_plot: kind {record.kind!r} has no 1D series; skipping", file=sys.stderr)
         return False
-    xlabel, ylabel, title, xlog, ylog = axes
-    svg = render_series_svg(xs, ys, xlabel, ylabel, title, record.config_digest, xlog, ylog)
-    _atomic_write(path, svg)
+    _atomic_write(path, render_series_svg(record.config_digest, *record.plot()))
     return True

@@ -22,9 +22,12 @@ path.  The library checks none of these ranges again.
 parse_config() parses the whole config, runs every rule and builds the
 run's one sample context (estimators.sample_context); run() calls it before
 it touches the outdir, so no config is refused once a run has begun.  _KINDS
-maps each kind to its library function, kind(ctx, pool, outdir) ->
-(outputs, rows), which returns what results.json holds; pool is the run's
-one engine.Pool of config "workers" workers, shut down when the run ends.
+maps each kind to its library function, field table and check.  A kind,
+kind(ctx, pool, outdir) -> (outputs, series, plot), returns what
+results.json holds: series maps column names, in order, to one entry per row
+or a scalar every row repeats (_series_table makes the rows), and plot is
+its plotting.emit_plot function, or None.  pool is the run's one engine.Pool
+of config "workers" workers, shut down when the run ends.
 
 Timing, environment stamps and the number of pool processes the run started
 go to run_meta.json; results.json and series.csv are byte-deterministic functions of (config, master_seed).
@@ -35,9 +38,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 
@@ -293,6 +297,30 @@ def build_model(cfg: dict):
     return _build(cfg, "model", lambda variant, **fields: make(**fields), table)
 
 
+def _jsonable(x):
+    """Arrays, tuples and lists as lists and dicts as dicts, recursively;
+    non-finite reals as strings (strict JSON has no NaN or Infinity
+    literal), numpy scalars as Python numbers."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (np.ndarray, tuple, list)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+        return repr(float(x))
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _series_table(series: dict) -> tuple:
+    """(columns, rows) of a kind's series: an array or list column gives each
+    row its entry, a scalar column repeats in every row; numpy cells become
+    Python values, and a list is used as it is (no fixed-width string copy)."""
+    cells = [c.tolist() if isinstance(c, (np.ndarray, np.generic)) else c
+             for c in series.values()]
+    n = max(len(c) for c in cells if isinstance(c, list))
+    rows = zip(*(c if isinstance(c, list) else [c] * n for c in cells))
+    return list(series), [list(row) for row in rows]
+
+
 @dataclass(eq=False)
 class ResultRecord:
     kind: str
@@ -301,29 +329,19 @@ class ResultRecord:
     outputs: dict
     columns: list
     rows: list  # per-row lists matching columns
-    timing: dict = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
-
-    def deterministic_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config_digest": self.config_digest,
-            "master_seed": self.master_seed,
-            "outputs": self.outputs,
-            "series": {"columns": self.columns, "rows": self.rows},
-        }
+    plot: object = None  # the kind's plot function, or None for a kind without one
 
     def to_json(self) -> str:
         """Strict JSON: non-finite reals are the strings "nan", "inf", "-inf"."""
-        return json.dumps(est._jsonable(self.deterministic_dict()), sort_keys=True, indent=1,
-                          allow_nan=False) + "\n"
+        record = {"kind": self.kind, "config_digest": self.config_digest,
+                  "master_seed": self.master_seed, "outputs": self.outputs,
+                  "series": {"columns": self.columns, "rows": self.rows}}
+        return json.dumps(_jsonable(record), sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, float):
         return f"{x:.16e}"  # 17 significant digits: lossless float64 round-trip
     return str(x)
@@ -376,9 +394,9 @@ def _check_comparability(ctx):
 
 
 _SITE = (_NATURAL, 0)  # x0; below the number of sites, which _check_site checks
-# kind -> (kind function, series columns, estimator field table, check or None)
+# kind -> (kind function, estimator field table, check or None)
 _KINDS = {
-    "decay": (est.decay, ["distance", "mean", "mom_err", "n", "resamples"], {
+    "decay": (est.decay, {
         "s": (_in("(0, 1)"), "1/3"),
         "lambda": (_FINITE, 0),
         "eps": (lambda v, path: v if v == "auto" else _NONNEGATIVE(v, path), "auto"),
@@ -386,28 +404,28 @@ _KINDS = {
         "x0": _SITE,
         "d_min": (_NATURAL, 1),
     }, _check_decay_fit),
-    "wegner": (est.wegner, ["eps", "mass", "err", "n"], {
+    "wegner": (est.wegner, {
         "lambda0": (_FINITE, 0),
         "eps_list": (_eps_list, _REQUIRED),
         "samples": (_COUNT, 1000),
     }, None),
-    "ids": (est.ids, ["bin_lo", "bin_hi", "mass", "err"], {
+    "ids": (est.ids, {
         "samples": (_COUNT, 200),
         "bins": (_edges, {}),
     }, None),
-    "correlator": (est.correlator, ["distance", "mean", "err", "n"], {
+    "correlator": (est.correlator, {
         "interval": (_interval, ["-1", "1"]),
         "samples": (_COUNT, 500),
         "x0": _SITE,
         "d_min": (_NATURAL, 1),
     }, _check_decay_fit),
-    "dynamical": (est.dynamical, ["distance", "mean", "err", "n"], {
+    "dynamical": (est.dynamical, {
         "interval": (_interval, ["-1", "1"]),
         "samples": (_COUNT, 200),
         "x0": _SITE,
         "t_points": (_COUNT, est.T_GRID_POINTS),
     }, _check_site),
-    "inequalities": (ineq.inequalities, ["scale", "draw", "parameters", "lhs", "rhs", "ratio"], {
+    "inequalities": (ineq.inequalities, {
         "samples": (_COUNT, 300),
         "draws": (_COUNT, 200),
         "pairs": (_NATURAL, 6),
@@ -446,7 +464,7 @@ def parse_config(cfg: dict) -> tuple:
     kind's check passed."""
     top = _parse_table(cfg, _TOP, "")
     model, topo, dis = build_model(cfg), build_topology(cfg), build_disorder(cfg)
-    _, _, fields, check = _KINDS[top["kind"]]
+    _, fields, check = _KINDS[top["kind"]]
     p = _parse_table(top["estimator"], fields, "estimator")
     ctx = _owned("model", est.sample_context, p, model, topo, dis, top["master_seed"])
     if check:
@@ -489,31 +507,21 @@ def run(cfg: dict, outdir: str | None = None) -> ResultRecord:
             )
         _atomic_write(config_path, json.dumps(cfg, sort_keys=True, indent=1) + "\n")
 
-    run_kind, columns, _, _ = _KINDS[top["kind"]]
+    run_kind, _, _ = _KINDS[top["kind"]]
+    started = time.perf_counter()  # a monotonic clock: a step of the system clock does not count
     with Pool(top["workers"]) as pool:  # every scan of the run shares it
-        started = time.perf_counter()  # a monotonic clock: a step of the system clock does not count
-        outputs, rows = run_kind(ctx, pool, outdir)
-        elapsed = time.perf_counter() - started
+        outputs, series, plot = run_kind(ctx, pool, outdir)
+    elapsed = time.perf_counter() - started  # the pool's shutdown included
 
-    record = ResultRecord(
-        kind=top["kind"],
-        config_digest=digest,
-        master_seed=top["master_seed"],
-        outputs=outputs,
-        columns=list(columns),
-        rows=rows,
-        timing={"elapsed_seconds": elapsed, "finished_unix": time.time()},
-        environment={"numpy": np.__version__, **_numpy_build()},
-    )
+    record = ResultRecord(top["kind"], digest, top["master_seed"], outputs,
+                          *_series_table(series), plot)
     if outdir:
         _atomic_write(os.path.join(outdir, "results.json"), record.to_json())
-        _atomic_write(
-            os.path.join(outdir, "run_meta.json"),
-            json.dumps(
-                {"timing": record.timing, "environment": record.environment,
-                 "processes": pool.processes},
-                sort_keys=True,
-                indent=1,
-            ) + "\n",
-        )
+        meta = {
+            "timing": {"elapsed_seconds": elapsed, "finished_unix": time.time()},
+            "environment": {"numpy": np.__version__, **_numpy_build()},
+            "processes": pool.processes,
+        }
+        _atomic_write(os.path.join(outdir, "run_meta.json"),
+                      json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return record

@@ -507,10 +507,11 @@ def test_emit_csv_empty_record(tmp_path):
 
 
 def test_emit_plot_svg(tmp_path):
+    ds = np.arange(8)
     rec = ResultRecord(
         kind="decay", config_digest="abc123" + "0" * 58, master_seed=1,
-        outputs={}, columns=["distance", "mean", "mom_err", "n", "resamples"],
-        rows=[[d, float(np.exp(-0.7 * d)), 0.0, 10, 0] for d in range(8)],
+        outputs={}, columns=[], rows=[],
+        plot=lambda: (ds, np.exp(-0.7 * ds), "graph distance", "mean", "decay", False, True),
     )
     path = str(tmp_path / "plot.svg")
     assert emit_plot(rec, path)
@@ -525,14 +526,63 @@ def test_emit_plot_svg(tmp_path):
 
 
 def test_emit_plot_wegner_loglog(tmp_path):
+    eps = np.array([0.2, 0.1, 0.05, 0.025])
     rec = ResultRecord(
         kind="wegner", config_digest="1" * 64, master_seed=1,
-        outputs={}, columns=["eps", "mass", "err", "n"],
-        rows=[[e, e**0.5, 0.0, 10] for e in (0.2, 0.1, 0.05, 0.025)],
+        outputs={}, columns=[], rows=[],
+        plot=lambda: (eps, eps**0.5, "window half-width", "mass", "wegner", True, True),
     )
     path = str(tmp_path / "w.svg")
     assert emit_plot(rec, path)
     assert "window half-width" in open(path).read()
+
+
+def test_a_kind_without_a_plot_writes_none_and_says_so_on_stderr(tmp_path, capsys):
+    from fmlab.cli import main
+
+    cfg_path = write_cfg(tmp_path, TINY_CFGS["inequalities"])
+    out = tmp_path / "run"
+    assert main(["inequalities", "--config", cfg_path, "--out", str(out), "--plot"]) == 0
+    assert not (out / "plot.svg").exists()
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"inequalities: wrote {out} "
+                                         f"(digest {config_digest(TINY_CFGS['inequalities'])[:12]})"]
+    assert "emit_plot: kind 'inequalities' has no 1D series; skipping" in captured.err
+
+
+@pytest.mark.parametrize("plot, calls", [([], 1), (["--plot"], 2)])
+def test_only_a_plot_bins_beyond_the_fit(plot, calls, tmp_path, monkeypatch, capsys):
+    from fmlab.cli import main
+
+    made, original = [], estimators.bin_by_distance
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "bin_by_distance", counted)
+    cfg_path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["decay", "--config", cfg_path, "--out", str(tmp_path / "run"), *plot]) == 0
+    assert len(made) == calls
+    assert (tmp_path / "run" / "plot.svg").exists() == bool(plot)
+
+
+def test_elapsed_seconds_covers_the_pool_shutdown(tmp_path, monkeypatch):
+    from fmlab import runner
+
+    run(BASE_CFG, outdir=str(tmp_path / "plain"))
+
+    class SlowExit(Pool):
+        def __exit__(self, *exc):
+            time.sleep(0.2)
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(runner, "Pool", SlowExit)
+    run(BASE_CFG, outdir=str(tmp_path / "slow"))
+    meta = json.loads((tmp_path / "slow" / "run_meta.json").read_text())
+    assert meta["timing"]["elapsed_seconds"] >= 0.2
+    assert ((tmp_path / "slow" / "results.json").read_bytes()
+            == (tmp_path / "plain" / "results.json").read_bytes())
 
 
 def test_results_json_is_strict_with_decoupled_sites(tmp_path):
@@ -1280,7 +1330,7 @@ def test_readme_lists_every_key_of_the_field_tables():
     tables = {"top level": _TOP, "`topology`": _TOPOLOGY, "`disorder`": _DISORDER,
               "`estimator.bins`, kind `ids`": _BINS}
     tables.update({f"`model`, variant `{v}`": table for v, (_, table) in _MODELS.items()})
-    tables.update({f"`estimator`, kind `{k}`": kind[2] for k, kind in _KINDS.items()})
+    tables.update({f"`estimator`, kind `{k}`": fields for k, (_, fields, _) in _KINDS.items()})
     root = os.path.dirname(os.path.dirname(__file__))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
