@@ -286,6 +286,26 @@ def test_engine_failed_chunk_stops_the_pool(tmp_path):
     assert done["v"].tolist() == list(range(engine._CHUNK))  # chunk 0 stays checkpointed
 
 
+def test_a_failed_scan_stops_every_pool_share(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)  # more pool processes than cores
+    started = tmp_path / "started"
+    started.mkdir()
+    path = str(tmp_path / "ck.rec")
+    share = 15 * engine._CHUNK  # 60 chunks in 4 shares
+    with Pool(4) as pool:
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            run_indexed(_touch_and_fail_on_chunk_1, str(started), _INDEX, 4 * share,
+                        pool=pool, checkpoint_path=path)
+        later = run_indexed(_indices, None, _INDEX, 4 * engine._CHUNK, pool)
+        assert later["v"].tolist() == list(range(4 * engine._CHUNK))
+    assert pool.processes == 3
+    firsts = [int(name.split("_")[1]) for name in os.listdir(started)]
+    for k in (1, 2, 3):  # each pool share stopped at the mark, well before its end
+        assert len([j for j in firsts if j // share == k]) < 8, sorted(firsts)
+    done, _ = checkpoint_prefix(path, _INDEX)
+    assert done["v"].tolist() == list(range(engine._CHUNK))
+
+
 def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     def batch(ctx, indices):
         if 3 in indices:
@@ -300,47 +320,59 @@ def test_engine_failure_keeps_checkpoint_prefix(tmp_path, monkeypatch):
     assert done["v"].tolist() == [0, 1, 2]  # completed prefix survives the abort
 
 
+_TASK = [0]  # the pool task an in-process executor is running: 0 in none, else 1, 2, ...
+
+
 def _in_process_executors(monkeypatch):
-    """The list the size of every executor the engine constructs is appended
-    to; each runs a call as it is submitted, so no process is started."""
-    sizes = []
+    """The list every executor the engine constructs is appended to; each
+    runs a task as it is submitted, with _TASK set to its number, so no
+    process is started."""
+    made = []
 
     class InProcess:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            self.max_workers, self.mp_context, self.tasks = max_workers, mp_context, 0
+            initializer(*initargs)
+            made.append(self)
 
         def submit(self, fn, *args):
+            self.tasks += 1
+            _TASK[0] = self.tasks
             future = Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            finally:
+                _TASK[0] = 0
             return future
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
-    return sizes
+    return made
 
 
 def _pool_sizes(monkeypatch, n_chunks, workers=5000):
     """The sizes of the executors a Pool(workers) opens for a scan of n_chunks."""
-    sizes = _in_process_executors(monkeypatch)
+    made = _in_process_executors(monkeypatch)
     with Pool(workers) as pool:
         recs = run_indexed(_indices, None, _INDEX, n_chunks * engine._CHUNK, pool)
     assert recs["v"].tolist() == list(range(n_chunks * engine._CHUNK))
+    sizes = [executor.max_workers for executor in made]
     assert pool.processes == sum(sizes)
     return sizes
 
 
 def test_the_pool_has_no_more_processes_than_chunks_or_cpus(monkeypatch):
     monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)  # a host without one
-    for cpus, want in ((64, [2]), (3, [2]), (1, []), (None, [])):
+    for cpus, want in ((64, [1]), (3, [1]), (1, []), (None, [])):
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         assert _pool_sizes(monkeypatch, 2) == want, cpus
 
 
 def test_the_pool_has_no_more_processes_than_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
-    for cpus, want in ((64, [2]), (3, [2]), (1, [])):  # 1: as under taskset -c 0
+    for cpus, want in ((64, [1]), (3, [1]), (1, [])):  # 1: as under taskset -c 0
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         assert _pool_sizes(monkeypatch, 2) == want, cpus
@@ -348,15 +380,108 @@ def test_the_pool_has_no_more_processes_than_the_cpus_this_process_may_use(monke
     assert _pool_sizes(monkeypatch, 9, workers=1) == []
 
 
+def test_the_pool_forks_its_processes(monkeypatch):
+    made = _in_process_executors(monkeypatch)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
+    with Pool(2) as pool:
+        run_indexed(_indices, None, _INDEX, 2 * engine._CHUNK, pool)
+    assert [e.mp_context.get_start_method() for e in made] == ["fork"]
+
+
 def test_later_scans_reuse_the_pool_the_first_opened(monkeypatch):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
-    sizes = _in_process_executors(monkeypatch)
+    made = _in_process_executors(monkeypatch)
     with Pool(4) as pool:
         for n_chunks in (1, 3, 1, 9, 2):
             recs = run_indexed(_indices, None, _INDEX, n_chunks * engine._CHUNK, pool)
             assert recs["v"].tolist() == list(range(n_chunks * engine._CHUNK))
-    assert sizes == [3]  # sized by the first scan of more than one chunk
-    assert pool.processes == 3
+    assert [e.max_workers for e in made] == [2]  # sized by the first scan of more than one chunk
+    assert pool.processes == 2
+
+
+def _task_of_each_chunk(log, indices):
+    """A batch function that logs (the pool task computing it, its indices)."""
+    log.append((_TASK[0], indices))
+    return records(v=indices)
+
+
+def _pooled_run(monkeypatch, workers, n, path, log):
+    """run_indexed of _task_of_each_chunk over n samples through a Pool(workers)
+    of in-process executors on 8 usable CPUs, checkpointed to path."""
+    _in_process_executors(monkeypatch)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
+    with Pool(workers) as pool:
+        return run_indexed(_task_of_each_chunk, log, _INDEX, n, pool, checkpoint_path=str(path))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n", [33, 65, 97, 100, 500])
+def test_pooled_shares_differ_by_at_most_one_sample(n, workers, tmp_path, monkeypatch):
+    log = []
+    recs = _pooled_run(monkeypatch, workers, n, tmp_path / "pooled.rec", log)
+    n_shares = min(workers, -(-n // engine._CHUNK))
+    shares = [[idx for task, idx in log if task == k] for k in range(n_shares)]
+    assert len(log) == sum(map(len, shares))  # no chunk outside the shares
+    assert [i for share in shares for idx in share for i in idx] == list(range(n))  # contiguous
+    assert all(len(idx) <= engine._CHUNK for _, idx in log)
+    sizes = [sum(map(len, share)) for share in shares]
+    assert max(sizes) - min(sizes) <= 1, sizes
+    straight = run_indexed(_indices, None, _INDEX, n, checkpoint_path=str(tmp_path / "w1.rec"))
+    assert recs.tobytes() == straight.tobytes()
+    assert (tmp_path / "pooled.rec").read_bytes() == (tmp_path / "w1.rec").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kept", [137, 300])
+def test_a_pooled_resume_from_inside_a_share_rebuilds_the_straight_checkpoint(
+        kept, workers, tmp_path, monkeypatch):
+    path = tmp_path / "ck.rec"
+    run_indexed(_indices, None, _INDEX, 500, checkpoint_path=str(path))
+    straight = path.read_bytes()
+    header, disk = engine._layout(_INDEX)
+    path.write_bytes(straight[:len(header) + kept * disk.itemsize + 5])  # record `kept` torn
+    log = []
+    recs = _pooled_run(monkeypatch, workers, 500, path, log)
+    assert sorted(i for _, idx in log for i in idx) == list(range(kept, 500))  # the rest only
+    assert len({task for task, _ in log}) == workers  # cut into shares
+    assert recs["v"].tolist() == list(range(500))
+    assert path.read_bytes() == straight
+
+
+def _index_and_pid(ctx, indices):
+    return records(v=indices, pid=[os.getpid()] * len(indices))
+
+
+def test_the_calling_process_computes_the_first_share(monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    with Pool(2) as pool:
+        recs = run_indexed(_index_and_pid, None, np.dtype([("v", "i8"), ("pid", "i8")]),
+                           4 * engine._CHUNK, pool)
+    assert pool.processes == 1
+    assert recs["v"].tolist() == list(range(4 * engine._CHUNK))
+    first, other = recs["pid"][:2 * engine._CHUNK], recs["pid"][2 * engine._CHUNK:]
+    assert set(first.tolist()) == {os.getpid()}
+    assert len(set(other.tolist())) == 1 and other[0] != os.getpid()
+
+
+def _fail_at_sample_128(ctx, indices):
+    if indices[0] == 128:
+        raise RuntimeError("sample 128 blew up")
+    return records(v=indices)
+
+
+def test_a_chunk_failing_in_a_pool_share_keeps_the_first_share_and_its_own_prefix(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    path = str(tmp_path / "ck.rec")
+    with Pool(2) as pool:  # 192 samples: shares 0..95 here, 96..191 in the pool process
+        with pytest.raises(RuntimeError, match="sample 128") as failure:
+            run_indexed(_fail_at_sample_128, None, _INDEX, 6 * engine._CHUNK, pool,
+                        checkpoint_path=path)
+    assert "_fail_at_sample_128" in str(failure.value.__cause__)  # the pool process's traceback
+    done, _ = checkpoint_prefix(path, _INDEX)
+    assert done["v"].tolist() == list(range(128))
+    assert multiprocessing.active_children() == []
 
 
 def _counted_executors(monkeypatch):
@@ -380,7 +505,7 @@ def test_an_inequalities_run_shares_one_pool_and_leaves_no_process(tmp_path, mon
     run({**TINY_CFGS["inequalities"], "workers": 2}, outdir=str(out))
     assert len(made) == 1  # ten scans, one executor
     assert multiprocessing.active_children() == []
-    assert json.loads((out / "run_meta.json").read_text())["processes"] == 2
+    assert json.loads((out / "run_meta.json").read_text())["processes"] == 1
     run({**TINY_CFGS["inequalities"], "workers": 2}, outdir=str(tmp_path / "again"))
     assert len(made) == 2  # a pool belongs to one run
 
@@ -431,8 +556,8 @@ def test_a_run_whose_pooled_chunk_raises_leaves_no_process(tmp_path, monkeypatch
 def test_run_meta_records_the_pool_processes_the_run_started(cfg, workers, want, tmp_path):
     run({**cfg, "workers": workers}, outdir=str(tmp_path))
     processes = json.loads((tmp_path / "run_meta.json").read_text())["processes"]
-    if want is None:  # a pool of no more processes than workers and usable CPUs
-        want = 2 if engine._usable_cpus() > 1 else 0
+    if want is None:  # one process fewer than min(workers, usable CPUs): this one is a share
+        want = 1 if engine._usable_cpus() > 1 else 0
     assert processes == want
     assert multiprocessing.active_children() == []
 
