@@ -87,7 +87,7 @@ def _group_stats(values: np.ndarray):
 # ---------------------------------------------------------------------------
 # the sample path shared by every operator estimator
 
-STACK_BYTES = 512 * 1024  # matrices assembled and factored as one stack, at least one
+STACK_BYTES = 512 * 1024  # members assembled and solved as one stack, at least one
 
 
 @dataclass(eq=False)
@@ -100,35 +100,41 @@ class _SampleCtx:
     plan: object
 
 
-def sample_context(p, model, topo, disorder, master_seed) -> _SampleCtx:
+def sample_context(p, model, topo, disorder, master_seed, sweep=False) -> _SampleCtx:
     """A run's one ctx for run_indexed's batch functions, which get their
     operators, if any, from solve_resampled: the kind's parsed estimator
-    fields p as params, and the assembly plan (refusing offsets without a kernel)."""
-    return _SampleCtx(model, topo, disorder, int(master_seed), p, assembly_plan(model, topo))
+    fields p as params, and the assembly plan (refusing offsets without a
+    kernel), in slabs with sweep (a kind that solves resolvents), else in one."""
+    return _SampleCtx(model, topo, disorder, int(master_seed), p,
+                      assembly_plan(model, topo, sweep))
 
 
 def solve_resampled(ctx: _SampleCtx, indices, solve):
     """(results, retries) arrays for a list of sample indices.
 
     Sample i's operator is drawn and assembled from its own (master_seed, i)
-    stream.  solve(h) gets a (B, n, n) stack h of matrices, at most
-    STACK_BYTES but at least one, and returns an array (records, say) with one
-    entry per member; results[j] is indices[j]'s.  A ResampleSignal (an
-    exactly singular solve, measure zero for continuous disorder) redraws
-    only the singular members, each from the next words of its own stream,
-    and retries[j] counts indices[j]'s redraws; after MAX_RETRIES redraws a
-    sample fails with NumericalError.  So does a failed contract, raised again
-    with its reason and the instance digest of the member it names.
+    stream.  solve(h) gets a stack h of B members in the layout of ctx.plan
+    (model.assemble), B the most whose assembled bytes fit STACK_BYTES but at
+    least one, and returns an array (records, say) with one entry per member;
+    results[j] is indices[j]'s.  A member in slabs counts its L m^2 complex
+    entries, not the n^2 of its dense matrix: a 144-row member in 16 slabs of
+    9 rows is 20 KiB, not 324 KiB, so a stack holds 25 members, not one.  A
+    ResampleSignal (an exactly singular solve, measure zero for continuous
+    disorder) redraws only the singular members, each from the next words of
+    its own stream, and retries[j] counts indices[j]'s redraws; after
+    MAX_RETRIES redraws a sample fails with NumericalError.  So does a failed contract, raised again
+    with its reason and the instance digest of the member it names, which is
+    taken of its dense matrix in every layout.
     """
     n = ctx.topo.n_vertices
-    dim = n * ctx.model.k_ambient
-    per_stack = max(1, STACK_BYTES // (16 * dim * dim))  # complex128 matrices
+    per_stack = max(1, STACK_BYTES // (16 * ctx.plan.base.size))  # complex128 members
     results = None  # allocated from the first solved stack's dtype and entry shape
     retries = np.zeros(len(indices), dtype=np.int64)
     pending = np.arange(len(indices))  # positions in indices still without a result
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices, dtype=np.uint64)))
 
-    def failure(reason, vb, mat):  # a sample's NumericalError, named by its instance digest
+    def failure(reason, vb):  # a sample's NumericalError, named by its dense matrix's digest
+        mat = assemble(ctx.model, ctx.topo, vb, ctx.plan.whole())
         return NumericalError(reason, instance_digest(ctx.model, ctx.topo, vb, mat))
 
     for attempt in range(MAX_RETRIES + 1):
@@ -141,7 +147,7 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
                 try:
                     out = solve(h)
                 except NumericalError as exc:
-                    raise failure(str(exc), v[rows[exc.member]], h[exc.member]) from None
+                    raise failure(str(exc), v[rows[exc.member]]) from None
                 except ResampleSignal as sig:
                     # each member gets the LAPACK call it would get alone, so some member
                     # fails alone; should none, redraw the whole stack rather than loop
@@ -158,9 +164,7 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
             return results, retries
         pending = pending[singular]
         stream = Stream(stream.state[singular], stream.pos)
-    vb = v[int(np.argmax(singular))]
-    mat = assemble(ctx.model, ctx.topo, vb, ctx.plan)
-    raise failure("persistent singular factorization", vb, mat)
+    raise failure("persistent singular factorization", v[int(np.argmax(singular))])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,8 @@ def _moment_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p, k = ctx.params, ctx.model.k_ambient
 
     def moments(h):
-        return opnorm_batch(resolvent_profile(h, k, p["lambda"], p["eps"], p["x0"])) ** p["s"]
+        prof = resolvent_profile(h, k, p["lambda"], p["eps"], p["x0"], ctx.plan.couple)
+        return opnorm_batch(prof) ** p["s"]
 
     rows, retries = solve_resampled(ctx, indices, moments)
     return records(m=rows, r=retries)
@@ -227,8 +232,7 @@ def decay(ctx: _SampleCtx, pool=None, outdir=None):
         "flags": e["flags"],
         "estimate": e,
     }
-    return outputs, *_distance_series("decay", e, "mom_err", n=p["samples"],
-                                      resamples=e["resamples"])
+    return outputs, *_distance_series("decay", e, n=p["samples"], resamples=e["resamples"])
 
 
 def bin_by_distance(distances, means, d_min: int = 0):
@@ -248,11 +252,11 @@ def bin_by_distance(distances, means, d_min: int = 0):
     return ds.astype(int), np.asarray(bm), np.asarray(pop, dtype=int)
 
 
-def _distance_series(kind: str, e: dict, err: str, **constants):
+def _distance_series(kind: str, e: dict, **constants):
     """(series, plot) of a distance-profile estimate e: one row per site, its
     distance from x0, mean and e["errs"] (headed err), then the constant
     columns; the plot is the distance-bin means on semilog axes."""
-    return ({"distance": e["distances"], "mean": e["means"], err: e["errs"], **constants},
+    return ({"distance": e["distances"], "mean": e["means"], "err": e["errs"], **constants},
             lambda: (*bin_by_distance(e["distances"], e["means"])[:2], "graph distance",
                      "mean", f"{kind}: mean vs distance", False, True))
 
@@ -303,10 +307,11 @@ def moment_max_check(e: dict):
 def default_eps(ctx: _SampleCtx) -> float:
     """Resolvent smoothing default: 1e-3 * spectral width / matrix dimension.
 
-    Uses the spectrum of sample 0; recorded per experiment, since the i0
-    limit itself is not computable.
+    Uses the spectrum of sample 0's dense matrix, whatever the layout of
+    ctx's plan; recorded per experiment, since the i0 limit itself is not
+    computable.
     """
-    vals = solve_resampled(ctx, [0], hermitian_eigvals)[0][0]
+    vals = solve_resampled(replace(ctx, plan=ctx.plan.whole()), [0], hermitian_eigvals)[0][0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 
@@ -489,7 +494,7 @@ def correlator(ctx: _SampleCtx, pool=None, outdir=None):
         "k_bound_ok": bool(e["max_correlator"] <= e["k"] + 1e-8),
         "estimate": e,
     }
-    return outputs, *_distance_series("correlator", e, "err", n=p["samples"])
+    return outputs, *_distance_series("correlator", e, n=p["samples"])
 
 
 def _dynamical_batch(ctx: _SampleCtx, indices) -> np.ndarray:
@@ -535,4 +540,4 @@ def dynamical(ctx: _SampleCtx, pool=None, outdir=None):
         "bound_ok": bool(excess <= 1e-8),
         "estimate": e,
     }
-    return outputs, *_distance_series("dynamical", e, "err", n=p["samples"])
+    return outputs, *_distance_series("dynamical", e, n=p["samples"])

@@ -191,11 +191,11 @@ def _one_step_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     x, y, s, lam, eps = p["x"], p["y"], p["one_step_s"], p["lambda"], p["eps"]
     k, scale = ctx.model.k_ambient, (ctx.model.c_b3 * ctx.model.coupling) ** s
     neighbors = list(ctx.topo.neighbors(y))
-    sy = slice(y * k, (y + 1) * k)  # site y's rows and columns
+    sy = ctx.plan.diag[y]  # flat indices of site y's diagonal block in a member
 
     def sides(h):
-        prof = resolvent_profile(h, k, lam, eps, x)
-        vy = h[:, sy, sy] - complex(lam, eps) * np.eye(k, dtype=np.complex128)
+        prof = resolvent_profile(h, k, lam, eps, x, ctx.plan.couple)
+        vy = h.reshape(len(h), -1)[:, sy] - complex(lam, eps) * np.eye(k, dtype=np.complex128)
         return records(lhs=opnorm_batch(prof[:, y] @ vy) ** s,
                        rhs=scale * np.sum(opnorm_batch(prof[:, neighbors]) ** s, axis=-1)
                        + (1.0 if x == y else 0.0))
@@ -232,13 +232,14 @@ def one_step_bound_check(ctx: _SampleCtx, pool=None, checkpoint_path=None):
 def _decoupling_batch(ctx: _SampleCtx, indices) -> np.ndarray:
     p = ctx.params
     x, y, s, eps, k = p["x"], p["y"], p["decoupling_s"], p["eps"], ctx.model.k_ambient
-    sy, eye = slice(y * k, (y + 1) * k), np.eye(k, dtype=np.complex128)
+    sy, eye = ctx.plan.diag[y], np.eye(k, dtype=np.complex128)  # site y's block, as above
 
     def terms(h):
         nums, dens = [], []
+        hy = h.reshape(len(h), -1)[:, sy]
         for lam in p["lambda_grid"]:
-            gxy = resolvent_profile(h, k, lam, eps, x)[:, y]
-            vy = h[:, sy, sy] - complex(lam, eps) * eye
+            gxy = resolvent_profile(h, k, lam, eps, x, ctx.plan.couple)[:, y]
+            vy = hy - complex(lam, eps) * eye
             nums.append(opnorm_batch(gxy @ vy))
             dens.append(opnorm_batch(gxy))
         return records(num=np.stack(nums, -1) ** s, den=np.stack(dens, -1) ** s)

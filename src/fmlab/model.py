@@ -17,16 +17,27 @@ path).  Assembly writes both triangles from the same kernel/potential
 source, so assembled matrices are Hermitian exactly, not after
 symmetrization.
 
-``assemble`` returns one matrix or a (B, n, n) stack.  numerics reports a
-failing member by its position in a stack; ``estimators.solve_resampled``
-turns it into ``instance_digest``, a hash of the box, model, disorder and matrix.
+``assemble`` returns one member or a stack of B members, in the layout its
+``AssemblyPlan`` fixes once per run.  With one slab a member is its dense
+(n, n) matrix.  With slabs it is the (L, m, m) stack of the diagonal slab
+blocks of its block-tridiagonal matrix: slab j holds rows j*m to (j+1)*m, a
+whole number of axis-0 layers of an open box (sites are numbered row-major,
+so a layer is a contiguous run of sites), and every off-diagonal block
+H[j, j+1] is the plan's constant ``couple`` (H[j+1, j] its adjoint), which
+every member shares.  ``assembly_plan(model, topo, sweep=True)`` picks the
+slabs by the slab rule (``_slab_rows``); the eigensolvers need the dense
+matrix, so their plans have one slab.  numerics reports a failing member by
+its position in a stack; ``estimators.solve_resampled`` turns it into
+``instance_digest``, a hash of the box, model, disorder and dense matrix,
+which it assembles again in one slab (``AssemblyPlan.whole``) for a member
+in slabs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +45,8 @@ from .errors import ConfigurationError
 from .topology import LatticeBox, unit_offsets
 
 _MAX_BLOCK = 16
+SLAB_ROWS = 8  # a slab holds at least this many rows
+MIN_SLABS = 4  # a box that would get fewer slabs is one slab
 
 
 def _as_block(m, name: str) -> np.ndarray:
@@ -175,17 +188,61 @@ def instance_digest(model: ModelSpec, topo: LatticeBox, v, matrix) -> str:
     return h.hexdigest()
 
 
+def _slab_rows(topo: LatticeBox, ka: int) -> int:
+    """Rows per slab of the slab rule: the fewest whole axis-0 layers that hold
+    at least SLAB_ROWS rows and cut the box into equal slabs, at least
+    MIN_SLABS of them; otherwise, and always on a periodic box (whose wrap
+    couples the first slab to the last), the whole box."""
+    rows = topo.n_vertices * ka
+    layer, side = rows // topo.sides[0], topo.sides[0]
+    if not topo.periodic:
+        for p in range(-(-SLAB_ROWS // layer), side // MIN_SLABS + 1):
+            if side % p == 0:
+                return p * layer
+    return rows
+
+
 @dataclass(eq=False)
 class AssemblyPlan:
-    """Disorder-independent part of assembly, reusable across Monte Carlo samples."""
+    """Disorder-independent part of assembly, reusable across Monte Carlo samples.
 
-    hop: np.ndarray  # hopping-only matrix (zero diagonal blocks)
-    diag: np.ndarray  # flat matrix indices of the diagonal blocks, (N, ka, ka)
+    A member is base plus its potential, added at the flat indices diag of
+    its layout: one slab (slab rows = all of hop's) or L slabs of slab rows
+    each (see the module docstring).
+    """
+
+    hop: np.ndarray  # dense hopping-only matrix (zero diagonal blocks)
     alloy_gather: list | None  # [(coeff, target_idx, source_idx)] per offset
+    ka: int  # rows per site
+    slab: int  # rows per slab
+    # a member's hopping: hop, or its (L, m, m) diagonal slab blocks
+    base: np.ndarray = field(init=False)
+    couple: np.ndarray | None = field(init=False)  # H[j, j+1], (m, m); None for one slab
+    # flat indices of the diagonal site blocks in base, (N, ka, ka)
+    diag: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        m, n = self.slab, self.hop.shape[0]
+        if m == n:
+            self.base, self.couple = self.hop, None
+        else:
+            # an open box is translation invariant along axis 0: every slab has slab 0's
+            # hopping, and every block between neighbouring slabs is that of slabs 0 and 1
+            self.base = np.broadcast_to(self.hop[:m, :m], (n // m, m, m))
+            self.couple = self.hop[:m, m:2 * m]
+        rows = np.arange(n).reshape(-1, self.ka)
+        j, row = divmod(rows, m)
+        self.diag = j[:, :, None] * (m * m) + row[:, :, None] * m + row[:, None, :]
+
+    def whole(self) -> "AssemblyPlan":
+        """This plan with one slab: members assemble to their dense matrices."""
+        return replace(self, slab=self.hop.shape[0])
 
 
-def assembly_plan(model: ModelSpec, topo: LatticeBox) -> AssemblyPlan:
-    """Precompute hopping matrix and alloy gather maps for a (model, topology) pair."""
+def assembly_plan(model: ModelSpec, topo: LatticeBox, sweep: bool = False) -> AssemblyPlan:
+    """Precompute hopping matrix and alloy gather maps for a (model, topology)
+    pair: in slabs by the slab rule with sweep (for resolvent_profile's
+    sweep), else in one slab."""
     n = topo.n_vertices
     ka = model.k_ambient
     dim = len(topo.sides)
@@ -210,22 +267,23 @@ def assembly_plan(model: ModelSpec, topo: LatticeBox) -> AssemblyPlan:
                     f"alloy offset {off} does not match lattice dimension {dim}"
                 )
             gather.append((c, *topo.shift(off)))
-    rows = np.arange(n * ka).reshape(n, ka)
-    diag = rows[:, :, None] * (n * ka) + rows[:, None, :]
-    return AssemblyPlan(hop=hop, diag=diag, alloy_gather=gather)
+    slab = _slab_rows(topo, ka) if sweep else n * ka
+    return AssemblyPlan(hop=hop, alloy_gather=gather, ka=ka, slab=slab)
 
 
 def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> np.ndarray:
-    """The (N*ka, N*ka) Hermitian matrix of one disorder realization v, shape
-    (N,), or the (B, N*ka, N*ka) stack of B realizations, shape (B, N), from
-    plan.  Site x owns rows and columns x*ka to (x+1)*ka."""
+    """One disorder realization v, shape (N,), or the stack of B realizations,
+    shape (B, N), assembled in plan's layout: the (N*ka, N*ka) Hermitian
+    matrix for one slab, its (L, m, m) diagonal slab blocks otherwise, with a
+    leading axis of length B for a stack.  Site x owns rows and columns x*ka
+    to (x+1)*ka."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != topo.n_vertices:
         raise ConfigurationError(
             f"disorder vector shape {v.shape} does not end in the site count {topo.n_vertices}"
         )
     lead = v.shape[:-1]
-    mat = np.broadcast_to(plan.hop, lead + plan.hop.shape).copy()
+    mat = np.broadcast_to(plan.base, lead + plan.base.shape).copy()
     if model.variant == "alloy":
         pot = np.zeros(v.shape)
         for c, tgt, src in plan.alloy_gather:

@@ -13,7 +13,7 @@ import pytest
 from fmlab import estimators, inequalities
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
-from fmlab.estimators import sample_context
+from fmlab.estimators import default_eps, sample_context
 from fmlab.model import (
     alloy_model,
     assemble,
@@ -24,6 +24,7 @@ from fmlab.model import (
     spencer_model,
 )
 from fmlab.numerics import (
+    block_tridiagonal,
     hermitian_eig,
     hermitian_eigvals,
     opnorm_batch,
@@ -36,6 +37,8 @@ UNIFORM = make_spec("uniform", (-1, 1))
 GAUSSIAN = make_spec("gaussian", (0, 1))
 SEED = 4321
 
+# an open 16-site Spencer chain: 4 slabs of 8 rows in a kind that sweeps
+SLABS = (spencer_model(1.0, 4.0), make_lattice_box(1, (16,)), UNIFORM)
 MODELS = {
     "spencer": (spencer_model(1.0, 4.0), make_lattice_box(1, (5,)), UNIFORM),
     "alloy": (alloy_model({(0,): 1.0, (1,): -1.0}, 3.0), make_lattice_box(1, (6,), True), GAUSSIAN),
@@ -167,7 +170,7 @@ def test_one_singular_member_is_redrawn_alone(monkeypatch):
     after = batch_fn(ctx, list(range(12)))
     assert after[5]["r"] == 1
     h = assemble(ctx.model, ctx.topo, redraw, ctx.plan)
-    expected = opnorm_batch(real(h, 2, 0.0, 1e-3, 0)) ** (1 / 3)
+    expected = opnorm_batch(real(h, 2, 0.0, 1e-3, 0, ctx.plan.couple)) ** (1 / 3)
     assert after[5]["m"].tolist() == expected.tolist()
     assert after[5]["m"].tolist() != before[5]["m"].tolist()
     assert np.delete(after, 5).tobytes() == np.delete(before, 5).tobytes()
@@ -231,3 +234,90 @@ def test_perturbed_solve_in_a_decay_stack_names_its_member(monkeypatch):
     with pytest.raises(NumericalError, match="residual") as info:
         batch_fn(ctx, list(range(12)))
     assert info.value.digest == digest
+
+
+@pytest.mark.parametrize(
+    "model,topo",
+    [SLABS[:2],
+     (alloy_model({(0,): 1.0, (1,): -1.0}, 3.0), make_lattice_box(1, (40,))),
+     (singular_covering_model(2.0), make_lattice_box(1, (48,))),
+     (block_model([[1.0, 0.5j], [-0.5j, 2.0]], [[0.0, 1.0], [1.0, 0.0]], 3.0,
+                  {(1, 0): [[1.0, 0.2], [0.0, 1.0]], (0, 1): [[0.5, 0.0], [0.3j, 0.5]]}),
+      make_lattice_box(2, (8, 3)))],
+    ids=["spencer", "alloy", "singular_covering", "block_hopping_2d"],
+)
+def test_slab_assembly_is_the_dense_matrix_in_slabs(model, topo):
+    # every slab has slab 0's hopping and every neighbouring pair slab 0 and 1's coupling
+    plan = assembly_plan(model, topo, sweep=True)
+    assert plan.couple is not None
+    v = sample_vector(UNIFORM, Stream(derive_sample_seed(SEED, np.arange(3))), topo.n_vertices)
+    stack = assemble(model, topo, v, plan)
+    assert stack.shape == (3,) + plan.base.shape
+    dense = assemble(model, topo, v, assembly_plan(model, topo))
+    assert np.array_equal(block_tridiagonal(stack, plan.couple), dense)
+    for b in range(3):
+        assert np.array_equal(assemble(model, topo, v[b], plan), stack[b])
+
+
+# resolvent kinds with their sites in different slabs of SLABS
+SLAB_KINDS = {
+    "decay": {**KINDS["decay"][1], "x0": 9},
+    "one_step": {**KINDS["one_step"][1], "x": 6, "y": 9},
+    "decoupling": {**KINDS["decoupling"][1], "x": 13, "y": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SLAB_KINDS))
+def test_slab_members_do_not_depend_on_the_stack_size(kind, monkeypatch):
+    batch_fn = KINDS[kind][0]
+    ctx = sample_context(SLAB_KINDS[kind], *SLABS, SEED, sweep=True)
+    assert ctx.plan.couple is not None
+    n = 40
+    singles = np.concatenate([batch_fn(ctx, [i]) for i in range(n)])
+    member = 16 * ctx.plan.base.size  # a member's assembled bytes
+    for size in (1, 5, 32):
+        monkeypatch.setattr(estimators, "STACK_BYTES", size * member)
+        assert batch_fn(ctx, list(range(n))).tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("site", [2, 5, 14], ids=["left_of_x0", "at_x0", "right_of_x0"])
+def test_stacked_sweep_names_the_singular_members(site):
+    # x0 = 4 sits in slab 1; site is eliminated before it, is in its slab, or after it
+    _, topo, _ = SLABS
+    decoupled = spencer_model(0.0, math.inf)  # H = diag(v, -v) per site
+    plan = assembly_plan(decoupled, topo, sweep=True)
+    v = np.tile(0.1 + 0.05 * np.arange(16), (3, 1))
+    v[1, site] = 0.0
+    h = assemble(decoupled, topo, v, plan)
+    with pytest.raises(ResampleSignal) as info:
+        resolvent_profile(h, 2, 0.0, 0.0, 4, plan.couple)
+    assert info.value.members.tolist() == [False, True, False]
+
+
+def test_a_slab_residual_failure_names_the_dense_matrix(monkeypatch):
+    # a solve off by 1e-6 on one row of member 5, in the sweep and then in the dense
+    # solve its residual sends it to, fails the residual contract
+    batch_fn, params = KINDS["decay"]
+    ctx = sample_context(params, *SLABS, SEED, sweep=True)
+    v = sample_vector(ctx.disorder, Stream(derive_sample_seed(SEED, 5)), ctx.topo.n_vertices)
+    dense = assemble(ctx.model, ctx.topo, v, assembly_plan(ctx.model, ctx.topo))
+    real = np.linalg.solve
+
+    def off_on_member_5(a, b):
+        sol = real(a, b)
+        sol[5 if len(sol) > 5 else 0, 0] += 1e-6  # the stack of 12, then member 5 alone
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", off_on_member_5)
+    with pytest.raises(NumericalError, match="residual") as info:
+        batch_fn(ctx, list(range(12)))
+    assert info.value.digest == instance_digest(ctx.model, ctx.topo, v, dense)
+
+
+def test_auto_eps_reads_the_dense_spectrum_of_sample_0():
+    model, topo, dis = SLABS
+    v = sample_vector(dis, Stream(derive_sample_seed(SEED, 0)), topo.n_vertices)
+    vals = np.linalg.eigvalsh(assemble(model, topo, v, assembly_plan(model, topo)))
+    swept = default_eps(sample_context({}, model, topo, dis, SEED, sweep=True))
+    assert swept == 1e-3 * float(vals[-1] - vals[0]) / vals.size
+    assert swept == default_eps(sample_context({}, model, topo, dis, SEED))

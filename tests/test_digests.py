@@ -42,9 +42,13 @@ DIGESTS = {
             "d98e3a73338cacdeb9a1260593cfa60b74a79b877140662671b7058753954340",
             "e95f6e634ef8f3fdc8a76be2e68c8987e8ae2dcc78fbc3c60e4b0e7d26d1aeb3",
             "2696397156a61090cc704eed6bffb10416944cdfd79f0989052835287d6b616b"],
+        "decay_alloy_2d": [
+            "5d216eeb4dbd22957185e1b0e6859afa55ee95808d6549dbfeaf33beaf261868",
+            "23325f092e4c62a2bd18c6643c1117914db61ce86f462126cf20316eab0581a0",
+            "0a08aa1ffc73cb1232b35a0a9ceee6c252a38dfade43207dcb3af4094ecbb85e"],
         "decay_chain": [
-            "769643771e2e89162274c5b726eb99d14ecb046ecf1d0a598b4c0176b6bc89ae",
-            "3e5ff2bd1c31e19919ce7860906f12c5ec8884d1a56bdcc3c85d4bf1967075a9",
+            "28a786f40704c92697ae3512b00d249d0087f112441c4e875a9a508ddff29a24",
+            "4d44cb386ba112f3e83d24959530c6c79d5aac201fe8cd3b7918dc43a5708d19",
             "18445e837da9eb43fcfa172bcd867d0d15be9b4d8811ccf6b18f33971b9d97de"],
         "dynamical_box": [
             "8b0eaa9480526fd76fdff5eb77d205a98cb0184761b8fc6eec93c23ceceb1b9e",

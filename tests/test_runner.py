@@ -1389,7 +1389,7 @@ _RESULTS_SCHEMA = {
         "estimate.g estimate.lambda estimate.master_seed estimate.means estimate.moms "
         "estimate.n_samples estimate.resamples estimate.s estimate.x0 fit.intercept "
         "fit.r2 fit.rate flags max_at_diagonal max_margin resamples",
-        "distance mean mom_err n resamples",
+        "distance mean err n resamples",
     ),
     "dynamical": (
         "bound_ok estimate.distances estimate.errs estimate.factor1_hold_fraction "
