@@ -100,13 +100,16 @@ class _SampleCtx:
     plan: object
 
 
-def sample_context(p, model, topo, disorder, master_seed, sweep=False) -> _SampleCtx:
+def sample_context(p, model, topo, disorder, master_seed) -> _SampleCtx:
     """A run's one ctx for run_indexed's batch functions, which get their
     operators, if any, from solve_resampled: the kind's parsed estimator
     fields p as params, and the assembly plan (refusing offsets without a
-    kernel), in slabs with sweep (a kind that solves resolvents), else in one."""
+    kernel).  The plan is in slabs for a kind that solves resolvents at
+    eps > 0 ("auto" is > 0), where numerics' sweep is as accurate as the
+    dense solve, and in one slab at eps = 0 and for a kind with no eps."""
+    eps = p.get("eps", 0)
     return _SampleCtx(model, topo, disorder, int(master_seed), p,
-                      assembly_plan(model, topo, sweep))
+                      assembly_plan(model, topo, eps == "auto" or eps > 0))
 
 
 def solve_resampled(ctx: _SampleCtx, indices, solve):

@@ -25,12 +25,13 @@ whole number of axis-0 layers of an open box (sites are numbered row-major,
 so a layer is a contiguous run of sites), and every off-diagonal block
 H[j, j+1] is the plan's constant ``couple`` (H[j+1, j] its adjoint), which
 every member shares.  ``assembly_plan(model, topo, sweep=True)`` picks the
-slabs by the slab rule (``_slab_rows``); the eigensolvers need the dense
-matrix, so their plans have one slab.  numerics reports a failing member by
-its position in a stack; ``estimators.solve_resampled`` turns it into
-``instance_digest``, a hash of the box, model, disorder and dense matrix,
-which it assembles again in one slab (``AssemblyPlan.whole``) for a member
-in slabs.
+slabs by the slab rule (``_slab_rows``); ``estimators.sample_context`` asks
+for it only for a resolvent solve at eps > 0, so the eigensolvers, which
+need the dense matrix, and eps = 0 get one slab.  numerics reports a
+failing member by its position in a stack; ``estimators.solve_resampled``
+turns it into ``instance_digest``, a hash of the box, model, disorder and
+dense matrix, which it assembles again in one slab (``AssemblyPlan.whole``)
+for a member in slabs.
 """
 
 from __future__ import annotations

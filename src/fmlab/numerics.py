@@ -28,14 +28,14 @@ blocks carry the column at x0's slab outward.  That is O(L m^3) per member
 against O(n^3), n = L m.  For eps > 0 every pivot is a slab block of
 H - conj(z), whose imaginary part is eps, plus a term whose imaginary part
 is positive semidefinite, so the inverse of every pivot has norm at most
-1/eps and the sweep agrees with the dense LU to roundoff.  At eps = 0 a
-nearly singular pivot can cost it accuracy that the LU keeps: a member
-whose largest residual entry exceeds SWEEP_TOL times its largest |X| is
-solved again, densely (block_tridiagonal), and keeps that answer.  The
-residual contract is per sweep: |(H - conj z) X - E_x0| <= SOLVE_TOL
-(1 + |z|) for every entry of every member's block-tridiagonal residual,
-the same bound as the dense solve's.  An exactly singular slab pivot raises
-ResampleSignal for the members whose pivot it is.
+1/eps and the sweep agrees with the dense LU to roundoff.  At eps = 0 no
+such bound holds, and a nearly singular pivot can cost the sweep accuracy
+the LU keeps, so a run solves in slabs only at eps > 0
+(estimators.sample_context).  The residual contract is per sweep:
+|(H - conj z) X - E_x0| <= SOLVE_TOL (1 + |z|) for every entry of every
+member's block-tridiagonal residual, the same bound as the dense solve's.
+An exactly singular slab pivot raises ResampleSignal for the members whose
+pivot it is.
 
 The slab rule (model._slab_rows) takes the fewest whole axis-0 layers
 holding at least 8 rows, in equal slabs, and one slab for a box that would
@@ -55,7 +55,6 @@ import numpy as np
 from .errors import NumericalError, ResampleSignal
 
 SOLVE_TOL = 1e-10  # resolvent solve residual, relative to 1 + |z|
-SWEEP_TOL = 1e-14  # sweep residual, relative to max |X|, above which a member is solved dense
 CLUSTER_TOL = 1e-8  # eigenvalue clustering scale for projector blocks
 
 
@@ -126,22 +125,6 @@ def _column(a: np.ndarray, k: int, x0: int):
     return sol, np.max(np.abs(a @ sol - rhs), axis=(-2, -1))
 
 
-def block_tridiagonal(mats: np.ndarray, couple: np.ndarray) -> np.ndarray:
-    """The dense matrices whose diagonal slab blocks are mats, shape
-    (..., L, m, m), with every block [j, j+1] couple and [j+1, j] couple*.
-    Equal in value to the dense assembly, not always in the sign of a zero
-    (couple* negates a zero imaginary part), so instance digests assemble
-    again instead."""
-    slabs, m = mats.shape[-3], mats.shape[-1]
-    out = np.zeros(mats.shape[:-3] + (slabs * m, slabs * m), dtype=mats.dtype)
-    for j in range(slabs):
-        out[..., j * m:(j + 1) * m, j * m:(j + 1) * m] = mats[..., j, :, :]
-        if j + 1 < slabs:
-            out[..., j * m:(j + 1) * m, (j + 1) * m:(j + 2) * m] = couple
-            out[..., (j + 1) * m:(j + 2) * m, j * m:(j + 1) * m] = couple.conj().T
-    return out
-
-
 def _eliminate(slab, order, out: np.ndarray, back: np.ndarray) -> list:
     """Transfer blocks T_j = S_j^(-1) out of the slabs j of order, eliminated one
     into the next: S_j = slab(j) for the first, slab(j) - back T_prev after it."""
@@ -199,12 +182,12 @@ def resolvent_profile(mats: np.ndarray, k: int, lam: float, eps: float, x0: int,
     for every site y, shape (n_sites, k, k) per member: the only resolvent solve.
 
     mats holds dense matrices H, or, with couple, the (..., L, m, m) diagonal
-    slab blocks of block-tridiagonal ones (block_tridiagonal; model.assemble's
-    two layouts).  One solve with (H - conj(z)) suffices: for Hermitian H,
-    G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.  eps = 0 is allowed at
-    finite volume (continuous disorder makes real energies almost surely
-    regular); an exactly singular (H - conj(z)), or slab pivot, raises
-    ResampleSignal with the mask of the singular members.
+    slab blocks of block-tridiagonal ones (model.assemble's two layouts),
+    which a run passes only for eps > 0.  One solve with (H - conj(z))
+    suffices: for Hermitian H, G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.
+    eps = 0 is allowed at finite volume (continuous disorder makes real
+    energies almost surely regular); an exactly singular (H - conj(z)), or
+    slab pivot, raises ResampleSignal with the mask of the singular members.
     """
     if not eps >= 0:
         raise NumericalError("resolvent_profile needs eps >= 0")
@@ -215,16 +198,6 @@ def resolvent_profile(mats: np.ndarray, k: int, lam: float, eps: float, x0: int,
     else:
         lead, h = mats.shape[:-3], mats.reshape((-1,) + mats.shape[-3:])
         sol, worst = _sweep(h, zbar, couple, k, x0)
-        # a nearly singular slab pivot (eps near 0) can cost the sweep accuracy the
-        # dense solve keeps; such a member is solved dense
-        lost = np.flatnonzero(~(worst <= SWEEP_TOL * np.max(np.abs(sol), axis=(-3, -2, -1))))
-        if lost.size:
-            try:
-                redo, worst[lost] = _column(_shifted(block_tridiagonal(h[lost], couple), zbar),
-                                            k, x0)
-            except ResampleSignal as sig:
-                raise ResampleSignal(np.isin(np.arange(len(h)), lost[sig.members])) from None
-            sol[lost] = redo.reshape(sol[lost].shape)
     worst = np.atleast_1d(worst)
     bad = ~(worst <= SOLVE_TOL * (1.0 + abs(zbar)))  # also catches a NaN residual
     if np.any(bad):

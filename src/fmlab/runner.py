@@ -446,8 +446,6 @@ _KINDS = {
     }, _check_comparability),
 }
 KINDS = tuple(_KINDS)
-# the kinds that solve resolvents: their plans cut an open box into slabs for the sweep
-_RESOLVENT_KINDS = ("decay", "inequalities")
 _TOP = {
     "kind": (_choice(KINDS), _REQUIRED),
     "master_seed": (_integer, 0),
@@ -468,8 +466,7 @@ def parse_config(cfg: dict) -> tuple:
     model, topo, dis = build_model(cfg), build_topology(cfg), build_disorder(cfg)
     _, fields, check = _KINDS[top["kind"]]
     p = _parse_table(top["estimator"], fields, "estimator")
-    ctx = _owned("model", est.sample_context, p, model, topo, dis, top["master_seed"],
-                 top["kind"] in _RESOLVENT_KINDS)
+    ctx = _owned("model", est.sample_context, p, model, topo, dis, top["master_seed"])
     if check:
         check(ctx)
     return top, ctx

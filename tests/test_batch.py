@@ -24,7 +24,6 @@ from fmlab.model import (
     spencer_model,
 )
 from fmlab.numerics import (
-    block_tridiagonal,
     hermitian_eig,
     hermitian_eigvals,
     opnorm_batch,
@@ -254,7 +253,13 @@ def test_slab_assembly_is_the_dense_matrix_in_slabs(model, topo):
     stack = assemble(model, topo, v, plan)
     assert stack.shape == (3,) + plan.base.shape
     dense = assemble(model, topo, v, assembly_plan(model, topo))
-    assert np.array_equal(block_tridiagonal(stack, plan.couple), dense)
+    slabs, m = plan.base.shape[:2]
+    zero = np.zeros((3, m, m))
+    for i in range(slabs):
+        for j in range(slabs):
+            want = {0: stack[:, i], 1: plan.couple, -1: plan.couple.conj().T}.get(j - i, zero)
+            assert np.array_equal(dense[:, i * m:(i + 1) * m, j * m:(j + 1) * m],
+                                  np.broadcast_to(want, (3, m, m)))
     for b in range(3):
         assert np.array_equal(assemble(model, topo, v[b], plan), stack[b])
 
@@ -270,7 +275,7 @@ SLAB_KINDS = {
 @pytest.mark.parametrize("kind", sorted(SLAB_KINDS))
 def test_slab_members_do_not_depend_on_the_stack_size(kind, monkeypatch):
     batch_fn = KINDS[kind][0]
-    ctx = sample_context(SLAB_KINDS[kind], *SLABS, SEED, sweep=True)
+    ctx = sample_context(SLAB_KINDS[kind], *SLABS, SEED)
     assert ctx.plan.couple is not None
     n = 40
     singles = np.concatenate([batch_fn(ctx, [i]) for i in range(n)])
@@ -295,17 +300,17 @@ def test_stacked_sweep_names_the_singular_members(site):
 
 
 def test_a_slab_residual_failure_names_the_dense_matrix(monkeypatch):
-    # a solve off by 1e-6 on one row of member 5, in the sweep and then in the dense
-    # solve its residual sends it to, fails the residual contract
+    # a sweep off by 1e-6 on one row of member 5 fails the residual contract
     batch_fn, params = KINDS["decay"]
-    ctx = sample_context(params, *SLABS, SEED, sweep=True)
+    ctx = sample_context(params, *SLABS, SEED)
+    assert ctx.plan.couple is not None
     v = sample_vector(ctx.disorder, Stream(derive_sample_seed(SEED, 5)), ctx.topo.n_vertices)
     dense = assemble(ctx.model, ctx.topo, v, assembly_plan(ctx.model, ctx.topo))
     real = np.linalg.solve
 
     def off_on_member_5(a, b):
         sol = real(a, b)
-        sol[5 if len(sol) > 5 else 0, 0] += 1e-6  # the stack of 12, then member 5 alone
+        sol[5, 0] += 1e-6  # the stack of 12
         return sol
 
     monkeypatch.setattr(np.linalg, "solve", off_on_member_5)
@@ -318,6 +323,8 @@ def test_auto_eps_reads_the_dense_spectrum_of_sample_0():
     model, topo, dis = SLABS
     v = sample_vector(dis, Stream(derive_sample_seed(SEED, 0)), topo.n_vertices)
     vals = np.linalg.eigvalsh(assemble(model, topo, v, assembly_plan(model, topo)))
-    swept = default_eps(sample_context({}, model, topo, dis, SEED, sweep=True))
+    ctx = sample_context({"eps": "auto"}, model, topo, dis, SEED)
+    assert ctx.plan.couple is not None
+    swept = default_eps(ctx)
     assert swept == 1e-3 * float(vals[-1] - vals[0]) / vals.size
     assert swept == default_eps(sample_context({}, model, topo, dis, SEED))

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fmlab import numerics
 from fmlab.disorder import make_spec, sample_vector
 from fmlab.errors import NumericalError, ResampleSignal
 from fmlab.estimators import sample_context, solve_resampled
@@ -20,8 +19,6 @@ from fmlab.model import (
 )
 from fmlab.numerics import (
     CLUSTER_TOL,
-    SWEEP_TOL,
-    block_tridiagonal,
     cluster_indices,
     hermitian_eig,
     hermitian_eigvals,
@@ -217,33 +214,26 @@ def test_slab_rule(sides, periodic, k, rows, slabs):
     assert assembly_plan(model, topo).couple is None
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["uniform1", "uniform50"])
 @pytest.mark.parametrize("eps", [1e-3, 0.0])
 @pytest.mark.parametrize("name", ["block", "spencer", "singular_covering", "alloy"])
 @pytest.mark.parametrize("sides", [(40,), (48,), (12, 12), (6, 9)])
-def test_sweep_matches_the_dense_solve(sides, name, eps, monkeypatch):
-    # at eps > 0 every slab pivot has imaginary part >= eps, so the sweep alone,
-    # with no dense re-solve, is as accurate as the dense LU: 1e-12 max|G|.  At
-    # eps = 0 both solves are good to their residuals (a sweep residual above
-    # SWEEP_TOL max|X| is solved dense), so they may differ by the condition of
-    # H - z times that: a bound set from ||(H - z)^-1||, since a single draw can
-    # be conditioned at 1e5 and more
-    if eps:
-        monkeypatch.setattr(numerics, "SWEEP_TOL", math.inf)
+def test_sweep_matches_the_dense_solve(sides, name, eps, wide):
+    # a run sweeps its slabs only at eps > 0, where every slab pivot's inverse has
+    # norm at most 1/eps, so the sweep is as accurate as the dense LU, also for a
+    # potential of size 50; at eps = 0 its plan is one slab, the dense solve itself
     topo, model = make_lattice_box(len(sides), sides), _model(name, len(sides))
-    slabs, dense = assembly_plan(model, topo, sweep=True), assembly_plan(model, topo)
-    assert slabs.couple is not None
-    v = sample_vector(UNIFORM, Stream(derive_sample_seed(5, np.arange(3))), topo.n_vertices)
-    hs, hd = assemble(model, topo, v, slabs), assemble(model, topo, v, dense)
+    dis = make_spec("uniform", (-50, 50)) if wide else UNIFORM
+    plan = sample_context({"eps": eps}, model, topo, dis, 5).plan
+    assert (plan.couple is None) == (eps == 0.0)
+    v = sample_vector(dis, Stream(derive_sample_seed(5, np.arange(3))), topo.n_vertices)
+    hs, hd = assemble(model, topo, v, plan), assemble(model, topo, v, assembly_plan(model, topo))
     k, n = model.k_ambient, topo.n_vertices
-    tol = np.full(3, 1e-12)
-    if eps == 0.0:
-        inv_norm = 1.0 / np.linalg.svd(hd, compute_uv=False)[:, -1]  # lam = 0
-        tol += 2.0 * SWEEP_TOL * math.sqrt(n * k) * inv_norm
     for x0 in (0, n // 2, n - 1):
-        got = resolvent_profile(hs, k, 0.0, eps, x0, slabs.couple)
+        got = resolvent_profile(hs, k, 0.0, eps, x0, plan.couple)
         want = resolvent_profile(hd, k, 0.0, eps, x0)
         gmax = np.max(np.abs(want), axis=(1, 2, 3))
-        assert np.all(np.max(np.abs(got - want), axis=(1, 2, 3)) <= tol * gmax)
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2, 3)) <= 1e-12 * gmax)
 
 
 def test_a_single_member_sweeps_like_a_stack():
@@ -255,27 +245,6 @@ def test_a_single_member_sweeps_like_a_stack():
         single = resolvent_profile(assemble(model, topo, v[b], plan), 2, 0.1, 1e-3, 17,
                                    plan.couple)
         assert single.shape == (40, 2, 2) and np.array_equal(single, stack[b])
-
-
-def test_an_inaccurate_sweep_is_solved_dense(monkeypatch):
-    # a sweep whose residual exceeds SWEEP_TOL max|X| gives the dense solve's answer
-    topo, model = make_lattice_box(1, (40,)), block_model([[1.0]], [[0.0]], 4.0)
-    plan = assembly_plan(model, topo, sweep=True)
-    v = sample_vector(UNIFORM, Stream(derive_sample_seed(3, np.arange(4))), 40)
-    h = assemble(model, topo, v, plan)
-    swept = resolvent_profile(h, 1, 0.0, 1e-3, 20, plan.couple)
-    real = numerics._sweep
-
-    def off_on_member_2(a, *args):
-        x, worst = real(a, *args)
-        x[2, 0, 0] += 1e-9
-        return x, worst + (np.arange(len(a)) == 2)  # its residual, as a real one would be
-
-    monkeypatch.setattr(numerics, "_sweep", off_on_member_2)
-    got = resolvent_profile(h, 1, 0.0, 1e-3, 20, plan.couple)
-    want = resolvent_profile(block_tridiagonal(h, plan.couple), 1, 0.0, 1e-3, 20)
-    assert np.array_equal(got[2], want[2]) and not np.array_equal(swept[2], want[2])
-    assert np.array_equal(got[[0, 1, 3]], swept[[0, 1, 3]])
 
 
 def assert_same_clusters(vals, window):
