@@ -32,7 +32,14 @@ import numpy as np
 from .disorder import DisorderSpec, sample_vector
 from .engine import checkpoint_path, records, run_indexed
 from .errors import DegenerateFitError, NumericalError, ResampleSignal
-from .model import ModelSpec, assemble, assembly_plan, decay_exponent_window, instance_digest
+from .model import (
+    AssemblyPlan,
+    ModelSpec,
+    assemble,
+    assembly_plan,
+    decay_exponent_window,
+    instance_digest,
+)
 from .numerics import (
     cluster_indices,
     hermitian_eig,
@@ -97,7 +104,7 @@ class _SampleCtx:
     disorder: DisorderSpec
     master_seed: int
     params: dict
-    plan: object
+    plan: AssemblyPlan
 
 
 def sample_context(p, model, topo, disorder, master_seed) -> _SampleCtx:
@@ -137,7 +144,7 @@ def solve_resampled(ctx: _SampleCtx, indices, solve):
     stream = Stream(derive_sample_seed(ctx.master_seed, np.asarray(indices, dtype=np.uint64)))
 
     def failure(reason, vb):  # a sample's NumericalError, named by its dense matrix's digest
-        mat = assemble(ctx.model, ctx.topo, vb, ctx.plan.whole())
+        mat = assemble(ctx.model, ctx.topo, vb, assembly_plan(ctx.model, ctx.topo))
         return NumericalError(reason, instance_digest(ctx.model, ctx.topo, vb, mat))
 
     for attempt in range(MAX_RETRIES + 1):
@@ -314,7 +321,8 @@ def default_eps(ctx: _SampleCtx) -> float:
     ctx's plan; recorded per experiment, since the i0 limit itself is not
     computable.
     """
-    vals = solve_resampled(replace(ctx, plan=ctx.plan.whole()), [0], hermitian_eigvals)[0][0]
+    vals = solve_resampled(replace(ctx, plan=assembly_plan(ctx.model, ctx.topo)), [0],
+                           hermitian_eigvals)[0][0]
     width = max(float(vals[-1] - vals[0]), 1e-12)
     return 1e-3 * width / vals.size
 

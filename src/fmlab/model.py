@@ -25,20 +25,21 @@ whole number of axis-0 layers of an open box (sites are numbered row-major,
 so a layer is a contiguous run of sites), and every off-diagonal block
 H[j, j+1] is the plan's constant ``couple`` (H[j+1, j] its adjoint), which
 every member shares.  ``assembly_plan(model, topo, sweep=True)`` picks the
-slabs by the slab rule (``_slab_rows``); ``estimators.sample_context`` asks
-for it only for a resolvent solve at eps > 0, so the eigensolvers, which
-need the dense matrix, and eps = 0 get one slab.  numerics reports a
-failing member by its position in a stack; ``estimators.solve_resampled``
-turns it into ``instance_digest``, a hash of the box, model, disorder and
-dense matrix, which it assembles again in one slab (``AssemblyPlan.whole``)
-for a member in slabs.
+slabs by the slab rule (``_slab_rows``) and builds the hopping of the open
+box of the first two slabs only, so a plan in slabs holds no dense matrix;
+``estimators.sample_context`` asks for it only for a resolvent solve at
+eps > 0, so the eigensolvers, which need the dense matrix, and eps = 0 get
+one slab.  numerics reports a failing member by its position in a stack;
+``estimators.solve_resampled`` turns it into ``instance_digest``, a hash of
+the box, model, disorder and dense matrix, which it assembles again with a
+one-slab plan, ``assembly_plan(model, topo)``, for a member in slabs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,49 +209,22 @@ class AssemblyPlan:
     """Disorder-independent part of assembly, reusable across Monte Carlo samples.
 
     A member is base plus its potential, added at the flat indices diag of
-    its layout: one slab (slab rows = all of hop's) or L slabs of slab rows
-    each (see the module docstring).
+    its layout: one slab or L slabs (see the module docstring).
     """
 
-    hop: np.ndarray  # dense hopping-only matrix (zero diagonal blocks)
+    base: np.ndarray  # a member's hopping: the dense matrix, or its (L, m, m) slab blocks
+    couple: np.ndarray | None  # H[j, j+1], (m, m); None for one slab
     alloy_gather: list | None  # [(coeff, target_idx, source_idx)] per offset
-    ka: int  # rows per site
-    slab: int  # rows per slab
-    # a member's hopping: hop, or its (L, m, m) diagonal slab blocks
-    base: np.ndarray = field(init=False)
-    couple: np.ndarray | None = field(init=False)  # H[j, j+1], (m, m); None for one slab
-    # flat indices of the diagonal site blocks in base, (N, ka, ka)
-    diag: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        m, n = self.slab, self.hop.shape[0]
-        if m == n:
-            self.base, self.couple = self.hop, None
-        else:
-            # an open box is translation invariant along axis 0: every slab has slab 0's
-            # hopping, and every block between neighbouring slabs is that of slabs 0 and 1
-            self.base = np.broadcast_to(self.hop[:m, :m], (n // m, m, m))
-            self.couple = self.hop[:m, m:2 * m]
-        rows = np.arange(n).reshape(-1, self.ka)
-        j, row = divmod(rows, m)
-        self.diag = j[:, :, None] * (m * m) + row[:, :, None] * m + row[:, None, :]
-
-    def whole(self) -> "AssemblyPlan":
-        """This plan with one slab: members assemble to their dense matrices."""
-        return replace(self, slab=self.hop.shape[0])
+    diag: np.ndarray  # flat indices of the diagonal site blocks in base, (N, ka, ka)
 
 
-def assembly_plan(model: ModelSpec, topo: LatticeBox, sweep: bool = False) -> AssemblyPlan:
-    """Precompute hopping matrix and alloy gather maps for a (model, topology)
-    pair: in slabs by the slab rule with sweep (for resolvent_profile's
-    sweep), else in one slab."""
-    n = topo.n_vertices
-    ka = model.k_ambient
-    dim = len(topo.sides)
+def _hopping(model: ModelSpec, topo: LatticeBox) -> np.ndarray:
+    """The dense hopping-only matrix of the box (zero diagonal blocks)."""
+    n, ka = topo.n_vertices, model.k_ambient
     hop = np.zeros((n * ka, n * ka), dtype=np.complex128)
     blocks = hop.reshape(n, ka, n, ka)
     identity = np.eye(ka, dtype=np.complex128)
-    for off in map(tuple, unit_offsets(dim).tolist()):
+    for off in map(tuple, unit_offsets(len(topo.sides)).tolist()):
         x, y = topo.shift(off)
         if x.size == 0:
             continue  # no pair of sites in the box realizes this offset
@@ -258,6 +232,26 @@ def assembly_plan(model: ModelSpec, topo: LatticeBox, sweep: bool = False) -> As
         if kern is None:
             raise ConfigurationError(f"no hopping kernel for offset {off}")
         blocks[x, :, y, :] = model.coupling * kern
+    return hop
+
+
+def assembly_plan(model: ModelSpec, topo: LatticeBox, sweep: bool = False) -> AssemblyPlan:
+    """Precompute the hopping and alloy gather maps for a (model, topology)
+    pair: in slabs by the slab rule with sweep (for resolvent_profile's
+    sweep), else in one slab."""
+    n = topo.n_vertices
+    ka = model.k_ambient
+    dim = len(topo.sides)
+    m = _slab_rows(topo, ka) if sweep else n * ka
+    if m == n * ka:
+        base, couple = _hopping(model, topo), None
+    else:
+        # an open box is translation invariant along axis 0: every slab has slab 0's
+        # hopping, and every block between neighbouring slabs is that of slabs 0 and 1,
+        # the first 2m rows of the box, which the open box of those two slabs holds
+        layer = n * ka // topo.sides[0]  # rows per axis-0 layer
+        hop = _hopping(model, LatticeBox((2 * m // layer,) + topo.sides[1:], False))
+        base, couple = np.broadcast_to(hop[:m, :m], (n * ka // m, m, m)), hop[:m, m:]
 
     gather = None
     if model.variant == "alloy":
@@ -268,8 +262,9 @@ def assembly_plan(model: ModelSpec, topo: LatticeBox, sweep: bool = False) -> As
                     f"alloy offset {off} does not match lattice dimension {dim}"
                 )
             gather.append((c, *topo.shift(off)))
-    slab = _slab_rows(topo, ka) if sweep else n * ka
-    return AssemblyPlan(hop=hop, alloy_gather=gather, ka=ka, slab=slab)
+    j, row = divmod(np.arange(n * ka).reshape(n, ka), m)
+    diag = j[:, :, None] * (m * m) + row[:, :, None] * m + row[:, None, :]
+    return AssemblyPlan(base=base, couple=couple, alloy_gather=gather, diag=diag)
 
 
 def assemble(model: ModelSpec, topo: LatticeBox, v, plan: AssemblyPlan) -> np.ndarray:

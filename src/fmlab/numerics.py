@@ -2,10 +2,10 @@
 
 All linear algebra goes through numpy's LAPACK bindings: ``eigh`` where
 eigenvectors are used, ``eigvalsh`` where only eigenvalues are, ``solve`` for
-resolvent columns, dense or slab by slab, and a batched ``svd`` for block
-norms with k > 2.  All operations are pure functions of their inputs.  A run
-checks two contracts, raising NumericalError when one fails: every resolvent
-solve (resolvent_profile) checks its residual against SOLVE_TOL, and every
+resolvent columns, slab by slab, and a batched ``svd`` for block norms with
+k > 2.  All operations are pure functions of their inputs.  A run checks two
+contracts, raising NumericalError when one fails: every resolvent solve
+(resolvent_profile) checks its residual against SOLVE_TOL, and every
 eigensolver call first checks that the matrix is exactly Hermitian.
 
 Every entry point takes one matrix or a (B, n, n) stack of them and returns
@@ -16,26 +16,26 @@ give.  The checks run over the whole stack; a NumericalError reports the
 first failing member by its position (``member``), which
 estimators.solve_resampled turns into that sample's instance digest.
 
-resolvent_profile also takes members in slabs (model.assemble with a plan
-of L > 1 slabs): the (L, m, m) diagonal blocks of a block-tridiagonal H
-whose blocks [j, j+1] all equal one ``couple`` and [j+1, j] its adjoint, as
-an open box with nearest-neighbour hopping is along its first axis.  Then
-one Schur-complement sweep (the recursive Green's function of MacKinnon &
-Kramer, Z. Phys. B 53 (1983) 1) replaces the dense LU: the slabs before
-x0's slab are eliminated from the first on and those after it from the
-last on, one batched ``solve`` of m x m blocks per slab, and the transfer
-blocks carry the column at x0's slab outward.  That is O(L m^3) per member
-against O(n^3), n = L m.  For eps > 0 every pivot is a slab block of
-H - conj(z), whose imaginary part is eps, plus a term whose imaginary part
-is positive semidefinite, so the inverse of every pivot has norm at most
-1/eps and the sweep agrees with the dense LU to roundoff.  At eps = 0 no
-such bound holds, and a nearly singular pivot can cost the sweep accuracy
-the LU keeps, so a run solves in slabs only at eps > 0
-(estimators.sample_context).  The residual contract is per sweep:
-|(H - conj z) X - E_x0| <= SOLVE_TOL (1 + |z|) for every entry of every
-member's block-tridiagonal residual, the same bound as the dense solve's.
-An exactly singular slab pivot raises ResampleSignal for the members whose
-pivot it is.
+resolvent_profile has one solve, a Schur-complement sweep (the recursive
+Green's function of MacKinnon & Kramer, Z. Phys. B 53 (1983) 1) over the
+slabs of a block-tridiagonal H: the (L, m, m) diagonal blocks that
+model.assemble returns for a plan in slabs, whose blocks [j, j+1] all equal
+one ``couple`` and [j+1, j] its adjoint, as an open box with
+nearest-neighbour hopping is along its first axis.  A dense matrix is one
+slab, with no couple.  The slabs before x0's slab are eliminated from the
+first on and those after it from the last on, one batched ``solve`` of
+m x m blocks per slab, and the transfer blocks carry the column at x0's
+slab outward.  That is O(L m^3) per member against O(n^3), n = L m; for
+one slab the sweep is one LU solve of H - conj(z), the dense LU itself.
+For eps > 0 every pivot is a slab block of H - conj(z), whose imaginary
+part is eps, plus a term whose imaginary part is positive semidefinite, so
+the inverse of every pivot has norm at most 1/eps and the sweep in slabs
+agrees with the dense LU to roundoff.  At eps = 0 no such bound holds, and
+a nearly singular pivot can cost L slabs accuracy the one-slab LU keeps, so
+a run cuts slabs only at eps > 0 (estimators.sample_context).  The residual
+contract is per sweep: |(H - conj z) X - E_x0| <= SOLVE_TOL (1 + |z|) for
+every entry of every member's block-tridiagonal residual.  An exactly
+singular pivot raises ResampleSignal for the members whose pivot it is.
 
 The slab rule (model._slab_rows) takes the fewest whole axis-0 layers
 holding at least 8 rows, in equal slabs, and one slab for a box that would
@@ -115,16 +115,6 @@ def _shifted(mats: np.ndarray, zbar: complex) -> np.ndarray:
     return a
 
 
-def _column(a: np.ndarray, k: int, x0: int):
-    """(X, worst): the k columns X of site x0 of a^(-1) for dense a, by one LU
-    solve, and each member's largest residual entry |a X - E_x0|."""
-    n = a.shape[-1]
-    rhs = np.zeros((n, k), dtype=np.complex128)
-    rhs[x0 * k:(x0 + 1) * k, :] = np.eye(k)
-    sol = _solve(a, rhs)
-    return sol, np.max(np.abs(a @ sol - rhs), axis=(-2, -1))
-
-
 def _eliminate(slab, order, out: np.ndarray, back: np.ndarray) -> list:
     """Transfer blocks T_j = S_j^(-1) out of the slabs j of order, eliminated one
     into the next: S_j = slab(j) for the first, slab(j) - back T_prev after it."""
@@ -135,11 +125,11 @@ def _eliminate(slab, order, out: np.ndarray, back: np.ndarray) -> list:
     return transfers
 
 
-def _sweep(h: np.ndarray, zbar: complex, upper: np.ndarray, k: int, x0: int):
+def _sweep(h: np.ndarray, zbar: complex, upper: np.ndarray | None, k: int, x0: int):
     """(X, worst): the k columns X of site x0 of (H - zbar)^(-1), shape
     (B, L, m, k), and each member's largest residual entry, for the
     block-tridiagonal H with diagonal slab blocks h, shape (B, L, m, m),
-    blocks [j, j+1] upper and [j+1, j] upper*.
+    blocks [j, j+1] upper and [j+1, j] upper* (None for L = 1, a dense H).
 
     The slabs before x0's slab c are eliminated from the first on, those after
     it from the last on; the Schur complement at c gives X_c, and the transfer
@@ -148,7 +138,7 @@ def _sweep(h: np.ndarray, zbar: complex, upper: np.ndarray, k: int, x0: int):
     the whole stack is held beside the transfer blocks.
     """
     slabs, m = h.shape[-3], h.shape[-1]
-    lower = upper.conj().T
+    lower = upper.conj().T if slabs > 1 else None
     c, r = divmod(x0 * k, m)
 
     def slab(j):  # slab j of H - zbar
@@ -170,9 +160,10 @@ def _sweep(h: np.ndarray, zbar: complex, upper: np.ndarray, k: int, x0: int):
     for i, t in enumerate(right):
         x[:, c + 1 + i] = -(t @ x[:, c + i])
     resid = h @ x - zbar * x
-    resid[:, :-1] += upper @ x[:, 1:]
-    resid[:, 1:] += lower @ x[:, :-1]
-    resid[:, c, r:r + k] -= np.eye(k)
+    if slabs > 1:
+        resid[:, :-1] += upper @ x[:, 1:]
+        resid[:, 1:] += lower @ x[:, :-1]
+    resid[:, c] -= e
     return x, np.max(np.abs(resid), axis=(-3, -2, -1))
 
 
@@ -181,9 +172,10 @@ def resolvent_profile(mats: np.ndarray, k: int, lam: float, eps: float, x0: int,
     """Blocks G_z(x0, y) of (H - lam - i eps)^(-1), H with k x k site blocks,
     for every site y, shape (n_sites, k, k) per member: the only resolvent solve.
 
-    mats holds dense matrices H, or, with couple, the (..., L, m, m) diagonal
-    slab blocks of block-tridiagonal ones (model.assemble's two layouts),
-    which a run passes only for eps > 0.  One solve with (H - conj(z))
+    mats holds dense matrices H, one slab each, or, with couple, the
+    (..., L, m, m) diagonal slab blocks of block-tridiagonal ones
+    (model.assemble's two layouts), which a run passes only for eps > 0;
+    either way one sweep solves them.  One solve with (H - conj(z))
     suffices: for Hermitian H, G_z(x0, y) = [(H - conj(z))^(-1)(y, x0)]*.
     eps = 0 is allowed at finite volume (continuous disorder makes real
     energies almost surely regular); an exactly singular (H - conj(z)), or
@@ -192,13 +184,11 @@ def resolvent_profile(mats: np.ndarray, k: int, lam: float, eps: float, x0: int,
     if not eps >= 0:
         raise NumericalError("resolvent_profile needs eps >= 0")
     zbar = complex(lam, -eps)
-    if couple is None:
-        lead = mats.shape[:-2]
-        sol, worst = _column(_shifted(mats, zbar), k, x0)
+    if couple is None:  # dense members: one slab each
+        lead, h = mats.shape[:-2], mats.reshape((-1, 1) + mats.shape[-2:])
     else:
         lead, h = mats.shape[:-3], mats.reshape((-1,) + mats.shape[-3:])
-        sol, worst = _sweep(h, zbar, couple, k, x0)
-    worst = np.atleast_1d(worst)
+    sol, worst = _sweep(h, zbar, couple, k, x0)
     bad = ~(worst <= SOLVE_TOL * (1.0 + abs(zbar)))  # also catches a NaN residual
     if np.any(bad):
         member = int(np.argmax(bad))

@@ -7,6 +7,10 @@ route that no run takes:
   resolvent, and column_resolvent_block solves (H - z) X = E_y at the
   column y itself; they check numerics.resolvent_profile, which solves
   with (H - conj(z)) at the column x and conjugates.
+* dense_resolvent_profile solves (H - conj(z)) X = E_x0 by one LU of the
+  dense matrix; it checks the Schur-complement sweep of
+  numerics.resolvent_profile, to roundoff on members in slabs and bit for
+  bit on dense ones, which the sweep takes as one slab.
 * hermiticity_residual measures max |H - H*| entry by entry; it checks
   that model.assemble writes both triangles from one source.
 * regularity_probe and moment_probe estimate a measure's regularity
@@ -89,6 +93,18 @@ def column_resolvent_block(h, k: int, z: complex, x: int, y: int) -> np.ndarray:
     rhs = np.zeros((n, k), dtype=np.complex128)
     rhs[y * k:(y + 1) * k, :] = np.eye(k)
     return np.linalg.solve(h - z * np.eye(n), rhs)[x * k:(x + 1) * k, :]
+
+
+def dense_resolvent_profile(mats, k: int, lam: float, eps: float, x0: int) -> np.ndarray:
+    """Blocks G_z(x0, y), z = lam + i eps, of a dense H or a (B, n, n) stack,
+    shape (..., n_sites, k, k), from one LU solve of (H - conj(z)) X = E_x0."""
+    n = mats.shape[-1]
+    a = mats.astype(np.complex128)
+    a[..., np.arange(n), np.arange(n)] -= complex(lam, -eps)
+    rhs = np.zeros((n, k), dtype=np.complex128)
+    rhs[x0 * k:(x0 + 1) * k, :] = np.eye(k)
+    cols = np.linalg.solve(a, rhs).reshape(mats.shape[:-2] + (-1, k, k))
+    return np.conj(np.swapaxes(cols, -1, -2))
 
 
 def hermiticity_residual(h) -> float:

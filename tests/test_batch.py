@@ -94,8 +94,9 @@ def test_sample_vector_rows_match_single_draws(dis):
 
 
 def per_site_assembly(model, topo, v, plan):
-    """Reference: the hopping matrix plus one potential block per site, in a loop."""
-    ref = plan.hop.copy()
+    """Reference: the hopping matrix of a one-slab plan plus one potential block per
+    site, in a loop."""
+    ref = plan.base.copy()
     if model.variant == "alloy":
         for c, tgt, src in plan.alloy_gather:
             for t, s in zip(tgt, src):
@@ -124,7 +125,7 @@ def test_assembly_matches_per_site_loop(model, topo):
     plan = assembly_plan(model, topo)
     v = sample_vector(UNIFORM, Stream(derive_sample_seed(SEED, np.arange(3))), topo.n_vertices)
     stack = assemble(model, topo, v, plan)
-    assert stack.shape == (3,) + plan.hop.shape
+    assert stack.shape == (3,) + plan.base.shape
     for b in range(3):
         single = assemble(model, topo, v[b], plan)
         assert np.array_equal(stack[b], per_site_assembly(model, topo, v[b], plan))

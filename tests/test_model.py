@@ -218,8 +218,8 @@ def test_missing_kernel_only_for_realized_offsets():
     with pytest.raises(ConfigurationError, match="no hopping kernel"):
         assembly_plan(m, make_lattice_box(2, (2, 2)))
     # a 2x1 box realizes only the (+-1, 0) offsets, a single site none at all
-    assert np.array_equal(assembly_plan(m, make_lattice_box(2, (2, 1))).hop, [[0, 1], [1, 0]])
-    assert not assembly_plan(m, make_lattice_box(2, (1, 1))).hop.any()
+    assert np.array_equal(assembly_plan(m, make_lattice_box(2, (2, 1))).base, [[0, 1], [1, 0]])
+    assert not assembly_plan(m, make_lattice_box(2, (1, 1))).base.any()
 
 
 PAIRWISE_MODELS = {
@@ -238,7 +238,7 @@ def test_assembly_matches_pair_by_pair_build(name, periodic):
     model = PAIRWISE_MODELS[name]
     box = make_lattice_box(2, (3, 4), periodic)
     plan = assembly_plan(model, box)
-    assert np.array_equal(plan.hop, pairwise_hopping(model, box))
+    assert np.array_equal(plan.base, pairwise_hopping(model, box))
     v = rng.uniform(-1, 1, box.n_vertices)
     assert np.array_equal(assemble(model, box, v, plan), pairwise_assembly(model, box, v))
 

@@ -32,6 +32,7 @@ from oracles import (
     cluster_indices_loop,
     cluster_split,
     column_resolvent_block,
+    dense_resolvent_profile,
     dynamical_targets,
     spectral_resolvent_block,
 )
@@ -209,7 +210,7 @@ def test_slab_rule(sides, periodic, k, rows, slabs):
     topo = make_lattice_box(len(sides), sides, periodic)
     model = block_model(np.eye(k), np.zeros((k, k)), 4.0)
     plan = assembly_plan(model, topo, sweep=True)
-    assert (plan.slab, plan.base.shape[0] if plan.base.ndim == 3 else 1) == (rows, slabs)
+    assert (plan.base.shape[-1], plan.base.shape[0] if plan.base.ndim == 3 else 1) == (rows, slabs)
     assert (plan.couple is None) == (slabs == 1)
     assert assembly_plan(model, topo).couple is None
 
@@ -221,7 +222,7 @@ def test_slab_rule(sides, periodic, k, rows, slabs):
 def test_sweep_matches_the_dense_solve(sides, name, eps, wide):
     # a run sweeps its slabs only at eps > 0, where every slab pivot's inverse has
     # norm at most 1/eps, so the sweep is as accurate as the dense LU, also for a
-    # potential of size 50; at eps = 0 its plan is one slab, the dense solve itself
+    # potential of size 50; at eps = 0 its plan is one slab, the dense LU itself
     topo, model = make_lattice_box(len(sides), sides), _model(name, len(sides))
     dis = make_spec("uniform", (-50, 50)) if wide else UNIFORM
     plan = sample_context({"eps": eps}, model, topo, dis, 5).plan
@@ -231,20 +232,57 @@ def test_sweep_matches_the_dense_solve(sides, name, eps, wide):
     k, n = model.k_ambient, topo.n_vertices
     for x0 in (0, n // 2, n - 1):
         got = resolvent_profile(hs, k, 0.0, eps, x0, plan.couple)
-        want = resolvent_profile(hd, k, 0.0, eps, x0)
+        want = dense_resolvent_profile(hd, k, 0.0, eps, x0)
         gmax = np.max(np.abs(want), axis=(1, 2, 3))
         assert np.all(np.max(np.abs(got - want), axis=(1, 2, 3)) <= 1e-12 * gmax)
 
 
-def test_a_single_member_sweeps_like_a_stack():
+@pytest.mark.parametrize("sweep", [True, False], ids=["slabs", "one_slab"])
+def test_a_single_member_sweeps_like_a_stack(sweep):
     topo, model = make_lattice_box(1, (40,)), spencer_model(1.0, 4.0)
-    plan = assembly_plan(model, topo, sweep=True)
+    plan = assembly_plan(model, topo, sweep)
+    assert (plan.couple is None) == (not sweep)
     v = sample_vector(UNIFORM, Stream(derive_sample_seed(9, np.arange(3))), 40)
     stack = resolvent_profile(assemble(model, topo, v, plan), 2, 0.1, 1e-3, 17, plan.couple)
     for b in range(3):
         single = resolvent_profile(assemble(model, topo, v[b], plan), 2, 0.1, 1e-3, 17,
                                    plan.couple)
         assert single.shape == (40, 2, 2) and np.array_equal(single, stack[b])
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+@pytest.mark.parametrize("eps", [1e-3, 0.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_slab_is_the_dense_lu(k, eps, periodic, stack):
+    # a dense member is one slab, and the sweep of one slab is the dense LU solve
+    topo = make_lattice_box(1, (12,), periodic)
+    model = block_model(np.diag(np.arange(k) - 1.0), np.ones((k, k)), 4.0)
+    plan = assembly_plan(model, topo)
+    assert plan.couple is None and plan.base.shape == (12 * k, 12 * k)
+    rows = np.arange(3) if stack else 0
+    v = sample_vector(UNIFORM, Stream(derive_sample_seed(11, rows)), 12)
+    h = assemble(model, topo, v, plan)
+    for x0 in (0, 5, 11):
+        got = resolvent_profile(h, k, 0.2, eps, x0)
+        assert got.shape == h.shape[:-2] + (12, k, k)
+        assert np.array_equal(got, dense_resolvent_profile(h, k, 0.2, eps, x0))
+
+
+def test_a_slab_plan_holds_no_dense_matrix():
+    # a plan in slabs holds slab 0's hopping and couple, sliced from the hopping of
+    # the first two slabs, never the dense (n, n) hopping matrix
+    for sides, k in (((2000,), 1), ((6, 9), 3)):
+        topo = make_lattice_box(len(sides), sides)
+        plan = assembly_plan(block_model(np.eye(k), np.zeros((k, k)), 4.0), topo, sweep=True)
+        m = plan.base.shape[-1]
+        assert plan.couple is not None and m < topo.n_vertices * k
+        for name, held in vars(plan).items():
+            if name == "diag" or not isinstance(held, np.ndarray):
+                continue
+            while held.base is not None:  # the array that owns a view's memory
+                held = held.base
+            assert held.size <= (2 * m) ** 2, name
 
 
 def assert_same_clusters(vals, window):
