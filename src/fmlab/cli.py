@@ -1,4 +1,5 @@
-"""Command line entry point: one subcommand per experiment kind.
+"""Command line entry point: fmlab KIND --config C [options], the kind
+before or after the options.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -19,15 +20,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fmlab",
         description="Monte Carlo laboratory for fractional-moment localisation experiments",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--plot", action="store_true", help="also emit plot.svg")
+    parser.add_argument("kind", choices=KINDS, help="the experiment kind; the config must name it")
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
+    parser.add_argument("--samples", type=int, default=None, help="override sample count")
+    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--plot", action="store_true", help="also emit plot.svg")
     return parser
 
 
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if cfg.get("kind") != args.kind:
             raise ConfigurationError(
-                f"kind: config says {cfg.get('kind')!r} but subcommand is {args.kind!r}"
+                f"kind: config says {cfg.get('kind')!r} but the command line says {args.kind!r}"
             )
         if args.seed is not None:
             cfg["master_seed"] = args.seed

@@ -15,11 +15,11 @@ calling process is the last worker; later scans reuse it.  A pooled scan cuts
 its remaining samples into one contiguous share per process and one for the
 calling process (no more shares than chunks), with sizes that differ by at
 most one sample.  The calling process computes the first share chunk by
-chunk while each pool process computes one other share as a single task.  A
-scan that ends early, by a failure or by being closed, sets a stop mark that
-the pool processes share through fork, so the other shares stop at their
-next chunk.  A run at 1 worker, or whose scans each fit one chunk, starts no
-process.
+chunk while each pool process computes one other share as a single task.
+Every scan ends by setting a stop mark, made in Pool() and shared through
+fork, so when one ends early, by a failure or by being closed, its other
+shares stop at their next chunk.  A run at 1 worker, or whose scans each fit
+one chunk, starts no process: each scan runs the same loop with one share.
 
 Only this module reads and writes checkpoints.  Like a .npy file, one is a
 header line, the canonical JSON {"dtype": dtype.descr, "format": 1}, then the raw
@@ -32,6 +32,7 @@ record, and all after it, is recomputed) and runs the rest.
 from __future__ import annotations
 
 import json
+import mmap
 import multiprocessing
 import os
 import traceback
@@ -144,7 +145,8 @@ class Pool:
         self.workers = workers
         self.processes = 0
         self._executor = None
-        self._ended = None  # fork-shared: the id of the last scan that ended
+        # anonymous and MAP_SHARED, so fork shares it: the id of the last scan that ended
+        self._ended = memoryview(mmap.mmap(-1, 8)).cast("q")
         self._scans = 0
 
     def _n_shares(self, n_chunks):
@@ -156,9 +158,6 @@ class Pool:
         if self._executor is None:
             size = min(self.workers, _usable_cpus(), n_chunks)
             if size > 1:
-                import mmap  # only a pooled run needs it
-
-                self._ended = memoryview(mmap.mmap(-1, 8)).cast("q")  # anonymous, MAP_SHARED
                 self._executor = ProcessPoolExecutor(
                     max_workers=size - 1, mp_context=multiprocessing.get_context("fork"),
                     initializer=_inherit, initargs=(self._ended,))
@@ -172,10 +171,6 @@ class Pool:
         or by closing it, marks the scan ended, so the shares still running
         stop at their next chunk, and cancels those not started."""
         shares = _shares(lo, hi, self._n_shares(-(-(hi - lo) // _CHUNK)))
-        if len(shares) == 1:
-            for idx in shares[0]:
-                yield idx, fn(ctx, idx)
-            return
         self._scans += 1
         scan = self._scans
         futures = [self._executor.submit(_run_share, fn, ctx, chunks, scan)

@@ -319,7 +319,9 @@ def default_eps(ctx: _SampleCtx) -> float:
 
     Uses the spectrum of sample 0's dense matrix, whatever the layout of
     ctx's plan; recorded per experiment, since the i0 limit itself is not
-    computable.
+    computable.  Its full eigvalsh is O(n^3) time and O(n^2) memory: on an
+    open 2000-site chain (100 samples) it took 2.23 s of a 2.59 s run and
+    222.5 MB peak RSS, against 41.0 MB at eps = 1e-3.
     """
     vals = solve_resampled(replace(ctx, plan=assembly_plan(ctx.model, ctx.topo)), [0],
                            hermitian_eigvals)[0][0]

@@ -8,12 +8,13 @@ contracts, raising NumericalError when one fails: every resolvent solve
 (resolvent_profile) checks its residual against SOLVE_TOL, and every
 eigensolver call first checks that the matrix is exactly Hermitian.
 
-Every entry point takes one matrix or a (B, n, n) stack of them and returns
-numpy's own results, with a leading axis of length B for a stack.  numpy
-hands each member of a stack to the same LAPACK routine a single matrix goes
-to, so member b's result is bit-identical to what the member alone would
-give.  The checks run over the whole stack; a NumericalError reports the
-first failing member by its position (``member``), which
+Every entry point takes one matrix or a (B, n, n) stack of them, and
+resolvent_profile also (L, m, m) slab blocks or a (B, L, m, m) stack, and
+returns numpy's own results, with a leading axis of length B for a stack.
+numpy hands each member of a stack to the same LAPACK routine a single
+matrix goes to, so member b's result is bit-identical to what the member
+alone would give.  The checks run over the whole stack; a NumericalError
+reports the first failing member by its position (``member``), which
 estimators.solve_resampled turns into that sample's instance digest.
 
 resolvent_profile has one solve, a Schur-complement sweep (the recursive

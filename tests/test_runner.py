@@ -780,6 +780,35 @@ def test_cli_exit_codes(tmp_path):
     assert missing.returncode == 4
 
 
+def test_cli_takes_the_kind_after_the_options(tmp_path):
+    from fmlab.cli import main
+
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(["decay", "--config", cfg, "--out", str(first)]) == 0
+    assert main(["--config", cfg, "--out", str(last), "decay"]) == 0
+    assert (last / "results.json").read_bytes() == (first / "results.json").read_bytes()
+
+
+def test_cli_rejects_an_unknown_kind(tmp_path, capsys):
+    from fmlab.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["decays", "--config", write_cfg(tmp_path, BASE_CFG)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'decays'" in capsys.readouterr().err
+
+
+def test_cli_names_both_kinds_of_a_mismatch(tmp_path, capsys):
+    from fmlab.cli import main
+
+    cfg = write_cfg(tmp_path, {**BASE_CFG, "kind": "wegner"})
+    assert main(["decay", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config says 'wegner' but the command line says 'decay'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def _with_estimator(kind, **fields):
     cfg = TINY_CFGS[kind]
     return {**cfg, "estimator": {**cfg["estimator"], **fields}}
@@ -1430,13 +1459,14 @@ def test_results_json_keys_are_pinned(kind):
     assert results["series"]["columns"] == columns.split()
 
 
-def test_decay_run_does_not_import_numpy_ma(tmp_path):
+@pytest.mark.parametrize("kind", sorted(TINY_CFGS))
+def test_no_kind_imports_numpy_ma(tmp_path, kind):
     # np.median and np.unique import numpy.ma on first use, ~10 ms of every run
-    cfg_path = write_cfg(tmp_path, BASE_CFG)
+    cfg_path = write_cfg(tmp_path, TINY_CFGS[kind])
     script = (
         "import sys\n"
         "from fmlab.cli import main\n"
-        f"assert main(['decay', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert main([{kind!r}, '--config', {cfg_path!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
